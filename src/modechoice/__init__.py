@@ -10,7 +10,6 @@ from .dataset import (
     ChoiceSituation,
     ColumnMap,
     ModeLabel,
-    RawSurveyTable,
     balanced_split,
     load_raw,
     to_choice_situations,
@@ -47,7 +46,6 @@ __all__ = [
     "Prediction",
     "Prompt",
     "PromptTemplateConfig",
-    "RawSurveyTable",
     "accuracy",
     "balanced_split",
     "batch_complete",

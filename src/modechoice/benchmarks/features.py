@@ -30,12 +30,14 @@ FEATURE_NAMES = (
 )
 
 
-def _raw_numeric(situation: ChoiceSituation) -> list[float]:
-    values = []
-    for mode in MODE_ORDER:
-        values.append(float(situation.travel_time_min[mode]))
-        values.append(float(situation.travel_cost[mode]))
-    return values
+def _raw_matrix(situations: list[ChoiceSituation]) -> np.ndarray:
+    """Unscaled (n, 8) feature matrix in the fixed feature order."""
+    rows = [
+        [v for m in MODE_ORDER for v in (s.travel_time_min[m], s.travel_cost[m])]
+        + [s.is_regular_train_user, s.owns_annual_pass]
+        for s in situations
+    ]
+    return np.array(rows, dtype=float).reshape(len(rows), N_FEATURES)
 
 
 @dataclass
@@ -72,19 +74,20 @@ class FeatureScaler:
 def fit_scaler(train: list[ChoiceSituation]) -> FeatureScaler:
     if not train:
         raise EmptyTrainingSet("cannot fit a scaler on an empty training set")
-    raw = np.array([_raw_numeric(s) for s in train], dtype=float)
+    raw = _raw_matrix(train)[:, :N_NUMERIC]
     return FeatureScaler(means=raw.mean(axis=0), stds=raw.std(axis=0))
+
+
+def encode_matrix(situations: list[ChoiceSituation], scaler: FeatureScaler) -> np.ndarray:
+    """One deterministic 8-vector per situation, stacked row-wise."""
+    X = _raw_matrix(situations)
+    X[:, :N_NUMERIC] = scaler.transform(X[:, :N_NUMERIC])
+    return X
 
 
 def encode_features(situation: ChoiceSituation, scaler: FeatureScaler) -> np.ndarray:
     """Deterministic 8-vector in the fixed feature order."""
-    numeric = scaler.transform(np.array(_raw_numeric(situation), dtype=float))
-    binaries = [float(situation.is_regular_train_user), float(situation.owns_annual_pass)]
-    return np.concatenate([numeric, binaries])
-
-
-def encode_matrix(situations: list[ChoiceSituation], scaler: FeatureScaler) -> np.ndarray:
-    return np.array([encode_features(s, scaler) for s in situations], dtype=float)
+    return encode_matrix([situation], scaler)[0]
 
 
 def labels_array(situations: list[ChoiceSituation]) -> np.ndarray:

@@ -144,11 +144,6 @@ def _cmd_fit_bench(cfg) -> int:
 
 
 def _cmd_evaluate(cfg) -> int:
-    situations = pipeline.stage_ingest(cfg)
-    _, test = pipeline.stage_sample(cfg, situations)
-    cap = cfg.effective_max_samples()
-    if cap is not None:
-        test = test[:cap]
     llm_artifact = pipeline.stage_path(cfg.output_dir, "llm", pipeline.llm_key(cfg))
     if not llm_artifact.exists():
         print(

@@ -2,8 +2,8 @@
 
 The raw file is delimiter-separated text with a header row. A ColumnMap binds
 the feature columns we use (per-mode travel time/cost, two traveler flags,
-choice code, availability flags) to their raw names; everything else in the
-file is carried along but ignored.
+choice code, availability flags) to their raw names; only those columns are
+read.
 """
 
 from __future__ import annotations
@@ -193,14 +193,6 @@ class ColumnMap:
 
 
 @dataclass(frozen=True)
-class RawSurveyTable:
-    """Parsed rows of a survey file; mapped columns are numeric."""
-
-    rows: list[dict[str, float | str]]
-    source_path: str
-
-
-@dataclass(frozen=True)
 class ChoiceSituation:
     """One survey response: per-mode times/costs, two traveler flags, observed choice."""
 
@@ -220,29 +212,6 @@ class ChoiceSituation:
         if any(c < 0 for c in self.travel_cost.values()):
             raise ValueError("travel costs must be non-negative")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "situation_id": self.situation_id,
-            "travel_time_min": {m.display: self.travel_time_min[m] for m in MODE_ORDER},
-            "travel_cost": {m.display: self.travel_cost[m] for m in MODE_ORDER},
-            "is_regular_train_user": self.is_regular_train_user,
-            "owns_annual_pass": self.owns_annual_pass,
-            "chosen": self.chosen.display,
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "ChoiceSituation":
-        return cls(
-            situation_id=doc["situation_id"],
-            travel_time_min={
-                ModeLabel.from_name(k): int(v) for k, v in doc["travel_time_min"].items()
-            },
-            travel_cost={ModeLabel.from_name(k): int(v) for k, v in doc["travel_cost"].items()},
-            is_regular_train_user=bool(doc["is_regular_train_user"]),
-            owns_annual_pass=bool(doc["owns_annual_pass"]),
-            chosen=ModeLabel.from_name(doc["chosen"]),
-        )
-
 
 def _open_text(path: Path):
     if path.suffix == ".gz":
@@ -250,92 +219,86 @@ def _open_text(path: Path):
     return open(path, "r", encoding="utf-8", newline="")
 
 
-def load_raw(path: str | Path, cmap: ColumnMap, delimiter: str = "\t") -> RawSurveyTable:
-    """Read a delimiter-separated survey file and parse mapped columns as numbers.
+def load_raw(
+    path: str | Path, cmap: ColumnMap, delimiter: str = "\t"
+) -> dict[str, list[float]]:
+    """Read the mapped columns of a delimiter-separated survey file as numbers.
 
-    Unmapped columns are retained as-is (numeric when they parse, else the raw
-    string) but ignored downstream. Raises MissingColumn, UnparseableValue, or
-    EmptyFile.
+    Returns one list of floats per mapped column, in file row order; other
+    columns are never parsed. Blank lines are skipped and take no row index,
+    and a short row reads its missing fields as "". Raises MissingColumn,
+    UnparseableValue, or EmptyFile.
     """
     path = Path(path)
-    mapped = set(cmap.mapped_columns())
-    rows: list[dict[str, float | str]] = []
+    columns: dict[str, list[float]] = {name: [] for name in cmap.mapped_columns()}
     with _open_text(path) as handle:
-        reader = csv.DictReader(handle, delimiter=delimiter)
-        header = reader.fieldnames
+        reader = csv.reader(handle, delimiter=delimiter)
+        header = next(reader, None)
         if not header:
             raise EmptyFile(f"{path}: no header row")
-        for name in cmap.mapped_columns():
-            if name not in header:
+        position = {name: i for i, name in enumerate(header)}  # last duplicate wins
+        for name in columns:
+            if name not in position:
                 raise MissingColumn(name)
-        for index, raw in enumerate(reader):
-            row: dict[str, float | str] = {}
-            for column, value in raw.items():
-                if column is None:
-                    continue
-                text = (value or "").strip()
-                if column in mapped:
-                    try:
-                        row[column] = float(text)
-                    except ValueError:
-                        raise UnparseableValue(index, column, text) from None
-                else:
-                    try:
-                        row[column] = float(text)
-                    except ValueError:
-                        row[column] = text
-            rows.append(row)
-    if not rows:
+        # header order, so a row with several bad values reports its first one
+        plan = sorted((position[name], name, columns[name].append) for name in columns)
+        for index, row in enumerate(row for row in reader if row):
+            for i, name, append in plan:
+                text = row[i] if i < len(row) else ""
+                try:
+                    append(float(text))
+                except ValueError:
+                    raise UnparseableValue(index, name, text.strip()) from None
+    if not columns[cmap.choice_column]:
         raise EmptyFile(f"{path}: header but no data rows")
-    return RawSurveyTable(rows=rows, source_path=str(path))
+    return columns
 
 
 def _round_half_up(value: float) -> int:
     return math.floor(value + 0.5)
 
 
-def to_choice_situations(table: RawSurveyTable, cmap: ColumnMap) -> list[ChoiceSituation]:
-    """Convert raw rows to validated ChoiceSituations, dropping unusable rows.
+def to_choice_situations(
+    columns: dict[str, list[float]], cmap: ColumnMap
+) -> list[ChoiceSituation]:
+    """Convert load_raw's columns to validated ChoiceSituations, dropping unusable rows.
 
     A row is dropped when its choice code is not in the code map (including
     the 0 = unknown code), when any alternative is flagged unavailable, or
     when its times/costs violate the value constraints. Exclusion counts are
     emitted as a structured log record.
     """
+    times = [columns[cmap.time_columns[m]] for m in MODE_ORDER]
+    costs = [columns[cmap.cost_columns[m]] for m in MODE_ORDER]
+    availability = [columns[cmap.availability_columns[m]] for m in MODE_ORDER]
+    regular = columns[cmap.regular_user_column]
+    annual = columns[cmap.annual_pass_column]
+    codes = columns[cmap.choice_column]
     situations: list[ChoiceSituation] = []
     excluded = {"unmapped_choice_code": 0, "unavailable_alternative": 0, "invalid_values": 0}
-    for index, row in enumerate(table.rows):
-        code = row[cmap.choice_column]
+    for index, code in enumerate(codes):
         if code != int(code) or int(code) not in cmap.choice_code_map:
             excluded["unmapped_choice_code"] += 1
             continue
-        if any(row[cmap.availability_columns[m]] == 0 for m in MODE_ORDER):
+        if any(flags[index] == 0 for flags in availability):
             excluded["unavailable_alternative"] += 1
             continue
-        times = {m: _round_half_up(float(row[cmap.time_columns[m]])) for m in MODE_ORDER}
-        costs = {m: _round_half_up(float(row[cmap.cost_columns[m]])) for m in MODE_ORDER}
-        if any(t <= 0 for t in times.values()) or any(c < 0 for c in costs.values()):
-            excluded["invalid_values"] += 1
-            continue
-        situations.append(
-            ChoiceSituation(
+        try:  # ChoiceSituation enforces the value constraints
+            situation = ChoiceSituation(
                 situation_id=f"row{index:05d}",
-                travel_time_min=times,
-                travel_cost=costs,
-                is_regular_train_user=row[cmap.regular_user_column] != 0,
-                owns_annual_pass=row[cmap.annual_pass_column] != 0,
+                travel_time_min={m: _round_half_up(v[index]) for m, v in zip(MODE_ORDER, times)},
+                travel_cost={m: _round_half_up(v[index]) for m, v in zip(MODE_ORDER, costs)},
+                is_regular_train_user=regular[index] != 0,
+                owns_annual_pass=annual[index] != 0,
                 chosen=cmap.choice_code_map[int(code)],
             )
-        )
-    logger.info(
-        "ingest %s: kept %d of %d rows, excluded %s",
-        table.source_path,
-        len(situations),
-        len(table.rows),
-        excluded,
-    )
+        except ValueError:
+            excluded["invalid_values"] += 1
+            continue
+        situations.append(situation)
+    logger.info("ingest: kept %d of %d rows, excluded %s", len(situations), len(codes), excluded)
     if not situations:
-        raise NoValidRows(f"{table.source_path}: no rows survived filtering")
+        raise NoValidRows(f"no rows survived filtering: {len(codes)} read, excluded {excluded}")
     return situations
 
 

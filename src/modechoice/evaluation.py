@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import write_text_atomic
 from .dataset import MODE_ORDER, ModeLabel
 
 logger = logging.getLogger(__name__)
@@ -52,19 +53,24 @@ def accuracy(pred: list[ModeLabel], actual: list[ModeLabel]) -> float:
     return sum(p == a for p, a in zip(pred, actual)) / len(actual)
 
 
-def confusion_matrix(pred: list[ModeLabel], actual: list[ModeLabel]) -> np.ndarray:
-    """3x3 counts, rows = actual, columns = predicted, in fixed mode order."""
-    _check_lengths(pred, actual, allow_empty=True)
-    matrix = np.zeros((len(MODE_ORDER), len(MODE_ORDER)), dtype=int)
+def _counts(pred, actual, n_columns: int = len(MODE_ORDER)) -> np.ndarray:
+    """Counts with rows = actual, columns = predicted; a None prediction goes
+    to a fourth column, which only a 3x4 matrix has."""
+    matrix = np.zeros((len(MODE_ORDER), n_columns), dtype=int)
     for p, a in zip(pred, actual):
-        matrix[int(a), int(p)] += 1
+        matrix[int(a), len(MODE_ORDER) if p is None else int(p)] += 1
     return matrix
 
 
-def weighted_f1(pred: list[ModeLabel], actual: list[ModeLabel]) -> float:
-    """Support-weighted mean of per-class F1; zero-support classes carry no weight."""
-    _check_lengths(pred, actual)
-    matrix = confusion_matrix(pred, actual)
+def confusion_matrix(pred: list[ModeLabel], actual: list[ModeLabel]) -> np.ndarray:
+    """3x3 counts, rows = actual, columns = predicted, in fixed mode order."""
+    _check_lengths(pred, actual, allow_empty=True)
+    return _counts(pred, actual)
+
+
+def _weighted_f1_of(matrix: np.ndarray) -> float:
+    """Support-weighted mean of per-class F1 over a counts matrix whose first
+    three columns are the modes; zero-support classes carry no weight."""
     supports = matrix.sum(axis=1)
     predicted = matrix.sum(axis=0)
     total = 0.0
@@ -79,25 +85,21 @@ def weighted_f1(pred: list[ModeLabel], actual: list[ModeLabel]) -> float:
     return total / supports.sum()
 
 
+def weighted_f1(pred: list[ModeLabel], actual: list[ModeLabel]) -> float:
+    """Support-weighted mean of per-class F1; zero-support classes carry no weight."""
+    _check_lengths(pred, actual)
+    return _weighted_f1_of(confusion_matrix(pred, actual))
+
+
 def _metrics_with_failures(
     pred: list[ModeLabel | None], actual: list[ModeLabel]
 ) -> tuple[float, float]:
     """Accuracy and weighted F1 when failed parses count as incorrect: a None
-    prediction matches no class but still occupies its slot in every support."""
+    prediction lands in a fourth column, matching no class but still occupying
+    its slot in every support."""
     _check_lengths(pred, actual)
-    acc = sum(p == a for p, a in zip(pred, actual)) / len(actual)
-    total = 0.0
-    for c in MODE_ORDER:
-        support = sum(a == c for a in actual)
-        if support == 0:
-            continue
-        tp = sum(p == c and a == c for p, a in zip(pred, actual))
-        predicted = sum(p == c for p in pred)
-        precision = tp / predicted if predicted else 0.0
-        recall = tp / support
-        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-        total += f1 * support
-    return acc, total / len(actual)
+    matrix = _counts(pred, actual, n_columns=len(MODE_ORDER) + 1)
+    return np.trace(matrix) / len(actual), _weighted_f1_of(matrix)
 
 
 @dataclass(frozen=True)
@@ -274,14 +276,6 @@ def render_summary_text(report: EvaluationReport) -> str:
     return "\n".join(lines)
 
 
-def _write_text(path: Path, text: str) -> bool:
-    """Write only when the content differs; returns True when written."""
-    if path.exists() and path.read_text(encoding="utf-8") == text:
-        return False
-    path.write_text(text, encoding="utf-8")
-    return True
-
-
 def write_report(
     records: list[CaseRecord],
     out_dir: str | Path,
@@ -301,9 +295,9 @@ def write_report(
         cases = "".join(
             json.dumps(r.to_json_dict(), sort_keys=True) + "\n" for r in records
         )
-        _write_text(out / "report.json", summary_json)
-        _write_text(out / "report.txt", render_summary_text(report) + "\n")
-        _write_text(out / "cases.jsonl", cases)
+        write_text_atomic(out / "report.json", summary_json)
+        write_text_atomic(out / "report.txt", render_summary_text(report) + "\n")
+        write_text_atomic(out / "cases.jsonl", cases)
     except OSError as exc:
         raise IoFailure(f"cannot write report under {out}: {exc}") from exc
     logger.info("report written to %s", out)

@@ -1,7 +1,8 @@
 """End-to-end orchestration: ingest, balanced sampling, prompt rendering,
 completion, parsing, benchmark training, and report writing, driven by one
-declarative config file. Stage outputs are content-addressed under the output
-directory, so reruns with unchanged inputs reuse stored results.
+declarative config file. Stage outputs after ingest are content-addressed
+under the output directory, so reruns with unchanged inputs reuse stored
+results; a report-only rerun needs no backend credential.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .gateway import (
     CompletionCache,
     CompletionFailure,
     batch_complete,
-    make_backend,
+    make_backend,  # noqa: F401 -- unused here, but perfbench's tracer wraps it by name
 )
 from .parsing import ParseFailure, parse_response
 from .prompting import (
@@ -233,24 +234,10 @@ def ingest_key(cfg: PipelineConfig) -> str:
 
 
 def stage_ingest(cfg: PipelineConfig) -> list[ChoiceSituation]:
-    path = stage_path(cfg.output_dir, "situations", ingest_key(cfg))
-
-    def compute():
-        table = load_raw(cfg.dataset_path, cfg.column_map, delimiter=cfg.delimiter)
-        return to_choice_situations(table, cfg.column_map)
-
-    return load_or_create(
-        path,
-        compute,
-        serialize=lambda ss: "".join(
-            json.dumps(s.to_json_dict(), sort_keys=True) + "\n" for s in ss
-        ),
-        deserialize=lambda text: [
-            ChoiceSituation.from_json_dict(json.loads(line))
-            for line in text.splitlines()
-            if line
-        ],
-    )
+    """Read and validate the survey file; rerun every time, since reparsing
+    it costs less than storing and reloading its situations."""
+    columns = load_raw(cfg.dataset_path, cfg.column_map, delimiter=cfg.delimiter)
+    return to_choice_situations(columns, cfg.column_map)
 
 
 def sample_key(cfg: PipelineConfig) -> str:
@@ -302,10 +289,10 @@ def stage_llm(cfg: PipelineConfig, test: list[ChoiceSituation]) -> list[dict]:
     path = stage_path(cfg.output_dir, "llm", llm_key(cfg))
 
     def compute():
-        backend = make_backend(cfg.backend)  # surfaces credential errors up front
         prompts = build_prompts(test, cfg)
         cache = CompletionCache(cfg.resolved_cache_dir)
-        results = batch_complete(prompts, cfg.backend, cache, backend=backend)
+        # builds the backend, and so checks its credential, before any request
+        results = batch_complete(prompts, cfg.backend, cache)
         rows = []
         for result in results:
             if isinstance(result, CompletionFailure):
@@ -419,10 +406,6 @@ def run_pipeline(cfg: PipelineConfig) -> EvaluationReport:
     artifacts, the completion cache, and the report are byte-stable across
     reruns.
     """
-    if cfg.backend.backend_kind == "http_chat":
-        with _stage("llm"):
-            make_backend(cfg.backend)  # fail fast on a missing credential
-
     with _stage("ingest"):
         situations = stage_ingest(cfg)
     with _stage("sample"):

@@ -23,13 +23,13 @@ CMAP = ColumnMap()
 
 
 def test_load_raw_reads_all_rows(tmp_path):
-    path = write_survey_file(tmp_path / "three.dat", synthetic_raw_rows(3, seed=1))
-    table = load_raw(path, CMAP)
-    assert len(table.rows) == 3
-    assert table.source_path == str(path)
-    assert all(isinstance(row["TRAIN_TT"], float) for row in table.rows)
-    # unmapped columns are kept
-    assert "PURPOSE" in table.rows[0]
+    rows = synthetic_raw_rows(3, seed=1)
+    path = write_survey_file(tmp_path / "three.dat", rows)
+    columns = load_raw(path, CMAP)
+    assert list(columns) == CMAP.mapped_columns()
+    assert all(len(values) == 3 for values in columns.values())
+    assert all(isinstance(v, float) for v in columns["TRAIN_TT"])
+    assert columns["TRAIN_TT"] == [float(row["TRAIN_TT"]) for row in rows]
 
 
 def test_load_raw_missing_choice_column(tmp_path):
@@ -64,8 +64,38 @@ def test_load_raw_unparseable_value(tmp_path):
 
 def test_load_raw_custom_delimiter(tmp_path):
     path = write_survey_file(tmp_path / "comma.csv", synthetic_raw_rows(4, seed=2), delimiter=",")
-    table = load_raw(path, CMAP, delimiter=",")
-    assert len(table.rows) == 4
+    columns = load_raw(path, CMAP, delimiter=",")
+    assert all(len(values) == 4 for values in columns.values())
+
+
+def test_load_raw_short_row_is_unparseable(tmp_path):
+    path = write_survey_file(tmp_path / "short.dat", synthetic_raw_rows(3, seed=1))
+    lines = path.read_text().splitlines()
+    lines[2] = "\t".join(lines[2].split("\t")[:-2])  # row 1 loses SM_AV and CHOICE
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(UnparseableValue) as err:
+        load_raw(path, CMAP)
+    assert err.value.row_index == 1
+    assert err.value.column == "SM_AV"
+
+
+def test_blank_line_does_not_shift_situation_ids(tmp_path):
+    path = write_survey_file(tmp_path / "plain.dat", synthetic_raw_rows(4, seed=2))
+    expected = to_choice_situations(load_raw(path, CMAP), CMAP)
+    lines = path.read_text().splitlines()
+    gapped = tmp_path / "gapped.dat"
+    gapped.write_text("\n".join(lines[:3] + [""] + lines[3:]) + "\n\n")
+    assert to_choice_situations(load_raw(gapped, CMAP), CMAP) == expected
+    assert [s.situation_id for s in expected] == ["row00000", "row00001", "row00002", "row00003"]
+
+
+def test_unparseable_unmapped_column_loads_cleanly(tmp_path):
+    rows = synthetic_raw_rows(3, seed=1)
+    rows[1]["PURPOSE"] = "n/a"
+    path = write_survey_file(tmp_path / "purpose.dat", rows)
+    columns = load_raw(path, CMAP)
+    assert "PURPOSE" not in columns
+    assert len(to_choice_situations(columns, CMAP)) == 3
 
 
 def test_choice_code_mapping(tmp_path):
@@ -157,13 +187,6 @@ def test_situation_validation_rejects_bad_values():
 def test_column_map_rejects_duplicates():
     with pytest.raises(ValueError):
         ColumnMap(regular_user_column="CHOICE")
-
-
-def test_situation_json_round_trip():
-    rng = random.Random(11)
-    for i in range(40):
-        situation = random_situation(rng, f"s{i}")
-        assert ChoiceSituation.from_json_dict(situation.to_json_dict()) == situation
 
 
 def _pool(per_class: int, seed: int = 0) -> list[ChoiceSituation]:

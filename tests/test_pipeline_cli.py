@@ -1,5 +1,6 @@
 import pytest
 
+from modechoice import gateway
 from modechoice.cli import main
 from modechoice.dataset import ColumnMap, ModeLabel, balanced_split, load_raw, to_choice_situations
 from modechoice.gateway import MissingCredential
@@ -215,6 +216,39 @@ def test_cli_missing_credential_exit_code(workspace, capsys, monkeypatch):
     assert run_cli("run", "--config", config, "--backend", "http_chat") == 1
     err = capsys.readouterr().err
     assert "llm" in err and "LLM_API_KEY" in err
+
+
+class CannedReply:
+    status_code = 200
+    text = ""
+
+    def json(self):
+        content = "Prediction: Train\nReason: canned reply."
+        return {"choices": [{"message": {"role": "assistant", "content": content}}]}
+
+
+def test_cli_evaluate_needs_no_credential(workspace, capsys, monkeypatch):
+    calls = []
+
+    def fake_post(url, **kwargs):
+        calls.append(url)
+        return CannedReply()
+
+    monkeypatch.setattr(gateway.requests, "post", fake_post)
+    monkeypatch.setenv("LLM_API_KEY", "sk-test")
+    config = str(workspace / "config.yaml")
+    assert run_cli("run", "--config", config, "--backend", "http_chat") == 0
+    assert len(calls) == 20  # the live-backend default cap
+    cfg = load_pipeline_config(workspace / "config.yaml", {"backend": "http_chat"})
+    report_dir = cfg.output_dir / f"report-{config_digest(cfg)[:12]}"
+    snapshot = {p.name: p.read_bytes() for p in report_dir.iterdir()}
+    capsys.readouterr()
+
+    monkeypatch.delenv("LLM_API_KEY")
+    assert run_cli("evaluate", "--config", config, "--backend", "http_chat") == 0
+    assert "LLM_API_KEY" not in capsys.readouterr().err
+    assert len(calls) == 20
+    assert {p.name: p.read_bytes() for p in report_dir.iterdir()} == snapshot
 
 
 def test_cli_reports_missing_config(tmp_path, capsys):
