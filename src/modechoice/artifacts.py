@@ -37,12 +37,14 @@ def write_text_atomic(path: Path, text: str) -> bool:
     return True
 
 
-def load_or_create(path: Path, compute, serialize, deserialize):
+def load_or_create(path: Path, compute, serialize, deserialize, store=lambda value: True):
     """Return the artifact at `path`, deserializing when it exists and
-    computing + storing it otherwise."""
+    computing it otherwise; a computed value is stored only if `store`
+    accepts it."""
     if path.exists():
         logger.info("reusing stage artifact %s", path)
         return deserialize(path.read_text(encoding="utf-8"))
     value = compute()
-    write_text_atomic(path, serialize(value))
+    if store(value):
+        write_text_atomic(path, serialize(value))
     return value

@@ -1,21 +1,19 @@
 """Random forest: bootstrapped CART trees with Gini-impurity axis splits and
 majority voting. Per-tree seeds derive from the master seed, so fitting is
 deterministic and trees could be grown in parallel without changing results.
+Each tree is stored as flat node arrays, the layout of scikit-learn's `_tree`
+module, and predicts a whole matrix level by level in numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
 from .config import TrainConfig
 from .features import N_CLASSES
-
-# Tree nodes are plain dicts (JSON-friendly): internal nodes carry
-# {"feature", "threshold", "left", "right"}; leaves carry {"counts"}.
-
 
 def _gini_best_threshold(column: np.ndarray, y: np.ndarray):
     """Best split of one feature column, or None when the column is constant.
@@ -70,42 +68,75 @@ def _resolve_max_features(max_features: str | int, n_features: int) -> int:
     raise ValueError(f"max_features must be 'sqrt' or an int in [1, {n_features}]")
 
 
-def _build_tree(X, y, rng, k, max_depth):
+class Tree(NamedTuple):
+    """One fitted tree as flat node arrays; node 0 is the root.
+
+    An internal node sends x to `left` when x[feature] <= threshold and to
+    `right` otherwise. A leaf has feature -1, and `vote` holds the majority
+    class of its training rows, ties falling to the lowest class index.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    vote: np.ndarray
+
+    @classmethod
+    def from_lists(cls, feature, threshold, left, right, vote) -> "Tree":
+        return cls(
+            feature=np.array(feature, dtype=np.intp),
+            threshold=np.array(threshold, dtype=float),
+            left=np.array(left, dtype=np.intp),
+            right=np.array(right, dtype=np.intp),
+            vote=np.array(vote, dtype=np.intp),
+        )
+
+    def leaves(self, X: np.ndarray) -> np.ndarray:
+        """Leaf index of every row of X, descending level by level and
+        advancing only the rows that have not reached a leaf yet."""
+        node = np.zeros(X.shape[0], dtype=np.intp)
+        rows = np.arange(X.shape[0])
+        while rows.size:
+            at = node[rows]
+            feature = self.feature[at]
+            inner = feature >= 0
+            rows, at, feature = rows[inner], at[inner], feature[inner]
+            go_left = X[rows, feature] <= self.threshold[at]
+            node[rows] = np.where(go_left, self.left[at], self.right[at])
+        return node
+
+
+def _build_tree(X, y, rng, k, max_depth) -> Tree:
+    """Grow one tree depth-first, right child first; children are numbered
+    when their parent splits, so the node order is the creation order."""
     n_features = X.shape[1]
-    root: dict = {}
-    stack = [(root, np.arange(len(y)), 0)]
+    feature, threshold, left, right, vote = [-1], [0.0], [-1], [-1], [0]
+    stack = [(0, np.arange(len(y)), 0)]
     while stack:
         node, idx, depth = stack.pop()
         labels = y[idx]
         counts = np.bincount(labels, minlength=N_CLASSES)
+        vote[node] = int(np.argmax(counts))  # ties fall to the lowest class index
         at_depth_limit = max_depth is not None and depth >= max_depth
         if at_depth_limit or len(idx) < 2 or counts.max() == len(idx):
-            node["counts"] = counts.tolist()
             continue
         split = _find_split(X[idx], labels, rng.permutation(n_features), k)
         if split is None:
-            node["counts"] = counts.tolist()
             continue
-        _, feature, threshold = split
-        mask = X[idx, feature] <= threshold
-        node["feature"] = feature
-        node["threshold"] = threshold
-        node["left"] = {}
-        node["right"] = {}
-        stack.append((node["left"], idx[mask], depth + 1))
-        stack.append((node["right"], idx[~mask], depth + 1))
-    return root
-
-
-def _tree_vote(node: dict, x: np.ndarray) -> int:
-    while "counts" not in node:
-        node = node["left"] if x[node["feature"]] <= node["threshold"] else node["right"]
-    return int(np.argmax(node["counts"]))  # ties fall to the lowest class index
+        _, feature[node], threshold[node] = split
+        mask = X[idx, feature[node]] <= threshold[node]
+        left[node], right[node] = len(feature), len(feature) + 1
+        for column, blank in ((feature, -1), (threshold, 0.0), (left, -1), (right, -1), (vote, 0)):
+            column.extend((blank, blank))
+        stack.append((left[node], idx[mask], depth + 1))
+        stack.append((right[node], idx[~mask], depth + 1))
+    return Tree.from_lists(feature, threshold, left, right, vote)
 
 
 @dataclass
 class ForestModel:
-    trees: list[dict]
+    trees: list[Tree]
     seed: int = 0
     loss_curve: list[float] = field(default_factory=list)  # unused; kept for parity
 
@@ -113,9 +144,9 @@ class ForestModel:
 
     def predict_proba_matrix(self, X: np.ndarray) -> np.ndarray:
         votes = np.zeros((X.shape[0], N_CLASSES))
-        for tree in self.trees:
-            for i, x in enumerate(X):
-                votes[i, _tree_vote(tree, x)] += 1.0
+        rows = np.arange(X.shape[0])
+        for tree in self.trees:  # one tree at a time keeps memory at O(rows)
+            votes[rows, tree.vote[tree.leaves(X)]] += 1.0
         return votes / len(self.trees)
 
 

@@ -8,11 +8,11 @@ from pathlib import Path
 import numpy as np
 
 from .features import FeatureScaler
-from .forest import ForestModel
+from .forest import ForestModel, Tree
 from .mnl import MnlModel
 from .neural import NeuralModel
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2  # 2: random-forest trees as flat node arrays
 
 
 def model_to_dict(model, scaler: FeatureScaler) -> dict:
@@ -39,7 +39,12 @@ def model_to_dict(model, scaler: FeatureScaler) -> dict:
             "b2": model.b2.tolist(),
         }
     elif isinstance(model, ForestModel):
-        doc["parameters"] = {"trees": model.trees}
+        doc["parameters"] = {
+            "trees": [
+                {name: column.tolist() for name, column in tree._asdict().items()}
+                for tree in model.trees
+            ]
+        }
     else:
         raise TypeError(f"cannot serialize model of type {type(model).__name__}")
     return doc
@@ -71,7 +76,7 @@ def model_from_dict(doc: dict):
             **common,
         )
     elif kind == "rf":
-        model = ForestModel(trees=params["trees"], **common)
+        model = ForestModel(trees=[Tree.from_lists(**tree) for tree in params["trees"]], **common)
     else:
         raise ValueError(f"unknown model kind {kind!r}")
     return model, scaler

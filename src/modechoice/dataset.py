@@ -242,13 +242,17 @@ def load_raw(
                 raise MissingColumn(name)
         # header order, so a row with several bad values reports its first one
         plan = sorted((position[name], name, columns[name].append) for name in columns)
+        isfinite = math.isfinite
         for index, row in enumerate(row for row in reader if row):
             for i, name, append in plan:
                 text = row[i] if i < len(row) else ""
                 try:
-                    append(float(text))
+                    value = float(text)
                 except ValueError:
-                    raise UnparseableValue(index, name, text.strip()) from None
+                    value = math.nan
+                if not isfinite(value):  # float() also reads "nan" and "inf"
+                    raise UnparseableValue(index, name, text.strip())
+                append(value)
     if not columns[cmap.choice_column]:
         raise EmptyFile(f"{path}: header but no data rows")
     return columns

@@ -18,6 +18,7 @@ import yaml
 
 from . import benchmarks
 from .artifacts import digest_of, load_or_create, stage_path
+from .benchmarks.model_io import FORMAT_VERSION as MODEL_FORMAT_VERSION
 from .dataset import (
     ChoiceSituation,
     ColumnMap,
@@ -285,8 +286,12 @@ def llm_key(cfg: PipelineConfig) -> str:
 
 def stage_llm(cfg: PipelineConfig, test: list[ChoiceSituation]) -> list[dict]:
     """Predict the capped test set with the configured backend; returns one row
-    per situation: {situation_id, prediction, reason, raw_text, error}."""
+    per situation: {situation_id, prediction, reason, raw_text, error}.
+
+    The rows are stored only when every completion succeeded, so a transient
+    backend failure is retried on the next run instead of being replayed."""
     path = stage_path(cfg.output_dir, "llm", llm_key(cfg))
+    backend_failures = []
 
     def compute():
         prompts = build_prompts(test, cfg)
@@ -296,6 +301,7 @@ def stage_llm(cfg: PipelineConfig, test: list[ChoiceSituation]) -> list[dict]:
         rows = []
         for result in results:
             if isinstance(result, CompletionFailure):
+                backend_failures.append(result.situation_id)
                 rows.append(
                     {
                         "situation_id": result.situation_id,
@@ -328,6 +334,12 @@ def stage_llm(cfg: PipelineConfig, test: list[ChoiceSituation]) -> list[dict]:
                         "error": f"ParseFailure: {exc.detail}",
                     }
                 )
+        if backend_failures:
+            logger.warning(
+                "%d backend failures; not storing %s, so a rerun retries them",
+                len(backend_failures),
+                path.name,
+            )
         return rows
 
     return load_or_create(
@@ -335,6 +347,7 @@ def stage_llm(cfg: PipelineConfig, test: list[ChoiceSituation]) -> list[dict]:
         compute,
         serialize=lambda rows: "".join(json.dumps(r, sort_keys=True) + "\n" for r in rows),
         deserialize=lambda text: [json.loads(line) for line in text.splitlines() if line],
+        store=lambda rows: not backend_failures,
     )
 
 
@@ -344,7 +357,9 @@ def stage_benchmarks(cfg: PipelineConfig, train: list[ChoiceSituation]) -> dict[
     for kind in cfg.benchmark_kinds:
         train_cfg = cfg.train_configs[kind]
         key = digest_of(
-            sample_key(cfg), json.dumps(dataclasses.asdict(train_cfg), sort_keys=True)
+            sample_key(cfg),
+            str(MODEL_FORMAT_VERSION),
+            json.dumps(dataclasses.asdict(train_cfg), sort_keys=True),
         )
         path = stage_path(cfg.output_dir, f"model-{kind}", key, suffix=".json")
 

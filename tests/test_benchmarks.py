@@ -24,9 +24,11 @@ from modechoice.benchmarks import (
     predict_labels,
     predict_proba,
 )
-from modechoice.benchmarks import mnl, neural
+from modechoice.benchmarks import forest, mnl, neural
+from modechoice.benchmarks.forest import Tree
 from modechoice.dataset import ColumnMap, ModeLabel, load_raw, to_choice_situations
 
+import reference_forest
 from conftest import make_situation, random_situation, synthetic_raw_rows, write_survey_file
 
 
@@ -288,12 +290,19 @@ def test_rf_single_tree_shatters_unique_points():
     assert all(p == s.chosen for p, s in zip(labels, rows))
 
 
+def leaf_tree(counts):
+    """A one-node tree: a leaf holding these class counts."""
+    return Tree.from_lists(
+        feature=[-1], threshold=[0.0], left=[-1], right=[-1], vote=[int(np.argmax(counts))]
+    )
+
+
 def test_rf_vote_probabilities():
     trees = [
-        {"counts": [5, 0, 0]},
-        {"counts": [3, 1, 1]},
-        {"counts": [0, 9, 0]},
-        {"counts": [0, 0, 2]},
+        leaf_tree([5, 0, 0]),
+        leaf_tree([3, 1, 1]),
+        leaf_tree([0, 9, 0]),
+        leaf_tree([0, 0, 2]),
     ]
     model = ForestModel(trees=trees, seed=0)
     proba = predict_proba(model, np.zeros(8))
@@ -317,7 +326,67 @@ def test_rf_seed_deterministic(tmp_path):
     cfg = TrainConfig(kind="rf", seed=9, n_trees=10)
     a = fit_classifier("rf", rows, cfg, scaler)
     b = fit_classifier("rf", rows, TrainConfig(kind="rf", seed=9, n_trees=10), scaler)
-    assert json.dumps(a.trees) == json.dumps(b.trees)
+    assert len(a.trees) == len(b.trees) == 10
+    for left, right in zip(a.trees, b.trees):
+        for name in Tree._fields:
+            assert np.array_equal(getattr(left, name), getattr(right, name))
+
+
+def assert_same_tree(reference, tree):
+    """Walk a reference dict tree and the node arrays side by side; returns
+    the number of leaves whose counts tie for the majority."""
+    ties = 0
+    stack = [(reference, 0)]
+    visited = 0
+    while stack:
+        node, i = stack.pop()
+        visited += 1
+        if "counts" in node:
+            counts = np.array(node["counts"])
+            ties += int((counts == counts.max()).sum() > 1)
+            assert tree.feature[i] == -1
+            assert tree.vote[i] == int(np.argmax(counts))
+        else:
+            assert tree.feature[i] == node["feature"]
+            assert tree.threshold[i] == node["threshold"]
+            stack.append((node["left"], tree.left[i]))
+            stack.append((node["right"], tree.right[i]))
+    assert visited == len(tree.feature)
+    return ties
+
+
+def test_rf_matches_reference_forest(tmp_path):
+    rows = situations_from_file(tmp_path, n=200)
+    scaler = fit_scaler(rows)
+    X = encode_matrix(rows, scaler)
+    y = labels_array(rows)
+    # identical feature vectors with different labels cannot be split apart,
+    # so an unpruned tree grown on every row must end in tied leaves
+    X = np.vstack([X, X[:6]])
+    y = np.concatenate([y, (y[:6] + 1) % 3])
+    configs = [
+        default_train_config("rf", seed=4),
+        TrainConfig(kind="rf", seed=5, n_trees=20, max_depth=3),
+        TrainConfig(kind="rf", seed=6, n_trees=20, max_features=5),
+        TrainConfig(kind="rf", seed=7, n_trees=10, bootstrap=False),
+    ]
+    rng = np.random.default_rng(8)
+    ties = 0
+    for cfg in configs:
+        model = forest.fit(X, y, cfg)
+        reference = reference_forest.fit(X, y, cfg)
+        assert len(model.trees) == len(reference) == cfg.n_trees
+        for dict_tree, tree in zip(reference, model.trees):
+            ties += assert_same_tree(dict_tree, tree)
+        # rows sitting exactly on the root threshold must go left in both
+        on_threshold = X[:20].copy()
+        on_threshold[:, model.trees[0].feature[0]] = model.trees[0].threshold[0]
+        probe = np.vstack([X, X + rng.normal(scale=0.3, size=X.shape), on_threshold])
+        assert np.array_equal(
+            model.predict_proba_matrix(probe),
+            reference_forest.predict_proba_matrix(reference, probe),
+        )
+    assert ties > 0
 
 
 def test_rf_learns(tmp_path):
@@ -348,7 +417,7 @@ def test_predict_label_argmax_and_ties():
         intercepts=np.log(np.array([0.2, 0.5, 0.3])),
     )
     assert predict_label(model, np.zeros(8)) is ModeLabel.CAR
-    tie = ForestModel(trees=[{"counts": [1, 0, 0]}, {"counts": [0, 1, 0]}], seed=0)
+    tie = ForestModel(trees=[leaf_tree([1, 0, 0]), leaf_tree([0, 1, 0])], seed=0)
     assert np.allclose(predict_proba(tie, np.zeros(8)), [0.5, 0.5, 0.0])
     assert predict_label(tie, np.zeros(8)) is ModeLabel.TRAIN
 

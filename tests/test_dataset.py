@@ -62,6 +62,30 @@ def test_load_raw_unparseable_value(tmp_path):
     assert err.value.column == "SM_CO"
 
 
+def ingest_with(tmp_path, row_index, column, text):
+    rows = synthetic_raw_rows(4, seed=1)
+    rows[row_index][column] = text
+    path = write_survey_file(tmp_path / "nonfinite.dat", rows)
+    with pytest.raises(UnparseableValue) as err:
+        to_choice_situations(load_raw(path, CMAP), CMAP)
+    assert err.value.row_index == row_index
+    assert err.value.column == column
+    assert repr(text) in str(err.value)
+
+
+def test_nan_choice_is_unparseable(tmp_path):
+    ingest_with(tmp_path, 2, "CHOICE", "nan")
+
+
+def test_infinite_time_or_cost_is_unparseable(tmp_path):
+    ingest_with(tmp_path, 1, "CAR_TT", "inf")
+    ingest_with(tmp_path, 3, "SM_CO", "-Infinity")
+
+
+def test_nan_availability_is_unparseable(tmp_path):
+    ingest_with(tmp_path, 0, "TRAIN_AV", "NaN")
+
+
 def test_load_raw_custom_delimiter(tmp_path):
     path = write_survey_file(tmp_path / "comma.csv", synthetic_raw_rows(4, seed=2), delimiter=",")
     columns = load_raw(path, CMAP, delimiter=",")

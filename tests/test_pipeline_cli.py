@@ -1,6 +1,12 @@
+import dataclasses
+import json
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
 import pytest
 
 from modechoice import gateway
+from modechoice.artifacts import digest_of, stage_path
 from modechoice.cli import main
 from modechoice.dataset import ColumnMap, ModeLabel, balanced_split, load_raw, to_choice_situations
 from modechoice.gateway import MissingCredential
@@ -9,6 +15,7 @@ from modechoice.pipeline import (
     config_digest,
     load_pipeline_config,
     run_pipeline,
+    sample_key,
 )
 
 from conftest import synthetic_raw_rows, write_survey_file
@@ -147,6 +154,102 @@ def test_parse_failures_reported_not_fatal(workspace):
     assert report.parse_failure_count == 45
     assert "llm" not in report.metrics  # nothing parseable to score
     assert report.metrics["mnl"].n_scored == 45
+
+
+def test_format_1_model_artifact_is_refit(workspace):
+    cfg = load_pipeline_config(workspace / "config.yaml")
+    train_cfg = cfg.train_configs["rf"]
+    # the model key before the format version joined it
+    old_key = digest_of(sample_key(cfg), json.dumps(dataclasses.asdict(train_cfg), sort_keys=True))
+    stale = stage_path(cfg.output_dir, "model-rf", old_key, suffix=".json")
+    stale_text = json.dumps(
+        {
+            "format_version": 1,
+            "kind": "rf",
+            "seed": train_cfg.seed,
+            "loss_curve": [],
+            "scaler": {"means": [0.0] * 6, "stds": [1.0] * 6},
+            "parameters": {"trees": [{"counts": [1, 0, 0]}]},
+        }
+    )
+    stale.write_text(stale_text)
+    report = run_pipeline(cfg)
+    assert report.metrics["rf"].n_scored == 45
+    assert stale.read_text() == stale_text
+    refit = [p for p in (cfg.output_dir / "stages").glob("model-rf-*.json") if p != stale]
+    assert len(refit) == 1
+    assert json.loads(refit[0].read_text())["format_version"] == 2
+
+
+class _ChatEndpoint(BaseHTTPRequestHandler):
+    """Chat-completions endpoint answering every request with the server's
+    current `status`: 200 carries a parseable reply, anything else an error."""
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.requests.append(self.path)
+        if self.server.status == 200:
+            content = "Prediction: Train\nReason: Train is the local endpoint's answer."
+            body = json.dumps({"choices": [{"message": {"role": "assistant", "content": content}}]})
+        else:
+            body = json.dumps({"error": "service unavailable"})
+        data = body.encode("utf-8")
+        self.send_response(self.server.status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, format, *args):
+        pass
+
+
+@pytest.fixture
+def chat_endpoint():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _ChatEndpoint)
+    server.status = 200
+    server.requests = []
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_backend_failures_are_retried_on_rerun(workspace, chat_endpoint, monkeypatch):
+    monkeypatch.setenv("LLM_API_KEY", "sk-test")
+    url = f"http://127.0.0.1:{chat_endpoint.server_address[1]}/v1/chat/completions"
+    config = CONFIG_TEMPLATE.format(mock_rule="generalized_cost").replace(
+        "  backend_kind: mock\n",
+        "  backend_kind: http_chat\n"
+        f"  endpoint_url: {url}\n"
+        "  max_retries: 1\n"
+        "  retry_backoff_base_seconds: 0.0\n",
+    )
+    (workspace / "http.yaml").write_text(config + "max_samples: 6\n")
+    cfg = load_pipeline_config(workspace / "http.yaml")
+    stages = cfg.output_dir / "stages"
+
+    chat_endpoint.status = 503
+    report = run_pipeline(cfg)
+    assert len(chat_endpoint.requests) == 12  # six prompts, two attempts each
+    assert report.parse_failure_count == 6
+    assert "llm" not in report.metrics
+    assert not list(stages.glob("llm-*.jsonl"))
+
+    chat_endpoint.status = 200
+    chat_endpoint.requests.clear()
+    report = run_pipeline(cfg)
+    assert len(chat_endpoint.requests) == 6
+    assert report.parse_failure_count == 0
+    assert report.metrics["llm"].n_scored == 6
+    assert len(list(stages.glob("llm-*.jsonl"))) == 1
+
+    chat_endpoint.requests.clear()
+    run_pipeline(cfg)
+    assert chat_endpoint.requests == []
 
 
 def test_stage_attribution_on_bad_dataset(workspace):
