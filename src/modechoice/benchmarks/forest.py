@@ -1,8 +1,16 @@
 """Random forest: bootstrapped CART trees with Gini-impurity axis splits and
-majority voting. Per-tree seeds derive from the master seed, so fitting is
-deterministic and trees could be grown in parallel without changing results.
-Each tree is stored as flat node arrays, the layout of scikit-learn's `_tree`
-module, and predicts a whole matrix level by level in numpy.
+majority voting. Each tree is stored as flat node arrays, the layout of
+scikit-learn's `_tree` module, and predicts a whole matrix level by level in
+numpy.
+
+All trees grow in lockstep. Each tree has its own generator, seeded from the
+master seed and its index, its own bootstrap draw and its own depth-first
+stack; every step pops the top node of each stack and finds all their splits
+in one batched numpy search. The trees are bit-identical to growing each on
+its own: a tree's generator is drawn from only for that tree's nodes, in the
+same order; class counts are exact integers; and the impurity of every cut
+comes from the same element-wise arithmetic, with the same first-minimum tie
+rules.
 """
 
 from __future__ import annotations
@@ -14,51 +22,6 @@ import numpy as np
 
 from .config import TrainConfig
 from .features import N_CLASSES
-
-def _gini_best_threshold(column: np.ndarray, y: np.ndarray):
-    """Best split of one feature column, or None when the column is constant.
-
-    Returns (weighted_gini, threshold) where threshold is the midpoint of the
-    neighbouring distinct values.
-    """
-    n = len(y)
-    order = np.argsort(column, kind="stable")
-    sorted_col = column[order]
-    boundaries = np.nonzero(sorted_col[1:] > sorted_col[:-1])[0] + 1
-    if len(boundaries) == 0:
-        return None
-    one_hot = np.zeros((n, N_CLASSES))
-    one_hot[np.arange(n), y[order]] = 1.0
-    prefix = np.vstack([np.zeros(N_CLASSES), np.cumsum(one_hot, axis=0)])
-    left = prefix[boundaries]
-    right = prefix[n] - left
-    n_left = boundaries.astype(float)
-    n_right = n - n_left
-    gini_left = 1.0 - ((left / n_left[:, None]) ** 2).sum(axis=1)
-    gini_right = 1.0 - ((right / n_right[:, None]) ** 2).sum(axis=1)
-    weighted = (n_left * gini_left + n_right * gini_right) / n
-    best = int(np.argmin(weighted))
-    cut = boundaries[best]
-    threshold = 0.5 * (sorted_col[cut - 1] + sorted_col[cut])
-    return float(weighted[best]), float(threshold)
-
-
-def _find_split(X: np.ndarray, y: np.ndarray, feature_order: np.ndarray, k: int):
-    """Scan features in the given random order: the first k form the candidate
-    pool, and the scan keeps extending past k until some feature admits a
-    valid split (mirroring the usual max_features semantics)."""
-    best = None
-    for position, feature in enumerate(feature_order):
-        if position >= k and best is not None:
-            break
-        result = _gini_best_threshold(X[:, feature], y)
-        if result is None:
-            continue
-        impurity, threshold = result
-        if best is None or impurity < best[0]:
-            best = (impurity, int(feature), threshold)
-    return best
-
 
 def _resolve_max_features(max_features: str | int, n_features: int) -> int:
     if max_features == "sqrt":
@@ -107,33 +70,6 @@ class Tree(NamedTuple):
         return node
 
 
-def _build_tree(X, y, rng, k, max_depth) -> Tree:
-    """Grow one tree depth-first, right child first; children are numbered
-    when their parent splits, so the node order is the creation order."""
-    n_features = X.shape[1]
-    feature, threshold, left, right, vote = [-1], [0.0], [-1], [-1], [0]
-    stack = [(0, np.arange(len(y)), 0)]
-    while stack:
-        node, idx, depth = stack.pop()
-        labels = y[idx]
-        counts = np.bincount(labels, minlength=N_CLASSES)
-        vote[node] = int(np.argmax(counts))  # ties fall to the lowest class index
-        at_depth_limit = max_depth is not None and depth >= max_depth
-        if at_depth_limit or len(idx) < 2 or counts.max() == len(idx):
-            continue
-        split = _find_split(X[idx], labels, rng.permutation(n_features), k)
-        if split is None:
-            continue
-        _, feature[node], threshold[node] = split
-        mask = X[idx, feature[node]] <= threshold[node]
-        left[node], right[node] = len(feature), len(feature) + 1
-        for column, blank in ((feature, -1), (threshold, 0.0), (left, -1), (right, -1), (vote, 0)):
-            column.extend((blank, blank))
-        stack.append((left[node], idx[mask], depth + 1))
-        stack.append((right[node], idx[~mask], depth + 1))
-    return Tree.from_lists(feature, threshold, left, right, vote)
-
-
 @dataclass
 class ForestModel:
     trees: list[Tree]
@@ -150,15 +86,182 @@ class ForestModel:
         return votes / len(self.trees)
 
 
+# A step's split search runs in chunks of at most this many (node, feature,
+# row) entries, which bounds its transient memory.
+_CHUNK_ENTRIES = 8192
+
+
+def _scan_features(X, y, rank, rows, first, size, features):
+    """Best Gini split of every (node, feature) pair.
+
+    Node i owns rows[first[i]:first[i] + size[i]] and features[i] lists the
+    features to scan. Returns, per pair, the lowest weighted impurity over
+    the cuts between neighbouring distinct values (inf when the feature is
+    constant over the node) and the midpoint threshold of that cut, ties
+    falling to the lowest cut.
+
+    Each chunk of pairs is sorted once by (pair, dense rank of the value), and
+    the class counts left of every cut come from one cumulative sum, less
+    the count before the pair's first entry. The counts are exact and the
+    impurity arithmetic is element for element that of a single column, so
+    the results are bit-identical to scanning each column on its own.
+    """
+    n_nodes, width = features.shape
+    impurity = np.full(n_nodes * width, np.inf)
+    threshold = np.zeros(n_nodes * width)
+    pair_size = np.repeat(size, width)
+    pair_first = np.repeat(first, width)
+    pair_feature = features.ravel()
+    pair_end = np.cumsum(pair_size)
+    lo = 0
+    while lo < len(pair_size):
+        base = pair_end[lo] - pair_size[lo]
+        hi = max(lo + 1, int(np.searchsorted(pair_end, base + _CHUNK_ENTRIES, side="right")))
+        sizes = pair_size[lo:hi]
+        starts = pair_end[lo:hi] - sizes - base
+        pair = np.repeat(np.arange(hi - lo), sizes)
+        r = rows[np.repeat(pair_first[lo:hi] - starts, sizes) + np.arange(len(pair))]
+        f = np.repeat(pair_feature[lo:hi], sizes)
+        key = pair * len(rank) + rank[r, f]
+        order = np.argsort(key)  # permutes within pairs only, so `pair` stays valid
+        key, r, f = key[order], r[order], f[order]
+        cut = np.flatnonzero((key[1:] != key[:-1]) & (pair[1:] == pair[:-1])) + 1
+        if cut.size:
+            counts = np.zeros((len(r) + 1, N_CLASSES))
+            counts[1:] = np.cumsum(np.eye(N_CLASSES)[y[r]], axis=0)
+            at = pair[cut]
+            begin, n = starts[at], sizes[at]
+            left = counts[cut] - counts[begin]
+            right = counts[begin + n] - counts[cut]
+            n_left = (cut - begin).astype(float)
+            n_right = n - n_left
+            gini_left = 1.0 - ((left / n_left[:, None]) ** 2).sum(axis=1)
+            gini_right = 1.0 - ((right / n_right[:, None]) ** 2).sum(axis=1)
+            weighted = (n_left * gini_left + n_right * gini_right) / n
+            head = np.flatnonzero(np.diff(at, prepend=-1))
+            lowest = np.minimum.reduceat(weighted, head)
+            hit = np.flatnonzero(weighted == np.repeat(lowest, np.diff(head, append=len(at))))
+            best = hit[np.diff(at[hit], prepend=-1) > 0]  # the first lowest cut of each pair
+            c = cut[best]
+            impurity[lo + at[best]] = weighted[best]
+            threshold[lo + at[best]] = 0.5 * (X[r[c - 1], f[c - 1]] + X[r[c], f[c]])
+        lo = hi
+    return impurity.reshape(n_nodes, width), threshold.reshape(n_nodes, width)
+
+
+def _best_splits(X, y, rank, rows, first, size, order, k):
+    """Split of every node, scanning features in the node's random order:
+    the lowest impurity among the first k (ties to the earlier feature) or,
+    when none of them splits, the first later feature that does, as the
+    usual max_features semantics have it. Returns feature and threshold per
+    node, feature -1 where no feature splits."""
+    impurity, threshold = _scan_features(X, y, rank, rows, first, size, order[:, :k])
+    nodes = np.arange(len(order))
+    pick = impurity.argmin(axis=1)
+    feature = np.where(np.isfinite(impurity[nodes, pick]), order[nodes, pick], -1)
+    threshold = threshold[nodes, pick]
+    stuck = np.flatnonzero(feature < 0)
+    if stuck.size and k < order.shape[1]:
+        impurity, later = _scan_features(
+            X, y, rank, rows, first[stuck], size[stuck], order[stuck, k:]
+        )
+        splits = np.isfinite(impurity)
+        pick = splits.argmax(axis=1)
+        nodes = np.arange(len(stuck))
+        feature[stuck] = np.where(splits[nodes, pick], order[stuck, k + pick], -1)
+        threshold[stuck] = later[nodes, pick]
+    return feature, threshold
+
+
+_NODE = np.dtype(
+    [
+        ("feature", np.intp),
+        ("threshold", float),
+        ("left", np.intp),
+        ("right", np.intp),
+        ("vote", np.intp),
+    ]
+)
+_LEAF = np.array((-1, 0.0, -1, -1, 0), dtype=_NODE)
+
+
+def _widen(array: np.ndarray, fill) -> np.ndarray:
+    """array with its second axis doubled, the new places set to fill."""
+    extra = np.full(array.shape, fill, dtype=array.dtype)
+    return np.concatenate([array, extra], axis=1)
+
+
 def fit(X: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> ForestModel:
-    n = X.shape[0]
-    k = _resolve_max_features(cfg.max_features, X.shape[1])
-    trees = []
-    for tree_index in range(cfg.n_trees):
-        rng = np.random.default_rng([cfg.seed, tree_index])
-        if cfg.bootstrap:
-            sample = rng.integers(0, n, size=n)
-            trees.append(_build_tree(X[sample], y[sample], rng, k, cfg.max_depth))
-        else:
-            trees.append(_build_tree(X, y, rng, k, cfg.max_depth))
-    return ForestModel(trees=trees, seed=cfg.seed)
+    """Grow all trees in lockstep.
+
+    Each tree keeps its own generator, bootstrap draw and depth-first stack
+    (right child first); each step pops the top node of every non-empty
+    stack and finds all their splits in one batched search. A node owns a
+    slice of its tree's row of `sample`, which its split partitions in place.
+    """
+    n, n_features = X.shape
+    k = _resolve_max_features(cfg.max_features, n_features)
+    rngs = [np.random.default_rng([cfg.seed, t]) for t in range(cfg.n_trees)]
+    sample = np.stack(
+        [rng.integers(0, n, size=n) if cfg.bootstrap else np.arange(n) for rng in rngs]
+    )
+    flat = sample.reshape(-1)
+    rank = np.column_stack([np.unique(column, return_inverse=True)[1] for column in X.T])
+    nodes = np.full((cfg.n_trees, 64), _LEAF, dtype=_NODE)
+    n_nodes = np.ones(cfg.n_trees, dtype=np.intp)
+    stack = np.zeros((cfg.n_trees, 64, 4), dtype=np.intp)  # pending (node, start, end, depth)
+    stack[:, 0] = (0, 0, n, 0)
+    height = np.ones(cfg.n_trees, dtype=np.intp)
+    while (trees := np.flatnonzero(height)).size:
+        height[trees] -= 1
+        node, start, end, depth = stack[trees, height[trees]].T
+        size = end - start
+        first = np.cumsum(size) - size
+        seg = np.repeat(np.arange(len(trees)), size)
+        slot = np.repeat(trees * n + start - first, size) + np.arange(len(seg))
+        rows = flat[slot]
+        counts = np.bincount(seg * N_CLASSES + y[rows], minlength=len(trees) * N_CLASSES)
+        counts = counts.reshape(-1, N_CLASSES)
+        nodes["vote"][trees, node] = counts.argmax(axis=1)  # ties fall to the lowest class index
+        open_ = (size >= 2) & (counts.max(axis=1) < size)
+        if cfg.max_depth is not None:
+            open_ &= depth < cfg.max_depth
+        split = np.flatnonzero(open_)
+        if not split.size:
+            continue
+        order = np.array([rngs[t].permutation(n_features) for t in trees[split]])
+        feature, threshold = _best_splits(X, y, rank, rows, first[split], size[split], order, k)
+        found = feature >= 0
+        split, feature, threshold = split[found], feature[found], threshold[found]
+        if not split.size:
+            continue
+        # a node that does not split keeps all its rows on the left, in place
+        seg_feature = np.zeros(len(trees), dtype=np.intp)
+        seg_feature[split] = feature
+        seg_threshold = np.full(len(trees), np.inf)
+        seg_threshold[split] = threshold
+        goes_left = X[rows, seg_feature[seg]] <= seg_threshold[seg]
+        flat[slot] = rows[np.argsort(2 * seg + ~goes_left, kind="stable")]
+        mid = start[split] + np.bincount(seg[goes_left], minlength=len(trees))[split]
+        tree, parent = trees[split], node[split]
+        child = n_nodes[tree]
+        nodes["feature"][tree, parent] = feature
+        nodes["threshold"][tree, parent] = threshold
+        nodes["left"][tree, parent] = child
+        nodes["right"][tree, parent] = child + 1
+        n_nodes[tree] += 2
+        if n_nodes.max() > nodes.shape[1]:
+            nodes = _widen(nodes, _LEAF)
+        top = height[tree]
+        height[tree] += 2
+        if height.max() > stack.shape[1]:
+            stack = _widen(stack, 0)
+        stack[tree, top] = np.column_stack([child, start[split], mid, depth[split] + 1])
+        stack[tree, top + 1] = np.column_stack([child + 1, mid, end[split], depth[split] + 1])
+    return ForestModel(
+        trees=[
+            Tree(*(np.ascontiguousarray(grown[name]) for name in Tree._fields))
+            for grown in (nodes[t, : n_nodes[t]] for t in range(cfg.n_trees))
+        ],
+        seed=cfg.seed,
+    )

@@ -117,20 +117,23 @@ def _cmd_dump_prompt(cfg, args) -> int:
 
 def _cmd_predict_llm(cfg) -> int:
     situations = pipeline.stage_ingest(cfg)
-    _, test = pipeline.stage_sample(cfg, situations)
+    split_key = pipeline.sample_key(cfg)
+    _, test = pipeline.stage_sample(cfg, situations, split_key)
     cap = cfg.effective_max_samples()
     if cap is not None:
         test = test[:cap]
-    rows = pipeline.stage_llm(cfg, test)
-    failures = sum(1 for r in rows if r["error"])
-    print(f"completed {len(rows)} prompts; {failures} parse/backend failures")
+    rows = pipeline.stage_llm(cfg, test, split_key)
+    backend = sum(1 for r in rows if r.get("backend_failure"))
+    unparsed = sum(1 for r in rows if r["error"]) - backend
+    print(f"completed {len(rows)} prompts; {unparsed} parse failures, {backend} backend failures")
     return 0
 
 
 def _cmd_fit_bench(cfg) -> int:
     situations = pipeline.stage_ingest(cfg)
-    train, _ = pipeline.stage_sample(cfg, situations)
-    fitted = pipeline.stage_benchmarks(cfg, train)
+    split_key = pipeline.sample_key(cfg)
+    train, _ = pipeline.stage_sample(cfg, situations, split_key)
+    fitted = pipeline.stage_benchmarks(cfg, train, split_key)
     models_dir = cfg.output_dir / "models"
     models_dir.mkdir(parents=True, exist_ok=True)
     for kind, (model, scaler) in fitted.items():

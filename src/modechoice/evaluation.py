@@ -108,14 +108,15 @@ class CaseRecord:
 
     situation_id: str
     input_summary: str
-    llm_prediction: ModeLabel | None  # None marks a parse failure
+    llm_prediction: ModeLabel | None  # None marks a failure: no reply, or none that parsed
     llm_reason: str
     benchmark_predictions: dict[str, ModeLabel]
     actual: ModeLabel
-    llm_raw_text: str = ""  # populated only when parsing failed
+    llm_raw_text: str = ""  # populated only when the prediction failed
+    backend_failure: bool = False  # the completion never returned
 
     def to_json_dict(self) -> dict:
-        return {
+        doc = {
             "situation_id": self.situation_id,
             "input": self.input_summary,
             "llm_prediction": (
@@ -128,6 +129,9 @@ class CaseRecord:
             "actual": self.actual.display,
             "llm_raw_text": self.llm_raw_text,
         }
+        if self.backend_failure:  # only on failed rows, so other case logs keep their bytes
+            doc["backend_failure"] = True
+        return doc
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "CaseRecord":
@@ -143,6 +147,7 @@ class CaseRecord:
             },
             actual=ModeLabel.from_name(doc["actual"]),
             llm_raw_text=doc.get("llm_raw_text", ""),
+            backend_failure=doc.get("backend_failure", False),
         )
 
 
@@ -165,7 +170,8 @@ class EvaluationReport:
     metrics: dict[str, PredictorMetrics]
     llm_metrics_by_mode: dict[str, PredictorMetrics]  # keyed by failure-accounting mode
     confusions: dict[str, list[list[int]]]
-    parse_failure_count: int
+    parse_failure_count: int  # replies that arrived but did not parse
+    backend_failure_count: int  # completions that never returned
     sample_size: int
     parse_failure_mode: str
     config_digest: str = ""
@@ -174,6 +180,7 @@ class EvaluationReport:
         return {
             "sample_size": self.sample_size,
             "parse_failure_count": self.parse_failure_count,
+            "backend_failure_count": self.backend_failure_count,
             "parse_failure_mode": self.parse_failure_mode,
             "config_digest": self.config_digest,
             "metrics": {k: m.to_json_dict() for k, m in sorted(self.metrics.items())},
@@ -205,7 +212,8 @@ def build_report(
     confusions: dict[str, list[list[int]]] = {}
 
     parsed_pairs = [(r.llm_prediction, r.actual) for r in records if r.llm_prediction is not None]
-    failures = len(records) - len(parsed_pairs)
+    backend_failures = sum(r.llm_prediction is None and r.backend_failure for r in records)
+    parse_failures = len(records) - len(parsed_pairs) - backend_failures
     llm_by_mode: dict[str, PredictorMetrics] = {}
     if parsed_pairs:
         pred_ok = [p for p, _ in parsed_pairs]
@@ -236,7 +244,8 @@ def build_report(
         metrics=metrics,
         llm_metrics_by_mode=llm_by_mode,
         confusions=confusions,
-        parse_failure_count=failures,
+        parse_failure_count=parse_failures,
+        backend_failure_count=backend_failures,
         sample_size=len(records),
         parse_failure_mode=parse_failure_mode,
         config_digest=config_digest,
@@ -255,6 +264,10 @@ def render_summary_text(report: EvaluationReport) -> str:
         f"Test situations: {report.sample_size}; "
         f"parse failures: {report.parse_failure_count} "
         f"(accounting: {report.parse_failure_mode})"
+    )
+    lines.append(
+        f"Backend failures: {report.backend_failure_count} "
+        "(requests that got no reply; accounted as parse failures)"
     )
     if report.llm_metrics_by_mode:
         lines.append("LLM metrics under both failure accountings:")

@@ -242,13 +242,17 @@ def stage_ingest(cfg: PipelineConfig) -> list[ChoiceSituation]:
 
 
 def sample_key(cfg: PipelineConfig) -> str:
+    """Key of the split, and the prefix of every later stage's key. It hashes
+    the survey file, so a run computes it once and hands it to each stage;
+    a stage called without it computes it again."""
     return digest_of(ingest_key(cfg), str(cfg.n_train), str(cfg.n_test), str(cfg.seed))
 
 
 def stage_sample(
-    cfg: PipelineConfig, situations: list[ChoiceSituation]
+    cfg: PipelineConfig, situations: list[ChoiceSituation], split_key: str | None = None
 ) -> tuple[list[ChoiceSituation], list[ChoiceSituation]]:
-    path = stage_path(cfg.output_dir, "split", sample_key(cfg), suffix=".json")
+    split_key = split_key or sample_key(cfg)
+    path = stage_path(cfg.output_dir, "split", split_key, suffix=".json")
     by_id = {s.situation_id: s for s in situations}
 
     def compute():
@@ -271,10 +275,10 @@ def build_prompts(test: list[ChoiceSituation], cfg: PipelineConfig) -> list[Prom
     return [build_prompt(s, cfg.prompt) for s in test]
 
 
-def llm_key(cfg: PipelineConfig) -> str:
+def llm_key(cfg: PipelineConfig, split_key: str | None = None) -> str:
     b = cfg.backend
     return digest_of(
-        sample_key(cfg),
+        split_key or sample_key(cfg),
         json.dumps(dataclasses.asdict(cfg.prompt), sort_keys=True),
         b.backend_kind,
         b.model_name,
@@ -284,13 +288,15 @@ def llm_key(cfg: PipelineConfig) -> str:
     )
 
 
-def stage_llm(cfg: PipelineConfig, test: list[ChoiceSituation]) -> list[dict]:
+def stage_llm(
+    cfg: PipelineConfig, test: list[ChoiceSituation], split_key: str | None = None
+) -> list[dict]:
     """Predict the capped test set with the configured backend; returns one row
     per situation: {situation_id, prediction, reason, raw_text, error}.
 
     The rows are stored only when every completion succeeded, so a transient
     backend failure is retried on the next run instead of being replayed."""
-    path = stage_path(cfg.output_dir, "llm", llm_key(cfg))
+    path = stage_path(cfg.output_dir, "llm", llm_key(cfg, split_key))
     backend_failures = []
 
     def compute():
@@ -309,6 +315,7 @@ def stage_llm(cfg: PipelineConfig, test: list[ChoiceSituation]) -> list[dict]:
                         "reason": "",
                         "raw_text": "",
                         "error": f"{result.error_type}: {result.message}",
+                        "backend_failure": True,
                     }
                 )
                 continue
@@ -351,13 +358,16 @@ def stage_llm(cfg: PipelineConfig, test: list[ChoiceSituation]) -> list[dict]:
     )
 
 
-def stage_benchmarks(cfg: PipelineConfig, train: list[ChoiceSituation]) -> dict[str, tuple]:
+def stage_benchmarks(
+    cfg: PipelineConfig, train: list[ChoiceSituation], split_key: str | None = None
+) -> dict[str, tuple]:
     """Fit (or reload) each configured benchmark; returns kind -> (model, scaler)."""
+    split_key = split_key or sample_key(cfg)
     fitted = {}
     for kind in cfg.benchmark_kinds:
         train_cfg = cfg.train_configs[kind]
         key = digest_of(
-            sample_key(cfg),
+            split_key,
             str(MODEL_FORMAT_VERSION),
             json.dumps(dataclasses.asdict(train_cfg), sort_keys=True),
         )
@@ -409,6 +419,7 @@ def _case_records(
                 benchmark_predictions={k: preds[i] for k, preds in bench_predictions.items()},
                 actual=situation.chosen,
                 llm_raw_text=row["raw_text"] or row["error"],
+                backend_failure=row.get("backend_failure", False),
             )
         )
     return records
@@ -424,7 +435,8 @@ def run_pipeline(cfg: PipelineConfig) -> EvaluationReport:
     with _stage("ingest"):
         situations = stage_ingest(cfg)
     with _stage("sample"):
-        train, test = stage_sample(cfg, situations)
+        split_key = sample_key(cfg)
+        train, test = stage_sample(cfg, situations, split_key)
         overlap = {s.situation_id for s in train} & {s.situation_id for s in test}
         if overlap:
             raise ValueError(f"train/test overlap: {sorted(overlap)[:5]}")
@@ -432,9 +444,9 @@ def run_pipeline(cfg: PipelineConfig) -> EvaluationReport:
     if cap is not None:
         test = test[:cap]
     with _stage("llm"):
-        llm_rows = stage_llm(cfg, test)
+        llm_rows = stage_llm(cfg, test, split_key)
     with _stage("benchmarks"):
-        fitted = stage_benchmarks(cfg, train)
+        fitted = stage_benchmarks(cfg, train, split_key)
         bench_predictions = {}
         for kind, (model, scaler) in fitted.items():
             X = benchmarks.encode_matrix(test, scaler)

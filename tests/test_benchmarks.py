@@ -355,29 +355,50 @@ def assert_same_tree(reference, tree):
     return ties
 
 
-def test_rf_matches_reference_forest(tmp_path):
+def reference_training_set(tmp_path):
     rows = situations_from_file(tmp_path, n=200)
     scaler = fit_scaler(rows)
     X = encode_matrix(rows, scaler)
     y = labels_array(rows)
     # identical feature vectors with different labels cannot be split apart,
     # so an unpruned tree grown on every row must end in tied leaves
-    X = np.vstack([X, X[:6]])
-    y = np.concatenate([y, (y[:6] + 1) % 3])
+    return np.vstack([X, X[:6]]), np.concatenate([y, (y[:6] + 1) % 3])
+
+
+def fit_against_reference(X, y, cfg):
+    """Fit cfg with the forest and with the reference, and compare them node
+    for node; returns both and the number of tie-vote leaves."""
+    model = forest.fit(X, y, cfg)
+    reference = reference_forest.fit(X, y, cfg)
+    assert len(model.trees) == len(reference) == cfg.n_trees
+    ties = sum(assert_same_tree(dict_tree, tree) for dict_tree, tree in zip(reference, model.trees))
+    return model, reference, ties
+
+
+def assert_same_arrays(a, b):
+    for left, right in zip(a.trees, b.trees, strict=True):
+        for name in Tree._fields:
+            assert np.array_equal(getattr(left, name), getattr(right, name))
+
+
+def test_rf_matches_reference_forest(tmp_path):
+    X, y = reference_training_set(tmp_path)
+    # the default config's first step searches 100 trees x 206 rows x 2
+    # features at once, past the chunk limit, so its search runs in chunks
+    assert 100 * len(X) * 2 > forest._CHUNK_ENTRIES
     configs = [
         default_train_config("rf", seed=4),
         TrainConfig(kind="rf", seed=5, n_trees=20, max_depth=3),
         TrainConfig(kind="rf", seed=6, n_trees=20, max_features=5),
         TrainConfig(kind="rf", seed=7, n_trees=10, bootstrap=False),
+        TrainConfig(kind="rf", seed=8, n_trees=20, max_features=1),
+        TrainConfig(kind="rf", seed=9, n_trees=10, max_features=8),
     ]
     rng = np.random.default_rng(8)
     ties = 0
     for cfg in configs:
-        model = forest.fit(X, y, cfg)
-        reference = reference_forest.fit(X, y, cfg)
-        assert len(model.trees) == len(reference) == cfg.n_trees
-        for dict_tree, tree in zip(reference, model.trees):
-            ties += assert_same_tree(dict_tree, tree)
+        model, reference, tied = fit_against_reference(X, y, cfg)
+        ties += tied
         # rows sitting exactly on the root threshold must go left in both
         on_threshold = X[:20].copy()
         on_threshold[:, model.trees[0].feature[0]] = model.trees[0].threshold[0]
@@ -387,6 +408,64 @@ def test_rf_matches_reference_forest(tmp_path):
             reference_forest.predict_proba_matrix(reference, probe),
         )
     assert ties > 0
+
+
+def test_rf_rows_on_the_threshold_train_left():
+    # the midpoint of two neighbouring floats rounds to the lower one, so the
+    # threshold equals a training value and only `<=` separates the rows
+    low, high = 1.0, np.nextafter(1.0, 2.0)
+    assert 0.5 * (low + high) == low
+    X = np.zeros((4, 8))
+    X[:, 3] = [low, high, low, high]
+    y = np.array([0, 1, 0, 1])
+    # with `<`, no row would go left and the right child would split forever;
+    # the depth limit turns that into a mismatch instead of a hang
+    cfg = TrainConfig(kind="rf", seed=0, n_trees=3, bootstrap=False, max_depth=3)
+    model, _, _ = fit_against_reference(X, y, cfg)
+    assert np.array_equal(predict_labels(model, X), [ModeLabel(0), ModeLabel(1)] * 2)
+
+
+def test_rf_deep_tree_matches_reference():
+    # alternating labels along one feature: every split peels off the lowest
+    # row, so each tree is a 150-level chain whose pending left leaves pile up
+    # on the stack, well past the node and stack arrays' first allocation
+    X = np.arange(150, dtype=float)[:, None]
+    y = np.arange(150) % 2
+    cfg = TrainConfig(kind="rf", seed=0, n_trees=2, bootstrap=False)
+    model, _, _ = fit_against_reference(X, y, cfg)
+    assert [len(tree.feature) for tree in model.trees] == [2 * 150 - 1] * 2
+
+
+def test_rf_scan_extends_past_max_features(tmp_path):
+    X, y = reference_training_set(tmp_path)
+    X[:, 1:7] = 0.5  # six constant columns: often no candidate of a node can split
+    cfg = TrainConfig(kind="rf", seed=10, n_trees=20)  # sqrt: 2 candidates of 8
+    model, _, _ = fit_against_reference(X, y, cfg)
+    extended = 0
+    for index, tree in enumerate(model.trees):
+        # replay the tree's draws: the bootstrap sample, then the root's feature order
+        rng = np.random.default_rng([cfg.seed, index])
+        rng.integers(0, len(y), size=len(y))
+        candidates = rng.permutation(X.shape[1])[:2]
+        assert tree.feature[0] >= 0
+        extended += int(tree.feature[0] not in candidates)
+    assert extended > 0
+
+
+def test_rf_trees_do_not_affect_each_other(tmp_path):
+    X, y = reference_training_set(tmp_path)
+    alone = forest.fit(X, y, TrainConfig(kind="rf", seed=11, n_trees=1))
+    batched = forest.fit(X, y, TrainConfig(kind="rf", seed=11, n_trees=20))
+    assert_same_arrays(alone, ForestModel(trees=batched.trees[:1]))
+
+
+def test_rf_search_chunk_size_is_invisible(tmp_path, monkeypatch):
+    X, y = reference_training_set(tmp_path)
+    cfg = TrainConfig(kind="rf", seed=12, n_trees=10)
+    default = forest.fit(X, y, cfg)
+    # smaller than most (node, feature) pairs, so each chunk holds one pair or a few tiny ones
+    monkeypatch.setattr(forest, "_CHUNK_ENTRIES", 5)
+    assert_same_arrays(default, forest.fit(X, y, cfg))
 
 
 def test_rf_learns(tmp_path):

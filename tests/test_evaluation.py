@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -172,8 +173,11 @@ def _records(n=40, failure_every=None, seed=0):
 
 
 def test_case_record_json_round_trip():
-    for record in _records(20, failure_every=7):
+    records = _records(20, failure_every=7)
+    records[7] = dataclasses.replace(records[7], backend_failure=True, llm_raw_text="HTTPError")
+    for record in records:
         assert CaseRecord.from_json_dict(record.to_json_dict()) == record
+    assert "backend_failure" not in records[0].to_json_dict()  # parse failure: no new key
 
 
 def test_build_report_counts_and_both_accountings():
@@ -186,6 +190,14 @@ def test_build_report_counts_and_both_accountings():
     assert set(report.llm_metrics_by_mode) == {"exclude", "count_as_incorrect"}
     strict = build_report(records, parse_failure_mode="count_as_incorrect")
     assert strict.metrics["llm"].n_scored == 40
+    # a reply that never came is counted apart but scored like one that did not parse
+    records[10] = dataclasses.replace(records[10], backend_failure=True)
+    for mode, parsed_only in (("exclude", report), ("count_as_incorrect", strict)):
+        split = build_report(records, parse_failure_mode=mode)
+        assert (split.parse_failure_count, split.backend_failure_count) == (3, 1)
+        assert split.metrics == parsed_only.metrics
+        assert split.llm_metrics_by_mode == parsed_only.llm_metrics_by_mode
+    assert (report.parse_failure_count, report.backend_failure_count) == (4, 0)
     # counting failures as incorrect can only lower accuracy
     assert strict.metrics["llm"].accuracy <= report.metrics["llm"].accuracy
     for metrics in report.metrics.values():

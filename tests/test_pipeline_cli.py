@@ -5,7 +5,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from modechoice import gateway
+from modechoice import gateway, pipeline
 from modechoice.artifacts import digest_of, stage_path
 from modechoice.cli import main
 from modechoice.dataset import ColumnMap, ModeLabel, balanced_split, load_raw, to_choice_situations
@@ -132,6 +132,16 @@ def test_run_pipeline_is_byte_deterministic(workspace):
     assert {p: p.stat().st_mtime_ns for p in (cfg.output_dir / "stages").iterdir()} == mtimes
 
 
+def test_run_pipeline_hashes_the_dataset_once(workspace, monkeypatch):
+    calls = []
+    hash_dataset = pipeline.ingest_key
+    monkeypatch.setattr(pipeline, "ingest_key", lambda cfg: calls.append(cfg) or hash_dataset(cfg))
+    cfg = load_pipeline_config(workspace / "config.yaml")
+    for runs in (1, 2):  # computing every stage, then loading every stage
+        run_pipeline(cfg)
+        assert len(calls) == runs  # the split, LLM and three model keys share one hash
+
+
 def test_run_pipeline_honors_max_samples(workspace):
     cfg = load_pipeline_config(workspace / "config.yaml", {"max_samples": 15})
     report = run_pipeline(cfg)
@@ -235,7 +245,11 @@ def test_backend_failures_are_retried_on_rerun(workspace, chat_endpoint, monkeyp
     chat_endpoint.status = 503
     report = run_pipeline(cfg)
     assert len(chat_endpoint.requests) == 12  # six prompts, two attempts each
-    assert report.parse_failure_count == 6
+    assert report.backend_failure_count == 6
+    assert report.parse_failure_count == 0
+    summary = json.loads(next(cfg.output_dir.glob("report-*/report.json")).read_text())
+    assert (summary["backend_failure_count"], summary["parse_failure_count"]) == (6, 0)
+    assert "Backend failures: 6" in next(cfg.output_dir.glob("report-*/report.txt")).read_text()
     assert "llm" not in report.metrics
     assert not list(stages.glob("llm-*.jsonl"))
 
@@ -243,7 +257,7 @@ def test_backend_failures_are_retried_on_rerun(workspace, chat_endpoint, monkeyp
     chat_endpoint.requests.clear()
     report = run_pipeline(cfg)
     assert len(chat_endpoint.requests) == 6
-    assert report.parse_failure_count == 0
+    assert (report.backend_failure_count, report.parse_failure_count) == (0, 0)
     assert report.metrics["llm"].n_scored == 6
     assert len(list(stages.glob("llm-*.jsonl"))) == 1
 
