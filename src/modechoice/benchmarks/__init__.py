@@ -15,14 +15,7 @@ from .config import (
     TrainConfig,
     default_train_config,
 )
-from .features import (
-    FEATURE_NAMES,
-    FeatureScaler,
-    encode_features,
-    encode_matrix,
-    fit_scaler,
-    labels_array,
-)
+from .features import FeatureScaler, encode_matrix, fit_scaler, labels_array
 from .forest import ForestModel
 from .mnl import MnlModel
 from .model_io import load_model, model_from_dict, model_to_dict, save_model
@@ -35,7 +28,6 @@ __all__ = [
     "BenchmarkError",
     "ClassMissing",
     "EmptyTrainingSet",
-    "FEATURE_NAMES",
     "FeatureScaler",
     "ForestModel",
     "MnlModel",
@@ -43,7 +35,6 @@ __all__ = [
     "NonFiniteLoss",
     "TrainConfig",
     "default_train_config",
-    "encode_features",
     "encode_matrix",
     "fit_classifier",
     "fit_scaler",
@@ -51,9 +42,7 @@ __all__ = [
     "load_model",
     "model_from_dict",
     "model_to_dict",
-    "predict_label",
     "predict_labels",
-    "predict_proba",
     "save_model",
 ]
 
@@ -82,16 +71,6 @@ def fit_classifier(
     if kind == "nn":
         return neural.fit(X, y, cfg)
     raise ValueError(f"unknown benchmark kind {kind!r}")
-
-
-def predict_proba(model, x: np.ndarray) -> np.ndarray:
-    """Class-probability 3-vector for a single encoded feature vector."""
-    return model.predict_proba_matrix(np.asarray(x, dtype=float)[None, :])[0]
-
-
-def predict_label(model, x: np.ndarray) -> ModeLabel:
-    """Argmax of predict_proba; exact ties fall to the lower mode label."""
-    return ModeLabel(int(np.argmax(predict_proba(model, x))))
 
 
 def predict_labels(model, X: np.ndarray) -> list[ModeLabel]:

@@ -30,12 +30,12 @@ class TrainConfig:
 
     kind: str  # "mnl" | "rf" | "nn"
     seed: int = 0
-    # gradient-trained models (mnl, nn)
+    # gradient-trained models: mnl by gradient descent with step halving,
+    # nn by mini-batch Adam
     learning_rate: float = 1e-3
     max_epochs: int = 200
     tolerance: float = 1e-4
     l2_strength: float = 1e-4
-    optimizer: str = "adam"  # "adam" | "gd_halving"
     hidden_units: int = 100
     batch_size: int = 200
     # random forest
@@ -43,8 +43,6 @@ class TrainConfig:
     max_features: str | int = "sqrt"
     bootstrap: bool = True
     max_depth: int | None = None
-    # feature handling
-    standardize: bool = True
 
     def __post_init__(self):
         if self.kind not in ("mnl", "rf", "nn"):
@@ -53,8 +51,6 @@ class TrainConfig:
             raise ValueError("learning_rate, max_epochs, and tolerance must be positive")
         if self.l2_strength < 0:
             raise ValueError("l2_strength must be non-negative")
-        if self.optimizer not in ("adam", "gd_halving"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.hidden_units <= 0 or self.batch_size <= 0 or self.n_trees <= 0:
             raise ValueError("hidden_units, batch_size, and n_trees must be positive")
         if self.max_depth is not None and self.max_depth <= 0:
@@ -72,27 +68,5 @@ def default_train_config(kind: str, seed: int = 0) -> TrainConfig:
             max_epochs=2000,
             tolerance=1e-9,
             l2_strength=1.0,
-            optimizer="gd_halving",
         )
-    if kind == "nn":
-        return TrainConfig(
-            kind="nn",
-            seed=seed,
-            learning_rate=1e-3,
-            max_epochs=200,
-            tolerance=1e-4,
-            l2_strength=1e-4,
-            optimizer="adam",
-            hidden_units=100,
-            batch_size=200,
-        )
-    if kind == "rf":
-        return TrainConfig(
-            kind="rf",
-            seed=seed,
-            n_trees=100,
-            max_features="sqrt",
-            bootstrap=True,
-            max_depth=None,
-        )
-    raise ValueError(f"unknown benchmark kind {kind!r}")
+    return TrainConfig(kind=kind, seed=seed)

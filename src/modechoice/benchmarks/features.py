@@ -18,17 +18,6 @@ N_NUMERIC = 6
 N_FEATURES = 8
 N_CLASSES = 3
 
-FEATURE_NAMES = (
-    "train_time",
-    "train_cost",
-    "car_time",
-    "car_cost",
-    "swissmetro_time",
-    "swissmetro_cost",
-    "is_regular_train_user",
-    "owns_annual_pass",
-)
-
 
 def _raw_matrix(situations: list[ChoiceSituation]) -> np.ndarray:
     """Unscaled (n, 8) feature matrix in the fixed feature order."""
@@ -60,11 +49,6 @@ class FeatureScaler:
     def degenerate(self) -> np.ndarray:
         return self.stds == 0
 
-    @classmethod
-    def identity(cls) -> "FeatureScaler":
-        """No-op scaler for probing sensitivity to standardization."""
-        return cls(means=np.zeros(N_NUMERIC), stds=np.ones(N_NUMERIC))
-
     def transform(self, raw: np.ndarray) -> np.ndarray:
         safe_std = np.where(self.degenerate, 1.0, self.stds)
         z = (raw - self.means) / safe_std
@@ -83,11 +67,6 @@ def encode_matrix(situations: list[ChoiceSituation], scaler: FeatureScaler) -> n
     X = _raw_matrix(situations)
     X[:, :N_NUMERIC] = scaler.transform(X[:, :N_NUMERIC])
     return X
-
-
-def encode_features(situation: ChoiceSituation, scaler: FeatureScaler) -> np.ndarray:
-    """Deterministic 8-vector in the fixed feature order."""
-    return encode_matrix([situation], scaler)[0]
 
 
 def labels_array(situations: list[ChoiceSituation]) -> np.ndarray:

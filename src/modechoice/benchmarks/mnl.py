@@ -1,5 +1,6 @@
 """Multinomial logit: softmax of linear utilities over the pooled 8-vector,
-fit by minimizing L2-regularized mean cross-entropy."""
+fit by minimizing L2-regularized mean cross-entropy with full-batch gradient
+descent and step halving."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import numpy as np
 
 from .config import NonFiniteLoss, TrainConfig
 from .features import N_CLASSES
-from .optim import minimize_adam, minimize_gd_halving
+from .optim import minimize_gd_halving
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -73,30 +74,15 @@ def _unpack(flat, n_features):
 def fit(X: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> MnlModel:
     n_features = X.shape[1]
 
-    def value_and_grad(flat, idx=None):
-        rows = slice(None) if idx is None else idx
+    def value_and_grad(flat):
         w, b = _unpack(flat, n_features)
-        loss, dw, db = loss_and_grad(w, b, X[rows], y[rows], cfg.l2_strength)
+        loss, dw, db = loss_and_grad(w, b, X, y, cfg.l2_strength)
         return loss, _pack(dw, db)
 
     x0 = np.zeros(N_CLASSES * (n_features + 1))
-    if cfg.optimizer == "gd_halving":
-        flat, curve = minimize_gd_halving(
-            value_and_grad, x0, cfg.learning_rate, cfg.max_epochs, cfg.tolerance
-        )
-    else:
-        rng = np.random.default_rng(cfg.seed)
-        flat, curve = minimize_adam(
-            value_and_grad,
-            lambda f: value_and_grad(f)[0],
-            x0,
-            n_samples=X.shape[0],
-            batch_size=cfg.batch_size,
-            rng=rng,
-            learning_rate=cfg.learning_rate,
-            max_epochs=cfg.max_epochs,
-            tolerance=cfg.tolerance,
-        )
+    flat, curve = minimize_gd_halving(
+        value_and_grad, x0, cfg.learning_rate, cfg.max_epochs, cfg.tolerance
+    )
     if not np.isfinite(curve[-1]):
         raise NonFiniteLoss(f"final loss is {curve[-1]}")
     weights, intercepts = _unpack(flat, n_features)

@@ -1,5 +1,5 @@
 """Single-hidden-layer feedforward network (rectifier units, softmax output),
-trained on L2-regularized cross-entropy."""
+trained on L2-regularized cross-entropy with mini-batch Adam."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import numpy as np
 from .config import NonFiniteLoss, TrainConfig
 from .features import N_CLASSES
 from .mnl import _log_softmax, softmax
-from .optim import minimize_adam, minimize_gd_halving
+from .optim import minimize_adam
 
 
 @dataclass
@@ -89,22 +89,17 @@ def fit(X: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> NeuralModel:
         return loss, _pack(*grads)
 
     x0 = _pack(*init_params(n_features, hidden, rng))
-    if cfg.optimizer == "gd_halving":
-        flat, curve = minimize_gd_halving(
-            value_and_grad, x0, cfg.learning_rate, cfg.max_epochs, cfg.tolerance
-        )
-    else:
-        flat, curve = minimize_adam(
-            value_and_grad,
-            lambda f: value_and_grad(f)[0],
-            x0,
-            n_samples=X.shape[0],
-            batch_size=cfg.batch_size,
-            rng=rng,
-            learning_rate=cfg.learning_rate,
-            max_epochs=cfg.max_epochs,
-            tolerance=cfg.tolerance,
-        )
+    flat, curve = minimize_adam(
+        value_and_grad,
+        lambda f: value_and_grad(f)[0],
+        x0,
+        n_samples=X.shape[0],
+        batch_size=cfg.batch_size,
+        rng=rng,
+        learning_rate=cfg.learning_rate,
+        max_epochs=cfg.max_epochs,
+        tolerance=cfg.tolerance,
+    )
     if not np.isfinite(curve[-1]):
         raise NonFiniteLoss(f"final loss is {curve[-1]}")
     w1, b1, w2, b2 = _unpack(flat, n_features, hidden)

@@ -1,4 +1,5 @@
-"""Optimizers for the gradient-trained models, on flat parameter vectors."""
+"""Optimizers for the gradient-trained models, on flat parameter vectors:
+gradient descent with step halving fits the MNL, Adam fits the NN."""
 
 from __future__ import annotations
 

@@ -116,12 +116,7 @@ def _cmd_dump_prompt(cfg, args) -> int:
 
 
 def _cmd_predict_llm(cfg) -> int:
-    situations = pipeline.stage_ingest(cfg)
-    split_key = pipeline.sample_key(cfg)
-    _, test = pipeline.stage_sample(cfg, situations, split_key)
-    cap = cfg.effective_max_samples()
-    if cap is not None:
-        test = test[:cap]
+    split_key, _, test = pipeline.prepare_split(cfg)
     rows = pipeline.stage_llm(cfg, test, split_key)
     backend = sum(1 for r in rows if r.get("backend_failure"))
     unparsed = sum(1 for r in rows if r["error"]) - backend
@@ -130,9 +125,7 @@ def _cmd_predict_llm(cfg) -> int:
 
 
 def _cmd_fit_bench(cfg) -> int:
-    situations = pipeline.stage_ingest(cfg)
-    split_key = pipeline.sample_key(cfg)
-    train, _ = pipeline.stage_sample(cfg, situations, split_key)
+    split_key, train, _ = pipeline.prepare_split(cfg)
     fitted = pipeline.stage_benchmarks(cfg, train, split_key)
     models_dir = cfg.output_dir / "models"
     models_dir.mkdir(parents=True, exist_ok=True)

@@ -1,15 +1,16 @@
 """Backend-agnostic completion gateway with disk caching and retries.
 
-Two backends are shipped: an HTTP chat-completion client (single user message,
-temperature-controlled) and a deterministic mock that applies a simple choice
-rule to the travel characteristics embedded in the prompt text. Completions
-are cached on disk keyed by (model, temperature, prompt text), which makes
-repeat runs free and, at temperature 0, lossless.
+Two backends are shipped: an HTTP chat-completion client (the prompt as the
+user message, after an optional system message; temperature-controlled) and a
+deterministic mock that applies a simple choice rule to the travel
+characteristics embedded in the prompt text. Completions are cached on disk
+keyed by the whole request (see request_digest), which makes repeat runs free
+and, at temperature 0, lossless.
 """
 
 from __future__ import annotations
 
-import hashlib
+import json
 import logging
 import os
 import random
@@ -22,6 +23,7 @@ from pathlib import Path
 
 import requests
 
+from .artifacts import digest_of
 from .dataset import MODE_ORDER, ModeLabel
 from .prompting import Prompt
 
@@ -74,8 +76,7 @@ class BackendConfig:
     retry_backoff_base_seconds: float = 1.0
     max_parallel_requests: int = 4
     mock_rule: str = "generalized_cost"
-    use_system_message: bool = False
-    system_message_text: str = ""
+    system_message_text: str = ""  # sent as the system message when non-empty
     credential_env_var: str = "LLM_API_KEY"
 
     def __post_init__(self):
@@ -106,9 +107,28 @@ class CompletionFailure:
     message: str
 
 
-def cache_key(model_name: str, temperature: float, prompt_text: str) -> str:
-    material = "\x1f".join([model_name, repr(float(temperature)), prompt_text])
-    return hashlib.sha256(material.encode("utf-8")).hexdigest()
+def chat_messages(cfg: BackendConfig, prompt_text: str) -> list[dict]:
+    """The chat message list for one prompt: the system message, when its
+    text is set, then the prompt as the user message."""
+    system = cfg.system_message_text
+    messages = [{"role": "system", "content": system}] if system else []
+    return messages + [{"role": "user", "content": prompt_text}]
+
+
+def request_digest(cfg: BackendConfig) -> str:
+    """Digest of every setting that shapes a reply, short of the prompt text:
+    the rule for the mock; endpoint, model, temperature and the message list
+    around the prompt for the chat backend. Transport settings (timeouts,
+    retries, parallelism, credential) do not shape a reply and stay out."""
+    if cfg.backend_kind == "mock":
+        return digest_of(cfg.backend_kind, cfg.mock_rule)
+    return digest_of(
+        cfg.backend_kind,
+        cfg.endpoint_url,
+        cfg.model_name,
+        repr(float(cfg.temperature)),
+        json.dumps(chat_messages(cfg, ""), sort_keys=True),
+    )
 
 
 class CompletionCache:
@@ -188,7 +208,7 @@ class MockBackend:
 
 
 class HttpChatBackend:
-    """Chat-completion JSON client: single user message, first choice extracted."""
+    """Chat-completion JSON client: sends chat_messages, extracts the first choice."""
 
     kind = "http_chat"
 
@@ -201,13 +221,9 @@ class HttpChatBackend:
 
     def generate(self, prompt_text: str) -> str:
         cfg = self._cfg
-        messages = []
-        if cfg.use_system_message:
-            messages.append({"role": "system", "content": cfg.system_message_text})
-        messages.append({"role": "user", "content": prompt_text})
         body = {
             "model": cfg.model_name,
-            "messages": messages,
+            "messages": chat_messages(cfg, prompt_text),
             "temperature": cfg.temperature,
         }
         try:
@@ -281,7 +297,7 @@ def complete(
     backend=None,
 ) -> ModelCompletion:
     """Complete one prompt, consulting the cache first and storing on success."""
-    key = cache_key(cfg.model_name, cfg.temperature, prompt.full_text)
+    key = digest_of(request_digest(cfg), prompt.full_text)
     if cache is not None:
         cached = cache.get(key)
         if cached is not None:

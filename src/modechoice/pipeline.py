@@ -40,6 +40,7 @@ from .gateway import (
     CompletionFailure,
     batch_complete,
     make_backend,  # noqa: F401 -- unused here, but perfbench's tracer wraps it by name
+    request_digest,
 )
 from .parsing import ParseFailure, parse_response
 from .prompting import (
@@ -276,14 +277,10 @@ def build_prompts(test: list[ChoiceSituation], cfg: PipelineConfig) -> list[Prom
 
 
 def llm_key(cfg: PipelineConfig, split_key: str | None = None) -> str:
-    b = cfg.backend
     return digest_of(
         split_key or sample_key(cfg),
         json.dumps(dataclasses.asdict(cfg.prompt), sort_keys=True),
-        b.backend_kind,
-        b.model_name,
-        repr(float(b.temperature)),
-        b.mock_rule if b.backend_kind == "mock" else "",
+        request_digest(cfg.backend),
         str(cfg.effective_max_samples()),
     )
 
@@ -374,11 +371,7 @@ def stage_benchmarks(
         path = stage_path(cfg.output_dir, f"model-{kind}", key, suffix=".json")
 
         def compute(kind=kind, train_cfg=train_cfg):
-            scaler = (
-                benchmarks.fit_scaler(train)
-                if train_cfg.standardize
-                else benchmarks.FeatureScaler.identity()
-            )
+            scaler = benchmarks.fit_scaler(train)
             model = benchmarks.fit_classifier(kind, train, train_cfg, scaler)
             return model, scaler
 
@@ -425,13 +418,12 @@ def _case_records(
     return records
 
 
-def run_pipeline(cfg: PipelineConfig) -> EvaluationReport:
-    """Execute every stage and return the evaluation report.
-
-    Fully deterministic with the mock backend and a fixed seed: stage
-    artifacts, the completion cache, and the report are byte-stable across
-    reruns.
-    """
+def prepare_split(
+    cfg: PipelineConfig,
+) -> tuple[str, list[ChoiceSituation], list[ChoiceSituation]]:
+    """Ingest, split and cap: the prefix every run shares. Returns the split
+    key (the dataset is hashed once here), the training set, and the test
+    set cut to the configured cap."""
     with _stage("ingest"):
         situations = stage_ingest(cfg)
     with _stage("sample"):
@@ -443,6 +435,17 @@ def run_pipeline(cfg: PipelineConfig) -> EvaluationReport:
     cap = cfg.effective_max_samples()
     if cap is not None:
         test = test[:cap]
+    return split_key, train, test
+
+
+def run_pipeline(cfg: PipelineConfig) -> EvaluationReport:
+    """Execute every stage and return the evaluation report.
+
+    Fully deterministic with the mock backend and a fixed seed: stage
+    artifacts, the completion cache, and the report are byte-stable across
+    reruns.
+    """
+    split_key, train, test = prepare_split(cfg)
     with _stage("llm"):
         llm_rows = stage_llm(cfg, test, split_key)
     with _stage("benchmarks"):

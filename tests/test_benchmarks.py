@@ -13,16 +13,13 @@ from modechoice.benchmarks import (
     MnlModel,
     TrainConfig,
     default_train_config,
-    encode_features,
     encode_matrix,
     fit_classifier,
     fit_scaler,
     labels_array,
     model_from_dict,
     model_to_dict,
-    predict_label,
     predict_labels,
-    predict_proba,
 )
 from modechoice.benchmarks import forest, mnl, neural
 from modechoice.benchmarks.forest import Tree
@@ -57,6 +54,10 @@ def relative_error(analytic, numeric):
     return diff / scale
 
 
+# leaves the numerics unscaled
+IDENTITY = FeatureScaler(means=np.zeros(6), stds=np.ones(6))
+
+
 def situations_from_file(tmp_path, n=400, seed=7):
     path = write_survey_file(tmp_path / "bench.dat", synthetic_raw_rows(n, seed=seed))
     cmap = ColumnMap()
@@ -77,7 +78,7 @@ def test_fit_scaler_hand_values():
     assert np.allclose(scaler.means, [20, 3, 40, 4, 60, 5])
     expected_std = [math.sqrt(200 / 3), math.sqrt(8 / 3)]
     assert np.allclose(scaler.stds[:2], expected_std)
-    encoded = encode_features(rows[0], scaler)
+    encoded = encode_matrix(rows[:1], scaler)[0]
     assert np.allclose(encoded[0], (10 - 20) / math.sqrt(200 / 3))
     assert np.allclose(encoded[1], (1 - 3) / math.sqrt(8 / 3))
 
@@ -85,7 +86,7 @@ def test_fit_scaler_hand_values():
 def test_fit_scaler_single_row_degenerate():
     scaler = fit_scaler([make_situation()])
     assert scaler.degenerate.all()
-    encoded = encode_features(make_situation(), scaler)
+    encoded = encode_matrix([make_situation()], scaler)[0]
     assert np.allclose(encoded[:6], 0.0)
 
 
@@ -96,21 +97,20 @@ def test_feature_at_mean_scores_zero():
     ]
     scaler = fit_scaler(rows)
     midpoint = make_situation(sid="m", times=(20, 30, 40), costs=(4, 6, 8))
-    assert np.allclose(encode_features(midpoint, scaler)[:6], 0.0)
+    assert np.allclose(encode_matrix([midpoint], scaler)[0, :6], 0.0)
 
 
 def test_binaries_pass_through():
-    scaler = FeatureScaler.identity()
-    encoded = encode_features(make_situation(regular=True, annual=False), scaler)
-    assert encoded[6] == 1.0 and encoded[7] == 0.0
-    encoded = encode_features(make_situation(regular=False, annual=True), scaler)
-    assert encoded[6] == 0.0 and encoded[7] == 1.0
+    rows = [make_situation(regular=True, annual=False), make_situation(regular=False, annual=True)]
+    encoded = encode_matrix(rows, IDENTITY)
+    assert encoded[0, 6] == 1.0 and encoded[0, 7] == 0.0
+    assert encoded[1, 6] == 0.0 and encoded[1, 7] == 1.0
 
 
 def test_encode_deterministic():
     scaler = fit_scaler([make_situation(sid=f"s{i}", times=(10 + i, 20, 30)) for i in range(5)])
-    a = encode_features(make_situation(), scaler)
-    b = encode_features(make_situation(), scaler)
+    a = encode_matrix([make_situation()], scaler)
+    b = encode_matrix([make_situation()], scaler)
     assert np.array_equal(a, b)
 
 
@@ -199,6 +199,59 @@ def test_mnl_matches_sklearn_objective(tmp_path):
     assert ours <= theirs + 1e-4  # same objective, so a sound fit can't be worse
 
 
+def newton_mnl_optimum(X, y, l2_strength):
+    """Damped Newton solve of the MNL objective, written apart from `mnl`:
+    mean cross-entropy plus l2/(2N)·||W||², intercepts unpenalized. Returns
+    the objective, the optimum as a (3, n_features + 1) array with the
+    intercepts last, and the largest gradient entry there.
+
+    Shifting all three intercepts by one constant leaves the loss unchanged,
+    so the Hessian is singular along that shift; `lstsq` takes the
+    minimum-norm step, which has no component along it."""
+    n, f = X.shape
+    Z = np.hstack([X, np.ones((n, 1))])
+    onehot = np.eye(3)[y]
+    penalty = np.append(np.full(f, l2_strength / n), 0.0)  # per column of theta
+
+    def objective(theta):
+        logits = Z @ theta.T
+        top = logits.max(axis=1)
+        log_norm = top + np.log(np.exp(logits - top[:, None]).sum(axis=1))
+        return (log_norm - logits[np.arange(n), y]).mean() + 0.5 * (penalty * theta**2).sum()
+
+    def gradient_and_proba(theta):
+        p = mnl.softmax(Z @ theta.T)
+        return (p - onehot).T @ Z / n + penalty * theta, p
+
+    theta = np.zeros((3, f + 1))
+    for _ in range(50):
+        grad, p = gradient_and_proba(theta)
+        if np.abs(grad).max() < 1e-12:
+            break
+        curvature = p[:, :, None] * np.eye(3) - p[:, :, None] * p[:, None, :]
+        hessian = np.einsum("ikl,ij,im->kjlm", curvature, Z, Z).reshape(3 * (f + 1), -1) / n
+        hessian += np.diag(np.tile(penalty, 3))
+        step = np.linalg.lstsq(hessian, -grad.ravel(), rcond=None)[0].reshape(theta.shape)
+        scale, current = 1.0, objective(theta)
+        while objective(theta + scale * step) > current and scale > 1e-12:
+            scale *= 0.5
+        theta = theta + scale * step
+    return objective, theta, np.abs(gradient_and_proba(theta)[0]).max()
+
+
+def test_mnl_reaches_newton_optimum(tmp_path):
+    rows = situations_from_file(tmp_path, n=400)
+    scaler = fit_scaler(rows)
+    X = encode_matrix(rows, scaler)
+    y = labels_array(rows)
+    cfg = default_train_config("mnl")
+    objective, optimum, max_grad = newton_mnl_optimum(X, y, cfg.l2_strength)
+    assert max_grad < 1e-9  # the reference did converge
+    model = fit_classifier("mnl", rows, cfg, scaler)
+    ours = objective(np.hstack([model.weights, model.intercepts[:, None]]))
+    assert ours <= objective(optimum) + 1e-6
+
+
 def test_mnl_deterministic(tmp_path):
     rows = situations_from_file(tmp_path, n=200)
     scaler = fit_scaler(rows)
@@ -237,23 +290,6 @@ def test_nn_gradient_matches_finite_differences():
             assert relative_error(analytic, approx) < 1e-3
 
 
-def test_nn_gd_halving_curve_non_increasing(tmp_path):
-    rows = situations_from_file(tmp_path, n=150)
-    scaler = fit_scaler(rows)
-    cfg = TrainConfig(
-        kind="nn",
-        seed=1,
-        optimizer="gd_halving",
-        learning_rate=0.5,
-        max_epochs=60,
-        tolerance=1e-7,
-        hidden_units=16,
-    )
-    model = fit_classifier("nn", rows, cfg, scaler)
-    curve = model.loss_curve
-    assert all(a >= b for a, b in zip(curve, curve[1:]))
-
-
 def test_nn_learns_and_is_seed_deterministic(tmp_path):
     rows = situations_from_file(tmp_path, n=400)
     scaler = fit_scaler(rows)
@@ -284,9 +320,8 @@ def test_rf_single_tree_shatters_unique_points():
         seen.add(key)
         rows.append(situation)
     cfg = TrainConfig(kind="rf", seed=0, n_trees=1, max_features=8, bootstrap=False)
-    scaler = FeatureScaler.identity()
-    model = fit_classifier("rf", rows, cfg, scaler)
-    labels = predict_labels(model, encode_matrix(rows, scaler))
+    model = fit_classifier("rf", rows, cfg, IDENTITY)
+    labels = predict_labels(model, encode_matrix(rows, IDENTITY))
     assert all(p == s.chosen for p, s in zip(labels, rows))
 
 
@@ -305,7 +340,7 @@ def test_rf_vote_probabilities():
         leaf_tree([0, 0, 2]),
     ]
     model = ForestModel(trees=trees, seed=0)
-    proba = predict_proba(model, np.zeros(8))
+    proba = model.predict_proba_matrix(np.zeros((1, 8)))
     assert np.allclose(proba, [0.5, 0.25, 0.25])
 
 
@@ -482,12 +517,12 @@ def test_rf_learns(tmp_path):
 
 def test_mnl_zero_params_uniform():
     model = MnlModel(weights=np.zeros((3, 8)), intercepts=np.zeros(3))
-    assert np.allclose(predict_proba(model, np.random.default_rng(0).normal(size=8) * 0), 1 / 3)
+    assert np.allclose(model.predict_proba_matrix(np.zeros((1, 8))), 1 / 3)
 
 
 def test_softmax_analytic_example():
     model = MnlModel(weights=np.zeros((3, 8)), intercepts=np.array([math.log(2), 0.0, 0.0]))
-    assert np.allclose(predict_proba(model, np.zeros(8)), [0.5, 0.25, 0.25])
+    assert np.allclose(model.predict_proba_matrix(np.zeros((1, 8))), [0.5, 0.25, 0.25])
 
 
 def test_predict_label_argmax_and_ties():
@@ -495,10 +530,10 @@ def test_predict_label_argmax_and_ties():
         weights=np.zeros((3, 8)),
         intercepts=np.log(np.array([0.2, 0.5, 0.3])),
     )
-    assert predict_label(model, np.zeros(8)) is ModeLabel.CAR
+    assert predict_labels(model, np.zeros((1, 8)))[0] is ModeLabel.CAR
     tie = ForestModel(trees=[leaf_tree([1, 0, 0]), leaf_tree([0, 1, 0])], seed=0)
-    assert np.allclose(predict_proba(tie, np.zeros(8)), [0.5, 0.5, 0.0])
-    assert predict_label(tie, np.zeros(8)) is ModeLabel.TRAIN
+    assert np.allclose(tie.predict_proba_matrix(np.zeros((1, 8))), [0.5, 0.5, 0.0])
+    assert predict_labels(tie, np.zeros((1, 8)))[0] is ModeLabel.TRAIN
 
 
 def test_probabilities_sum_to_one(tmp_path):
@@ -515,11 +550,11 @@ def test_probabilities_sum_to_one(tmp_path):
             cfg.n_trees = 7
         model = fit_classifier(kind, rows, cfg, scaler)
         for _ in range(50):
-            x = X[rng.integers(0, len(X))] + rng.normal(scale=0.1, size=8)
-            proba = predict_proba(model, x)
+            x = X[rng.integers(0, len(X))] + rng.normal(scale=0.1, size=(1, 8))
+            proba = model.predict_proba_matrix(x)
             assert abs(proba.sum() - 1.0) < 1e-12
             assert (proba >= 0).all()
-            assert predict_label(model, x) == ModeLabel(int(np.argmax(proba)))
+            assert predict_labels(model, x) == [ModeLabel(int(np.argmax(proba)))]
 
 
 def test_fit_classifier_guards(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import threading
 import time
@@ -17,10 +18,10 @@ from modechoice.gateway import (
     RequestTimedOut,
     TransientBackendError,
     batch_complete,
-    cache_key,
     complete,
     make_backend,
     parse_prompt_characteristics,
+    request_digest,
 )
 from modechoice.prompting import PromptTemplateConfig, build_prompt
 
@@ -122,16 +123,46 @@ def test_complete_timeout_surfaces_as_timeout():
         complete(FAST_SM, mock_cfg(max_retries=1), None, backend=backend)
 
 
-def test_cache_key_sensitivity():
+HTTP = dict(backend_kind="http_chat", endpoint_url="http://127.0.0.1:9/v1/chat/completions")
+
+
+def test_cache_key_sensitivity(tmp_path):
+    base = request_digest(BackendConfig(**HTTP))
+    assert request_digest(BackendConfig(**HTTP)) == base
+    for change in [
+        {"backend_kind": "mock"},
+        {"endpoint_url": "http://127.0.0.1:9/other"},
+        {"model_name": "model-b"},
+        {"temperature": 0.5},
+        {"system_message_text": "You are a travel analyst."},
+    ]:
+        assert request_digest(BackendConfig(**{**HTTP, **change})) != base, change
+    mock = request_digest(mock_cfg())
+    assert request_digest(mock_cfg(mock_rule="min_time")) != mock
+    # the mock ignores the model and the temperature, so they do not split its entries
+    assert request_digest(mock_cfg(model_name="model-b", temperature=0.5)) == mock
+
+    # each distinct prompt text gets its own entry
     rng = random.Random(23)
-    base = cache_key("model-a", 0.0, FAST_SM.full_text)
-    assert cache_key("model-a", 0.0, FAST_SM.full_text) == base
-    for i in range(50):
-        other = build_prompt(random_situation(rng, f"s{i}"), PROMPT_CFG)
-        if other.full_text != FAST_SM.full_text:
-            assert cache_key("model-a", 0.0, other.full_text) != base
-    assert cache_key("model-b", 0.0, FAST_SM.full_text) != base
-    assert cache_key("model-a", 0.5, FAST_SM.full_text) != base
+    prompts = [FAST_SM] + [build_prompt(random_situation(rng, f"s{i}"), PROMPT_CFG) for i in range(50)]
+    cache = CompletionCache(tmp_path)
+    for prompt in prompts:
+        complete(prompt, mock_cfg(), cache)
+    assert len(list(tmp_path.glob("*.txt"))) == len({p.full_text for p in prompts})
+
+
+@pytest.mark.parametrize("backend_kind", ["mock", "http_chat"])
+def test_cache_key_ignores_transport_settings(backend_kind):
+    base = BackendConfig(**{**HTTP, "backend_kind": backend_kind})
+    for change in [
+        {"timeout_seconds": 5.0},
+        {"max_retries": 0},
+        {"retry_backoff_base_seconds": 0.25},
+        {"max_parallel_requests": 1},
+        {"credential_env_var": "OTHER_KEY"},
+    ]:
+        changed = dataclasses.replace(base, **change)
+        assert request_digest(changed) == request_digest(base), change
 
 
 def test_cache_round_trip(tmp_path):
@@ -256,15 +287,24 @@ def test_http_backend_wire_format(monkeypatch):
         return FakeResponse(200, _chat_payload("Prediction: Train\nReason: ok."))
 
     monkeypatch.setattr(gateway.requests, "post", fake_post)
-    cfg = BackendConfig(backend_kind="http_chat", temperature=0.0, timeout_seconds=30)
-    result = complete(FAST_SM, cfg, None)
-    assert result.text == "Prediction: Train\nReason: ok."
-    assert seen["url"] == cfg.endpoint_url
-    assert seen["headers"]["Authorization"] == "Bearer sk-test"
-    assert seen["timeout"] == 30
-    assert seen["body"]["model"] == "gpt-3.5-turbo-1106"
-    assert seen["body"]["temperature"] == 0.0
-    assert seen["body"]["messages"] == [{"role": "user", "content": FAST_SM.full_text}]
+    system = {"role": "system", "content": "You are a travel analyst."}
+    for system_text, leading in [("", []), (system["content"], [system])]:
+        cfg = BackendConfig(
+            backend_kind="http_chat",
+            temperature=0.0,
+            timeout_seconds=30,
+            system_message_text=system_text,
+        )
+        result = complete(FAST_SM, cfg, None)
+        assert result.text == "Prediction: Train\nReason: ok."
+        assert seen["url"] == cfg.endpoint_url
+        assert seen["headers"]["Authorization"] == "Bearer sk-test"
+        assert seen["timeout"] == 30
+        assert seen["body"]["model"] == "gpt-3.5-turbo-1106"
+        assert seen["body"]["temperature"] == 0.0
+        assert seen["body"]["messages"] == leading + [
+            {"role": "user", "content": FAST_SM.full_text}
+        ]
 
 
 def test_http_backend_retries_rate_limit(monkeypatch):

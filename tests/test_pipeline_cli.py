@@ -228,8 +228,8 @@ def chat_endpoint():
     assert not thread.is_alive()
 
 
-def test_backend_failures_are_retried_on_rerun(workspace, chat_endpoint, monkeypatch):
-    monkeypatch.setenv("LLM_API_KEY", "sk-test")
+def http_config(workspace, chat_endpoint):
+    """The workspace config sent to the local endpoint, capped at six prompts."""
     url = f"http://127.0.0.1:{chat_endpoint.server_address[1]}/v1/chat/completions"
     config = CONFIG_TEMPLATE.format(mock_rule="generalized_cost").replace(
         "  backend_kind: mock\n",
@@ -239,7 +239,12 @@ def test_backend_failures_are_retried_on_rerun(workspace, chat_endpoint, monkeyp
         "  retry_backoff_base_seconds: 0.0\n",
     )
     (workspace / "http.yaml").write_text(config + "max_samples: 6\n")
-    cfg = load_pipeline_config(workspace / "http.yaml")
+    return load_pipeline_config(workspace / "http.yaml")
+
+
+def test_backend_failures_are_retried_on_rerun(workspace, chat_endpoint, monkeypatch):
+    monkeypatch.setenv("LLM_API_KEY", "sk-test")
+    cfg = http_config(workspace, chat_endpoint)
     stages = cfg.output_dir / "stages"
 
     chat_endpoint.status = 503
@@ -264,6 +269,29 @@ def test_backend_failures_are_retried_on_rerun(workspace, chat_endpoint, monkeyp
     chat_endpoint.requests.clear()
     run_pipeline(cfg)
     assert chat_endpoint.requests == []
+
+
+def test_mock_rule_switch_is_not_served_from_cache(workspace):
+    first = run_pipeline(load_pipeline_config(workspace / "config.yaml"))
+    (workspace / "min_time.yaml").write_text(CONFIG_TEMPLATE.format(mock_rule="min_time"))
+    shared = run_pipeline(load_pipeline_config(workspace / "min_time.yaml"))
+    fresh = run_pipeline(
+        load_pipeline_config(workspace / "min_time.yaml", {"out": str(workspace / "fresh")})
+    )
+    assert fresh.metrics["llm"] != first.metrics["llm"]  # the two rules answer differently
+    assert shared.metrics["llm"] == fresh.metrics["llm"]
+
+
+def test_live_backend_is_not_served_mock_replies(workspace, chat_endpoint, monkeypatch):
+    monkeypatch.setenv("LLM_API_KEY", "sk-test")
+    run_pipeline(load_pipeline_config(workspace / "config.yaml", {"max_samples": 6}))
+    cfg = http_config(workspace, chat_endpoint)  # same output directory, so the same cache
+    report = run_pipeline(cfg)
+    assert len(chat_endpoint.requests) == 6
+    cases = cfg.output_dir / f"report-{config_digest(cfg)[:12]}" / "cases.jsonl"
+    predictions = [json.loads(line)["llm_prediction"] for line in cases.read_text().splitlines()]
+    assert predictions == ["Train"] * 6  # the endpoint's answer, not the mock's
+    assert report.metrics["llm"].n_scored == 6
 
 
 def test_stage_attribution_on_bad_dataset(workspace):
