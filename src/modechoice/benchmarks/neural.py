@@ -39,9 +39,9 @@ def init_params(n_features: int, hidden_units: int, rng: np.random.Generator):
     return w1, np.zeros(hidden_units), w2, np.zeros(N_CLASSES)
 
 
-def loss_and_grad(w1, b1, w2, b2, X, y, l2_strength):
-    """Forward/backward pass: mean cross-entropy plus l2/(2N)·(||W1||²+||W2||²)
-    with analytic gradients for all four parameter arrays."""
+def _forward(w1, b1, w2, b2, X, y, l2_strength):
+    """Mean cross-entropy plus l2/(2N)·(||W1||²+||W2||²), with the
+    intermediates the backward pass reuses."""
     n = X.shape[0]
     z1 = X @ w1.T + b1
     hidden = np.maximum(z1, 0.0)
@@ -49,7 +49,19 @@ def loss_and_grad(w1, b1, w2, b2, X, y, l2_strength):
     log_p = _log_softmax(logits)
     loss = -log_p[np.arange(n), y].mean()
     loss += 0.5 * l2_strength * (np.sum(w1**2) + np.sum(w2**2)) / n
+    return loss, z1, hidden, log_p
 
+
+def loss_value(w1, b1, w2, b2, X, y, l2_strength):
+    """The loss of loss_and_grad, bit for bit, without the backward pass."""
+    return _forward(w1, b1, w2, b2, X, y, l2_strength)[0]
+
+
+def loss_and_grad(w1, b1, w2, b2, X, y, l2_strength):
+    """Forward/backward pass: the loss of _forward with analytic gradients for
+    all four parameter arrays."""
+    n = X.shape[0]
+    loss, z1, hidden, log_p = _forward(w1, b1, w2, b2, X, y, l2_strength)
     p = np.exp(log_p)
     p[np.arange(n), y] -= 1.0
     d_logits = p / n
@@ -82,16 +94,18 @@ def fit(X: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> NeuralModel:
     hidden = cfg.hidden_units
     rng = np.random.default_rng(cfg.seed)
 
-    def value_and_grad(flat, idx=None):
-        rows = slice(None) if idx is None else idx
+    def batch_value_and_grad(flat, idx):
         params = _unpack(flat, n_features, hidden)
-        loss, grads = loss_and_grad(*params, X[rows], y[rows], cfg.l2_strength)
+        loss, grads = loss_and_grad(*params, X[idx], y[idx], cfg.l2_strength)
         return loss, _pack(*grads)
+
+    def full_loss(flat):
+        return loss_value(*_unpack(flat, n_features, hidden), X, y, cfg.l2_strength)
 
     x0 = _pack(*init_params(n_features, hidden, rng))
     flat, curve = minimize_adam(
-        value_and_grad,
-        lambda f: value_and_grad(f)[0],
+        batch_value_and_grad,
+        full_loss,
         x0,
         n_samples=X.shape[0],
         batch_size=cfg.batch_size,

@@ -140,7 +140,8 @@ def _cmd_fit_bench(cfg) -> int:
 
 
 def _cmd_evaluate(cfg) -> int:
-    llm_artifact = pipeline.stage_path(cfg.output_dir, "llm", pipeline.llm_key(cfg))
+    split_key = pipeline.sample_key(cfg)
+    llm_artifact = pipeline.stage_path(cfg.output_dir, "llm", pipeline.llm_key(cfg, split_key))
     if not llm_artifact.exists():
         print(
             "error: no stored predictions for this config; run `predict-llm` first "
@@ -148,7 +149,7 @@ def _cmd_evaluate(cfg) -> int:
             file=sys.stderr,
         )
         return 2
-    report = pipeline.run_pipeline(cfg)
+    report = pipeline.run_pipeline(cfg, split_key)
     print(render_summary_text(report))
     return 0
 

@@ -419,15 +419,15 @@ def _case_records(
 
 
 def prepare_split(
-    cfg: PipelineConfig,
+    cfg: PipelineConfig, split_key: str | None = None
 ) -> tuple[str, list[ChoiceSituation], list[ChoiceSituation]]:
     """Ingest, split and cap: the prefix every run shares. Returns the split
-    key (the dataset is hashed once here), the training set, and the test
-    set cut to the configured cap."""
+    key (the dataset is hashed here unless the caller passes it), the
+    training set, and the test set cut to the configured cap."""
     with _stage("ingest"):
         situations = stage_ingest(cfg)
     with _stage("sample"):
-        split_key = sample_key(cfg)
+        split_key = split_key or sample_key(cfg)
         train, test = stage_sample(cfg, situations, split_key)
         overlap = {s.situation_id for s in train} & {s.situation_id for s in test}
         if overlap:
@@ -438,14 +438,15 @@ def prepare_split(
     return split_key, train, test
 
 
-def run_pipeline(cfg: PipelineConfig) -> EvaluationReport:
-    """Execute every stage and return the evaluation report.
+def run_pipeline(cfg: PipelineConfig, split_key: str | None = None) -> EvaluationReport:
+    """Execute every stage and return the evaluation report. A caller that
+    has already computed sample_key(cfg) passes it as split_key.
 
     Fully deterministic with the mock backend and a fixed seed: stage
     artifacts, the completion cache, and the report are byte-stable across
     reruns.
     """
-    split_key, train, test = prepare_split(cfg)
+    split_key, train, test = prepare_split(cfg, split_key)
     with _stage("llm"):
         llm_rows = stage_llm(cfg, test, split_key)
     with _stage("benchmarks"):

@@ -6,6 +6,7 @@ import time
 import pytest
 
 import modechoice.gateway as gateway
+from modechoice.artifacts import digest_of
 from modechoice.dataset import ModeLabel
 from modechoice.gateway import (
     BackendConfig,
@@ -172,6 +173,20 @@ def test_cache_round_trip(tmp_path):
     assert cache.get("absent" + "0" * 58) is None
 
 
+def test_cache_never_serves_a_half_written_entry(tmp_path):
+    cfg = mock_cfg(mock_rule="min_time")
+    cache = CompletionCache(tmp_path)
+    key = digest_of(request_digest(cfg), FAST_SM.full_text)
+    # what a writer killed between its write and its rename leaves behind
+    (tmp_path / f"{key}.tmp.4242.4242").write_text("Prediction: Tra", encoding="utf-8")
+    assert cache.get(key) is None
+    backend = MockBackend("min_time")
+    result = complete(FAST_SM, cfg, cache, backend=backend)
+    assert result.cache_hit is False and backend.calls == 1
+    assert result.text.startswith("Prediction: Swissmetro")
+    assert cache.get(key) == result.text
+
+
 def test_batch_preserves_order(tmp_path):
     rng = random.Random(5)
     prompts = [build_prompt(random_situation(rng, f"s{i:03d}"), PROMPT_CFG) for i in range(10)]
@@ -223,7 +238,26 @@ def test_batch_bounded_parallelism():
 
     backend = CountingBackend()
     batch_complete(prompts, mock_cfg(max_parallel_requests=4), None, backend)
-    assert backend.peak <= 4
+    assert 2 <= backend.peak <= 4  # a backend that waits runs on the pool, within its bound
+
+
+def test_batch_runs_mock_on_calling_thread():
+    rng = random.Random(8)
+    prompts = [build_prompt(random_situation(rng, f"s{i:03d}"), PROMPT_CFG) for i in range(16)]
+
+    class ThreadRecordingMock(MockBackend):
+        def __init__(self, rule):
+            super().__init__(rule)
+            self.threads = set()
+
+        def generate(self, prompt_text):
+            self.threads.add(threading.get_ident())
+            return super().generate(prompt_text)
+
+    backend = ThreadRecordingMock("min_cost")
+    batch_complete(prompts, mock_cfg(max_parallel_requests=4), None, backend)
+    assert backend.threads == {threading.get_ident()}
+    assert backend.calls == len(prompts)
 
 
 def test_batch_matches_sequential_complete(tmp_path):

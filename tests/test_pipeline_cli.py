@@ -341,6 +341,16 @@ def test_cli_full_flow(workspace, capsys):
     assert "Models" in out and "LLM" in out
 
 
+def test_cli_evaluate_hashes_the_dataset_once(workspace, capsys, monkeypatch):
+    config = str(workspace / "config.yaml")
+    assert run_cli("predict-llm", "--config", config) == 0
+    calls = []
+    hash_dataset = pipeline.ingest_key
+    monkeypatch.setattr(pipeline, "ingest_key", lambda cfg: calls.append(cfg) or hash_dataset(cfg))
+    assert run_cli("evaluate", "--config", config) == 0
+    assert len(calls) == 1  # the stored-predictions check and the report share one hash
+
+
 def test_cli_evaluate_requires_predictions(workspace, capsys):
     config = str(workspace / "config.yaml")
     assert run_cli("evaluate", "--config", config) == 2
