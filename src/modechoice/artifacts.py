@@ -27,12 +27,15 @@ def stage_path(out_dir: str | Path, stage: str, key: str, suffix: str = ".jsonl"
     return directory / f"{stage}-{key[:16]}{suffix}"
 
 
-def write_text_atomic(path: Path, text: str) -> bool:
-    """Atomically write text unless identical content is already in place."""
-    if path.exists() and path.read_text(encoding="utf-8") == text:
-        return False
+def write_atomic(path: Path, data: bytes) -> bool:
+    """Atomically write data unless identical content is already in place."""
+    try:
+        if path.read_bytes() == data:
+            return False
+    except FileNotFoundError:
+        pass
     tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
-    tmp.write_text(text, encoding="utf-8")
+    tmp.write_bytes(data)
     os.replace(tmp, path)
     return True
 
@@ -46,5 +49,5 @@ def load_or_create(path: Path, compute, serialize, deserialize, store=lambda val
         return deserialize(path.read_text(encoding="utf-8"))
     value = compute()
     if store(value):
-        write_text_atomic(path, serialize(value))
+        write_atomic(path, serialize(value).encode("utf-8"))
     return value

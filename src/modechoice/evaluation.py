@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import write_text_atomic
+from .artifacts import write_atomic
 from .dataset import MODE_ORDER, ModeLabel
 
 logger = logging.getLogger(__name__)
@@ -308,9 +308,9 @@ def write_report(
         cases = "".join(
             json.dumps(r.to_json_dict(), sort_keys=True) + "\n" for r in records
         )
-        write_text_atomic(out / "report.json", summary_json)
-        write_text_atomic(out / "report.txt", render_summary_text(report) + "\n")
-        write_text_atomic(out / "cases.jsonl", cases)
+        write_atomic(out / "report.json", summary_json.encode("utf-8"))
+        write_atomic(out / "report.txt", (render_summary_text(report) + "\n").encode("utf-8"))
+        write_atomic(out / "cases.jsonl", cases.encode("utf-8"))
     except OSError as exc:
         raise IoFailure(f"cannot write report under {out}: {exc}") from exc
     logger.info("report written to %s", out)

@@ -10,6 +10,7 @@ and, at temperature 0, lossless.
 
 from __future__ import annotations
 
+import gzip
 import json
 import logging
 import os
@@ -23,7 +24,7 @@ from pathlib import Path
 
 import requests
 
-from .artifacts import digest_of
+from .artifacts import digest_of, write_atomic
 from .dataset import MODE_ORDER, ModeLabel
 from .prompting import Prompt
 
@@ -132,27 +133,51 @@ def request_digest(cfg: BackendConfig) -> str:
 
 
 class CompletionCache:
-    """Digest-keyed text store, one file per completion, atomic writes."""
+    """Digest-keyed completion store, kept on disk as segment files.
+
+    Opening the cache reads every `*.jsonl.gz` segment in its directory, in
+    sorted name order; the first entry for a key wins. `put` records an entry
+    in memory, and `flush` writes the entries put since the last flush as one
+    new segment: gzip'd JSON lines of [key, text], sorted by key and named by
+    the digest of their bytes, so the same entries always make the same file
+    whatever order they arrived in. Until `flush`, new entries live only in
+    this object: `batch_complete` flushes when it ends, and a caller of
+    `complete` alone flushes itself.
+    """
+
+    SUFFIX = ".jsonl.gz"
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-
-    def _path(self, key: str) -> Path:
-        return self.directory / f"{key}.txt"
+        self._entries: dict[str, str] = {}
+        self._pending: dict[str, str] = {}
+        self._lock = threading.Lock()  # pool threads put concurrently
+        for path in sorted(self.directory.glob(f"*{self.SUFFIX}")):
+            for line in gzip.decompress(path.read_bytes()).splitlines():
+                key, text = json.loads(line)
+                self._entries.setdefault(key, text)
 
     def get(self, key: str) -> str | None:
-        try:
-            return self._path(key).read_text(encoding="utf-8")
-        except FileNotFoundError:
-            return None
+        return self._entries.get(key)
 
     def put(self, key: str, text: str) -> None:
-        # unique tmp per writer: concurrent puts of one key are identical by
-        # construction at temperature 0, and last writer wins atomically
-        tmp = self._path(key).with_suffix(f".tmp.{os.getpid()}.{threading.get_ident()}")
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, self._path(key))
+        with self._lock:
+            self._entries[key] = text
+            self._pending[key] = text
+
+    def flush(self) -> Path | None:
+        """Write the pending entries as one segment and return its path;
+        with nothing pending, write nothing and return None."""
+        with self._lock:
+            pending, self._pending = self._pending, {}
+        if not pending:
+            return None
+        lines = "".join(json.dumps([key, pending[key]]) + "\n" for key in sorted(pending))
+        data = gzip.compress(lines.encode("utf-8"), mtime=0)
+        path = self.directory / f"{digest_of(data)}{self.SUFFIX}"
+        write_atomic(path, data)
+        return path
 
 
 def parse_prompt_characteristics(
@@ -294,7 +319,9 @@ def complete(
     cache: CompletionCache | None,
     backend=None,
 ) -> ModelCompletion:
-    """Complete one prompt, consulting the cache first and storing on success."""
+    """Complete one prompt, consulting the cache first and storing on success.
+
+    A new completion is kept in the cache's memory until `cache.flush()`."""
     key = digest_of(request_digest(cfg), prompt.full_text)
     if cache is not None:
         cached = cache.get(key)
@@ -337,7 +364,8 @@ def batch_complete(
     on the calling thread.
 
     One item's failure never aborts the batch; failed positions hold a
-    CompletionFailure record instead of a completion.
+    CompletionFailure record instead of a completion. The batch's new
+    completions are written to the cache as one segment when it ends.
     """
     if not prompts:
         raise ValueError("prompts must be non-empty")
@@ -355,9 +383,14 @@ def batch_complete(
                 message=str(exc),
             )
 
-    if isinstance(backend, MockBackend):
-        # pure Python with no waits: pool threads would only contend for the
-        # interpreter lock
-        return [one(prompt) for prompt in prompts]
-    with ThreadPoolExecutor(max_workers=cfg.max_parallel_requests) as pool:
-        return list(pool.map(one, prompts))
+    try:
+        if isinstance(backend, MockBackend):
+            # pure Python with no waits: pool threads would only contend for
+            # the interpreter lock
+            return [one(prompt) for prompt in prompts]
+        with ThreadPoolExecutor(max_workers=cfg.max_parallel_requests) as pool:
+            return list(pool.map(one, prompts))
+    finally:
+        # also on an exception or Ctrl-C, so the completions made are kept
+        if cache is not None:
+            cache.flush()

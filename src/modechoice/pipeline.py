@@ -12,6 +12,7 @@ import json
 import logging
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 
 import yaml
@@ -264,10 +265,7 @@ def stage_sample(
         path,
         compute,
         serialize=lambda ids: json.dumps({"train": ids[0], "test": ids[1]}, indent=0) + "\n",
-        deserialize=lambda text: (
-            json.loads(text)["train"],
-            json.loads(text)["test"],
-        ),
+        deserialize=lambda text: itemgetter("train", "test")(json.loads(text)),
     )
     return [by_id[i] for i in train_ids], [by_id[i] for i in test_ids]
 
@@ -457,12 +455,13 @@ def run_pipeline(cfg: PipelineConfig, split_key: str | None = None) -> Evaluatio
             bench_predictions[kind] = benchmarks.predict_labels(model, X)
     with _stage("report"):
         records = _case_records(test, llm_rows, bench_predictions)
-        report_dir = cfg.output_dir / f"report-{config_digest(cfg)[:12]}"
+        digest = config_digest(cfg)
+        report_dir = cfg.output_dir / f"report-{digest[:12]}"
         report = write_report(
             records,
             report_dir,
             parse_failure_mode=cfg.parse_failure_mode,
-            config_digest=config_digest(cfg),
+            config_digest=digest,
         )
     logger.info("pipeline complete; report in %s", report_dir)
     return report

@@ -1,4 +1,6 @@
 import dataclasses
+import gzip
+import json
 import random
 import threading
 import time
@@ -149,7 +151,14 @@ def test_cache_key_sensitivity(tmp_path):
     cache = CompletionCache(tmp_path)
     for prompt in prompts:
         complete(prompt, mock_cfg(), cache)
-    assert len(list(tmp_path.glob("*.txt"))) == len({p.full_text for p in prompts})
+    cache.flush()
+    assert len(list(tmp_path.iterdir())) == 1
+    assert len(list(tmp_path.glob("*.jsonl.gz"))) == 1
+    reopened = CompletionCache(tmp_path)
+    texts = {p.full_text for p in prompts}
+    assert len(texts) == 51
+    for text in texts:
+        assert reopened.get(digest_of(request_digest(mock_cfg()), text)) is not None
 
 
 @pytest.mark.parametrize("backend_kind", ["mock", "http_chat"])
@@ -168,23 +177,56 @@ def test_cache_key_ignores_transport_settings(backend_kind):
 
 def test_cache_round_trip(tmp_path):
     cache = CompletionCache(tmp_path)
+    assert cache.flush() is None  # nothing pending, no file
     cache.put("k" * 64, "some completion")
     assert cache.get("k" * 64) == "some completion"
     assert cache.get("absent" + "0" * 58) is None
+    segment = cache.flush()
+    assert segment.name.endswith(".jsonl.gz")
+    assert cache.flush() is None
+    assert list(tmp_path.iterdir()) == [segment]
+    assert CompletionCache(tmp_path).get("k" * 64) == "some completion"
 
 
-def test_cache_never_serves_a_half_written_entry(tmp_path):
+def test_cache_first_segment_in_name_order_wins(tmp_path):
+    for text in ("one", "two"):
+        cache = CompletionCache(tmp_path)
+        cache.put("k" * 64, text)
+        cache.flush()
+    segments = sorted(tmp_path.glob("*.jsonl.gz"))
+    assert len(segments) == 2
+    (line,) = gzip.decompress(segments[0].read_bytes()).splitlines()
+    assert CompletionCache(tmp_path).get("k" * 64) == json.loads(line)[1]
+
+
+def _check_leftover_is_not_served(directory, name, data):
     cfg = mock_cfg(mock_rule="min_time")
-    cache = CompletionCache(tmp_path)
     key = digest_of(request_digest(cfg), FAST_SM.full_text)
-    # what a writer killed between its write and its rename leaves behind
-    (tmp_path / f"{key}.tmp.4242.4242").write_text("Prediction: Tra", encoding="utf-8")
+    (directory / name.format(key=key)).write_bytes(data(key))
+    cache = CompletionCache(directory)
     assert cache.get(key) is None
     backend = MockBackend("min_time")
     result = complete(FAST_SM, cfg, cache, backend=backend)
     assert result.cache_hit is False and backend.calls == 1
     assert result.text.startswith("Prediction: Swissmetro")
-    assert cache.get(key) == result.text
+    cache.flush()
+    assert CompletionCache(directory).get(key) == result.text
+
+
+def test_cache_never_serves_a_half_written_entry(tmp_path):
+    # what a writer killed between its write and its rename leaves behind
+    def truncated_segment(key):
+        data = gzip.compress((json.dumps([key, "Prediction: Train"]) + "\n").encode(), mtime=0)
+        return data[: len(data) // 2]
+
+    _check_leftover_is_not_served(tmp_path, "{key}.jsonl.gz.tmp.4242", truncated_segment)
+
+
+def test_cache_ignores_per_key_files(tmp_path):
+    # an entry in the one-file-per-key layout that segments replaced
+    _check_leftover_is_not_served(
+        tmp_path, "{key}.txt", lambda key: b"Prediction: Train\nReason: old layout."
+    )
 
 
 def test_batch_preserves_order(tmp_path):
@@ -274,14 +316,70 @@ def test_batch_matches_sequential_complete(tmp_path):
 def test_batch_rerun_fully_cached(tmp_path):
     rng = random.Random(10)
     prompts = [build_prompt(random_situation(rng, f"s{i:03d}"), PROMPT_CFG) for i in range(6)]
-    cache = CompletionCache(tmp_path)
     backend = MockBackend("min_time")
-    first = batch_complete(prompts, mock_cfg(), cache, backend)
+    first = batch_complete(prompts, mock_cfg(), CompletionCache(tmp_path), backend)
     calls_after_first = backend.calls
-    second = batch_complete(prompts, mock_cfg(), cache, backend)
+    segments = list(tmp_path.iterdir())
+    assert len(segments) == 1 and segments[0].name.endswith(".jsonl.gz")
+    stamp = segments[0].stat().st_mtime_ns
+    second = batch_complete(prompts, mock_cfg(), CompletionCache(tmp_path), backend)
     assert backend.calls == calls_after_first
     assert all(r.cache_hit for r in second)
     assert [r.text for r in first] == [r.text for r in second]
+    assert list(tmp_path.iterdir()) == segments  # a fully cached rerun writes no file
+    assert segments[0].stat().st_mtime_ns == stamp
+
+
+def test_batch_segment_does_not_depend_on_completion_order(tmp_path):
+    rng = random.Random(12)
+    prompts = [build_prompt(random_situation(rng, f"s{i:03d}"), PROMPT_CFG) for i in range(8)]
+
+    class DelayedBackend:
+        """Waits per prompt, so the pool finishes prompts in delay order."""
+
+        kind = "mock"
+
+        def __init__(self, delays):
+            self.delays = {p.full_text: d for p, d in zip(prompts, delays)}
+            self.lock = threading.Lock()
+            self.finished = []
+
+        def generate(self, prompt_text):
+            time.sleep(self.delays[prompt_text])
+            with self.lock:
+                self.finished.append(prompt_text)
+            return f"Prediction: Car\nReason: prompt of {len(prompt_text)} characters."
+
+    delays = [0.005 * i for i in range(len(prompts))]
+    segments, orders = [], []
+    for run, run_delays in (("up", delays), ("down", delays[::-1])):
+        backend = DelayedBackend(run_delays)
+        cfg = mock_cfg(max_parallel_requests=len(prompts))
+        batch_complete(prompts, cfg, CompletionCache(tmp_path / run), backend)
+        orders.append(backend.finished)
+        (segment,) = (tmp_path / run).iterdir()
+        segments.append((segment.name, segment.read_bytes()))
+    assert orders[0] != orders[1]
+    assert segments[0] == segments[1]
+
+
+def test_batch_keeps_completions_made_before_an_unexpected_error(tmp_path):
+    rng = random.Random(13)
+    prompts = [build_prompt(random_situation(rng, f"s{i:03d}"), PROMPT_CFG) for i in range(8)]
+
+    class BreaksOnFifth(MockBackend):
+        def generate(self, prompt_text):
+            if self.calls == 4:
+                raise RuntimeError("backend bug")
+            return super().generate(prompt_text)
+
+    cfg = mock_cfg(mock_rule="min_cost")
+    with pytest.raises(RuntimeError):
+        batch_complete(prompts, cfg, CompletionCache(tmp_path), BreaksOnFifth("min_cost"))
+    reopened = CompletionCache(tmp_path)
+    for i, prompt in enumerate(prompts):
+        stored = reopened.get(digest_of(request_digest(cfg), prompt.full_text))
+        assert stored == (MockBackend("min_cost").generate(prompt.full_text) if i < 4 else None)
 
 
 def test_batch_requires_prompts():
