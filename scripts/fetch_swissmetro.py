@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+import urllib.request
 from pathlib import Path
-
-import requests
 
 DEFAULT_URL = "http://transp-or.epfl.ch/data/swissmetro.dat"
 
@@ -34,9 +33,8 @@ def main() -> int:
     dest.parent.mkdir(parents=True, exist_ok=True)
 
     print(f"downloading {args.url} ...")
-    response = requests.get(args.url, timeout=60)
-    response.raise_for_status()
-    text = response.text
+    with urllib.request.urlopen(args.url, timeout=60) as response:  # raises on an error status
+        text = response.read().decode("utf-8")
     header = text.splitlines()[0] if text else ""
     if "CHOICE" not in header:
         print("error: downloaded file does not look like the survey data", file=sys.stderr)

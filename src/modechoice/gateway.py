@@ -20,9 +20,10 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from http.client import HTTPException
 from pathlib import Path
-
-import requests
+from urllib.error import HTTPError
+from urllib.request import Request, urlopen
 
 from .artifacts import digest_of, write_atomic
 from .dataset import MODE_ORDER, ModeLabel
@@ -240,7 +241,8 @@ class HttpChatBackend:
         if not credential:
             raise MissingCredential(cfg.credential_env_var)
         self._cfg = cfg
-        self._headers = {"Authorization": f"Bearer {credential}"}
+        auth = f"Bearer {credential}"
+        self._headers = {"Authorization": auth, "Content-Type": "application/json"}
 
     def generate(self, prompt_text: str) -> str:
         cfg = self._cfg
@@ -249,32 +251,28 @@ class HttpChatBackend:
             "messages": chat_messages(cfg, prompt_text),
             "temperature": cfg.temperature,
         }
+        request = Request(cfg.endpoint_url, json.dumps(body).encode("utf-8"), self._headers)
         try:
-            response = requests.post(
-                cfg.endpoint_url,
-                json=body,
-                headers=self._headers,
-                timeout=cfg.timeout_seconds,
-            )
-        except requests.Timeout:
-            raise TransientBackendError("timeout", "request timed out") from None
-        except requests.ConnectionError as exc:
+            try:
+                response = urlopen(request, timeout=cfg.timeout_seconds)
+            except HTTPError as exc:
+                response = exc  # an error status still carries a body to read
+            with response:
+                status, raw = response.status, response.read()
+        except (OSError, HTTPException) as exc:  # URLError and socket timeouts are OSErrors
+            if isinstance(getattr(exc, "reason", exc), TimeoutError):  # URLError wraps its cause
+                raise TransientBackendError("timeout", "request timed out") from None
             raise TransientBackendError("connection", f"connection failed: {exc}") from None
-        if response.status_code == 429 or response.status_code >= 500:
-            raise TransientBackendError(response.status_code)
-        if response.status_code != 200:
+        if status == 429 or status >= 500:
+            raise TransientBackendError(status)
+        if status != 200:
             # Authentication and other client errors are not retryable.
-            raise BackendExhausted(
-                response.status_code,
-                f"non-retryable status {response.status_code}: {response.text[:200]}",
-            )
+            text = raw.decode("utf-8", "replace")[:200]
+            raise BackendExhausted(status, f"non-retryable status {status}: {text}")
         try:
-            content = response.json()["choices"][0]["message"]["content"]
+            return json.loads(raw)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise GatewayError(f"malformed completion response body: {exc}") from exc
-        if not content:
-            raise GatewayError("backend returned an empty completion")
-        return content
 
 
 def make_backend(cfg: BackendConfig):
@@ -339,8 +337,8 @@ def complete(
     started = time.perf_counter()
     text, attempts = _generate_with_retries(backend, prompt.full_text, cfg)
     latency_ms = (time.perf_counter() - started) * 1000.0
-    if not text:
-        raise GatewayError("backend returned an empty completion")
+    if not isinstance(text, str) or not text:
+        raise GatewayError(f"backend returned no completion text: {text!r:.80}")
     if cache is not None:
         cache.put(key, text)
     return ModelCompletion(

@@ -1,6 +1,10 @@
 import csv
+import json
 import os
 import random
+import threading
+from contextlib import contextmanager
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -129,3 +133,78 @@ requires_real_data = pytest.mark.skipif(
     reason="public Swissmetro survey file not available "
     "(set SWISSMETRO_DAT or place it under data/; see scripts/fetch_swissmetro.py)",
 )
+
+
+def chat_reply(content) -> bytes:
+    """A chat-completions response body whose first choice says `content`."""
+    reply = {"choices": [{"message": {"role": "assistant", "content": content}}]}
+    return json.dumps(reply).encode("utf-8")
+
+
+class _ChatEndpoint(BaseHTTPRequestHandler):
+    """Chat-completions endpoint scripted through its server's attributes:
+
+    - `statuses`: one reply status per request, consumed in order; once it is
+      empty every request gets `status` (200 unless a test sets it);
+    - `delay`: seconds to hold each reply back;
+    - `body`: raw bytes that replace the 200 reply (a malformed body, empty
+      content), or None for a parseable prediction;
+    - `requests`: what each request sent, as {"path", "headers", "body"},
+      with the body parsed as JSON.
+    """
+
+    def do_POST(self):
+        server = self.server
+        sent = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        with server.lock:
+            server.requests.append({"path": self.path, "headers": self.headers, "body": sent})
+            status = server.statuses.pop(0) if server.statuses else server.status
+        if server.delay:
+            server.closing.wait(server.delay)
+        if status != 200:
+            data = json.dumps({"error": {"message": f"scripted status {status}"}}).encode("utf-8")
+        elif server.body is not None:
+            data = server.body
+        else:
+            data = chat_reply("Prediction: Train\nReason: Train is the local endpoint's answer.")
+        try:
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
+        except OSError:
+            pass  # the client stopped waiting (a timeout test)
+
+    def log_message(self, format, *args):
+        pass
+
+
+@contextmanager
+def serving(server):
+    """Run an `http.server` server on a thread for the duration of the block."""
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+@pytest.fixture
+def chat_endpoint():
+    """A `_ChatEndpoint` on 127.0.0.1; its chat URL is `chat_endpoint.url`."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _ChatEndpoint)
+    server.url = f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
+    server.status, server.statuses, server.delay, server.body = 200, [], 0.0, None
+    server.requests = []
+    server.lock = threading.Lock()
+    server.closing = threading.Event()  # cuts a reply delay short at teardown
+    with serving(server):
+        yield server
+        server.closing.set()

@@ -1,9 +1,15 @@
 import dataclasses
 import gzip
 import json
+import os
 import random
+import socket
+import subprocess
+import sys
 import threading
 import time
+from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -28,7 +34,7 @@ from modechoice.gateway import (
 )
 from modechoice.prompting import PromptTemplateConfig, build_prompt
 
-from conftest import make_situation, random_situation
+from conftest import chat_reply, make_situation, random_situation, serving
 
 PROMPT_CFG = PromptTemplateConfig()
 FAST_SM = build_prompt(make_situation(sid="fast-sm"), PROMPT_CFG)
@@ -394,87 +400,135 @@ def test_missing_credential(monkeypatch):
     assert "LLM_API_KEY" in str(err.value)
 
 
-class FakeResponse:
-    def __init__(self, status_code, payload=None, text=""):
-        self.status_code = status_code
-        self._payload = payload
-        self.text = text
-
-    def json(self):
-        if self._payload is None:
-            raise ValueError("no json")
-        return self._payload
+def http_cfg(url, **kwargs):
+    """A chat backend config aimed at `url`, retrying at once."""
+    kwargs.setdefault("retry_backoff_base_seconds", 0.0)
+    return BackendConfig(backend_kind="http_chat", endpoint_url=url, **kwargs)
 
 
-def _chat_payload(content):
-    return {"choices": [{"message": {"role": "assistant", "content": content}}]}
-
-
-def test_http_backend_wire_format(monkeypatch):
+def test_http_backend_wire_format(chat_endpoint, monkeypatch):
     monkeypatch.setenv("LLM_API_KEY", "sk-test")
-    seen = {}
-
-    def fake_post(url, json=None, headers=None, timeout=None):
-        seen.update(url=url, body=json, headers=headers, timeout=timeout)
-        return FakeResponse(200, _chat_payload("Prediction: Train\nReason: ok."))
-
-    monkeypatch.setattr(gateway.requests, "post", fake_post)
+    chat_endpoint.body = chat_reply("Prediction: Train\nReason: ok.")
     system = {"role": "system", "content": "You are a travel analyst."}
     for system_text, leading in [("", []), (system["content"], [system])]:
-        cfg = BackendConfig(
-            backend_kind="http_chat",
+        chat_endpoint.requests.clear()
+        cfg = http_cfg(
+            chat_endpoint.url,
             temperature=0.0,
             timeout_seconds=30,
             system_message_text=system_text,
         )
         result = complete(FAST_SM, cfg, None)
         assert result.text == "Prediction: Train\nReason: ok."
-        assert seen["url"] == cfg.endpoint_url
-        assert seen["headers"]["Authorization"] == "Bearer sk-test"
-        assert seen["timeout"] == 30
-        assert seen["body"]["model"] == "gpt-3.5-turbo-1106"
-        assert seen["body"]["temperature"] == 0.0
-        assert seen["body"]["messages"] == leading + [
+        [sent] = chat_endpoint.requests
+        assert sent["path"] == "/v1/chat/completions"
+        assert sent["headers"]["Authorization"] == "Bearer sk-test"
+        assert sent["headers"]["Content-Type"] == "application/json"
+        assert sent["body"]["model"] == "gpt-3.5-turbo-1106"
+        assert sent["body"]["temperature"] == 0.0
+        assert sent["body"]["messages"] == leading + [
             {"role": "user", "content": FAST_SM.full_text}
         ]
 
 
-def test_http_backend_retries_rate_limit(monkeypatch):
+def test_http_backend_retries_rate_limit(chat_endpoint, monkeypatch):
     monkeypatch.setenv("LLM_API_KEY", "sk-test")
-    responses = [FakeResponse(429, text="slow down"), FakeResponse(200, _chat_payload("Prediction: Car\nReason: y"))]
-
-    def fake_post(url, **kwargs):
-        return responses.pop(0)
-
-    monkeypatch.setattr(gateway.requests, "post", fake_post)
-    cfg = BackendConfig(
-        backend_kind="http_chat", max_retries=2, retry_backoff_base_seconds=0.0
-    )
-    result = complete(FAST_SM, cfg, None)
+    chat_endpoint.statuses = [429]
+    chat_endpoint.body = chat_reply("Prediction: Car\nReason: y")
+    result = complete(FAST_SM, http_cfg(chat_endpoint.url, max_retries=2), None)
     assert result.attempt_count == 2
+    assert result.text == "Prediction: Car\nReason: y"
+    assert len(chat_endpoint.requests) == 2
 
 
-def test_http_backend_does_not_retry_auth_errors(monkeypatch):
+def test_http_backend_does_not_retry_auth_errors(chat_endpoint, monkeypatch):
     monkeypatch.setenv("LLM_API_KEY", "sk-bad")
-    calls = {"n": 0}
-
-    def fake_post(url, **kwargs):
-        calls["n"] += 1
-        return FakeResponse(401, text="bad key")
-
-    monkeypatch.setattr(gateway.requests, "post", fake_post)
-    cfg = BackendConfig(backend_kind="http_chat", max_retries=5, retry_backoff_base_seconds=0.0)
+    chat_endpoint.status = 401
     with pytest.raises(BackendExhausted) as err:
-        complete(FAST_SM, cfg, None)
+        complete(FAST_SM, http_cfg(chat_endpoint.url, max_retries=5), None)
     assert err.value.last_status == 401
-    assert calls["n"] == 1
+    assert "scripted status 401" in str(err.value)  # the start of the reply body
+    assert len(chat_endpoint.requests) == 1
 
 
-def test_http_backend_malformed_body(monkeypatch):
+def test_http_backend_malformed_body(chat_endpoint, monkeypatch):
     monkeypatch.setenv("LLM_API_KEY", "sk-test")
-    monkeypatch.setattr(
-        gateway.requests, "post", lambda url, **kw: FakeResponse(200, {"unexpected": True})
-    )
-    cfg = BackendConfig(backend_kind="http_chat")
-    with pytest.raises(GatewayError):
+    for body in [b'{"unexpected": true}', b'{"choices": []}', b"not json"]:
+        chat_endpoint.body = body
+        chat_endpoint.requests.clear()
+        with pytest.raises(GatewayError, match="malformed") as err:
+            complete(FAST_SM, http_cfg(chat_endpoint.url, max_retries=3), None)
+        assert type(err.value) is GatewayError  # neither retried nor counted as a status
+        assert len(chat_endpoint.requests) == 1
+
+
+@pytest.mark.parametrize("content", ["", None, 123, ["Prediction: Train"]])
+def test_http_backend_content_without_text_is_not_cached(
+    chat_endpoint, monkeypatch, tmp_path, content
+):
+    monkeypatch.setenv("LLM_API_KEY", "sk-test")
+    chat_endpoint.body = chat_reply(content)
+    cfg = http_cfg(chat_endpoint.url)
+    cache = CompletionCache(tmp_path / "cache")
+    with pytest.raises(GatewayError, match="no completion text"):
+        complete(FAST_SM, cfg, cache)
+    assert cache.get(digest_of(request_digest(cfg), FAST_SM.full_text)) is None
+    assert cache.flush() is None
+
+
+def test_http_backend_timeout_reaches_the_socket(chat_endpoint, monkeypatch):
+    monkeypatch.setenv("LLM_API_KEY", "sk-test")
+    chat_endpoint.delay = 5.0
+    cfg = http_cfg(chat_endpoint.url, timeout_seconds=0.2, max_retries=1)
+    started = time.perf_counter()
+    with pytest.raises(RequestTimedOut):
         complete(FAST_SM, cfg, None)
+    assert len(chat_endpoint.requests) == 2
+    assert time.perf_counter() - started < 2.5  # two 0.2 s waits, not a 5 s reply
+
+
+def test_http_backend_refused_connection(monkeypatch):
+    monkeypatch.setenv("LLM_API_KEY", "sk-test")
+    with socket.socket() as probe:  # a port that nothing listens on once closed
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    cfg = http_cfg(f"http://127.0.0.1:{port}/v1/chat/completions", max_retries=2)
+    with pytest.raises(BackendExhausted, match="after 3 attempts") as err:
+        complete(FAST_SM, cfg, None)
+    assert err.value.last_status == "connection"
+
+
+class _TruncatedReply(BaseHTTPRequestHandler):
+    """Declares a 100-byte reply body, sends one byte and hangs up."""
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.served += 1
+        self.send_response(200)
+        self.send_header("Content-Length", "100")
+        self.end_headers()
+        self.wfile.write(b"{")
+
+    def log_message(self, format, *args):
+        pass
+
+
+def test_http_backend_truncated_reply_is_a_dropped_connection(monkeypatch):
+    monkeypatch.setenv("LLM_API_KEY", "sk-test")
+    with serving(HTTPServer(("127.0.0.1", 0), _TruncatedReply)) as server:
+        server.served = 0
+        url = f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
+        with pytest.raises(BackendExhausted) as err:
+            complete(FAST_SM, http_cfg(url, max_retries=1), None)
+    assert err.value.last_status == "connection"
+    assert server.served == 2
+
+
+def test_import_does_not_load_requests():
+    src = Path(gateway.__file__).resolve().parents[1]
+    probe = "import sys, modechoice; print('requests' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "False"

@@ -1,11 +1,9 @@
 import dataclasses
 import json
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from modechoice import gateway, pipeline
+from modechoice import pipeline
 from modechoice.artifacts import digest_of, stage_path
 from modechoice.cli import main
 from modechoice.dataset import ColumnMap, ModeLabel, balanced_split, load_raw, to_choice_situations
@@ -191,50 +189,12 @@ def test_format_1_model_artifact_is_refit(workspace):
     assert json.loads(refit[0].read_text())["format_version"] == 2
 
 
-class _ChatEndpoint(BaseHTTPRequestHandler):
-    """Chat-completions endpoint answering every request with the server's
-    current `status`: 200 carries a parseable reply, anything else an error."""
-
-    def do_POST(self):
-        self.rfile.read(int(self.headers["Content-Length"]))
-        self.server.requests.append(self.path)
-        if self.server.status == 200:
-            content = "Prediction: Train\nReason: Train is the local endpoint's answer."
-            body = json.dumps({"choices": [{"message": {"role": "assistant", "content": content}}]})
-        else:
-            body = json.dumps({"error": "service unavailable"})
-        data = body.encode("utf-8")
-        self.send_response(self.server.status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def log_message(self, format, *args):
-        pass
-
-
-@pytest.fixture
-def chat_endpoint():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _ChatEndpoint)
-    server.status = 200
-    server.requests = []
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield server
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=10)
-    assert not thread.is_alive()
-
-
 def http_config(workspace, chat_endpoint):
     """The workspace config sent to the local endpoint, capped at six prompts."""
-    url = f"http://127.0.0.1:{chat_endpoint.server_address[1]}/v1/chat/completions"
     config = CONFIG_TEMPLATE.format(mock_rule="generalized_cost").replace(
         "  backend_kind: mock\n",
         "  backend_kind: http_chat\n"
-        f"  endpoint_url: {url}\n"
+        f"  endpoint_url: {chat_endpoint.url}\n"
         "  max_retries: 1\n"
         "  retry_backoff_base_seconds: 0.0\n",
     )
@@ -373,27 +333,17 @@ def test_cli_missing_credential_exit_code(workspace, capsys, monkeypatch):
     assert "llm" in err and "LLM_API_KEY" in err
 
 
-class CannedReply:
-    status_code = 200
-    text = ""
-
-    def json(self):
-        content = "Prediction: Train\nReason: canned reply."
-        return {"choices": [{"message": {"role": "assistant", "content": content}}]}
-
-
-def test_cli_evaluate_needs_no_credential(workspace, capsys, monkeypatch):
-    calls = []
-
-    def fake_post(url, **kwargs):
-        calls.append(url)
-        return CannedReply()
-
-    monkeypatch.setattr(gateway.requests, "post", fake_post)
+def test_cli_evaluate_needs_no_credential(workspace, chat_endpoint, capsys, monkeypatch):
+    (workspace / "config.yaml").write_text(
+        CONFIG_TEMPLATE.format(mock_rule="generalized_cost").replace(
+            "  backend_kind: mock\n",
+            f"  backend_kind: mock\n  endpoint_url: {chat_endpoint.url}\n",
+        )
+    )
     monkeypatch.setenv("LLM_API_KEY", "sk-test")
     config = str(workspace / "config.yaml")
     assert run_cli("run", "--config", config, "--backend", "http_chat") == 0
-    assert len(calls) == 20  # the live-backend default cap
+    assert len(chat_endpoint.requests) == 20  # the live-backend default cap
     cfg = load_pipeline_config(workspace / "config.yaml", {"backend": "http_chat"})
     report_dir = cfg.output_dir / f"report-{config_digest(cfg)[:12]}"
     snapshot = {p.name: p.read_bytes() for p in report_dir.iterdir()}
@@ -402,7 +352,7 @@ def test_cli_evaluate_needs_no_credential(workspace, capsys, monkeypatch):
     monkeypatch.delenv("LLM_API_KEY")
     assert run_cli("evaluate", "--config", config, "--backend", "http_chat") == 0
     assert "LLM_API_KEY" not in capsys.readouterr().err
-    assert len(calls) == 20
+    assert len(chat_endpoint.requests) == 20
     assert {p.name: p.read_bytes() for p in report_dir.iterdir()} == snapshot
 
 
