@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dataset import MODE_ORDER, ChoiceSituation
+from ..dataset import ChoiceSituation
 from .config import EmptyTrainingSet
 
 N_NUMERIC = 6
@@ -22,7 +22,7 @@ N_CLASSES = 3
 def _raw_matrix(situations: list[ChoiceSituation]) -> np.ndarray:
     """Unscaled (n, 8) feature matrix in the fixed feature order."""
     rows = [
-        [v for m in MODE_ORDER for v in (s.travel_time_min[m], s.travel_cost[m])]
+        [v for pair in zip(s.travel_time_min, s.travel_cost) for v in pair]
         + [s.is_regular_train_user, s.owns_annual_pass]
         for s in situations
     ]

@@ -83,22 +83,26 @@ def _class_counts(situations) -> str:
 
 
 def _cmd_ingest(cfg) -> int:
-    situations = pipeline.stage_ingest(cfg)
+    with pipeline.stage("ingest"):
+        situations = pipeline.stage_ingest(cfg)
     print(f"ingested {len(situations)} situations from {cfg.dataset_path}")
     print(f"class counts: {_class_counts(situations)}")
     return 0
 
 
 def _cmd_sample(cfg) -> int:
-    situations = pipeline.stage_ingest(cfg)
-    train, test = pipeline.stage_sample(cfg, situations)
+    with pipeline.stage("ingest"):
+        situations = pipeline.stage_ingest(cfg)
+    with pipeline.stage("sample"):
+        train, test = pipeline.stage_sample(cfg, situations)
     print(f"train: {len(train)} ({_class_counts(train)})")
     print(f"test:  {len(test)} ({_class_counts(test)})")
     return 0
 
 
 def _cmd_dump_prompt(cfg, args) -> int:
-    situations = pipeline.stage_ingest(cfg)
+    with pipeline.stage("ingest"):
+        situations = pipeline.stage_ingest(cfg)
     if args.situation_id is not None:
         matches = [s for s in situations if s.situation_id == args.situation_id]
         if not matches:
@@ -106,7 +110,8 @@ def _cmd_dump_prompt(cfg, args) -> int:
             return 2
         situation = matches[0]
     else:
-        _, test = pipeline.stage_sample(cfg, situations)
+        with pipeline.stage("sample"):
+            _, test = pipeline.stage_sample(cfg, situations)
         if not 0 <= args.index < len(test):
             print(f"error: --index must be in [0, {len(test)})", file=sys.stderr)
             return 2

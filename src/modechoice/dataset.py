@@ -13,7 +13,7 @@ import gzip
 import logging
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import IntEnum
 from pathlib import Path
 
@@ -80,30 +80,6 @@ class ModeLabel(IntEnum):
 MODE_ORDER: tuple[ModeLabel, ...] = tuple(ModeLabel)
 
 
-def _default_time_columns() -> dict[ModeLabel, str]:
-    return {
-        ModeLabel.TRAIN: "TRAIN_TT",
-        ModeLabel.CAR: "CAR_TT",
-        ModeLabel.SWISSMETRO: "SM_TT",
-    }
-
-
-def _default_cost_columns() -> dict[ModeLabel, str]:
-    return {
-        ModeLabel.TRAIN: "TRAIN_CO",
-        ModeLabel.CAR: "CAR_CO",
-        ModeLabel.SWISSMETRO: "SM_CO",
-    }
-
-
-def _default_availability_columns() -> dict[ModeLabel, str]:
-    return {
-        ModeLabel.TRAIN: "TRAIN_AV",
-        ModeLabel.CAR: "CAR_AV",
-        ModeLabel.SWISSMETRO: "SM_AV",
-    }
-
-
 def _default_choice_code_map() -> dict[int, ModeLabel]:
     # Public Swissmetro codebook: 1 = train, 2 = Swissmetro, 3 = car, 0 = unknown.
     return {1: ModeLabel.TRAIN, 2: ModeLabel.SWISSMETRO, 3: ModeLabel.CAR}
@@ -118,37 +94,36 @@ class ColumnMap:
     encodes those attributes differently.
     """
 
-    time_columns: dict[ModeLabel, str] = field(default_factory=_default_time_columns)
-    cost_columns: dict[ModeLabel, str] = field(default_factory=_default_cost_columns)
-    availability_columns: dict[ModeLabel, str] = field(
-        default_factory=_default_availability_columns
-    )
+    # per-mode values are tuples in MODE_ORDER: (Train, Car, Swissmetro)
+    time_columns: tuple[str, str, str] = ("TRAIN_TT", "CAR_TT", "SM_TT")
+    cost_columns: tuple[str, str, str] = ("TRAIN_CO", "CAR_CO", "SM_CO")
+    availability_columns: tuple[str, str, str] = ("TRAIN_AV", "CAR_AV", "SM_AV")
     regular_user_column: str = "SURVEY"
     annual_pass_column: str = "GA"
     choice_column: str = "CHOICE"
     choice_code_map: dict[int, ModeLabel] = field(default_factory=_default_choice_code_map)
 
     def __post_init__(self):
+        for columns in (self.time_columns, self.cost_columns, self.availability_columns):
+            if len(columns) != len(MODE_ORDER):
+                raise ValueError("per-mode columns need one name per mode")
         names = self.mapped_columns()
         if len(names) != len(set(names)):
             raise ValueError("mapped column names must be distinct")
         if set(self.choice_code_map.values()) != set(MODE_ORDER):
             raise ValueError("choice_code_map must cover exactly the three modes")
-        for columns in (self.time_columns, self.cost_columns, self.availability_columns):
-            if set(columns) != set(MODE_ORDER):
-                raise ValueError("per-mode column maps must cover exactly the three modes")
 
     def mapped_columns(self) -> list[str]:
-        names = []
-        for mode in MODE_ORDER:
-            names.append(self.time_columns[mode])
-            names.append(self.cost_columns[mode])
-        for mode in MODE_ORDER:
-            names.append(self.availability_columns[mode])
-        names.extend([self.regular_user_column, self.annual_pass_column, self.choice_column])
-        return names
+        pairs = zip(self.time_columns, self.cost_columns)
+        return [name for pair in pairs for name in pair] + [
+            *self.availability_columns,
+            self.regular_user_column,
+            self.annual_pass_column,
+            self.choice_column,
+        ]
 
     def to_json_dict(self) -> dict:
+        """The config form: per-mode columns keyed by mode name."""
         return {
             "time_columns": {m.display: self.time_columns[m] for m in MODE_ORDER},
             "cost_columns": {m.display: self.cost_columns[m] for m in MODE_ORDER},
@@ -165,31 +140,22 @@ class ColumnMap:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ColumnMap":
-        def mode_map(entry: dict) -> dict[ModeLabel, str]:
-            return {ModeLabel.from_name(k): str(v) for k, v in entry.items()}
-
-        defaults = cls()
-        return cls(
-            time_columns=(
-                mode_map(doc["time_columns"]) if "time_columns" in doc else defaults.time_columns
-            ),
-            cost_columns=(
-                mode_map(doc["cost_columns"]) if "cost_columns" in doc else defaults.cost_columns
-            ),
-            availability_columns=(
-                mode_map(doc["availability_columns"])
-                if "availability_columns" in doc
-                else defaults.availability_columns
-            ),
-            regular_user_column=doc.get("regular_user_column", defaults.regular_user_column),
-            annual_pass_column=doc.get("annual_pass_column", defaults.annual_pass_column),
-            choice_column=doc.get("choice_column", defaults.choice_column),
-            choice_code_map=(
-                {int(c): ModeLabel.from_name(n) for c, n in doc["choice_code_map"].items()}
-                if "choice_code_map" in doc
-                else defaults.choice_code_map
-            ),
-        )
+        """Read the config form; a key it omits keeps its default."""
+        unknown = set(doc) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown column_map keys: {sorted(unknown)}")
+        kwargs = dict(doc)
+        for key in ("time_columns", "cost_columns", "availability_columns"):
+            if key in kwargs:
+                by_mode = {ModeLabel.from_name(k): str(v) for k, v in kwargs[key].items()}
+                if len(by_mode) != len(MODE_ORDER):
+                    raise ValueError(f"{key} must cover exactly the three modes")
+                kwargs[key] = tuple(by_mode[m] for m in MODE_ORDER)
+        if "choice_code_map" in kwargs:
+            kwargs["choice_code_map"] = {
+                int(c): ModeLabel.from_name(n) for c, n in kwargs["choice_code_map"].items()
+            }
+        return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -197,19 +163,18 @@ class ChoiceSituation:
     """One survey response: per-mode times/costs, two traveler flags, observed choice."""
 
     situation_id: str
-    travel_time_min: dict[ModeLabel, int]
-    travel_cost: dict[ModeLabel, int]
+    travel_time_min: tuple[int, int, int]  # in MODE_ORDER
+    travel_cost: tuple[int, int, int]  # in MODE_ORDER
     is_regular_train_user: bool
     owns_annual_pass: bool
     chosen: ModeLabel
 
     def __post_init__(self):
-        for label, values in (("time", self.travel_time_min), ("cost", self.travel_cost)):
-            if set(values) != set(MODE_ORDER):
-                raise ValueError(f"travel {label} map must cover exactly the three modes")
-        if any(t <= 0 for t in self.travel_time_min.values()):
+        if not len(self.travel_time_min) == len(self.travel_cost) == len(MODE_ORDER):
+            raise ValueError("travel times and costs need one value per mode")
+        if min(self.travel_time_min) <= 0:
             raise ValueError("travel times must be positive")
-        if any(c < 0 for c in self.travel_cost.values()):
+        if min(self.travel_cost) < 0:
             raise ValueError("travel costs must be non-negative")
 
 
@@ -272,28 +237,35 @@ def to_choice_situations(
     when its times/costs violate the value constraints. Exclusion counts are
     emitted as a structured log record.
     """
-    times = [columns[cmap.time_columns[m]] for m in MODE_ORDER]
-    costs = [columns[cmap.cost_columns[m]] for m in MODE_ORDER]
-    availability = [columns[cmap.availability_columns[m]] for m in MODE_ORDER]
-    regular = columns[cmap.regular_user_column]
-    annual = columns[cmap.annual_pass_column]
+
+    def per_mode(names):  # one tuple of the three values per row
+        return zip(*(columns[name] for name in names))
+
     codes = columns[cmap.choice_column]
+    rows = zip(
+        codes,
+        per_mode(cmap.availability_columns),
+        per_mode(cmap.time_columns),
+        per_mode(cmap.cost_columns),
+        columns[cmap.regular_user_column],
+        columns[cmap.annual_pass_column],
+    )
     situations: list[ChoiceSituation] = []
     excluded = {"unmapped_choice_code": 0, "unavailable_alternative": 0, "invalid_values": 0}
-    for index, code in enumerate(codes):
+    for index, (code, available, times, costs, regular, annual) in enumerate(rows):
         if code != int(code) or int(code) not in cmap.choice_code_map:
             excluded["unmapped_choice_code"] += 1
             continue
-        if any(flags[index] == 0 for flags in availability):
+        if 0 in available:
             excluded["unavailable_alternative"] += 1
             continue
         try:  # ChoiceSituation enforces the value constraints
             situation = ChoiceSituation(
                 situation_id=f"row{index:05d}",
-                travel_time_min={m: _round_half_up(v[index]) for m, v in zip(MODE_ORDER, times)},
-                travel_cost={m: _round_half_up(v[index]) for m, v in zip(MODE_ORDER, costs)},
-                is_regular_train_user=regular[index] != 0,
-                owns_annual_pass=annual[index] != 0,
+                travel_time_min=tuple(map(_round_half_up, times)),
+                travel_cost=tuple(map(_round_half_up, costs)),
+                is_regular_train_user=regular != 0,
+                owns_annual_pass=annual != 0,
                 chosen=cmap.choice_code_map[int(code)],
             )
         except ValueError:
@@ -308,15 +280,16 @@ def to_choice_situations(
 
 def _per_class_quotas(
     n_train: int, n_test: int, rng: random.Random
-) -> tuple[dict[ModeLabel, int], dict[ModeLabel, int]]:
-    """Class quotas whose per-split counts differ by at most one, arranged so
-    no class needs more than ceil((n_train + n_test) / 3) members in total."""
+) -> tuple[list[int], list[int]]:
+    """Class quotas, in MODE_ORDER, whose per-split counts differ by at most
+    one, arranged so no class needs more than ceil((n_train + n_test) / 3)
+    members in total."""
     classes = list(MODE_ORDER)
     rng.shuffle(classes)
     base_train, extra_train = divmod(n_train, len(classes))
     base_test, extra_test = divmod(n_test, len(classes))
-    train_quota = {mode: base_train for mode in classes}
-    test_quota = {mode: base_test for mode in classes}
+    train_quota = [base_train] * len(classes)
+    test_quota = [base_test] * len(classes)
     # train extras go to the front of the shuffled order, test extras to the
     # back; they overlap only when they must (extra_train + extra_test > 3)
     for mode in classes[:extra_train]:
@@ -348,7 +321,7 @@ def balanced_split(
     rng = random.Random(seed)
     train_quota, test_quota = _per_class_quotas(n_train, n_test, rng)
 
-    by_class: dict[ModeLabel, list[ChoiceSituation]] = {m: [] for m in MODE_ORDER}
+    by_class: list[list[ChoiceSituation]] = [[] for _ in MODE_ORDER]
     for situation in situations:
         by_class[situation.chosen].append(situation)
 

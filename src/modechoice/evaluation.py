@@ -133,23 +133,6 @@ class CaseRecord:
             doc["backend_failure"] = True
         return doc
 
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "CaseRecord":
-        raw = doc["llm_prediction"]
-        return cls(
-            situation_id=doc["situation_id"],
-            input_summary=doc["input"],
-            llm_prediction=None if raw == PARSE_FAILURE_MARKER else ModeLabel.from_name(raw),
-            llm_reason=doc["llm_reason"],
-            benchmark_predictions={
-                kind: ModeLabel.from_name(name)
-                for kind, name in doc["benchmark_predictions"].items()
-            },
-            actual=ModeLabel.from_name(doc["actual"]),
-            llm_raw_text=doc.get("llm_raw_text", ""),
-            backend_failure=doc.get("backend_failure", False),
-        )
-
 
 @dataclass
 class PredictorMetrics:

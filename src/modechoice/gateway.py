@@ -94,7 +94,6 @@ class BackendConfig:
 class ModelCompletion:
     text: str
     situation_id: str
-    backend_kind: str
     cache_hit: bool
     latency_ms: float
     attempt_count: int
@@ -181,17 +180,13 @@ class CompletionCache:
         return path
 
 
-def parse_prompt_characteristics(
-    prompt_text: str,
-) -> tuple[dict[ModeLabel, int], dict[ModeLabel, int]]:
-    """Recover the per-mode times/costs from a rendered prompt."""
+def parse_prompt_characteristics(prompt_text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Recover the per-mode times and costs, each in MODE_ORDER, from a rendered prompt."""
     match = _CHARACTERISTICS.search(prompt_text)
     if not match:
         raise GatewayError("prompt contains no travel characteristics block")
-    numbers = [int(g) for g in match.groups()]
-    times = dict(zip(MODE_ORDER, numbers[:3]))
-    costs = dict(zip(MODE_ORDER, numbers[3:]))
-    return times, costs
+    numbers = tuple(map(int, match.groups()))
+    return numbers[:3], numbers[3:]
 
 
 class MockBackend:
@@ -201,8 +196,6 @@ class MockBackend:
     fixed:<Mode> (constant answer), malformed (output the parser rejects).
     """
 
-    kind = "mock"
-
     def __init__(self, rule: str = "generalized_cost"):
         base = rule.split(":", 1)[0]
         if base not in MOCK_RULES:
@@ -211,10 +204,8 @@ class MockBackend:
             label = rule.split(":", 1)[1] if ":" in rule else ""
             self._fixed = ModeLabel.from_name(label)
         self.rule = base
-        self.calls = 0
 
     def generate(self, prompt_text: str) -> str:
-        self.calls += 1
         if self.rule == "malformed":
             return "I cannot determine the best travel mode from the given information."
         if self.rule == "fixed":
@@ -225,7 +216,7 @@ class MockBackend:
         elif self.rule == "min_cost":
             score, why = costs, "lowest travel cost"
         else:
-            score = {m: times[m] + costs[m] for m in MODE_ORDER}
+            score = [t + c for t, c in zip(times, costs)]
             why = "lowest combined travel time and cost"
         best = min(MODE_ORDER, key=lambda m: (score[m], m))
         return f"Prediction: {best.display}\nReason: {best.display} has the {why}."
@@ -233,8 +224,6 @@ class MockBackend:
 
 class HttpChatBackend:
     """Chat-completion JSON client: sends chat_messages, extracts the first choice."""
-
-    kind = "http_chat"
 
     def __init__(self, cfg: BackendConfig):
         credential = os.environ.get(cfg.credential_env_var)
@@ -327,7 +316,6 @@ def complete(
             return ModelCompletion(
                 text=cached,
                 situation_id=prompt.situation_id,
-                backend_kind=cfg.backend_kind,
                 cache_hit=True,
                 latency_ms=0.0,
                 attempt_count=0,
@@ -344,7 +332,6 @@ def complete(
     return ModelCompletion(
         text=text,
         situation_id=prompt.situation_id,
-        backend_kind=cfg.backend_kind,
         cache_hit=False,
         latency_ms=latency_ms,
         attempt_count=attempts,

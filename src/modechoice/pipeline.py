@@ -45,7 +45,6 @@ from .gateway import (
 )
 from .parsing import ParseFailure, parse_response
 from .prompting import (
-    Prompt,
     PromptTemplateConfig,
     build_prompt,
     render_individual_attributes,
@@ -84,6 +83,8 @@ class PipelineConfig:
     max_samples: int | None = None  # None: cap live runs at LIVE_MAX_SAMPLES_DEFAULT
 
     def __post_init__(self):
+        if not isinstance(self.delimiter, str) or len(self.delimiter) != 1:
+            raise ValueError(f"delimiter must be one character, got {self.delimiter!r}")
         if self.n_train <= 0 or self.n_test <= 0:
             raise ValueError("n_train and n_test must be positive")
         if self.parse_failure_mode not in FAILURE_MODES:
@@ -107,21 +108,31 @@ class PipelineConfig:
         return self.cache_dir if self.cache_dir is not None else self.output_dir / "cache"
 
 
-def _filtered_kwargs(cls, doc: dict, context: str) -> dict:
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(doc) - known
+_TOP_LEVEL_KEYS = (
+    "dataset sampling prompt backend benchmarks output_dir cache_dir parse_failure_mode max_samples"
+).split()
+
+
+def _known_keys(doc: dict, known, context: str) -> dict:
+    unknown = set(doc) - set(known)
     if unknown:
         raise ValueError(f"unknown {context} keys: {sorted(unknown)}")
     return doc
+
+
+def _filtered_kwargs(cls, doc: dict, context: str) -> dict:
+    return _known_keys(doc, (f.name for f in dataclasses.fields(cls)), context)
 
 
 def load_pipeline_config(path: str | Path, overrides: dict | None = None) -> PipelineConfig:
     """Build a PipelineConfig from a YAML document plus CLI overrides."""
     path = Path(path)
     doc = yaml.safe_load(path.read_text(encoding="utf-8")) or {}
+    _known_keys(doc, _TOP_LEVEL_KEYS, "top-level")
     overrides = overrides or {}
 
     dataset_doc = doc.get("dataset", {})
+    _known_keys(dataset_doc, ("path", "delimiter", "column_map"), "dataset")
     if "path" not in dataset_doc:
         raise ValueError("config must set dataset.path")
     base_dir = path.parent
@@ -130,6 +141,7 @@ def load_pipeline_config(path: str | Path, overrides: dict | None = None) -> Pip
         dataset_path = base_dir / dataset_path
 
     sampling = doc.get("sampling", {})
+    _known_keys(sampling, ("n_train", "n_test", "seed"), "sampling")
     prompt_doc = dict(doc.get("prompt", {}))
     if "domain_knowledge_texts" in prompt_doc:
         prompt_doc["domain_knowledge_texts"] = tuple(prompt_doc["domain_knowledge_texts"])
@@ -217,7 +229,8 @@ def config_digest(cfg: PipelineConfig) -> str:
 
 
 @contextmanager
-def _stage(name: str):
+def stage(name: str):
+    """Run a block as the named stage: a failure in it becomes a PipelineError."""
     logger.info("stage %s: start", name)
     try:
         yield
@@ -270,10 +283,6 @@ def stage_sample(
     return [by_id[i] for i in train_ids], [by_id[i] for i in test_ids]
 
 
-def build_prompts(test: list[ChoiceSituation], cfg: PipelineConfig) -> list[Prompt]:
-    return [build_prompt(s, cfg.prompt) for s in test]
-
-
 def llm_key(cfg: PipelineConfig, split_key: str | None = None) -> str:
     return digest_of(
         split_key or sample_key(cfg),
@@ -295,7 +304,7 @@ def stage_llm(
     backend_failures = []
 
     def compute():
-        prompts = build_prompts(test, cfg)
+        prompts = [build_prompt(s, cfg.prompt) for s in test]
         cache = CompletionCache(cfg.resolved_cache_dir)
         # builds the backend, and so checks its credential, before any request
         results = batch_complete(prompts, cfg.backend, cache)
@@ -422,9 +431,9 @@ def prepare_split(
     """Ingest, split and cap: the prefix every run shares. Returns the split
     key (the dataset is hashed here unless the caller passes it), the
     training set, and the test set cut to the configured cap."""
-    with _stage("ingest"):
+    with stage("ingest"):
         situations = stage_ingest(cfg)
-    with _stage("sample"):
+    with stage("sample"):
         split_key = split_key or sample_key(cfg)
         train, test = stage_sample(cfg, situations, split_key)
         overlap = {s.situation_id for s in train} & {s.situation_id for s in test}
@@ -445,15 +454,15 @@ def run_pipeline(cfg: PipelineConfig, split_key: str | None = None) -> Evaluatio
     reruns.
     """
     split_key, train, test = prepare_split(cfg, split_key)
-    with _stage("llm"):
+    with stage("llm"):
         llm_rows = stage_llm(cfg, test, split_key)
-    with _stage("benchmarks"):
+    with stage("benchmarks"):
         fitted = stage_benchmarks(cfg, train, split_key)
         bench_predictions = {}
         for kind, (model, scaler) in fitted.items():
             X = benchmarks.encode_matrix(test, scaler)
             bench_predictions[kind] = benchmarks.predict_labels(model, X)
-    with _stage("report"):
+    with stage("report"):
         records = _case_records(test, llm_rows, bench_predictions)
         digest = config_digest(cfg)
         report_dir = cfg.output_dir / f"report-{digest[:12]}"

@@ -40,11 +40,10 @@ def make_situation(
     annual=False,
     chosen=ModeLabel.SWISSMETRO,
 ):
-    order = (ModeLabel.TRAIN, ModeLabel.CAR, ModeLabel.SWISSMETRO)
     return ChoiceSituation(
         situation_id=sid,
-        travel_time_min=dict(zip(order, times)),
-        travel_cost=dict(zip(order, costs)),
+        travel_time_min=tuple(times),
+        travel_cost=tuple(costs),
         is_regular_train_user=regular,
         owns_annual_pass=annual,
         chosen=chosen,
@@ -55,8 +54,8 @@ def random_situation(rng: random.Random, sid: str) -> ChoiceSituation:
     order = (ModeLabel.TRAIN, ModeLabel.CAR, ModeLabel.SWISSMETRO)
     return ChoiceSituation(
         situation_id=sid,
-        travel_time_min={m: rng.randint(5, 400) for m in order},
-        travel_cost={m: rng.randint(0, 300) for m in order},
+        travel_time_min=tuple(rng.randint(5, 400) for _ in order),
+        travel_cost=tuple(rng.randint(0, 300) for _ in order),
         is_regular_train_user=rng.random() < 0.4,
         owns_annual_pass=rng.random() < 0.15,
         chosen=rng.choice(order),

@@ -325,7 +325,7 @@ def test_rf_single_tree_shatters_unique_points():
     seen = set()
     while len(rows) < 50:
         situation = random_situation(rng, f"s{len(rows)}")
-        key = tuple(situation.travel_time_min.values()) + tuple(situation.travel_cost.values())
+        key = situation.travel_time_min + situation.travel_cost
         if key in seen:
             continue
         seen.add(key)

@@ -1,3 +1,4 @@
+import logging
 import random
 from collections import Counter
 
@@ -138,16 +139,25 @@ def test_annual_pass_flag(tmp_path):
     assert situations[0].owns_annual_pass is True
 
 
-def test_exclusion_rules(tmp_path):
-    rows = synthetic_raw_rows(6, seed=4)
+def test_exclusion_rules(tmp_path, caplog):
+    rows = synthetic_raw_rows(7, seed=4)
     rows[0]["CAR_AV"] = 0  # unavailable alternative
     rows[1]["CHOICE"] = 0  # unknown choice
     rows[2]["CHOICE"] = 9  # unmapped code
     rows[3]["TRAIN_TT"] = 0  # invalid time
+    rows[6]["CHOICE"] = 0  # unknown choice and an unavailable alternative:
+    rows[6]["SM_AV"] = 0  # counted under the first rule only
     path = write_survey_file(tmp_path / "excl.dat", rows)
-    situations = to_choice_situations(load_raw(path, CMAP), CMAP)
+    with caplog.at_level(logging.INFO, logger="modechoice.dataset"):
+        situations = to_choice_situations(load_raw(path, CMAP), CMAP)
     assert len(situations) == 2
     assert {s.situation_id for s in situations} == {"row00004", "row00005"}
+    (record,) = [r for r in caplog.records if r.getMessage().startswith("ingest:")]
+    assert record.args == (
+        2,
+        7,
+        {"unmapped_choice_code": 3, "unavailable_alternative": 1, "invalid_values": 1},
+    )
 
 
 def test_no_valid_rows(tmp_path):
@@ -169,13 +179,33 @@ def test_fractional_values_round_half_up(tmp_path):
     assert situation.travel_cost[ModeLabel.TRAIN] == 9
 
 
+def test_rounding_boundaries(tmp_path):
+    rows = synthetic_raw_rows(4, seed=6)
+    rows[0]["TRAIN_TT"] = "0.4"  # rounds to 0: excluded
+    rows[1]["TRAIN_TT"] = "0.5"  # rounds to 1: kept
+    rows[2]["CAR_CO"] = "-0.4"  # rounds to 0: kept
+    rows[3]["CAR_CO"] = "-0.6"  # rounds to -1: excluded
+    path = write_survey_file(tmp_path / "bounds.dat", rows)
+    situations = {s.situation_id: s for s in to_choice_situations(load_raw(path, CMAP), CMAP)}
+    assert sorted(situations) == ["row00001", "row00002"]
+    assert situations["row00001"].travel_time_min[ModeLabel.TRAIN] == 1
+    assert situations["row00002"].travel_cost[ModeLabel.CAR] == 0
+
+
+def test_huge_value_is_kept_as_an_exact_int(tmp_path):
+    rows = synthetic_raw_rows(1, seed=6)
+    rows[0]["SM_TT"] = "1e19"  # past the int64 range
+    path = write_survey_file(tmp_path / "huge.dat", rows)
+    (situation,) = to_choice_situations(load_raw(path, CMAP), CMAP)
+    assert situation.travel_time_min[ModeLabel.SWISSMETRO] == 10**19
+    assert type(situation.travel_time_min[ModeLabel.SWISSMETRO]) is int
+
+
 def test_all_eight_features_populated(survey_file):
     situations = to_choice_situations(load_raw(survey_file, CMAP), CMAP)
     for situation in situations:
-        assert set(situation.travel_time_min) == set(ModeLabel)
-        assert set(situation.travel_cost) == set(ModeLabel)
-        assert all(isinstance(v, int) for v in situation.travel_time_min.values())
-        assert all(isinstance(v, int) for v in situation.travel_cost.values())
+        assert len(situation.travel_time_min) == len(situation.travel_cost) == len(ModeLabel)
+        assert all(type(v) is int for v in situation.travel_time_min + situation.travel_cost)
         assert isinstance(situation.is_regular_train_user, bool)
         assert isinstance(situation.owns_annual_pass, bool)
         assert isinstance(situation.chosen, ModeLabel)
@@ -191,8 +221,8 @@ def test_situation_validation_rejects_bad_values():
     with pytest.raises(ValueError):
         ChoiceSituation(
             situation_id="x",
-            travel_time_min={ModeLabel.TRAIN: 0, ModeLabel.CAR: 5, ModeLabel.SWISSMETRO: 5},
-            travel_cost={ModeLabel.TRAIN: 1, ModeLabel.CAR: 1, ModeLabel.SWISSMETRO: 1},
+            travel_time_min=(0, 5, 5),
+            travel_cost=(1, 1, 1),
             is_regular_train_user=False,
             owns_annual_pass=False,
             chosen=ModeLabel.CAR,
@@ -200,8 +230,8 @@ def test_situation_validation_rejects_bad_values():
     with pytest.raises(ValueError):
         ChoiceSituation(
             situation_id="x",
-            travel_time_min={ModeLabel.TRAIN: 5, ModeLabel.CAR: 5},
-            travel_cost={ModeLabel.TRAIN: 1, ModeLabel.CAR: 1, ModeLabel.SWISSMETRO: 1},
+            travel_time_min=(5, 5),  # one value short
+            travel_cost=(1, 1, 1),
             is_regular_train_user=False,
             owns_annual_pass=False,
             chosen=ModeLabel.CAR,
@@ -211,6 +241,30 @@ def test_situation_validation_rejects_bad_values():
 def test_column_map_rejects_duplicates():
     with pytest.raises(ValueError):
         ColumnMap(regular_user_column="CHOICE")
+
+
+def test_column_map_config_form():
+    default = ColumnMap()
+    assert default.to_json_dict()["time_columns"] == {
+        "Train": "TRAIN_TT",
+        "Car": "CAR_TT",
+        "Swissmetro": "SM_TT",
+    }
+    custom = ColumnMap.from_json_dict(
+        {
+            "cost_columns": {"swissmetro": "S", "train": "T", "car": "C"},
+            "regular_user_column": "REGULAR",
+            "choice_code_map": {"7": "car", "8": "train", "9": "swissmetro"},
+        }
+    )
+    assert custom.cost_columns == ("T", "C", "S")
+    assert custom.time_columns == default.time_columns
+    for cmap in (default, custom):
+        assert ColumnMap.from_json_dict(cmap.to_json_dict()) == cmap
+    with pytest.raises(ValueError, match="three modes"):
+        ColumnMap.from_json_dict({"time_columns": {"train": "T", "car": "C"}})
+    with pytest.raises(ValueError, match="three modes"):
+        ColumnMap.from_json_dict({"time_columns": {"train": "T", "Train": "U", "car": "C"}})
 
 
 def _pool(per_class: int, seed: int = 0) -> list[ChoiceSituation]:

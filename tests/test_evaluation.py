@@ -172,14 +172,6 @@ def _records(n=40, failure_every=None, seed=0):
     return records
 
 
-def test_case_record_json_round_trip():
-    records = _records(20, failure_every=7)
-    records[7] = dataclasses.replace(records[7], backend_failure=True, llm_raw_text="HTTPError")
-    for record in records:
-        assert CaseRecord.from_json_dict(record.to_json_dict()) == record
-    assert "backend_failure" not in records[0].to_json_dict()  # parse failure: no new key
-
-
 def test_build_report_counts_and_both_accountings():
     records = _records(40, failure_every=10)  # indices 0,10,20,30 fail
     report = build_report(records, parse_failure_mode="exclude")
@@ -221,20 +213,17 @@ def test_build_report_requires_records():
 
 def test_write_report_artifacts_and_self_consistency(tmp_path):
     records = _records(50, failure_every=9, seed=4)
+    records[9] = dataclasses.replace(records[9], backend_failure=True, llm_raw_text="HTTPError")
     out = tmp_path / "report"
-    report = write_report(records, out, config_digest="abc123")
+    write_report(records, out, config_digest="abc123")
     summary = json.loads((out / "report.json").read_text())
     assert summary["config_digest"] == "abc123"
     assert summary["sample_size"] == 50
 
     lines = (out / "cases.jsonl").read_text().splitlines()
-    assert len(lines) == 50
-    reloaded = [CaseRecord.from_json_dict(json.loads(line)) for line in lines]
-    recomputed = build_report(reloaded, parse_failure_mode="exclude")
-    assert recomputed.metrics["llm"].accuracy == pytest.approx(report.metrics["llm"].accuracy)
-    assert recomputed.metrics["nn"].weighted_f1 == pytest.approx(
-        report.metrics["nn"].weighted_f1
-    )
+    assert [json.loads(line) for line in lines] == [r.to_json_dict() for r in records]
+    assert json.loads(lines[9])["backend_failure"] is True
+    assert "backend_failure" not in json.loads(lines[0])  # parse failure: no new key
     failed_lines = [json.loads(line) for line in lines if "PARSE_FAILURE" in line]
     assert failed_lines and all(doc["llm_raw_text"] for doc in failed_lines)
 

@@ -15,7 +15,6 @@ import pytest
 
 import modechoice.gateway as gateway
 from modechoice.artifacts import digest_of
-from modechoice.dataset import ModeLabel
 from modechoice.gateway import (
     BackendConfig,
     BackendExhausted,
@@ -46,9 +45,19 @@ def mock_cfg(**kwargs):
     return BackendConfig(**kwargs)
 
 
-class FlakyBackend:
-    kind = "mock"
+class CountingMock(MockBackend):
+    """The mock, counting its generate calls."""
 
+    def __init__(self, rule):
+        super().__init__(rule)
+        self.calls = 0
+
+    def generate(self, prompt_text):
+        self.calls += 1
+        return super().generate(prompt_text)
+
+
+class FlakyBackend:
     def __init__(self, failures, status=429):
         self.failures = failures
         self.status = status
@@ -63,8 +72,8 @@ class FlakyBackend:
 
 def test_parse_prompt_characteristics_round_trip():
     times, costs = parse_prompt_characteristics(FAST_SM.full_text)
-    assert times == {ModeLabel.TRAIN: 106, ModeLabel.CAR: 90, ModeLabel.SWISSMETRO: 34}
-    assert costs == {ModeLabel.TRAIN: 72, ModeLabel.CAR: 70, ModeLabel.SWISSMETRO: 78}
+    assert times == (106, 90, 34)  # Train, Car, Swissmetro
+    assert costs == (72, 70, 78)
 
 
 @pytest.mark.parametrize(
@@ -102,7 +111,7 @@ def test_mock_is_pure_function_of_prompt():
 def test_complete_uses_cache(tmp_path):
     cfg = mock_cfg()
     cache = CompletionCache(tmp_path / "cache")
-    backend = MockBackend("min_time")
+    backend = CountingMock("min_time")
     first = complete(FAST_SM, cfg, cache, backend=backend)
     second = complete(FAST_SM, cfg, cache, backend=backend)
     assert first.cache_hit is False and first.attempt_count == 1
@@ -211,7 +220,7 @@ def _check_leftover_is_not_served(directory, name, data):
     (directory / name.format(key=key)).write_bytes(data(key))
     cache = CompletionCache(directory)
     assert cache.get(key) is None
-    backend = MockBackend("min_time")
+    backend = CountingMock("min_time")
     result = complete(FAST_SM, cfg, cache, backend=backend)
     assert result.cache_hit is False and backend.calls == 1
     assert result.text.startswith("Prediction: Swissmetro")
@@ -247,8 +256,6 @@ def test_batch_isolates_failures(tmp_path):
     prompts = [build_prompt(random_situation(rng, f"s{i:03d}"), PROMPT_CFG) for i in range(10)]
 
     class FailsOne:
-        kind = "mock"
-
         def generate(self, prompt_text):
             if prompts[4].full_text == prompt_text:
                 raise TransientBackendError(500)
@@ -268,8 +275,6 @@ def test_batch_bounded_parallelism():
     prompts = [build_prompt(random_situation(rng, f"s{i:03d}"), PROMPT_CFG) for i in range(16)]
 
     class CountingBackend:
-        kind = "mock"
-
         def __init__(self):
             self.lock = threading.Lock()
             self.active = 0
@@ -293,7 +298,7 @@ def test_batch_runs_mock_on_calling_thread():
     rng = random.Random(8)
     prompts = [build_prompt(random_situation(rng, f"s{i:03d}"), PROMPT_CFG) for i in range(16)]
 
-    class ThreadRecordingMock(MockBackend):
+    class ThreadRecordingMock(CountingMock):
         def __init__(self, rule):
             super().__init__(rule)
             self.threads = set()
@@ -322,7 +327,7 @@ def test_batch_matches_sequential_complete(tmp_path):
 def test_batch_rerun_fully_cached(tmp_path):
     rng = random.Random(10)
     prompts = [build_prompt(random_situation(rng, f"s{i:03d}"), PROMPT_CFG) for i in range(6)]
-    backend = MockBackend("min_time")
+    backend = CountingMock("min_time")
     first = batch_complete(prompts, mock_cfg(), CompletionCache(tmp_path), backend)
     calls_after_first = backend.calls
     segments = list(tmp_path.iterdir())
@@ -342,8 +347,6 @@ def test_batch_segment_does_not_depend_on_completion_order(tmp_path):
 
     class DelayedBackend:
         """Waits per prompt, so the pool finishes prompts in delay order."""
-
-        kind = "mock"
 
         def __init__(self, delays):
             self.delays = {p.full_text: d for p, d in zip(prompts, delays)}
@@ -373,7 +376,7 @@ def test_batch_keeps_completions_made_before_an_unexpected_error(tmp_path):
     rng = random.Random(13)
     prompts = [build_prompt(random_situation(rng, f"s{i:03d}"), PROMPT_CFG) for i in range(8)]
 
-    class BreaksOnFifth(MockBackend):
+    class BreaksOnFifth(CountingMock):
         def generate(self, prompt_text):
             if self.calls == 4:
                 raise RuntimeError("backend bug")

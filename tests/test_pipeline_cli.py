@@ -93,10 +93,27 @@ def test_live_backend_defaults_to_small_cap(workspace):
 
 
 def test_config_rejects_unknown_keys(workspace):
-    (workspace / "bad.yaml").write_text(
-        CONFIG_TEMPLATE.format(mock_rule="min_time") + "\nprompt:\n  not_a_key: 1\n"
-    )
-    with pytest.raises(ValueError, match="not_a_key"):
+    config = CONFIG_TEMPLATE.format(mock_rule="min_time")
+    path = "  path: survey.dat\n"
+    seed = "  seed: 11\n"
+    for section, text in [
+        ("prompt", config + "prompt:\n  not_a_key: 1\n"),
+        ("dataset", config.replace(path, path + "  not_a_key: 1\n")),
+        ("column_map", config.replace(path, path + "  column_map: {not_a_key: NOPE}\n")),
+        ("sampling", config.replace(seed, seed + "  not_a_key: 1\n")),
+        ("top-level", config + "not_a_key: 1\n"),
+    ]:
+        (workspace / "bad.yaml").write_text(text)
+        with pytest.raises(ValueError, match=rf"unknown {section} keys: \['not_a_key'\]"):
+            load_pipeline_config(workspace / "bad.yaml")
+
+
+@pytest.mark.parametrize("delimiter", ['"ab"', '""', "1"])
+def test_config_rejects_a_delimiter_that_is_not_one_character(workspace, delimiter):
+    path = "  path: survey.dat\n"
+    config = CONFIG_TEMPLATE.format(mock_rule="min_time")
+    (workspace / "bad.yaml").write_text(config.replace(path, f"{path}  delimiter: {delimiter}\n"))
+    with pytest.raises(ValueError, match="delimiter must be one character"):
         load_pipeline_config(workspace / "bad.yaml")
 
 
@@ -354,6 +371,17 @@ def test_cli_evaluate_needs_no_credential(workspace, chat_endpoint, capsys, monk
     assert "LLM_API_KEY" not in capsys.readouterr().err
     assert len(chat_endpoint.requests) == 20
     assert {p.name: p.read_bytes() for p in report_dir.iterdir()} == snapshot
+
+
+@pytest.mark.parametrize("command", ["ingest", "sample", "dump-prompt"])
+def test_cli_reports_a_bad_survey_file(workspace, capsys, command):
+    (workspace / "survey.dat").write_text("")
+    assert run_cli(command, "--config", str(workspace / "config.yaml")) == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error" in line] == [
+        f"error in stage 'ingest': {workspace / 'survey.dat'}: no header row"
+    ]
+    assert "Traceback" not in err
 
 
 def test_cli_reports_missing_config(tmp_path, capsys):
