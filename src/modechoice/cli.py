@@ -36,7 +36,9 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="cap on evaluated test situations (0 lifts the live-backend default cap)",
     )
-    parser.add_argument("--out", default=None, help="override the output directory")
+    parser.add_argument(
+        "--out", help="override the output directory, relative to the working directory"
+    )
 
 
 def build_arg_parser() -> argparse.ArgumentParser:

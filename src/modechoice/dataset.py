@@ -13,7 +13,7 @@ import gzip
 import logging
 import math
 import random
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
 
@@ -141,9 +141,6 @@ class ColumnMap:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ColumnMap":
         """Read the config form; a key it omits keeps its default."""
-        unknown = set(doc) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown column_map keys: {sorted(unknown)}")
         kwargs = dict(doc)
         for key in ("time_columns", "cost_columns", "availability_columns"):
             if key in kwargs:

@@ -84,6 +84,8 @@ class BackendConfig:
     def __post_init__(self):
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
+        if self.timeout_seconds <= 0 or self.retry_backoff_base_seconds < 0:
+            raise ValueError("timeout_seconds must be > 0 and retry_backoff_base_seconds >= 0")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if self.max_parallel_requests < 1:

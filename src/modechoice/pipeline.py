@@ -111,96 +111,84 @@ class PipelineConfig:
 _TOP_LEVEL_KEYS = (
     "dataset sampling prompt backend benchmarks output_dir cache_dir parse_failure_mode max_samples"
 ).split()
+_TRAIN_KEYS = [f.name for f in dataclasses.fields(benchmarks.TrainConfig) if f.name != "kind"]
 
 
-def _known_keys(doc: dict, known, context: str) -> dict:
-    unknown = set(doc) - set(known)
+def _section(value, context: str, keys) -> dict:
+    """One mapping of the config file: absent or null reads as empty; a value
+    that is not a mapping, or a key outside `keys` (names or a dataclass), is an error."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ValueError(f"{context} must be a mapping, got {type(value).__name__}")
+    if isinstance(keys, type):
+        keys = [f.name for f in dataclasses.fields(keys)]
+    unknown = set(value) - set(keys)
     if unknown:
-        raise ValueError(f"unknown {context} keys: {sorted(unknown)}")
-    return doc
-
-
-def _filtered_kwargs(cls, doc: dict, context: str) -> dict:
-    return _known_keys(doc, (f.name for f in dataclasses.fields(cls)), context)
+        raise ValueError(f"unknown {context} keys: {sorted(unknown, key=str)}")
+    return value
 
 
 def load_pipeline_config(path: str | Path, overrides: dict | None = None) -> PipelineConfig:
-    """Build a PipelineConfig from a YAML document plus CLI overrides."""
+    """Build a PipelineConfig from a YAML document plus CLI overrides.
+
+    Paths in the document are read against its directory, the `out` override
+    against the working directory. A value of the wrong type is one
+    ValueError naming the file."""
     path = Path(path)
-    doc = yaml.safe_load(path.read_text(encoding="utf-8")) or {}
-    _known_keys(doc, _TOP_LEVEL_KEYS, "top-level")
-    overrides = overrides or {}
-
-    dataset_doc = doc.get("dataset", {})
-    _known_keys(dataset_doc, ("path", "delimiter", "column_map"), "dataset")
-    if "path" not in dataset_doc:
-        raise ValueError("config must set dataset.path")
     base_dir = path.parent
-    dataset_path = Path(dataset_doc["path"])
-    if not dataset_path.is_absolute():
-        dataset_path = base_dir / dataset_path
+    overrides = {key: value for key, value in (overrides or {}).items() if value is not None}
+    text = path.read_text(encoding="utf-8")
+    try:
+        doc = _section(yaml.safe_load(text), "top-level", _TOP_LEVEL_KEYS)
+        dataset = _section(doc.get("dataset"), "dataset", ("path", "delimiter", "column_map"))
+        if "path" not in dataset:
+            raise ValueError("config must set dataset.path")
+        sampling = _section(doc.get("sampling"), "sampling", ("n_train", "n_test", "seed"))
+        prompt = dict(_section(doc.get("prompt"), "prompt", PromptTemplateConfig))
+        for key in ("domain_knowledge_texts", "component_order"):
+            if key in prompt:
+                prompt[key] = tuple(prompt[key])
+        backend = dict(_section(doc.get("backend"), "backend", BackendConfig))
+        if "backend" in overrides:
+            backend["backend_kind"] = overrides["backend"]
+        seed = int(overrides.get("seed", sampling.get("seed", 42)))
 
-    sampling = doc.get("sampling", {})
-    _known_keys(sampling, ("n_train", "n_test", "seed"), "sampling")
-    prompt_doc = dict(doc.get("prompt", {}))
-    if "domain_knowledge_texts" in prompt_doc:
-        prompt_doc["domain_knowledge_texts"] = tuple(prompt_doc["domain_knowledge_texts"])
-    if "component_order" in prompt_doc:
-        prompt_doc["component_order"] = tuple(prompt_doc["component_order"])
-    backend_doc = dict(doc.get("backend", {}))
-    if "backend" in overrides and overrides["backend"] is not None:
-        backend_doc["backend_kind"] = overrides["backend"]
+        all_kinds = benchmarks.BENCHMARK_KINDS
+        bench = _section(doc.get("benchmarks"), "benchmarks", ("kinds", *all_kinds))
+        kinds = tuple(bench.get("kinds", all_kinds))
+        _section(bench, "benchmarks", ("kinds", *kinds))  # no section for a kind not run
+        train_configs = {
+            kind: dataclasses.replace(
+                benchmarks.default_train_config(kind, seed=seed),
+                **_section(bench[kind], f"benchmarks.{kind}", _TRAIN_KEYS),
+            )
+            for kind in kinds
+            if kind in bench
+        }
 
-    bench_doc = dict(doc.get("benchmarks", {}))
-    kinds = tuple(bench_doc.pop("kinds", benchmarks.BENCHMARK_KINDS))
-    seed = overrides.get("seed")
-    if seed is None:
-        seed = sampling.get("seed", 42)
-    seed = int(seed)
-    train_configs = {}
-    for kind in kinds:
-        kind_doc = dict(bench_doc.pop(kind, {}))
-        defaults = benchmarks.default_train_config(kind, seed=seed)
-        kind_doc.setdefault("kind", kind)
-        merged = {**dataclasses.asdict(defaults), **kind_doc}
-        train_configs[kind] = benchmarks.TrainConfig(
-            **_filtered_kwargs(benchmarks.TrainConfig, merged, f"benchmarks.{kind}")
+        out = overrides.get("out")
+        max_samples = overrides.get("max_samples", doc.get("max_samples"))
+        return PipelineConfig(
+            dataset_path=base_dir / dataset["path"],
+            output_dir=Path(out) if out is not None else base_dir / doc.get("output_dir", "out"),
+            delimiter=dataset.get("delimiter", "\t"),
+            column_map=ColumnMap.from_json_dict(
+                _section(dataset.get("column_map"), "column_map", ColumnMap)
+            ),
+            n_train=int(sampling.get("n_train", 1000)),
+            n_test=int(sampling.get("n_test", 200)),
+            seed=seed,
+            prompt=PromptTemplateConfig(**prompt),
+            backend=BackendConfig(**backend),
+            benchmark_kinds=kinds,
+            train_configs=train_configs,
+            cache_dir=base_dir / doc["cache_dir"] if doc.get("cache_dir") is not None else None,
+            parse_failure_mode=doc.get("parse_failure_mode", "exclude"),
+            max_samples=int(max_samples) if max_samples is not None else None,
         )
-    if bench_doc:
-        raise ValueError(f"unknown benchmarks keys: {sorted(bench_doc)}")
-
-    out_override = overrides.get("out")
-    output_dir = Path(out_override if out_override is not None else doc.get("output_dir", "out"))
-    if not output_dir.is_absolute():
-        output_dir = base_dir / output_dir
-    cache_dir = doc.get("cache_dir")
-    if cache_dir is not None:
-        cache_dir = Path(cache_dir)
-        if not cache_dir.is_absolute():
-            cache_dir = base_dir / cache_dir
-
-    max_samples = overrides.get("max_samples")
-    if max_samples is None:
-        max_samples = doc.get("max_samples")
-
-    return PipelineConfig(
-        dataset_path=dataset_path,
-        output_dir=output_dir,
-        delimiter=dataset_doc.get("delimiter", "\t"),
-        column_map=ColumnMap.from_json_dict(dataset_doc.get("column_map", {})),
-        n_train=int(sampling.get("n_train", 1000)),
-        n_test=int(sampling.get("n_test", 200)),
-        seed=seed,
-        prompt=PromptTemplateConfig(
-            **_filtered_kwargs(PromptTemplateConfig, prompt_doc, "prompt")
-        ),
-        backend=BackendConfig(**_filtered_kwargs(BackendConfig, backend_doc, "backend")),
-        benchmark_kinds=kinds,
-        train_configs=train_configs,
-        cache_dir=cache_dir,
-        parse_failure_mode=doc.get("parse_failure_mode", "exclude"),
-        max_samples=int(max_samples) if max_samples is not None else None,
-    )
+    except (TypeError, AttributeError, yaml.YAMLError) as exc:
+        raise ValueError(f"{path}: {' '.join(str(exc).split())}") from exc
 
 
 def config_to_dict(cfg: PipelineConfig) -> dict:

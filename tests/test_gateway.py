@@ -403,6 +403,19 @@ def test_missing_credential(monkeypatch):
     assert "LLM_API_KEY" in str(err.value)
 
 
+@pytest.mark.parametrize("timeout", [0, -1.0])
+def test_backend_config_rejects_a_timeout_that_is_not_positive(timeout):
+    # 0 would make every request fail as a connection error, -1 would abort the batch
+    with pytest.raises(ValueError, match="timeout_seconds must be > 0 and"):
+        BackendConfig(timeout_seconds=timeout)
+
+
+def test_backend_config_rejects_a_negative_backoff():
+    with pytest.raises(ValueError, match="retry_backoff_base_seconds >= 0"):
+        BackendConfig(retry_backoff_base_seconds=-0.5)
+    assert BackendConfig(retry_backoff_base_seconds=0.0).retry_backoff_base_seconds == 0.0
+
+
 def http_cfg(url, **kwargs):
     """A chat backend config aimed at `url`, retrying at once."""
     kwargs.setdefault("retry_backoff_base_seconds", 0.0)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -106,6 +107,47 @@ def test_config_rejects_unknown_keys(workspace):
         (workspace / "bad.yaml").write_text(text)
         with pytest.raises(ValueError, match=rf"unknown {section} keys: \['not_a_key'\]"):
             load_pipeline_config(workspace / "bad.yaml")
+
+
+BASE = CONFIG_TEMPLATE.format(mock_rule="min_time")
+PATH_LINE = "  path: survey.dat\n"
+SAMPLING = "sampling:\n  n_train: 120\n  n_test: 45\n  seed: 11\n"
+BACKEND = "backend:\n  backend_kind: mock\n  mock_rule: min_time\n"
+RF_LINE = "  rf: {n_trees: 5}\n"
+
+
+@pytest.mark.parametrize(
+    "old, absent, null",
+    [
+        (PATH_LINE, PATH_LINE, PATH_LINE + "  column_map: null\n"),
+        ("output_dir: out\n", "output_dir: out\n", "output_dir: out\nprompt: null\n"),
+        (BACKEND, "", "backend: null\n"),
+        (RF_LINE, "", "  rf: null\n"),
+        (SAMPLING, "", "sampling:\n"),
+    ],
+    ids=["column_map", "prompt", "backend", "rf", "sampling"],
+)
+def test_config_null_section_reads_as_defaults(workspace, old, absent, null):
+    (workspace / "absent.yaml").write_text(BASE.replace(old, absent))
+    (workspace / "null.yaml").write_text(BASE.replace(old, null))
+    assert load_pipeline_config(workspace / "null.yaml") == load_pipeline_config(
+        workspace / "absent.yaml"
+    )
+
+
+def test_config_digest_is_pinned(tmp_path):
+    # the dataset path is part of the digest, so pin it to one that does not
+    # depend on where the repository is checked out
+    sample = Path(__file__).resolve().parents[1] / "config.sample.yaml"
+    text = sample.read_text(encoding="utf-8")
+    text = text.replace("path: data/sample.dat", "path: /srv/survey.dat")
+    assert "/srv/survey.dat" in text
+    (tmp_path / "config.yaml").write_text(text)
+    cfg = load_pipeline_config(tmp_path / "config.yaml")
+    assert config_digest(cfg) == "d185e94d2381e51c6f80183f549b2b168ff55fceb16e13793f7103c538e6d153"
+    overrides = {"seed": 7, "backend": "http_chat", "max_samples": 0}
+    cfg = load_pipeline_config(tmp_path / "config.yaml", overrides)
+    assert config_digest(cfg) == "88d0e028134157545df1e25b3688b0d9e4fec0771fcc49b4a4f426b7a1742be9"
 
 
 @pytest.mark.parametrize("delimiter", ['"ab"', '""', "1"])
@@ -382,6 +424,81 @@ def test_cli_reports_a_bad_survey_file(workspace, capsys, command):
         f"error in stage 'ingest': {workspace / 'survey.dat'}: no header row"
     ]
     assert "Traceback" not in err
+
+
+FILE_ERROR = "bad.yaml: "  # a wrongly typed value or bad YAML: one error naming the file
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        pytest.param(
+            PATH_LINE, PATH_LINE + "  column_map: {time_columns: [A, B, C]}\n", FILE_ERROR,
+            id="time_columns-list",
+        ),
+        pytest.param(
+            PATH_LINE, PATH_LINE + "  column_map: {choice_code_map: [1, 2, 3]}\n", FILE_ERROR,
+            id="choice_code_map-list",
+        ),
+        pytest.param(
+            "dataset:\n" + PATH_LINE, "dataset: null\n", "config must set dataset.path",
+            id="dataset-null",
+        ),
+        pytest.param(
+            BACKEND, "backend: [1]\n", "backend must be a mapping, got list", id="backend-list"
+        ),
+        pytest.param(
+            RF_LINE, "  rf: [1]\n", "benchmarks.rf must be a mapping, got list", id="rf-list"
+        ),
+        pytest.param("  kinds: [mnl, rf, nn]\n", "  kinds: null\n", FILE_ERROR, id="kinds-null"),
+        pytest.param(RF_LINE, "  rf: {n_trees: many}\n", FILE_ERROR, id="n_trees-text"),
+        pytest.param("  seed: 11\n", "  seed: null\n", FILE_ERROR, id="seed-null"),
+        pytest.param("  n_train: 120\n", "  n_train: null\n", FILE_ERROR, id="n_train-null"),
+        pytest.param(
+            SAMPLING, "sampling: {1: 2, x: 3}\n", "unknown sampling keys: [1, 'x']",
+            id="sampling-mixed-keys",
+        ),
+        pytest.param(
+            "output_dir: out\n", "output_dir: out\nprompt: {domain_knowledge_texts: null}\n",
+            FILE_ERROR, id="domain_knowledge_texts-null",
+        ),
+        pytest.param(BACKEND, BACKEND + "  temperature: hot\n", FILE_ERROR, id="temperature-text"),
+        pytest.param(
+            "output_dir: out\n", "output_dir: out\nmax_samples: [1]\n", FILE_ERROR, id="max_samples"
+        ),
+        pytest.param("output_dir: out\n", "output_dir: null\n", FILE_ERROR, id="output_dir-null"),
+        pytest.param(
+            SAMPLING, "sampling: [1, 2]\n", "sampling must be a mapping, got list", id="sampling"
+        ),
+        pytest.param(
+            RF_LINE, "  rf: {kind: nn}\n", "unknown benchmarks.rf keys: ['kind']", id="rf-kind"
+        ),
+        pytest.param(BASE, "[1, 2]\n", "top-level must be a mapping, got list", id="top-level"),
+        pytest.param("output_dir: out\n", "output_dir: [out\n", FILE_ERROR, id="yaml-syntax"),
+    ],
+)
+def test_cli_rejects_malformed_config(workspace, capsys, old, new, message):
+    assert old in BASE
+    (workspace / "bad.yaml").write_text(BASE.replace(old, new))
+    assert run_cli("ingest", "--config", str(workspace / "bad.yaml")) == 1
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error" in line]
+    assert len(errors) == 1 and errors[0].startswith("error: ")
+    assert message in errors[0]
+    assert "Traceback" not in err
+
+
+def test_cli_reads_out_against_the_working_directory(workspace, tmp_path_factory, monkeypatch):
+    elsewhere = tmp_path_factory.mktemp("elsewhere")
+    monkeypatch.chdir(elsewhere)
+    config = str(workspace / "config.yaml")
+    assert run_cli("sample", "--config", config, "--out", "myout") == 0
+    assert list((elsewhere / "myout" / "stages").glob("split-*"))
+    assert not (workspace / "myout").exists()
+    # paths inside the file stay relative to the file
+    cfg = load_pipeline_config(config, {"out": "myout"})
+    assert cfg.dataset_path == workspace / "survey.dat"
+    assert load_pipeline_config(config).output_dir == workspace / "out"
 
 
 def test_cli_reports_missing_config(tmp_path, capsys):
