@@ -14,7 +14,14 @@ from .dataset import (
     load_raw,
     to_choice_situations,
 )
-from .evaluation import CaseRecord, EvaluationReport, accuracy, confusion_matrix, weighted_f1
+from .evaluation import (
+    CaseRecord,
+    EvaluationReport,
+    LlmAnswer,
+    accuracy,
+    confusion_matrix,
+    weighted_f1,
+)
 from .gateway import BackendConfig, CompletionCache, ModelCompletion, batch_complete, complete
 from .parsing import ParseFailure, Prediction, parse_response
 from .pipeline import PipelineConfig, load_pipeline_config, run_pipeline
@@ -39,6 +46,7 @@ __all__ = [
     "ColumnMap",
     "CompletionCache",
     "EvaluationReport",
+    "LlmAnswer",
     "ModeLabel",
     "ModelCompletion",
     "ParseFailure",

@@ -124,10 +124,12 @@ def _cmd_dump_prompt(cfg, args) -> int:
 
 def _cmd_predict_llm(cfg) -> int:
     split_key, _, test = pipeline.prepare_split(cfg)
-    rows = pipeline.stage_llm(cfg, test, split_key)
-    backend = sum(1 for r in rows if r.get("backend_failure"))
-    unparsed = sum(1 for r in rows if r["error"]) - backend
-    print(f"completed {len(rows)} prompts; {unparsed} parse failures, {backend} backend failures")
+    answers = pipeline.stage_llm(cfg, test, split_key)
+    backend = sum(a.backend_failure for a in answers)
+    unparsed = sum(a.prediction is None for a in answers) - backend
+    print(
+        f"completed {len(answers)} prompts; {unparsed} parse failures, {backend} backend failures"
+    )
     return 0
 
 

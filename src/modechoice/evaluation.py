@@ -103,33 +103,63 @@ def _metrics_with_failures(
 
 
 @dataclass(frozen=True)
+class LlmAnswer:
+    """The model's answer for one situation, from the LLM stage to the case log.
+
+    A None prediction marks a failure: a reply that did not parse, kept in
+    `raw_text`, or a request that got no reply (`backend_failure`). The JSON
+    form is the LLM stage's stored row."""
+
+    situation_id: str
+    prediction: ModeLabel | None
+    reason: str = ""
+    raw_text: str = ""  # the reply, kept only when it did not parse
+    error: str = ""
+    parse_path: str = ""  # "strict" | "fallback" when the reply parsed
+    backend_failure: bool = False
+
+    @property
+    def prediction_name(self) -> str:
+        return PARSE_FAILURE_MARKER if self.prediction is None else self.prediction.display
+
+    def to_json_dict(self) -> dict:
+        doc = dict(vars(self), prediction=self.prediction_name)
+        # the stored row's keys: a parse path only when parsed, the flag only when unanswered
+        if not self.parse_path:
+            del doc["parse_path"]
+        if not self.backend_failure:
+            del doc["backend_failure"]
+        return doc
+
+    @classmethod
+    def from_json_dict(cls, doc: dict) -> "LlmAnswer":
+        name = doc["prediction"]
+        prediction = None if name == PARSE_FAILURE_MARKER else ModeLabel.from_name(name)
+        return cls(**dict(doc, prediction=prediction))
+
+
+@dataclass(frozen=True)
 class CaseRecord:
     """One test situation's inputs and every predictor's answer for it."""
 
-    situation_id: str
+    llm: LlmAnswer
     input_summary: str
-    llm_prediction: ModeLabel | None  # None marks a failure: no reply, or none that parsed
-    llm_reason: str
     benchmark_predictions: dict[str, ModeLabel]
     actual: ModeLabel
-    llm_raw_text: str = ""  # populated only when the prediction failed
-    backend_failure: bool = False  # the completion never returned
 
     def to_json_dict(self) -> dict:
         doc = {
-            "situation_id": self.situation_id,
+            "situation_id": self.llm.situation_id,
             "input": self.input_summary,
-            "llm_prediction": (
-                PARSE_FAILURE_MARKER if self.llm_prediction is None else self.llm_prediction.display
-            ),
-            "llm_reason": self.llm_reason,
+            "llm_prediction": self.llm.prediction_name,
+            "llm_reason": self.llm.reason,
             "benchmark_predictions": {
                 kind: mode.display for kind, mode in sorted(self.benchmark_predictions.items())
             },
             "actual": self.actual.display,
-            "llm_raw_text": self.llm_raw_text,
+            "llm_raw_text": self.llm.raw_text or self.llm.error,
         }
-        if self.backend_failure:  # only on failed rows, so other case logs keep their bytes
+        if self.llm.backend_failure:  # only on failed rows, so other case logs keep their bytes
             doc["backend_failure"] = True
         return doc
 
@@ -194,8 +224,8 @@ def build_report(
     metrics: dict[str, PredictorMetrics] = {}
     confusions: dict[str, list[list[int]]] = {}
 
-    parsed_pairs = [(r.llm_prediction, r.actual) for r in records if r.llm_prediction is not None]
-    backend_failures = sum(r.llm_prediction is None and r.backend_failure for r in records)
+    parsed_pairs = [(r.llm.prediction, r.actual) for r in records if r.llm.prediction is not None]
+    backend_failures = sum(r.llm.backend_failure for r in records)
     parse_failures = len(records) - len(parsed_pairs) - backend_failures
     llm_by_mode: dict[str, PredictorMetrics] = {}
     if parsed_pairs:
@@ -206,7 +236,7 @@ def build_report(
             weighted_f1=weighted_f1(pred_ok, actual_ok),
             n_scored=len(parsed_pairs),
         )
-        acc_all, f1_all = _metrics_with_failures([r.llm_prediction for r in records], actual)
+        acc_all, f1_all = _metrics_with_failures([r.llm.prediction for r in records], actual)
         llm_by_mode["count_as_incorrect"] = PredictorMetrics(
             accuracy=acc_all, weighted_f1=f1_all, n_scored=len(records)
         )

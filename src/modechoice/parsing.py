@@ -29,8 +29,7 @@ _MODE_WORD = re.compile(r"\b(train|car|swissmetro)\b", re.IGNORECASE)
 
 
 class ParseFailure(Exception):
-    def __init__(self, text: str, detail: str):
-        self.text = text
+    def __init__(self, detail: str):
         self.detail = detail
         super().__init__(f"could not extract a mode prediction: {detail}")
 
@@ -40,7 +39,6 @@ class Prediction:
     mode: ModeLabel
     reason: str
     parse_path: str  # "strict" | "fallback"
-    situation_id: str = ""
 
 
 def _normalize_label(raw: str) -> str:
@@ -52,40 +50,29 @@ def _extract_reason(text: str) -> str:
     return parts[1].strip() if len(parts) == 2 else ""
 
 
-def parse_response(text: str, situation_id: str = "") -> Prediction:
+def parse_response(text: str) -> Prediction:
     """Parse model output into a Prediction, raising ParseFailure when no mode
     can be extracted or the fallback scan is ambiguous."""
     if not text or not text.strip():
-        raise ParseFailure(text, "empty response")
+        raise ParseFailure("empty response")
 
     for line in text.splitlines():
         match = _PREDICTION_LINE.match(line)
         if match:
             label = _normalize_label(match.group("label"))
             if label in _STRICT_ALIASES:
-                return Prediction(
-                    mode=_STRICT_ALIASES[label],
-                    reason=_extract_reason(text),
-                    parse_path="strict",
-                    situation_id=situation_id,
-                )
+                return Prediction(_STRICT_ALIASES[label], _extract_reason(text), "strict")
 
     token_matches = list(_PREDICTION_TOKEN.finditer(text))
     if not token_matches:
-        raise ParseFailure(text, "no Prediction line or token present")
+        raise ParseFailure("no Prediction line or token present")
     tail = text[token_matches[-1].end() :]
     modes = {_MODE_BY_WORD[m.group(1).lower()] for m in _MODE_WORD.finditer(tail)}
     if len(modes) != 1:
         raise ParseFailure(
-            text,
             "no mode name after the last 'Prediction' token"
             if not modes
             else f"ambiguous mode names after the last 'Prediction' token: "
             f"{sorted(m.display for m in modes)}",
         )
-    return Prediction(
-        mode=modes.pop(),
-        reason=_extract_reason(text),
-        parse_path="fallback",
-        situation_id=situation_id,
-    )
+    return Prediction(modes.pop(), _extract_reason(text), "fallback")

@@ -20,21 +20,8 @@ import yaml
 from . import benchmarks
 from .artifacts import digest_of, load_or_create, stage_path
 from .benchmarks.model_io import FORMAT_VERSION as MODEL_FORMAT_VERSION
-from .dataset import (
-    ChoiceSituation,
-    ColumnMap,
-    ModeLabel,
-    balanced_split,
-    load_raw,
-    to_choice_situations,
-)
-from .evaluation import (
-    FAILURE_MODES,
-    PARSE_FAILURE_MARKER,
-    CaseRecord,
-    EvaluationReport,
-    write_report,
-)
+from .dataset import ChoiceSituation, ColumnMap, balanced_split, load_raw, to_choice_situations
+from .evaluation import FAILURE_MODES, CaseRecord, EvaluationReport, LlmAnswer, write_report
 from .gateway import (
     BackendConfig,
     CompletionCache,
@@ -129,6 +116,19 @@ def _section(value, context: str, keys) -> dict:
     return value
 
 
+def _integer(value, context: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{context} must be an integer, got {type(value).__name__}")
+    return value
+
+
+def _strings(value, context: str) -> tuple[str, ...]:
+    """A list of strings; a bare string is an error, not a list of its characters."""
+    if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
+        raise TypeError(f"{context} must be a list of strings, got {type(value).__name__}")
+    return tuple(value)
+
+
 def load_pipeline_config(path: str | Path, overrides: dict | None = None) -> PipelineConfig:
     """Build a PipelineConfig from a YAML document plus CLI overrides.
 
@@ -148,15 +148,15 @@ def load_pipeline_config(path: str | Path, overrides: dict | None = None) -> Pip
         prompt = dict(_section(doc.get("prompt"), "prompt", PromptTemplateConfig))
         for key in ("domain_knowledge_texts", "component_order"):
             if key in prompt:
-                prompt[key] = tuple(prompt[key])
+                prompt[key] = _strings(prompt[key], f"prompt.{key}")
         backend = dict(_section(doc.get("backend"), "backend", BackendConfig))
         if "backend" in overrides:
             backend["backend_kind"] = overrides["backend"]
-        seed = int(overrides.get("seed", sampling.get("seed", 42)))
+        seed = _integer(overrides.get("seed", sampling.get("seed", 42)), "sampling.seed")
 
         all_kinds = benchmarks.BENCHMARK_KINDS
         bench = _section(doc.get("benchmarks"), "benchmarks", ("kinds", *all_kinds))
-        kinds = tuple(bench.get("kinds", all_kinds))
+        kinds = _strings(bench.get("kinds", all_kinds), "benchmarks.kinds")
         _section(bench, "benchmarks", ("kinds", *kinds))  # no section for a kind not run
         train_configs = {
             kind: dataclasses.replace(
@@ -176,8 +176,8 @@ def load_pipeline_config(path: str | Path, overrides: dict | None = None) -> Pip
             column_map=ColumnMap.from_json_dict(
                 _section(dataset.get("column_map"), "column_map", ColumnMap)
             ),
-            n_train=int(sampling.get("n_train", 1000)),
-            n_test=int(sampling.get("n_test", 200)),
+            n_train=_integer(sampling.get("n_train", 1000), "sampling.n_train"),
+            n_test=_integer(sampling.get("n_test", 200), "sampling.n_test"),
             seed=seed,
             prompt=PromptTemplateConfig(**prompt),
             backend=BackendConfig(**backend),
@@ -185,7 +185,7 @@ def load_pipeline_config(path: str | Path, overrides: dict | None = None) -> Pip
             train_configs=train_configs,
             cache_dir=base_dir / doc["cache_dir"] if doc.get("cache_dir") is not None else None,
             parse_failure_mode=doc.get("parse_failure_mode", "exclude"),
-            max_samples=int(max_samples) if max_samples is not None else None,
+            max_samples=None if max_samples is None else _integer(max_samples, "max_samples"),
         )
     except (TypeError, AttributeError, yaml.YAMLError) as exc:
         raise ValueError(f"{path}: {' '.join(str(exc).split())}") from exc
@@ -280,73 +280,59 @@ def llm_key(cfg: PipelineConfig, split_key: str | None = None) -> str:
     )
 
 
+def _answer(result) -> LlmAnswer:
+    """One completion outcome as an answer: no reply, a parsed reply, or one
+    that did not parse."""
+    if isinstance(result, CompletionFailure):
+        error = f"{result.error_type}: {result.message}"
+        return LlmAnswer(result.situation_id, None, error=error, backend_failure=True)
+    try:
+        parsed = parse_response(result.text)
+    except ParseFailure as exc:
+        return LlmAnswer(
+            result.situation_id, None, raw_text=result.text, error=f"ParseFailure: {exc.detail}"
+        )
+    return LlmAnswer(
+        result.situation_id, parsed.mode, reason=parsed.reason, parse_path=parsed.parse_path
+    )
+
+
 def stage_llm(
     cfg: PipelineConfig, test: list[ChoiceSituation], split_key: str | None = None
-) -> list[dict]:
-    """Predict the capped test set with the configured backend; returns one row
-    per situation: {situation_id, prediction, reason, raw_text, error}.
+) -> list[LlmAnswer]:
+    """Predict the capped test set with the configured backend; returns one
+    answer per situation, in test-set order.
 
-    The rows are stored only when every completion succeeded, so a transient
+    The answers are stored only when every request got a reply, so a transient
     backend failure is retried on the next run instead of being replayed."""
     path = stage_path(cfg.output_dir, "llm", llm_key(cfg, split_key))
-    backend_failures = []
 
     def compute():
         prompts = [build_prompt(s, cfg.prompt) for s in test]
         cache = CompletionCache(cfg.resolved_cache_dir)
         # builds the backend, and so checks its credential, before any request
-        results = batch_complete(prompts, cfg.backend, cache)
-        rows = []
-        for result in results:
-            if isinstance(result, CompletionFailure):
-                backend_failures.append(result.situation_id)
-                rows.append(
-                    {
-                        "situation_id": result.situation_id,
-                        "prediction": PARSE_FAILURE_MARKER,
-                        "reason": "",
-                        "raw_text": "",
-                        "error": f"{result.error_type}: {result.message}",
-                        "backend_failure": True,
-                    }
-                )
-                continue
-            try:
-                parsed = parse_response(result.text, situation_id=result.situation_id)
-                rows.append(
-                    {
-                        "situation_id": result.situation_id,
-                        "prediction": parsed.mode.display,
-                        "reason": parsed.reason,
-                        "raw_text": "",
-                        "error": "",
-                        "parse_path": parsed.parse_path,
-                    }
-                )
-            except ParseFailure as exc:
-                rows.append(
-                    {
-                        "situation_id": result.situation_id,
-                        "prediction": PARSE_FAILURE_MARKER,
-                        "reason": "",
-                        "raw_text": result.text,
-                        "error": f"ParseFailure: {exc.detail}",
-                    }
-                )
-        if backend_failures:
+        return [_answer(result) for result in batch_complete(prompts, cfg.backend, cache)]
+
+    def store(answers):
+        failures = sum(a.backend_failure for a in answers)
+        if failures:
             logger.warning(
                 "%d backend failures; not storing %s, so a rerun retries them",
-                len(backend_failures),
+                failures,
                 path.name,
             )
-        return rows
+        return not failures
 
     return load_or_create(
         path,
         compute,
-        serialize=lambda rows: "".join(json.dumps(r, sort_keys=True) + "\n" for r in rows),
-        deserialize=lambda text: [json.loads(line) for line in text.splitlines() if line],
-        store=lambda rows: not backend_failures,
+        serialize=lambda answers: "".join(
+            json.dumps(a.to_json_dict(), sort_keys=True) + "\n" for a in answers
+        ),
+        deserialize=lambda text: [
+            LlmAnswer.from_json_dict(json.loads(line)) for line in text.splitlines() if line
+        ],
+        store=store,
     )
 
 
@@ -384,33 +370,19 @@ def stage_benchmarks(
 
 def _case_records(
     test: list[ChoiceSituation],
-    llm_rows: list[dict],
+    answers: list[LlmAnswer],
     bench_predictions: dict[str, list],
 ) -> list[CaseRecord]:
-    rows_by_id = {row["situation_id"]: row for row in llm_rows}
-    records = []
-    for i, situation in enumerate(test):
-        row = rows_by_id[situation.situation_id]
-        prediction = row["prediction"]
-        summary = (
-            f"{render_travel_characteristics(situation)}. "
-            f"{render_individual_attributes(situation)}"
+    by_id = {answer.situation_id: answer for answer in answers}
+    return [
+        CaseRecord(
+            llm=by_id[s.situation_id],
+            input_summary=f"{render_travel_characteristics(s)}. {render_individual_attributes(s)}",
+            benchmark_predictions={k: preds[i] for k, preds in bench_predictions.items()},
+            actual=s.chosen,
         )
-        records.append(
-            CaseRecord(
-                situation_id=situation.situation_id,
-                input_summary=summary,
-                llm_prediction=(
-                    None if prediction == PARSE_FAILURE_MARKER else ModeLabel.from_name(prediction)
-                ),
-                llm_reason=row["reason"],
-                benchmark_predictions={k: preds[i] for k, preds in bench_predictions.items()},
-                actual=situation.chosen,
-                llm_raw_text=row["raw_text"] or row["error"],
-                backend_failure=row.get("backend_failure", False),
-            )
-        )
-    return records
+        for i, s in enumerate(test)
+    ]
 
 
 def prepare_split(
@@ -443,7 +415,7 @@ def run_pipeline(cfg: PipelineConfig, split_key: str | None = None) -> Evaluatio
     """
     split_key, train, test = prepare_split(cfg, split_key)
     with stage("llm"):
-        llm_rows = stage_llm(cfg, test, split_key)
+        answers = stage_llm(cfg, test, split_key)
     with stage("benchmarks"):
         fitted = stage_benchmarks(cfg, train, split_key)
         bench_predictions = {}
@@ -451,7 +423,7 @@ def run_pipeline(cfg: PipelineConfig, split_key: str | None = None) -> Evaluatio
             X = benchmarks.encode_matrix(test, scaler)
             bench_predictions[kind] = benchmarks.predict_labels(model, X)
     with stage("report"):
-        records = _case_records(test, llm_rows, bench_predictions)
+        records = _case_records(test, answers, bench_predictions)
         digest = config_digest(cfg)
         report_dir = cfg.output_dir / f"report-{digest[:12]}"
         report = write_report(

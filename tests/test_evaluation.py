@@ -11,6 +11,7 @@ from modechoice.evaluation import (
     EmptyInput,
     IoFailure,
     LengthMismatch,
+    LlmAnswer,
     accuracy,
     build_report,
     confusion_matrix,
@@ -156,20 +157,28 @@ def _records(n=40, failure_every=None, seed=0):
         failed = failure_every is not None and i % failure_every == 0
         records.append(
             CaseRecord(
-                situation_id=f"row{i:05d}",
+                llm=LlmAnswer(
+                    situation_id=f"row{i:05d}",
+                    prediction=None if failed else rng.choice(list(ModeLabel)),
+                    reason="" if failed else "a plausible reason",
+                    raw_text="unparseable text" if failed else "",
+                ),
                 input_summary=f"{{Travel time: ...}} case {i}",
-                llm_prediction=None if failed else rng.choice(list(ModeLabel)),
-                llm_reason="" if failed else "a plausible reason",
                 benchmark_predictions={
                     "mnl": rng.choice(list(ModeLabel)),
                     "rf": rng.choice(list(ModeLabel)),
                     "nn": rng.choice(list(ModeLabel)),
                 },
                 actual=actual,
-                llm_raw_text="unparseable text" if failed else "",
             )
         )
     return records
+
+
+def _backend_failure(record, error=""):
+    """The record with its LLM answer turned into a request that got no reply."""
+    llm = dataclasses.replace(record.llm, raw_text="", error=error, backend_failure=True)
+    return dataclasses.replace(record, llm=llm)
 
 
 def test_build_report_counts_and_both_accountings():
@@ -183,7 +192,7 @@ def test_build_report_counts_and_both_accountings():
     strict = build_report(records, parse_failure_mode="count_as_incorrect")
     assert strict.metrics["llm"].n_scored == 40
     # a reply that never came is counted apart but scored like one that did not parse
-    records[10] = dataclasses.replace(records[10], backend_failure=True)
+    records[10] = _backend_failure(records[10])
     for mode, parsed_only in (("exclude", report), ("count_as_incorrect", strict)):
         split = build_report(records, parse_failure_mode=mode)
         assert (split.parse_failure_count, split.backend_failure_count) == (3, 1)
@@ -201,7 +210,7 @@ def test_failures_as_incorrect_matches_manual_computation():
     records = _records(30, failure_every=6, seed=3)
     report = build_report(records, parse_failure_mode="count_as_incorrect")
     manual = sum(
-        1 for r in records if r.llm_prediction is not None and r.llm_prediction == r.actual
+        1 for r in records if r.llm.prediction is not None and r.llm.prediction == r.actual
     ) / len(records)
     assert report.metrics["llm"].accuracy == pytest.approx(manual)
 
@@ -213,7 +222,7 @@ def test_build_report_requires_records():
 
 def test_write_report_artifacts_and_self_consistency(tmp_path):
     records = _records(50, failure_every=9, seed=4)
-    records[9] = dataclasses.replace(records[9], backend_failure=True, llm_raw_text="HTTPError")
+    records[9] = _backend_failure(records[9], error="HTTPError")
     out = tmp_path / "report"
     write_report(records, out, config_digest="abc123")
     summary = json.loads((out / "report.json").read_text())
@@ -245,3 +254,45 @@ def test_write_report_io_failure(tmp_path):
     blocker.write_text("a file, not a directory")
     with pytest.raises(IoFailure):
         write_report(_records(5), blocker / "sub")
+
+
+STORED_ROWS = {  # rows of the LLM stage file, byte for byte as earlier versions wrote them
+    "parsed": '{"error": "", "parse_path": "strict", "prediction": "Train", "raw_text": "", '
+    '"reason": "Train has the lowest combined travel time and cost.", "situation_id": "row00426"}',
+    "parse_failure": '{"error": "ParseFailure: no Prediction line or token present", '
+    '"prediction": "PARSE_FAILURE", "raw_text": "I cannot determine the best travel mode from '
+    'the given information.", "reason": "", "situation_id": "row00426"}',
+    "backend_failure": '{"backend_failure": true, "error": "BackendExhausted: gave up after 2 '
+    'attempts: transient backend failure: 503", "prediction": "PARSE_FAILURE", "raw_text": "", '
+    '"reason": "", "situation_id": "row00007"}',
+}
+STORED_ANSWERS = {
+    "parsed": LlmAnswer(
+        situation_id="row00426",
+        prediction=ModeLabel.TRAIN,
+        reason="Train has the lowest combined travel time and cost.",
+        parse_path="strict",
+    ),
+    "parse_failure": LlmAnswer(
+        situation_id="row00426",
+        prediction=None,
+        raw_text="I cannot determine the best travel mode from the given information.",
+        error="ParseFailure: no Prediction line or token present",
+    ),
+    "backend_failure": LlmAnswer(
+        situation_id="row00007",
+        prediction=None,
+        error="BackendExhausted: gave up after 2 attempts: transient backend failure: 503",
+        backend_failure=True,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(STORED_ROWS))
+def test_stored_answer_round_trips(kind):
+    answer = STORED_ANSWERS[kind]
+    assert LlmAnswer.from_json_dict(answer.to_json_dict()) == answer
+    # a stored row reads back to the answer and is written back with its bytes
+    row = STORED_ROWS[kind]
+    assert LlmAnswer.from_json_dict(json.loads(row)) == answer
+    assert json.dumps(answer.to_json_dict(), sort_keys=True) == row

@@ -83,11 +83,6 @@ def test_parsed_label_always_present_in_text():
         assert prediction.mode.display.lower() in text.lower()
 
 
-def test_situation_id_is_carried():
-    prediction = parse_response("Prediction: Car\nReason: x", situation_id="row00042")
-    assert prediction.situation_id == "row00042"
-
-
 def test_round_trip_over_random_reasons():
     rng = random.Random(17)
     words = ["fast", "cheap", "train", "car", "swissmetro", "time", "cost", "17%", "comfort"]

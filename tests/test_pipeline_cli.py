@@ -222,6 +222,18 @@ def test_parse_failures_reported_not_fatal(workspace):
     assert "llm" not in report.metrics  # nothing parseable to score
     assert report.metrics["mnl"].n_scored == 45
 
+    # a rerun reads the stored answers back and writes the same case log
+    (stored,) = (cfg.output_dir / "stages").glob("llm-*.jsonl")
+    mtime = stored.stat().st_mtime_ns
+    cases = cfg.output_dir / f"report-{config_digest(cfg)[:12]}" / "cases.jsonl"
+    first = cases.read_bytes()
+    cases.unlink()
+    assert run_pipeline(cfg).parse_failure_count == 45
+    assert stored.stat().st_mtime_ns == mtime
+    assert cases.read_bytes() == first
+    docs = [json.loads(line) for line in first.decode().splitlines()]
+    assert len(docs) == 45 and all(doc["llm_raw_text"] for doc in docs)
+
 
 def test_format_1_model_artifact_is_refit(workspace):
     cfg = load_pipeline_config(workspace / "config.yaml")
@@ -360,6 +372,18 @@ def test_cli_full_flow(workspace, capsys):
     assert "Models" in out and "LLM" in out
 
 
+def test_cli_predict_llm_counts_each_failure_kind(workspace, chat_endpoint, capsys, monkeypatch):
+    (workspace / "malformed.yaml").write_text(CONFIG_TEMPLATE.format(mock_rule="malformed"))
+    assert run_cli("predict-llm", "--config", str(workspace / "malformed.yaml")) == 0
+    assert "completed 45 prompts; 45 parse failures, 0 backend failures" in capsys.readouterr().out
+
+    monkeypatch.setenv("LLM_API_KEY", "sk-test")
+    http_config(workspace, chat_endpoint)
+    chat_endpoint.status = 503
+    assert run_cli("predict-llm", "--config", str(workspace / "http.yaml")) == 0
+    assert "completed 6 prompts; 0 parse failures, 6 backend failures" in capsys.readouterr().out
+
+
 def test_cli_evaluate_hashes_the_dataset_once(workspace, capsys, monkeypatch):
     config = str(workspace / "config.yaml")
     assert run_cli("predict-llm", "--config", config) == 0
@@ -475,6 +499,42 @@ FILE_ERROR = "bad.yaml: "  # a wrongly typed value or bad YAML: one error naming
         ),
         pytest.param(BASE, "[1, 2]\n", "top-level must be a mapping, got list", id="top-level"),
         pytest.param("output_dir: out\n", "output_dir: [out\n", FILE_ERROR, id="yaml-syntax"),
+        pytest.param(
+            "output_dir: out\n",
+            "output_dir: out\nprompt: {domain_knowledge_texts: Think about cost.}\n",
+            FILE_ERROR + "prompt.domain_knowledge_texts must be a list of strings, got str",
+            id="domain_knowledge_texts-text",
+        ),
+        pytest.param(
+            "output_dir: out\n",
+            "output_dir: out\nprompt: {component_order: task}\n",
+            FILE_ERROR + "prompt.component_order must be a list of strings, got str",
+            id="component_order-text",
+        ),
+        pytest.param(
+            "  kinds: [mnl, rf, nn]\n", "  kinds: mnl\n",
+            FILE_ERROR + "benchmarks.kinds must be a list of strings, got str", id="kinds-text",
+        ),
+        pytest.param(
+            "  n_train: 120\n", "  n_train: 300.9\n",
+            FILE_ERROR + "sampling.n_train must be an integer, got float", id="n_train-float",
+        ),
+        pytest.param(
+            "  n_train: 120\n", "  n_train: true\n",
+            FILE_ERROR + "sampling.n_train must be an integer, got bool", id="n_train-bool",
+        ),
+        pytest.param(
+            "  n_test: 45\n", "  n_test: 45.0\n",
+            FILE_ERROR + "sampling.n_test must be an integer, got float", id="n_test-float",
+        ),
+        pytest.param(
+            "  seed: 11\n", "  seed: false\n",
+            FILE_ERROR + "sampling.seed must be an integer, got bool", id="seed-bool",
+        ),
+        pytest.param(
+            "output_dir: out\n", "output_dir: out\nmax_samples: 2.7\n",
+            FILE_ERROR + "max_samples must be an integer, got float", id="max_samples-float",
+        ),
     ],
 )
 def test_cli_rejects_malformed_config(workspace, capsys, old, new, message):
