@@ -43,11 +43,17 @@ def write_atomic(path: Path, data: bytes) -> bool:
 def load_or_create(path: Path, compute, serialize, deserialize, store=lambda value: True):
     """Return the artifact at `path`, deserializing when it exists and
     computing it otherwise; a computed value is stored only if `store`
-    accepts it."""
-    if path.exists():
-        logger.info("reusing stage artifact %s", path)
-        return deserialize(path.read_text(encoding="utf-8"))
-    value = compute()
-    if store(value):
-        write_atomic(path, serialize(value).encode("utf-8"))
-    return value
+    accepts it. A stored artifact that does not deserialize is a ValueError
+    naming its file."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        value = compute()
+        if store(value):
+            write_atomic(path, serialize(value).encode("utf-8"))
+        return value
+    logger.info("reusing stage artifact %s", path)
+    try:
+        return deserialize(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

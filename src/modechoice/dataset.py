@@ -57,6 +57,9 @@ class InsufficientClassMembers(DatasetError):
         )
 
 
+_DISPLAY_NAMES = ("Train", "Car", "Swissmetro")  # by value; cheaper than the enum's name
+
+
 class ModeLabel(IntEnum):
     """The three travel modes, with a fixed total order used for tie-breaking."""
 
@@ -66,7 +69,7 @@ class ModeLabel(IntEnum):
 
     @property
     def display(self) -> str:
-        return self.name.capitalize()
+        return _DISPLAY_NAMES[self]
 
     @classmethod
     def from_name(cls, text: str) -> "ModeLabel":

@@ -56,10 +56,12 @@ def accuracy(pred: list[ModeLabel], actual: list[ModeLabel]) -> float:
 def _counts(pred, actual, n_columns: int = len(MODE_ORDER)) -> np.ndarray:
     """Counts with rows = actual, columns = predicted; a None prediction goes
     to a fourth column, which only a 3x4 matrix has."""
-    matrix = np.zeros((len(MODE_ORDER), n_columns), dtype=int)
-    for p, a in zip(pred, actual):
-        matrix[int(a), len(MODE_ORDER) if p is None else int(p)] += 1
-    return matrix
+    n_modes = len(MODE_ORDER)
+    columns = np.array([n_modes if p is None else p for p in pred], dtype=int)
+    if (columns >= n_columns).any():
+        raise ValueError("a None prediction needs the fourth column")
+    cells = np.array(actual, dtype=int) * n_columns + columns
+    return np.bincount(cells, minlength=n_modes * n_columns).reshape(n_modes, n_columns)
 
 
 def confusion_matrix(pred: list[ModeLabel], actual: list[ModeLabel]) -> np.ndarray:

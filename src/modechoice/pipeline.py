@@ -2,7 +2,9 @@
 completion, parsing, benchmark training, and report writing, driven by one
 declarative config file. Stage outputs after ingest are content-addressed
 under the output directory, so reruns with unchanged inputs reuse stored
-results; a report-only rerun needs no backend credential.
+results; a report-only rerun needs no backend credential. Each baseline's
+test-set predictions are stored apart from its model, so a warm run reads
+them and loads, encodes and predicts nothing.
 """
 
 from __future__ import annotations
@@ -20,7 +22,14 @@ import yaml
 from . import benchmarks
 from .artifacts import digest_of, load_or_create, stage_path
 from .benchmarks.model_io import FORMAT_VERSION as MODEL_FORMAT_VERSION
-from .dataset import ChoiceSituation, ColumnMap, balanced_split, load_raw, to_choice_situations
+from .dataset import (
+    MODE_ORDER,
+    ChoiceSituation,
+    ColumnMap,
+    balanced_split,
+    load_raw,
+    to_choice_situations,
+)
 from .evaluation import FAILURE_MODES, CaseRecord, EvaluationReport, LlmAnswer, write_report
 from .gateway import (
     BackendConfig,
@@ -336,36 +345,66 @@ def stage_llm(
     )
 
 
+def _model_key(cfg: PipelineConfig, kind: str, split_key: str) -> str:
+    return digest_of(
+        split_key,
+        str(MODEL_FORMAT_VERSION),
+        json.dumps(dataclasses.asdict(cfg.train_configs[kind]), sort_keys=True),
+    )
+
+
+def _fit_or_load(cfg: PipelineConfig, kind: str, train: list[ChoiceSituation], split_key: str):
+    """One benchmark kind as (model, scaler), fitted or reloaded."""
+
+    def compute():
+        scaler = benchmarks.fit_scaler(train)
+        return benchmarks.fit_classifier(kind, train, cfg.train_configs[kind], scaler), scaler
+
+    return load_or_create(
+        stage_path(cfg.output_dir, f"model-{kind}", _model_key(cfg, kind, split_key), ".json"),
+        compute,
+        serialize=lambda pair: json.dumps(benchmarks.model_to_dict(*pair), sort_keys=True) + "\n",
+        deserialize=lambda text: benchmarks.model_from_dict(json.loads(text)),
+    )
+
+
 def stage_benchmarks(
     cfg: PipelineConfig, train: list[ChoiceSituation], split_key: str | None = None
 ) -> dict[str, tuple]:
     """Fit (or reload) each configured benchmark; returns kind -> (model, scaler)."""
     split_key = split_key or sample_key(cfg)
-    fitted = {}
-    for kind in cfg.benchmark_kinds:
-        train_cfg = cfg.train_configs[kind]
-        key = digest_of(
-            split_key,
-            str(MODEL_FORMAT_VERSION),
-            json.dumps(dataclasses.asdict(train_cfg), sort_keys=True),
-        )
-        path = stage_path(cfg.output_dir, f"model-{kind}", key, suffix=".json")
+    return {kind: _fit_or_load(cfg, kind, train, split_key) for kind in cfg.benchmark_kinds}
 
-        def compute(kind=kind, train_cfg=train_cfg):
-            scaler = benchmarks.fit_scaler(train)
-            model = benchmarks.fit_classifier(kind, train, train_cfg, scaler)
-            return model, scaler
 
-        fitted[kind] = load_or_create(
+def stage_labels(
+    cfg: PipelineConfig, train: list[ChoiceSituation], test: list[ChoiceSituation], split_key: str
+) -> dict[str, list]:
+    """Each configured benchmark's predicted mode per capped test situation.
+    They are stored per kind, as class indices under the model key and the
+    cap, so a model is read, or fitted, only when its labels are missing."""
+
+    def labels(kind):
+        key = digest_of(_model_key(cfg, kind, split_key), str(cfg.effective_max_samples()))
+        path = stage_path(cfg.output_dir, f"labels-{kind}", key, suffix=".json")
+
+        def compute():
+            model, scaler = _fit_or_load(cfg, kind, train, split_key)
+            return benchmarks.predict_labels(model, benchmarks.encode_matrix(test, scaler))
+
+        def deserialize(text):
+            values = json.loads(text)
+            if not isinstance(values, list) or len(values) != len(test) or set(values) - {0, 1, 2}:
+                raise ValueError(f"not a list of {len(test)} class indices in 0..2")
+            return [MODE_ORDER[v] for v in values]
+
+        return load_or_create(
             path,
             compute,
-            serialize=lambda pair: json.dumps(
-                benchmarks.model_to_dict(pair[0], pair[1]), sort_keys=True
-            )
-            + "\n",
-            deserialize=lambda text: benchmarks.model_from_dict(json.loads(text)),
+            lambda preds: json.dumps(list(map(int, preds)), separators=(",", ":")) + "\n",
+            deserialize,
         )
-    return fitted
+
+    return {kind: labels(kind) for kind in cfg.benchmark_kinds}
 
 
 def _case_records(
@@ -417,11 +456,7 @@ def run_pipeline(cfg: PipelineConfig, split_key: str | None = None) -> Evaluatio
     with stage("llm"):
         answers = stage_llm(cfg, test, split_key)
     with stage("benchmarks"):
-        fitted = stage_benchmarks(cfg, train, split_key)
-        bench_predictions = {}
-        for kind, (model, scaler) in fitted.items():
-            X = benchmarks.encode_matrix(test, scaler)
-            bench_predictions[kind] = benchmarks.predict_labels(model, X)
+        bench_predictions = stage_labels(cfg, train, test, split_key)
     with stage("report"):
         records = _case_records(test, answers, bench_predictions)
         digest = config_digest(cfg)

@@ -1,11 +1,12 @@
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from modechoice import pipeline
-from modechoice.artifacts import digest_of, stage_path
+from modechoice.artifacts import digest_of, load_or_create, stage_path
 from modechoice.cli import main
 from modechoice.dataset import ColumnMap, ModeLabel, balanced_split, load_raw, to_choice_situations
 from modechoice.gateway import MissingCredential
@@ -258,6 +259,105 @@ def test_format_1_model_artifact_is_refit(workspace):
     refit = [p for p in (cfg.output_dir / "stages").glob("model-rf-*.json") if p != stale]
     assert len(refit) == 1
     assert json.loads(refit[0].read_text())["format_version"] == 2
+
+
+def test_load_or_create_reads_in_one_step(tmp_path, monkeypatch):
+    path = tmp_path / "stage-0.json"
+    # an artifact that is removed after an existence check and before its read
+    monkeypatch.setattr(Path, "exists", lambda self: True)
+    assert load_or_create(path, lambda: 7, str, int) == 7
+    assert path.read_text() == "7"
+    path.write_text("seven")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: invalid literal"):
+        load_or_create(path, lambda: 7, str, int)
+
+
+REPORT_FILES = ("report.json", "report.txt", "cases.jsonl")
+
+
+def report_files(cfg) -> dict[str, bytes]:
+    report_dir = cfg.output_dir / f"report-{config_digest(cfg)[:12]}"
+    return {name: (report_dir / name).read_bytes() for name in REPORT_FILES}
+
+
+def test_warm_run_reads_labels_and_loads_no_model(workspace, monkeypatch):
+    cfg = load_pipeline_config(workspace / "config.yaml")
+    run_pipeline(cfg)
+    first = report_files(cfg)
+    stages = cfg.output_dir / "stages"
+    labels = sorted(stages.glob("labels-*.json"))
+    assert [path.name.split("-")[1] for path in labels] == ["mnl", "nn", "rf"]
+    for path in labels:  # one class index per capped test situation
+        values = json.loads(path.read_text())
+        assert len(values) == 45 and set(values) <= {0, 1, 2}
+
+    models = list(stages.glob("model-*.json"))
+    assert len(models) == 3
+    for path in models:
+        path.unlink()
+    for path in (cfg.output_dir / f"report-{config_digest(cfg)[:12]}").iterdir():
+        path.unlink()
+    monkeypatch.setattr(pipeline.benchmarks, "encode_matrix", None)  # nothing is encoded
+    run_pipeline(cfg)
+    assert report_files(cfg) == first
+    assert not list(stages.glob("model-*.json"))
+
+
+@pytest.mark.parametrize(
+    "old, new, n_cases",
+    [
+        (RF_LINE, "  rf: {n_trees: 2}\n", 45),
+        ("output_dir: out\n", "output_dir: out\nmax_samples: 20\n", 20),
+    ],
+    ids=["n_trees", "max_samples"],
+)
+def test_changed_train_setting_or_cap_recomputes_labels(workspace, old, new, n_cases):
+    run_pipeline(load_pipeline_config(workspace / "config.yaml"))
+    stages = workspace / "out" / "stages"
+    stale = set(stages.glob("labels-rf-*.json"))
+    (workspace / "changed.yaml").write_text(
+        CONFIG_TEMPLATE.format(mock_rule="generalized_cost").replace(old, new)
+    )
+    cfg = load_pipeline_config(workspace / "changed.yaml")
+    run_pipeline(cfg)
+    (labels,) = set(stages.glob("labels-rf-*.json")) - stale
+    values = json.loads(labels.read_text())
+    assert len(values) == n_cases
+    cases = [json.loads(line) for line in report_files(cfg)["cases.jsonl"].splitlines()]
+    rf = [case["benchmark_predictions"]["rf"] for case in cases]
+    assert rf == [ModeLabel(v).display for v in values]
+
+    # the same config into an empty directory writes the same report; with two
+    # trees instead of five, stale labels would not match it
+    fresh = load_pipeline_config(workspace / "changed.yaml", {"out": str(workspace / "fresh")})
+    run_pipeline(fresh)
+    assert report_files(fresh) == report_files(cfg)
+
+
+@pytest.mark.parametrize(
+    "cut, message",
+    [
+        (lambda text: text[: len(text) // 2], "Expecting"),
+        (lambda text: json.dumps(json.loads(text)[:-1]), "not a list of 45 class indices in 0..2"),
+        (lambda text: json.dumps(json.loads(text)[:-1] + [3]), "not a list of 45 class indices"),
+    ],
+    ids=["bytes", "one-label-short", "out-of-range"],
+)
+def test_cli_run_rejects_a_damaged_labels_file(workspace, capsys, cut, message):
+    config = str(workspace / "config.yaml")
+    assert run_cli("run", "--config", config) == 0
+    cfg = load_pipeline_config(workspace / "config.yaml")
+    first = report_files(cfg)
+    (labels,) = (workspace / "out" / "stages").glob("labels-rf-*.json")
+    labels.write_text(cut(labels.read_text()))
+    capsys.readouterr()
+    assert run_cli("run", "--config", config) == 1
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error" in line]
+    assert len(errors) == 1
+    assert errors[0].startswith(f"error in stage 'benchmarks': {labels}: {message}")
+    assert "Traceback" not in err
+    assert report_files(cfg) == first  # no case log is written from misaligned labels
 
 
 def http_config(workspace, chat_endpoint):
