@@ -18,7 +18,7 @@ from .config import (
 from .features import FeatureScaler, encode_matrix, fit_scaler, labels_array
 from .forest import ForestModel
 from .mnl import MnlModel
-from .model_io import load_model, model_from_dict, model_to_dict, save_model
+from .model_io import model_from_dict, model_to_dict
 from .neural import NeuralModel
 
 BENCHMARK_KINDS = ("mnl", "rf", "nn")
@@ -39,11 +39,9 @@ __all__ = [
     "fit_classifier",
     "fit_scaler",
     "labels_array",
-    "load_model",
     "model_from_dict",
     "model_to_dict",
     "predict_labels",
-    "save_model",
 ]
 
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+N_FEATURES = 8  # width of the encoding in features.py, which imports it from here
+
 
 class BenchmarkError(Exception):
     pass
@@ -55,6 +57,10 @@ class TrainConfig:
             raise ValueError("hidden_units, batch_size, and n_trees must be positive")
         if self.max_depth is not None and self.max_depth <= 0:
             raise ValueError("max_depth must be positive when set")
+        if self.max_features != "sqrt" and not (
+            type(self.max_features) is int and 1 <= self.max_features <= N_FEATURES
+        ):
+            raise ValueError(f"max_features must be 'sqrt' or an int in [1, {N_FEATURES}]")
 
 
 def default_train_config(kind: str, seed: int = 0) -> TrainConfig:

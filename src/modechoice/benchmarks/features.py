@@ -12,10 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..dataset import ChoiceSituation
-from .config import EmptyTrainingSet
+from .config import N_FEATURES, EmptyTrainingSet
 
 N_NUMERIC = 6
-N_FEATURES = 8
 N_CLASSES = 3
 
 

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import numpy as np
 
 from .features import FeatureScaler
@@ -81,12 +78,3 @@ def model_from_dict(doc: dict):
         raise ValueError(f"unknown model kind {kind!r}")
     return model, scaler
 
-
-def save_model(path: str | Path, model, scaler: FeatureScaler) -> None:
-    Path(path).write_text(
-        json.dumps(model_to_dict(model, scaler), sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
-def load_model(path: str | Path):
-    return model_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))

@@ -15,6 +15,7 @@ import sys
 from collections import Counter
 
 from . import benchmarks, pipeline
+from .artifacts import write_atomic
 from .dataset import MODE_ORDER
 from .evaluation import render_summary_text
 from .gateway import GatewayError
@@ -140,9 +141,8 @@ def _cmd_fit_bench(cfg) -> int:
     models_dir.mkdir(parents=True, exist_ok=True)
     for kind, (model, scaler) in fitted.items():
         destination = models_dir / f"{kind}.json"
-        benchmarks.save_model(destination, model, scaler)
-        X = benchmarks.encode_matrix(train, scaler)
-        labels = benchmarks.predict_labels(model, X)
+        write_atomic(destination, pipeline.model_text(model, scaler).encode("utf-8"))
+        labels = benchmarks.predict_labels(model, benchmarks.encode_matrix(train, scaler))
         hits = sum(p == s.chosen for p, s in zip(labels, train))
         print(f"{kind}: train accuracy {hits / len(train):.3f}, saved to {destination}")
     return 0

@@ -111,8 +111,12 @@ class ColumnMap:
             if len(columns) != len(MODE_ORDER):
                 raise ValueError("per-mode columns need one name per mode")
         names = self.mapped_columns()
+        if not all(isinstance(name, str) for name in names):
+            raise TypeError(f"column names must be strings, got {names}")
         if len(names) != len(set(names)):
             raise ValueError("mapped column names must be distinct")
+        if not all(type(code) is int for code in self.choice_code_map):
+            raise TypeError(f"choice_code_map keys must be integers, got {[*self.choice_code_map]}")
         if set(self.choice_code_map.values()) != set(MODE_ORDER):
             raise ValueError("choice_code_map must cover exactly the three modes")
 
@@ -143,17 +147,18 @@ class ColumnMap:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ColumnMap":
-        """Read the config form; a key it omits keeps its default."""
+        """Read the config form; an omitted key keeps its default, and a code may be text."""
         kwargs = dict(doc)
         for key in ("time_columns", "cost_columns", "availability_columns"):
             if key in kwargs:
-                by_mode = {ModeLabel.from_name(k): str(v) for k, v in kwargs[key].items()}
+                by_mode = {ModeLabel.from_name(k): v for k, v in kwargs[key].items()}
                 if len(by_mode) != len(MODE_ORDER):
                     raise ValueError(f"{key} must cover exactly the three modes")
                 kwargs[key] = tuple(by_mode[m] for m in MODE_ORDER)
         if "choice_code_map" in kwargs:
             kwargs["choice_code_map"] = {
-                int(c): ModeLabel.from_name(n) for c, n in kwargs["choice_code_map"].items()
+                int(c) if isinstance(c, str) and c.isdecimal() else c: ModeLabel.from_name(n)
+                for c, n in kwargs["choice_code_map"].items()
             }
         return cls(**kwargs)
 

@@ -93,17 +93,6 @@ def weighted_f1(pred: list[ModeLabel], actual: list[ModeLabel]) -> float:
     return _weighted_f1_of(confusion_matrix(pred, actual))
 
 
-def _metrics_with_failures(
-    pred: list[ModeLabel | None], actual: list[ModeLabel]
-) -> tuple[float, float]:
-    """Accuracy and weighted F1 when failed parses count as incorrect: a None
-    prediction lands in a fourth column, matching no class but still occupying
-    its slot in every support."""
-    _check_lengths(pred, actual)
-    matrix = _counts(pred, actual, n_columns=len(MODE_ORDER) + 1)
-    return np.trace(matrix) / len(actual), _weighted_f1_of(matrix)
-
-
 @dataclass(frozen=True)
 class LlmAnswer:
     """The model's answer for one situation, from the LLM stage to the case log.
@@ -173,11 +162,13 @@ class PredictorMetrics:
     n_scored: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "weighted_f1": self.weighted_f1,
-            "n_scored": self.n_scored,
-        }
+        return dict(vars(self))
+
+    @classmethod
+    def of(cls, matrix: np.ndarray) -> "PredictorMetrics":
+        """Scores from counts by mode, plus a column of failed answers if any."""
+        total = matrix.sum()
+        return cls(np.trace(matrix) / total, _weighted_f1_of(matrix), int(total))
 
 
 @dataclass
@@ -226,34 +217,20 @@ def build_report(
     metrics: dict[str, PredictorMetrics] = {}
     confusions: dict[str, list[list[int]]] = {}
 
-    parsed_pairs = [(r.llm.prediction, r.actual) for r in records if r.llm.prediction is not None]
+    # the LLM's counts, with a fourth column for answers that are None
+    llm = _counts([r.llm.prediction for r in records], actual, n_columns=len(MODE_ORDER) + 1)
     backend_failures = sum(r.llm.backend_failure for r in records)
-    parse_failures = len(records) - len(parsed_pairs) - backend_failures
-    llm_by_mode: dict[str, PredictorMetrics] = {}
-    if parsed_pairs:
-        pred_ok = [p for p, _ in parsed_pairs]
-        actual_ok = [a for _, a in parsed_pairs]
-        llm_by_mode["exclude"] = PredictorMetrics(
-            accuracy=accuracy(pred_ok, actual_ok),
-            weighted_f1=weighted_f1(pred_ok, actual_ok),
-            n_scored=len(parsed_pairs),
-        )
-        acc_all, f1_all = _metrics_with_failures([r.llm.prediction for r in records], actual)
-        llm_by_mode["count_as_incorrect"] = PredictorMetrics(
-            accuracy=acc_all, weighted_f1=f1_all, n_scored=len(records)
-        )
+    parse_failures = int(llm[:, -1].sum()) - backend_failures
+    scored = {"exclude": llm[:, :-1], "count_as_incorrect": llm} if llm[:, :-1].any() else {}
+    llm_by_mode = {mode: PredictorMetrics.of(matrix) for mode, matrix in scored.items()}
+    if scored:
         metrics["llm"] = llm_by_mode[parse_failure_mode]
-        confusions["llm"] = confusion_matrix(pred_ok, actual_ok).tolist()
+        confusions["llm"] = llm[:, :-1].tolist()
 
-    kinds = sorted({k for r in records for k in r.benchmark_predictions})
-    for kind in kinds:
-        pred = [r.benchmark_predictions[kind] for r in records]
-        metrics[kind] = PredictorMetrics(
-            accuracy=accuracy(pred, actual),
-            weighted_f1=weighted_f1(pred, actual),
-            n_scored=len(records),
-        )
-        confusions[kind] = confusion_matrix(pred, actual).tolist()
+    for kind in sorted({k for r in records for k in r.benchmark_predictions}):
+        matrix = _counts([r.benchmark_predictions[kind] for r in records], actual)
+        metrics[kind] = PredictorMetrics.of(matrix)
+        confusions[kind] = matrix.tolist()
 
     return EvaluationReport(
         metrics=metrics,

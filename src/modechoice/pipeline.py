@@ -10,8 +10,11 @@ them and loads, encodes and predicts nothing.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import logging
+import types
+import typing
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -104,73 +107,90 @@ class PipelineConfig:
         return self.cache_dir if self.cache_dir is not None else self.output_dir / "cache"
 
 
-_TOP_LEVEL_KEYS = (
-    "dataset sampling prompt backend benchmarks output_dir cache_dir parse_failure_mode max_samples"
-).split()
-_TRAIN_KEYS = [f.name for f in dataclasses.fields(benchmarks.TrainConfig) if f.name != "kind"]
+_NAMES = {int: "an integer", str: "a string", Path: "a path", tuple[str, ...]: "a list of strings"}
+_hints = functools.cache(typing.get_type_hints)  # a dataclass's field types, resolved once
 
 
-def _section(value, context: str, keys) -> dict:
-    """One mapping of the config file: absent or null reads as empty; a value
-    that is not a mapping, or a key outside `keys` (names or a dataclass), is an error."""
+def _fits(value, hint) -> bool:
+    """Whether a value has the type `hint`: an int is a float, a bool only a bool."""
+    if isinstance(hint, types.UnionType):
+        return any(_fits(value, member) for member in hint.__args__)
+    if hint == tuple[str, ...]:
+        return isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value)
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, {float: (int, float), Path: (str, Path)}.get(hint, hint))
+
+
+def _checked(value, hint, label: str):
+    """The value, a list as a tuple, if it fits `hint` (None: as is); else a TypeError."""
+    if hint is None:
+        return value
+    if not _fits(value, hint):
+        members = hint.__args__ if isinstance(hint, types.UnionType) else (hint,)
+        expected = [_NAMES.get(m, f"a {m.__name__}") for m in members if m is not type(None)]
+        raise TypeError(f"{label} must be {' or '.join(expected)}, got {type(value).__name__}")
+    return tuple(value) if isinstance(value, list) else value
+
+
+def _section(value, context: str, hints) -> dict:
+    """One mapping of the config file: absent or null reads as empty. A value
+    that is not a mapping, a key outside `hints`, or a value that does not fit
+    its key's hint is an error; a key without one (None, or `hints` is a list
+    of keys) holds a section or a value read elsewhere."""
     if value is None:
         return {}
     if not isinstance(value, dict):
         raise ValueError(f"{context} must be a mapping, got {type(value).__name__}")
-    if isinstance(keys, type):
-        keys = [f.name for f in dataclasses.fields(keys)]
-    unknown = set(value) - set(keys)
+    hints = hints if isinstance(hints, dict) else dict.fromkeys(hints)
+    unknown = set(value) - set(hints)
     if unknown:
         raise ValueError(f"unknown {context} keys: {sorted(unknown, key=str)}")
-    return value
-
-
-def _integer(value, context: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{context} must be an integer, got {type(value).__name__}")
-    return value
-
-
-def _strings(value, context: str) -> tuple[str, ...]:
-    """A list of strings; a bare string is an error, not a list of its characters."""
-    if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
-        raise TypeError(f"{context} must be a list of strings, got {type(value).__name__}")
-    return tuple(value)
+    prefix = "" if context == "top-level" else f"{context}."
+    return {key: _checked(v, hints[key], prefix + key) for key, v in value.items()}
 
 
 def load_pipeline_config(path: str | Path, overrides: dict | None = None) -> PipelineConfig:
     """Build a PipelineConfig from a YAML document plus CLI overrides.
 
     Paths in the document are read against its directory, the `out` override
-    against the working directory. A value of the wrong type is one
-    ValueError naming the file."""
+    against the working directory. Each value must have the type its
+    dataclass field declares, and is kept as written. A bad value, or a
+    wrongly typed one, is one ValueError naming the file."""
     path = Path(path)
     base_dir = path.parent
     overrides = {key: value for key, value in (overrides or {}).items() if value is not None}
     text = path.read_text(encoding="utf-8")
+    hint = _hints(PipelineConfig)
     try:
-        doc = _section(yaml.safe_load(text), "top-level", _TOP_LEVEL_KEYS)
+        doc = _section(
+            yaml.safe_load(text),
+            "top-level",
+            {k: hint[k] for k in ("output_dir", "cache_dir", "parse_failure_mode", "max_samples")}
+            | dict.fromkeys(("dataset", "sampling", "prompt", "backend", "benchmarks")),
+        )
         dataset = _section(doc.get("dataset"), "dataset", ("path", "delimiter", "column_map"))
         if "path" not in dataset:
             raise ValueError("config must set dataset.path")
-        sampling = _section(doc.get("sampling"), "sampling", ("n_train", "n_test", "seed"))
-        prompt = dict(_section(doc.get("prompt"), "prompt", PromptTemplateConfig))
-        for key in ("domain_knowledge_texts", "component_order"):
-            if key in prompt:
-                prompt[key] = _strings(prompt[key], f"prompt.{key}")
-        backend = dict(_section(doc.get("backend"), "backend", BackendConfig))
+        sampling = _section(
+            doc.get("sampling"), "sampling", {k: hint[k] for k in ("n_train", "n_test", "seed")}
+        )
+        prompt = _section(doc.get("prompt"), "prompt", _hints(PromptTemplateConfig))
+        backend = _section(doc.get("backend"), "backend", _hints(BackendConfig))
         if "backend" in overrides:
             backend["backend_kind"] = overrides["backend"]
-        seed = _integer(overrides.get("seed", sampling.get("seed", 42)), "sampling.seed")
+        seed = overrides.get("seed", sampling.get("seed", 42))
+        seed = _checked(seed, hint["seed"], "sampling.seed")  # an override is checked too
 
         all_kinds = benchmarks.BENCHMARK_KINDS
         bench = _section(doc.get("benchmarks"), "benchmarks", ("kinds", *all_kinds))
-        kinds = _strings(bench.get("kinds", all_kinds), "benchmarks.kinds")
+        kinds = _checked(bench.get("kinds", all_kinds), hint["benchmark_kinds"], "benchmarks.kinds")
         _section(bench, "benchmarks", ("kinds", *kinds))  # no section for a kind not run
+        train = {k: v for k, v in _hints(benchmarks.TrainConfig).items() if k != "kind"}
         train_configs = {
             kind: dataclasses.replace(
                 benchmarks.default_train_config(kind, seed=seed),
-                **_section(bench[kind], f"benchmarks.{kind}", _TRAIN_KEYS),
+                **_section(bench[kind], f"benchmarks.{kind}", train),
             )
             for kind in kinds
             if kind in bench
@@ -178,15 +198,16 @@ def load_pipeline_config(path: str | Path, overrides: dict | None = None) -> Pip
 
         out = overrides.get("out")
         max_samples = overrides.get("max_samples", doc.get("max_samples"))
+        max_samples = _checked(max_samples, hint["max_samples"], "max_samples")
         return PipelineConfig(
             dataset_path=base_dir / dataset["path"],
             output_dir=Path(out) if out is not None else base_dir / doc.get("output_dir", "out"),
             delimiter=dataset.get("delimiter", "\t"),
             column_map=ColumnMap.from_json_dict(
-                _section(dataset.get("column_map"), "column_map", ColumnMap)
+                _section(dataset.get("column_map"), "column_map", _hints(ColumnMap).keys())
             ),
-            n_train=_integer(sampling.get("n_train", 1000), "sampling.n_train"),
-            n_test=_integer(sampling.get("n_test", 200), "sampling.n_test"),
+            n_train=sampling.get("n_train", 1000),
+            n_test=sampling.get("n_test", 200),
             seed=seed,
             prompt=PromptTemplateConfig(**prompt),
             backend=BackendConfig(**backend),
@@ -194,9 +215,9 @@ def load_pipeline_config(path: str | Path, overrides: dict | None = None) -> Pip
             train_configs=train_configs,
             cache_dir=base_dir / doc["cache_dir"] if doc.get("cache_dir") is not None else None,
             parse_failure_mode=doc.get("parse_failure_mode", "exclude"),
-            max_samples=None if max_samples is None else _integer(max_samples, "max_samples"),
+            max_samples=max_samples,
         )
-    except (TypeError, AttributeError, yaml.YAMLError) as exc:
+    except (ValueError, TypeError, AttributeError, yaml.YAMLError) as exc:
         raise ValueError(f"{path}: {' '.join(str(exc).split())}") from exc
 
 
@@ -353,6 +374,11 @@ def _model_key(cfg: PipelineConfig, kind: str, split_key: str) -> str:
     )
 
 
+def model_text(model, scaler) -> str:
+    """A fitted model and its scaler as stored: versioned JSON, one line."""
+    return json.dumps(benchmarks.model_to_dict(model, scaler), sort_keys=True) + "\n"
+
+
 def _fit_or_load(cfg: PipelineConfig, kind: str, train: list[ChoiceSituation], split_key: str):
     """One benchmark kind as (model, scaler), fitted or reloaded."""
 
@@ -363,7 +389,7 @@ def _fit_or_load(cfg: PipelineConfig, kind: str, train: list[ChoiceSituation], s
     return load_or_create(
         stage_path(cfg.output_dir, f"model-{kind}", _model_key(cfg, kind, split_key), ".json"),
         compute,
-        serialize=lambda pair: json.dumps(benchmarks.model_to_dict(*pair), sort_keys=True) + "\n",
+        serialize=lambda pair: model_text(*pair),
         deserialize=lambda text: benchmarks.model_from_dict(json.loads(text)),
     )
 

@@ -267,6 +267,25 @@ def test_column_map_config_form():
         ColumnMap.from_json_dict({"time_columns": {"train": "T", "Train": "U", "car": "C"}})
 
 
+def test_column_map_checks_types_instead_of_coercing():
+    modes = {"train": "T", "car": "C", "swissmetro": "S"}
+    codes = ["train", "car", "swissmetro"]
+    for bad in (1.5, True, "1.5"):
+        with pytest.raises(TypeError, match="choice_code_map keys must be integers"):
+            ColumnMap.from_json_dict({"choice_code_map": dict(zip([bad, 2, 3], codes))})
+    for doc in (
+        {"time_columns": dict(modes, car=7)},
+        {"choice_column": 5},
+        {"annual_pass_column": None},
+    ):
+        with pytest.raises(TypeError, match="column names must be strings"):
+            ColumnMap.from_json_dict(doc)
+    # the JSON form writes codes as their decimal text
+    cmap = ColumnMap.from_json_dict({"choice_code_map": dict(zip(["7", 8, "9"], codes))})
+    assert cmap.choice_code_map == {7: ModeLabel.TRAIN, 8: ModeLabel.CAR, 9: ModeLabel.SWISSMETRO}
+    assert ColumnMap.from_json_dict({"cost_columns": modes}).cost_columns == ("T", "C", "S")
+
+
 def _pool(per_class: int, seed: int = 0) -> list[ChoiceSituation]:
     rng = random.Random(seed)
     pool = []

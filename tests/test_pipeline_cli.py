@@ -115,6 +115,8 @@ PATH_LINE = "  path: survey.dat\n"
 SAMPLING = "sampling:\n  n_train: 120\n  n_test: 45\n  seed: 11\n"
 BACKEND = "backend:\n  backend_kind: mock\n  mock_rule: min_time\n"
 RF_LINE = "  rf: {n_trees: 5}\n"
+NN_LINE = "  nn: {hidden_units: 8, max_epochs: 15}\n"
+MAX_FEATURES = "max_features must be 'sqrt' or an int in [1, 8]"
 
 
 @pytest.mark.parametrize(
@@ -635,6 +637,60 @@ FILE_ERROR = "bad.yaml: "  # a wrongly typed value or bad YAML: one error naming
             "output_dir: out\n", "output_dir: out\nmax_samples: 2.7\n",
             FILE_ERROR + "max_samples must be an integer, got float", id="max_samples-float",
         ),
+        pytest.param(
+            RF_LINE, "  rf: {n_trees: 2.5}\n",
+            FILE_ERROR + "benchmarks.rf.n_trees must be an integer, got float", id="n_trees-float",
+        ),
+        pytest.param(
+            NN_LINE, "  nn: {batch_size: 10.5}\n",
+            FILE_ERROR + "benchmarks.nn.batch_size must be an integer, got float",
+            id="batch_size-float",
+        ),
+        pytest.param(
+            RF_LINE, "  rf: {max_features: log2}\n", FILE_ERROR + MAX_FEATURES,
+            id="max_features-log2",
+        ),
+        pytest.param(
+            RF_LINE, "  rf: {max_features: 0}\n", FILE_ERROR + MAX_FEATURES, id="max_features-0"
+        ),
+        pytest.param(
+            RF_LINE, "  rf: {max_features: 9}\n", FILE_ERROR + MAX_FEATURES, id="max_features-9"
+        ),
+        pytest.param(
+            "output_dir: out\n", "output_dir: out\nprompt: {task_description_text: 5}\n",
+            FILE_ERROR + "prompt.task_description_text must be a string, got int",
+            id="task_description_text-int",
+        ),
+        pytest.param(
+            RF_LINE, "  rf: {bootstrap: 'no'}\n",
+            FILE_ERROR + "benchmarks.rf.bootstrap must be a bool, got str", id="bootstrap-text",
+        ),
+        pytest.param(
+            RF_LINE, "  rf: {max_depth: 2.5}\n",
+            FILE_ERROR + "benchmarks.rf.max_depth must be an integer, got float",
+            id="max_depth-float",
+        ),
+        pytest.param(
+            BACKEND, BACKEND + "  max_parallel_requests: 2.5\n",
+            FILE_ERROR + "backend.max_parallel_requests must be an integer, got float",
+            id="max_parallel_requests-float",
+        ),
+        pytest.param(
+            BACKEND, BACKEND + "  max_retries: 1.5\n",
+            FILE_ERROR + "backend.max_retries must be an integer, got float",
+            id="max_retries-float",
+        ),
+        pytest.param(
+            BACKEND, BACKEND + "  timeout_seconds: true\n",
+            FILE_ERROR + "backend.timeout_seconds must be a float, got bool",
+            id="timeout_seconds-bool",
+        ),
+        pytest.param(
+            PATH_LINE,
+            PATH_LINE + "  column_map: {choice_code_map: {1.5: train, 2: swissmetro, 3: car}}\n",
+            FILE_ERROR + "choice_code_map keys must be integers, got [1.5, 2, 3]",
+            id="choice_code-float",
+        ),
     ],
 )
 def test_cli_rejects_malformed_config(workspace, capsys, old, new, message):
@@ -646,6 +702,54 @@ def test_cli_rejects_malformed_config(workspace, capsys, old, new, message):
     assert len(errors) == 1 and errors[0].startswith("error: ")
     assert message in errors[0]
     assert "Traceback" not in err
+
+
+def test_config_keeps_each_value_as_written(workspace):
+    text = (
+        BASE.replace(RF_LINE, "  rf: {max_features: 3, max_depth: null}\n")
+        .replace(NN_LINE, "  nn: {learning_rate: 1}\n")
+        .replace(BACKEND, BACKEND + "  timeout_seconds: 10\n")  # as perfbench writes it
+    )
+    (workspace / "good.yaml").write_text(text)
+    cfg = load_pipeline_config(workspace / "good.yaml")
+    rf, nn = cfg.train_configs["rf"], cfg.train_configs["nn"]
+    assert (rf.max_features, rf.max_depth) == (3, None)
+    # an int where a float is declared is kept, not converted, so the digest sees 1, not 1.0
+    assert type(nn.learning_rate) is int and nn.learning_rate == 1
+    assert type(cfg.backend.timeout_seconds) is int and cfg.backend.timeout_seconds == 10
+    assert '"learning_rate": 1,' in json.dumps(pipeline.config_to_dict(cfg), sort_keys=True)
+
+
+def test_example_config_loads_with_its_commented_overrides(tmp_path):
+    """config.example.yaml documents column_map and per-kind train overrides
+    in comments; uncommented, they must load and spell out the defaults."""
+    example = Path(__file__).resolve().parents[1] / "config.example.yaml"
+    shipped = example.read_text(encoding="utf-8")
+    spelled, n_keys = re.subn(r"^  # (column_map:|mnl:|rf: |nn: )", r"  \1", shipped, flags=re.M)
+    spelled, n_columns = re.subn(r"^  #   (\w+:)", r"    \1", spelled, flags=re.M)
+    assert (n_keys, n_columns) == (4, 7)
+    (tmp_path / "shipped.yaml").write_text(shipped)
+    (tmp_path / "spelled.yaml").write_text(spelled)
+    cfg = load_pipeline_config(tmp_path / "shipped.yaml")
+    spelled_cfg = load_pipeline_config(tmp_path / "spelled.yaml")
+    assert spelled_cfg.column_map == cfg.column_map
+    assert spelled_cfg.train_configs == cfg.train_configs
+    assert config_digest(spelled_cfg) == config_digest(cfg)
+
+
+def test_cli_fit_bench_copies_each_stored_model(workspace, capsys):
+    config = str(workspace / "config.yaml")
+    assert run_cli("fit-bench", "--config", config) == 0
+    models = workspace / "out" / "models"
+    stamps = {}
+    for kind in ("mnl", "rf", "nn"):
+        (stored,) = (workspace / "out" / "stages").glob(f"model-{kind}-*.json")
+        assert (models / f"{kind}.json").read_bytes() == stored.read_bytes()
+        stamps[kind] = (models / f"{kind}.json").stat().st_mtime_ns
+    assert sorted(p.name for p in models.iterdir()) == ["mnl.json", "nn.json", "rf.json"]
+    # written through write_atomic, which leaves identical bytes in place
+    assert run_cli("fit-bench", "--config", config) == 0
+    assert {kind: (models / f"{kind}.json").stat().st_mtime_ns for kind in stamps} == stamps
 
 
 def test_cli_reads_out_against_the_working_directory(workspace, tmp_path_factory, monkeypatch):
