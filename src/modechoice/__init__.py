@@ -10,6 +10,7 @@ from .dataset import (
     ChoiceSituation,
     ColumnMap,
     ModeLabel,
+    SituationTable,
     balanced_split,
     load_raw,
     to_choice_situations,
@@ -54,6 +55,7 @@ __all__ = [
     "Prediction",
     "Prompt",
     "PromptTemplateConfig",
+    "SituationTable",
     "accuracy",
     "balanced_split",
     "batch_complete",

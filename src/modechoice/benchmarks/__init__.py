@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..dataset import MODE_ORDER, ChoiceSituation, ModeLabel
+from ..dataset import MODE_ORDER, ModeLabel, SituationTable
 from . import forest, mnl, neural
 from .config import (
     BenchmarkError,
@@ -47,7 +47,7 @@ __all__ = [
 
 def fit_classifier(
     kind: str,
-    train: list[ChoiceSituation],
+    train: SituationTable,
     cfg: TrainConfig,
     scaler: FeatureScaler,
 ):

@@ -63,6 +63,15 @@ class TrainConfig:
             raise ValueError(f"max_features must be 'sqrt' or an int in [1, {N_FEATURES}]")
 
 
+# the TrainConfig fields each kind reads; a config file may set no other
+_DESCENT = ("seed", "learning_rate", "max_epochs", "tolerance", "l2_strength")
+FIELDS_READ = {
+    "mnl": _DESCENT,
+    "rf": ("seed", "n_trees", "max_features", "bootstrap", "max_depth"),
+    "nn": (*_DESCENT, "hidden_units", "batch_size"),
+}
+
+
 def default_train_config(kind: str, seed: int = 0) -> TrainConfig:
     if kind == "mnl":
         # full-batch descent with step halving: monotone and insensitive to the

@@ -11,21 +11,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dataset import ChoiceSituation
+from ..dataset import SituationTable
 from .config import N_FEATURES, EmptyTrainingSet
 
 N_NUMERIC = 6
 N_CLASSES = 3
 
 
-def _raw_matrix(situations: list[ChoiceSituation]) -> np.ndarray:
+def _raw_matrix(situations: SituationTable) -> np.ndarray:
     """Unscaled (n, 8) feature matrix in the fixed feature order."""
-    rows = [
-        [v for pair in zip(s.travel_time_min, s.travel_cost) for v in pair]
-        + [s.is_regular_train_user, s.owns_annual_pass]
-        for s in situations
-    ]
-    return np.array(rows, dtype=float).reshape(len(rows), N_FEATURES)
+    pairs = np.stack([situations.times, situations.costs], axis=2).reshape(-1, N_NUMERIC)
+    return np.column_stack([pairs, situations.regular, situations.annual_pass]).astype(float)
 
 
 @dataclass
@@ -54,19 +50,19 @@ class FeatureScaler:
         return np.where(self.degenerate, 0.0, z)
 
 
-def fit_scaler(train: list[ChoiceSituation]) -> FeatureScaler:
+def fit_scaler(train: SituationTable) -> FeatureScaler:
     if not train:
         raise EmptyTrainingSet("cannot fit a scaler on an empty training set")
     raw = _raw_matrix(train)[:, :N_NUMERIC]
     return FeatureScaler(means=raw.mean(axis=0), stds=raw.std(axis=0))
 
 
-def encode_matrix(situations: list[ChoiceSituation], scaler: FeatureScaler) -> np.ndarray:
+def encode_matrix(situations: SituationTable, scaler: FeatureScaler) -> np.ndarray:
     """One deterministic 8-vector per situation, stacked row-wise."""
     X = _raw_matrix(situations)
     X[:, :N_NUMERIC] = scaler.transform(X[:, :N_NUMERIC])
     return X
 
 
-def labels_array(situations: list[ChoiceSituation]) -> np.ndarray:
-    return np.array([int(s.chosen) for s in situations], dtype=int)
+def labels_array(situations: SituationTable) -> np.ndarray:
+    return situations.chosen

@@ -81,7 +81,7 @@ def _load_config(args: argparse.Namespace) -> pipeline.PipelineConfig:
 
 
 def _class_counts(situations) -> str:
-    counts = Counter(s.chosen for s in situations)
+    counts = Counter(situations.chosen.tolist())
     return ", ".join(f"{m.display}={counts.get(m, 0)}" for m in MODE_ORDER)
 
 
@@ -118,7 +118,7 @@ def _cmd_dump_prompt(cfg, args) -> int:
         if not 0 <= args.index < len(test):
             print(f"error: --index must be in [0, {len(test)})", file=sys.stderr)
             return 2
-        situation = test[args.index]
+        situation = list(test)[args.index]
     print(build_prompt(situation, cfg.prompt).full_text)
     return 0
 
@@ -143,7 +143,7 @@ def _cmd_fit_bench(cfg) -> int:
         destination = models_dir / f"{kind}.json"
         write_atomic(destination, pipeline.model_text(model, scaler).encode("utf-8"))
         labels = benchmarks.predict_labels(model, benchmarks.encode_matrix(train, scaler))
-        hits = sum(p == s.chosen for p, s in zip(labels, train))
+        hits = sum(p == chosen for p, chosen in zip(labels, train.chosen))
         print(f"{kind}: train accuracy {hits / len(train):.3f}, saved to {destination}")
     return 0
 

@@ -15,7 +15,10 @@ import math
 import random
 from dataclasses import dataclass, field
 from enum import IntEnum
+from operator import itemgetter
 from pathlib import Path
+
+import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -183,104 +186,118 @@ class ChoiceSituation:
             raise ValueError("travel costs must be non-negative")
 
 
-def _open_text(path: Path):
-    if path.suffix == ".gz":
-        return gzip.open(path, "rt", encoding="utf-8", newline="")
-    return open(path, "r", encoding="utf-8", newline="")
+@dataclass(frozen=True)
+class SituationTable:
+    """Validated survey rows as columns. Times and costs are rounded but kept
+    as float64, since a finite value may lie past the int64 range. A slice or
+    a list of positions indexes rows; iterating builds one ChoiceSituation
+    per row, with exact ints."""
+
+    row_index: np.ndarray  # (n,) the row's index among the file's data rows
+    times: np.ndarray  # (n, 3) in MODE_ORDER
+    costs: np.ndarray  # (n, 3) in MODE_ORDER
+    regular: np.ndarray  # (n,) bool
+    annual_pass: np.ndarray  # (n,) bool
+    chosen: np.ndarray  # (n,) class index in MODE_ORDER
+
+    def __len__(self) -> int:
+        return len(self.row_index)
+
+    def __getitem__(self, rows) -> "SituationTable":
+        return SituationTable(*(column[rows] for column in vars(self).values()))
+
+    @property
+    def ids(self) -> list[str]:
+        return [f"row{i:05d}" for i in self.row_index.tolist()]
+
+    def __iter__(self):
+        for i, times, costs, *flags, chosen in zip(*(c.tolist() for c in vars(self).values())):
+            times, costs = tuple(map(int, times)), tuple(map(int, costs))
+            yield ChoiceSituation(f"row{i:05d}", times, costs, *flags, MODE_ORDER[chosen])
 
 
 def load_raw(
     path: str | Path, cmap: ColumnMap, delimiter: str = "\t"
-) -> dict[str, list[float]]:
+) -> dict[str, np.ndarray]:
     """Read the mapped columns of a delimiter-separated survey file as numbers.
 
-    Returns one list of floats per mapped column, in file row order; other
+    Returns one float64 array per mapped column, in file row order; other
     columns are never parsed. Blank lines are skipped and take no row index,
     and a short row reads its missing fields as "". Raises MissingColumn,
-    UnparseableValue, or EmptyFile.
+    UnparseableValue (the first bad value by row, then column), or EmptyFile.
     """
     path = Path(path)
-    columns: dict[str, list[float]] = {name: [] for name in cmap.mapped_columns()}
-    with _open_text(path) as handle:
+    names = cmap.mapped_columns()
+    opener = gzip.open if path.suffix == ".gz" else open
+    with opener(path, "rt", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle, delimiter=delimiter)
         header = next(reader, None)
         if not header:
             raise EmptyFile(f"{path}: no header row")
         position = {name: i for i, name in enumerate(header)}  # last duplicate wins
-        for name in columns:
+        for name in names:
             if name not in position:
                 raise MissingColumn(name)
-        # header order, so a row with several bad values reports its first one
-        plan = sorted((position[name], name, columns[name].append) for name in columns)
-        isfinite = math.isfinite
-        for index, row in enumerate(row for row in reader if row):
-            for i, name, append in plan:
-                text = row[i] if i < len(row) else ""
-                try:
-                    value = float(text)
-                except ValueError:
-                    value = math.nan
-                if not isfinite(value):  # float() also reads "nan" and "inf"
-                    raise UnparseableValue(index, name, text.strip())
-                append(value)
-    if not columns[cmap.choice_column]:
+        rows = [row for row in reader if row]
+    if not rows:
         raise EmptyFile(f"{path}: header but no data rows")
-    return columns
+    try:  # column by column; a short row or a bad value falls through to the scan
+        getters = {name: itemgetter(position[name]) for name in names}
+        columns = {n: np.fromiter(map(float, map(get, rows)), float) for n, get in getters.items()}
+        # float() also reads "nan" and "inf"
+        if all(np.isfinite(values).all() for values in columns.values()):
+            return columns
+    except (IndexError, ValueError):
+        pass
+    for index, row in enumerate(rows):
+        for i, name in sorted((position[name], name) for name in names):
+            text = row[i] if i < len(row) else ""
+            try:
+                value = float(text)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise UnparseableValue(index, name, text.strip())
+    raise AssertionError("the column pass failed, but no value is bad")
 
 
-def _round_half_up(value: float) -> int:
-    return math.floor(value + 0.5)
-
-
-def to_choice_situations(
-    columns: dict[str, list[float]], cmap: ColumnMap
-) -> list[ChoiceSituation]:
-    """Convert load_raw's columns to validated ChoiceSituations, dropping unusable rows.
+def to_choice_situations(columns: dict[str, np.ndarray], cmap: ColumnMap) -> SituationTable:
+    """Validate load_raw's columns into a SituationTable, dropping unusable rows.
 
     A row is dropped when its choice code is not in the code map (including
     the 0 = unknown code), when any alternative is flagged unavailable, or
-    when its times/costs violate the value constraints. Exclusion counts are
-    emitted as a structured log record.
+    when its rounded times/costs violate ChoiceSituation's value constraints;
+    each dropped row counts under the first rule it breaks. Exclusion counts
+    are emitted as a structured log record.
     """
 
-    def per_mode(names):  # one tuple of the three values per row
-        return zip(*(columns[name] for name in names))
+    def per_mode(names):  # (n, 3)
+        return np.column_stack([columns[name] for name in names])
 
     codes = columns[cmap.choice_column]
-    rows = zip(
-        codes,
-        per_mode(cmap.availability_columns),
-        per_mode(cmap.time_columns),
-        per_mode(cmap.cost_columns),
-        columns[cmap.regular_user_column],
-        columns[cmap.annual_pass_column],
+    distinct, inverse = np.unique(codes, return_inverse=True)
+    # each distinct code's class, or -1 when it is not an integer in the map
+    lookup = [cmap.choice_code_map.get(int(c), -1) if c == int(c) else -1 for c in distinct]
+    classes = np.array(lookup, dtype=int)[inverse]
+    times = np.floor(per_mode(cmap.time_columns) + 0.5)
+    costs = np.floor(per_mode(cmap.cost_columns) + 0.5)
+    unmapped = classes < 0
+    unavailable = ~unmapped & (per_mode(cmap.availability_columns) == 0).any(axis=1)
+    invalid = ~unmapped & ~unavailable & ((times <= 0) | (costs < 0)).any(axis=1)
+    keep = ~(unmapped | unavailable | invalid)
+    rules = dict(
+        unmapped_choice_code=unmapped, unavailable_alternative=unavailable, invalid_values=invalid
     )
-    situations: list[ChoiceSituation] = []
-    excluded = {"unmapped_choice_code": 0, "unavailable_alternative": 0, "invalid_values": 0}
-    for index, (code, available, times, costs, regular, annual) in enumerate(rows):
-        if code != int(code) or int(code) not in cmap.choice_code_map:
-            excluded["unmapped_choice_code"] += 1
-            continue
-        if 0 in available:
-            excluded["unavailable_alternative"] += 1
-            continue
-        try:  # ChoiceSituation enforces the value constraints
-            situation = ChoiceSituation(
-                situation_id=f"row{index:05d}",
-                travel_time_min=tuple(map(_round_half_up, times)),
-                travel_cost=tuple(map(_round_half_up, costs)),
-                is_regular_train_user=regular != 0,
-                owns_annual_pass=annual != 0,
-                chosen=cmap.choice_code_map[int(code)],
-            )
-        except ValueError:
-            excluded["invalid_values"] += 1
-            continue
-        situations.append(situation)
-    logger.info("ingest: kept %d of %d rows, excluded %s", len(situations), len(codes), excluded)
-    if not situations:
+    excluded = {rule: int(dropped.sum()) for rule, dropped in rules.items()}
+    table = SituationTable(
+        np.flatnonzero(keep), times[keep], costs[keep],
+        columns[cmap.regular_user_column][keep] != 0, columns[cmap.annual_pass_column][keep] != 0,
+        classes[keep],
+    )
+    logger.info("ingest: kept %d of %d rows, excluded %s", len(table), len(codes), excluded)
+    if not table:
         raise NoValidRows(f"no rows survived filtering: {len(codes)} read, excluded {excluded}")
-    return situations
+    return table
 
 
 def _per_class_quotas(
@@ -305,35 +322,27 @@ def _per_class_quotas(
 
 
 def balanced_split(
-    situations: list[ChoiceSituation],
+    situations: SituationTable,
     n_train: int,
     n_test: int,
     seed: int,
-) -> tuple[list[ChoiceSituation], list[ChoiceSituation]]:
+) -> tuple[SituationTable, SituationTable]:
     """Draw disjoint, class-balanced train/test samples without replacement.
 
     Per-class counts within each split differ by at most one. Members are
-    sorted by situation_id before the seeded shuffle, so the result depends
-    only on the situation set and the seed. Test is drawn after train from
-    the remainder of each class.
+    sorted by situation id, as text, before the seeded shuffle, so the result
+    depends only on the situation set and the seed. Test is drawn after train
+    from the remainder of each class.
     """
     if n_train <= 0 or n_test <= 0:
         raise ValueError("n_train and n_test must be positive")
-    ids = [s.situation_id for s in situations]
-    if len(ids) != len(set(ids)):
-        raise ValueError("situation_ids must be unique")
-
+    ids = situations.ids
     rng = random.Random(seed)
     train_quota, test_quota = _per_class_quotas(n_train, n_test, rng)
 
-    by_class: list[list[ChoiceSituation]] = [[] for _ in MODE_ORDER]
-    for situation in situations:
-        by_class[situation.chosen].append(situation)
-
-    train: list[ChoiceSituation] = []
-    test: list[ChoiceSituation] = []
+    train, test = [], []  # positions
     for mode in MODE_ORDER:
-        members = sorted(by_class[mode], key=lambda s: s.situation_id)
+        members = sorted(np.flatnonzero(situations.chosen == mode).tolist(), key=ids.__getitem__)
         needed = train_quota[mode] + test_quota[mode]
         if len(members) < needed:
             raise InsufficientClassMembers(mode, needed, len(members))
@@ -342,4 +351,4 @@ def balanced_split(
         test.extend(members[train_quota[mode] : needed])
     rng.shuffle(train)
     rng.shuffle(test)
-    return train, test
+    return situations[train], situations[test]

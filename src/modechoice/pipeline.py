@@ -13,6 +13,7 @@ import dataclasses
 import functools
 import json
 import logging
+import time
 import types
 import typing
 from contextlib import contextmanager
@@ -24,11 +25,12 @@ import yaml
 
 from . import benchmarks
 from .artifacts import digest_of, load_or_create, stage_path
+from .benchmarks.config import FIELDS_READ
 from .benchmarks.model_io import FORMAT_VERSION as MODEL_FORMAT_VERSION
 from .dataset import (
     MODE_ORDER,
-    ChoiceSituation,
     ColumnMap,
+    SituationTable,
     balanced_split,
     load_raw,
     to_choice_situations,
@@ -169,7 +171,8 @@ def load_pipeline_config(path: str | Path, overrides: dict | None = None) -> Pip
             {k: hint[k] for k in ("output_dir", "cache_dir", "parse_failure_mode", "max_samples")}
             | dict.fromkeys(("dataset", "sampling", "prompt", "backend", "benchmarks")),
         )
-        dataset = _section(doc.get("dataset"), "dataset", ("path", "delimiter", "column_map"))
+        fields = {"path": hint["dataset_path"], "delimiter": None, "column_map": None}
+        dataset = _section(doc.get("dataset"), "dataset", fields)
         if "path" not in dataset:
             raise ValueError("config must set dataset.path")
         sampling = _section(
@@ -186,11 +189,12 @@ def load_pipeline_config(path: str | Path, overrides: dict | None = None) -> Pip
         bench = _section(doc.get("benchmarks"), "benchmarks", ("kinds", *all_kinds))
         kinds = _checked(bench.get("kinds", all_kinds), hint["benchmark_kinds"], "benchmarks.kinds")
         _section(bench, "benchmarks", ("kinds", *kinds))  # no section for a kind not run
-        train = {k: v for k, v in _hints(benchmarks.TrainConfig).items() if k != "kind"}
+        train_hint = _hints(benchmarks.TrainConfig)
+        train = {kind: {k: train_hint[k] for k in read} for kind, read in FIELDS_READ.items()}
         train_configs = {
             kind: dataclasses.replace(
                 benchmarks.default_train_config(kind, seed=seed),
-                **_section(bench[kind], f"benchmarks.{kind}", train),
+                **_section(bench[kind], f"benchmarks.{kind}", train[kind]),
             )
             for kind in kinds
             if kind in bench
@@ -248,15 +252,17 @@ def config_digest(cfg: PipelineConfig) -> str:
 
 @contextmanager
 def stage(name: str):
-    """Run a block as the named stage: a failure in it becomes a PipelineError."""
+    """Run a block as the named stage: a failure in it becomes a PipelineError.
+    The done line gives the stage's wall time."""
     logger.info("stage %s: start", name)
+    started = time.perf_counter()
     try:
         yield
     except PipelineError:
         raise
     except Exception as exc:
         raise PipelineError(name, exc) from exc
-    logger.info("stage %s: done", name)
+    logger.info("stage %s: done in %.1f ms", name, (time.perf_counter() - started) * 1000)
 
 
 def ingest_key(cfg: PipelineConfig) -> str:
@@ -267,9 +273,9 @@ def ingest_key(cfg: PipelineConfig) -> str:
     )
 
 
-def stage_ingest(cfg: PipelineConfig) -> list[ChoiceSituation]:
-    """Read and validate the survey file; rerun every time, since reparsing
-    it costs less than storing and reloading its situations."""
+def stage_ingest(cfg: PipelineConfig) -> SituationTable:
+    """Read and validate the survey file into columns; rerun every time, since
+    that takes a few tens of ms for the paper's 10,728 rows, mostly csv parsing."""
     columns = load_raw(cfg.dataset_path, cfg.column_map, delimiter=cfg.delimiter)
     return to_choice_situations(columns, cfg.column_map)
 
@@ -282,23 +288,18 @@ def sample_key(cfg: PipelineConfig) -> str:
 
 
 def stage_sample(
-    cfg: PipelineConfig, situations: list[ChoiceSituation], split_key: str | None = None
-) -> tuple[list[ChoiceSituation], list[ChoiceSituation]]:
+    cfg: PipelineConfig, situations: SituationTable, split_key: str | None = None
+) -> tuple[SituationTable, SituationTable]:
     split_key = split_key or sample_key(cfg)
     path = stage_path(cfg.output_dir, "split", split_key, suffix=".json")
-    by_id = {s.situation_id: s for s in situations}
-
-    def compute():
-        train, test = balanced_split(situations, cfg.n_train, cfg.n_test, cfg.seed)
-        return [s.situation_id for s in train], [s.situation_id for s in test]
-
     train_ids, test_ids = load_or_create(
         path,
-        compute,
+        lambda: [t.ids for t in balanced_split(situations, cfg.n_train, cfg.n_test, cfg.seed)],
         serialize=lambda ids: json.dumps({"train": ids[0], "test": ids[1]}, indent=0) + "\n",
         deserialize=lambda text: itemgetter("train", "test")(json.loads(text)),
     )
-    return [by_id[i] for i in train_ids], [by_id[i] for i in test_ids]
+    position = {sid: i for i, sid in enumerate(situations.ids)}
+    return situations[[position[i] for i in train_ids]], situations[[position[i] for i in test_ids]]
 
 
 def llm_key(cfg: PipelineConfig, split_key: str | None = None) -> str:
@@ -328,7 +329,7 @@ def _answer(result) -> LlmAnswer:
 
 
 def stage_llm(
-    cfg: PipelineConfig, test: list[ChoiceSituation], split_key: str | None = None
+    cfg: PipelineConfig, test: SituationTable, split_key: str | None = None
 ) -> list[LlmAnswer]:
     """Predict the capped test set with the configured backend; returns one
     answer per situation, in test-set order.
@@ -379,7 +380,7 @@ def model_text(model, scaler) -> str:
     return json.dumps(benchmarks.model_to_dict(model, scaler), sort_keys=True) + "\n"
 
 
-def _fit_or_load(cfg: PipelineConfig, kind: str, train: list[ChoiceSituation], split_key: str):
+def _fit_or_load(cfg: PipelineConfig, kind: str, train: SituationTable, split_key: str):
     """One benchmark kind as (model, scaler), fitted or reloaded."""
 
     def compute():
@@ -395,7 +396,7 @@ def _fit_or_load(cfg: PipelineConfig, kind: str, train: list[ChoiceSituation], s
 
 
 def stage_benchmarks(
-    cfg: PipelineConfig, train: list[ChoiceSituation], split_key: str | None = None
+    cfg: PipelineConfig, train: SituationTable, split_key: str | None = None
 ) -> dict[str, tuple]:
     """Fit (or reload) each configured benchmark; returns kind -> (model, scaler)."""
     split_key = split_key or sample_key(cfg)
@@ -403,7 +404,7 @@ def stage_benchmarks(
 
 
 def stage_labels(
-    cfg: PipelineConfig, train: list[ChoiceSituation], test: list[ChoiceSituation], split_key: str
+    cfg: PipelineConfig, train: SituationTable, test: SituationTable, split_key: str
 ) -> dict[str, list]:
     """Each configured benchmark's predicted mode per capped test situation.
     They are stored per kind, as class indices under the model key and the
@@ -434,7 +435,7 @@ def stage_labels(
 
 
 def _case_records(
-    test: list[ChoiceSituation],
+    test: SituationTable,
     answers: list[LlmAnswer],
     bench_predictions: dict[str, list],
 ) -> list[CaseRecord]:
@@ -452,7 +453,7 @@ def _case_records(
 
 def prepare_split(
     cfg: PipelineConfig, split_key: str | None = None
-) -> tuple[str, list[ChoiceSituation], list[ChoiceSituation]]:
+) -> tuple[str, SituationTable, SituationTable]:
     """Ingest, split and cap: the prefix every run shares. Returns the split
     key (the dataset is hashed here unless the caller passes it), the
     training set, and the test set cut to the configured cap."""
@@ -461,7 +462,7 @@ def prepare_split(
     with stage("sample"):
         split_key = split_key or sample_key(cfg)
         train, test = stage_sample(cfg, situations, split_key)
-        overlap = {s.situation_id for s in train} & {s.situation_id for s in test}
+        overlap = set(train.ids) & set(test.ids)
         if overlap:
             raise ValueError(f"train/test overlap: {sorted(overlap)[:5]}")
     cap = cfg.effective_max_samples()

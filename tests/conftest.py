@@ -7,9 +7,10 @@ from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from modechoice.dataset import ChoiceSituation, ModeLabel
+from modechoice.dataset import ChoiceSituation, ModeLabel, SituationTable
 
 RAW_COLUMNS = [
     "ID",
@@ -59,6 +60,20 @@ def random_situation(rng: random.Random, sid: str) -> ChoiceSituation:
         is_regular_train_user=rng.random() < 0.4,
         owns_annual_pass=rng.random() < 0.15,
         chosen=rng.choice(order),
+    )
+
+
+def table_of(situations, rows=None) -> SituationTable:
+    """Hand-built situations as a table, at these row indices (default: their
+    positions); ids follow the row index, as ingest writes them."""
+    situations = list(situations)
+    return SituationTable(
+        row_index=np.arange(len(situations)) if rows is None else np.array(rows),
+        times=np.array([s.travel_time_min for s in situations], dtype=float).reshape(-1, 3),
+        costs=np.array([s.travel_cost for s in situations], dtype=float).reshape(-1, 3),
+        regular=np.array([s.is_regular_train_user for s in situations], dtype=bool),
+        annual_pass=np.array([s.owns_annual_pass for s in situations], dtype=bool),
+        chosen=np.array([int(s.chosen) for s in situations], dtype=int),
     )
 
 

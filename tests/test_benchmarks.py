@@ -26,7 +26,13 @@ from modechoice.benchmarks.forest import Tree
 from modechoice.dataset import ColumnMap, ModeLabel, load_raw, to_choice_situations
 
 import reference_forest
-from conftest import make_situation, random_situation, synthetic_raw_rows, write_survey_file
+from conftest import (
+    make_situation,
+    random_situation,
+    synthetic_raw_rows,
+    table_of,
+    write_survey_file,
+)
 
 
 def numeric_grad(f, arrays, eps=1e-6):
@@ -68,11 +74,11 @@ def situations_from_file(tmp_path, n=400, seed=7):
 
 
 def test_fit_scaler_hand_values():
-    rows = [
+    rows = table_of([
         make_situation(sid="a", times=(10, 20, 30), costs=(1, 2, 3)),
         make_situation(sid="b", times=(20, 40, 60), costs=(3, 4, 5)),
         make_situation(sid="c", times=(30, 60, 90), costs=(5, 6, 7)),
-    ]
+    ])
     scaler = fit_scaler(rows)
     # layout: train_time, train_cost, car_time, car_cost, sm_time, sm_cost
     assert np.allclose(scaler.means, [20, 3, 40, 4, 60, 5])
@@ -84,39 +90,43 @@ def test_fit_scaler_hand_values():
 
 
 def test_fit_scaler_single_row_degenerate():
-    scaler = fit_scaler([make_situation()])
+    scaler = fit_scaler(table_of([make_situation()]))
     assert scaler.degenerate.all()
-    encoded = encode_matrix([make_situation()], scaler)[0]
+    encoded = encode_matrix(table_of([make_situation()]), scaler)[0]
     assert np.allclose(encoded[:6], 0.0)
 
 
 def test_feature_at_mean_scores_zero():
-    rows = [
+    rows = table_of([
         make_situation(sid="a", times=(10, 20, 30), costs=(2, 4, 6)),
         make_situation(sid="b", times=(30, 40, 50), costs=(6, 8, 10)),
-    ]
+    ])
     scaler = fit_scaler(rows)
     midpoint = make_situation(sid="m", times=(20, 30, 40), costs=(4, 6, 8))
-    assert np.allclose(encode_matrix([midpoint], scaler)[0, :6], 0.0)
+    assert np.allclose(encode_matrix(table_of([midpoint]), scaler)[0, :6], 0.0)
 
 
 def test_binaries_pass_through():
-    rows = [make_situation(regular=True, annual=False), make_situation(regular=False, annual=True)]
+    rows = table_of(
+        [make_situation(regular=True, annual=False), make_situation(regular=False, annual=True)]
+    )
     encoded = encode_matrix(rows, IDENTITY)
     assert encoded[0, 6] == 1.0 and encoded[0, 7] == 0.0
     assert encoded[1, 6] == 0.0 and encoded[1, 7] == 1.0
 
 
 def test_encode_deterministic():
-    scaler = fit_scaler([make_situation(sid=f"s{i}", times=(10 + i, 20, 30)) for i in range(5)])
-    a = encode_matrix([make_situation()], scaler)
-    b = encode_matrix([make_situation()], scaler)
+    scaler = fit_scaler(
+        table_of([make_situation(sid=f"s{i}", times=(10 + i, 20, 30)) for i in range(5)])
+    )
+    a = encode_matrix(table_of([make_situation()]), scaler)
+    b = encode_matrix(table_of([make_situation()]), scaler)
     assert np.array_equal(a, b)
 
 
 def test_fit_scaler_empty():
     with pytest.raises(EmptyTrainingSet):
-        fit_scaler([])
+        fit_scaler(table_of([]))
 
 
 # --- multinomial logit -------------------------------------------------------
@@ -178,6 +188,7 @@ def test_mnl_learns_separable_rule():
                 chosen=chosen,
             )
         )
+    rows = table_of(rows)
     scaler = fit_scaler(rows)
     model = fit_classifier("mnl", rows, default_train_config("mnl"), scaler)
     labels = predict_labels(model, encode_matrix(rows, scaler))
@@ -262,7 +273,7 @@ def test_mnl_deterministic(tmp_path):
 
 
 def test_mnl_requires_all_classes():
-    rows = [make_situation(sid=f"s{i}", chosen=ModeLabel.CAR) for i in range(10)]
+    rows = table_of([make_situation(sid=f"s{i}", chosen=ModeLabel.CAR) for i in range(10)])
     scaler = fit_scaler(rows)
     with pytest.raises(ClassMissing):
         fit_classifier("mnl", rows, default_train_config("mnl"), scaler)
@@ -330,6 +341,7 @@ def test_rf_single_tree_shatters_unique_points():
             continue
         seen.add(key)
         rows.append(situation)
+    rows = table_of(rows)
     cfg = TrainConfig(kind="rf", seed=0, n_trees=1, max_features=8, bootstrap=False)
     model = fit_classifier("rf", rows, cfg, IDENTITY)
     labels = predict_labels(model, encode_matrix(rows, IDENTITY))

@@ -12,13 +12,14 @@ from modechoice.dataset import (
     MissingColumn,
     ModeLabel,
     NoValidRows,
+    SituationTable,
     UnparseableValue,
     balanced_split,
     load_raw,
     to_choice_situations,
 )
 
-from conftest import RAW_COLUMNS, random_situation, synthetic_raw_rows, write_survey_file
+from conftest import RAW_COLUMNS, random_situation, synthetic_raw_rows, table_of, write_survey_file
 
 CMAP = ColumnMap()
 
@@ -30,7 +31,7 @@ def test_load_raw_reads_all_rows(tmp_path):
     assert list(columns) == CMAP.mapped_columns()
     assert all(len(values) == 3 for values in columns.values())
     assert all(isinstance(v, float) for v in columns["TRAIN_TT"])
-    assert columns["TRAIN_TT"] == [float(row["TRAIN_TT"]) for row in rows]
+    assert columns["TRAIN_TT"].tolist() == [float(row["TRAIN_TT"]) for row in rows]
 
 
 def test_load_raw_missing_choice_column(tmp_path):
@@ -87,6 +88,18 @@ def test_nan_availability_is_unparseable(tmp_path):
     ingest_with(tmp_path, 0, "TRAIN_AV", "NaN")
 
 
+def test_first_bad_value_is_reported_by_row_then_column(tmp_path):
+    rows = synthetic_raw_rows(4, seed=1)
+    rows[2]["TRAIN_TT"] = "inf"  # an earlier column, in a later row
+    rows[1]["SM_CO"] = "n/a"
+    rows[1]["CAR_TT"] = " "
+    path = write_survey_file(tmp_path / "bad.dat", rows)
+    with pytest.raises(UnparseableValue) as err:
+        load_raw(path, CMAP)
+    assert (err.value.row_index, err.value.column) == (1, "CAR_TT")
+    assert "value ''" in str(err.value)
+
+
 def test_load_raw_custom_delimiter(tmp_path):
     path = write_survey_file(tmp_path / "comma.csv", synthetic_raw_rows(4, seed=2), delimiter=",")
     columns = load_raw(path, CMAP, delimiter=",")
@@ -106,11 +119,11 @@ def test_load_raw_short_row_is_unparseable(tmp_path):
 
 def test_blank_line_does_not_shift_situation_ids(tmp_path):
     path = write_survey_file(tmp_path / "plain.dat", synthetic_raw_rows(4, seed=2))
-    expected = to_choice_situations(load_raw(path, CMAP), CMAP)
+    expected = list(to_choice_situations(load_raw(path, CMAP), CMAP))
     lines = path.read_text().splitlines()
     gapped = tmp_path / "gapped.dat"
     gapped.write_text("\n".join(lines[:3] + [""] + lines[3:]) + "\n\n")
-    assert to_choice_situations(load_raw(gapped, CMAP), CMAP) == expected
+    assert list(to_choice_situations(load_raw(gapped, CMAP), CMAP)) == expected
     assert [s.situation_id for s in expected] == ["row00000", "row00001", "row00002", "row00003"]
 
 
@@ -127,7 +140,7 @@ def test_choice_code_mapping(tmp_path):
     rows = synthetic_raw_rows(1, seed=3)
     rows[0]["CHOICE"] = 2
     path = write_survey_file(tmp_path / "code2.dat", rows)
-    situations = to_choice_situations(load_raw(path, CMAP), CMAP)
+    situations = list(to_choice_situations(load_raw(path, CMAP), CMAP))
     assert situations[0].chosen is ModeLabel.SWISSMETRO
 
 
@@ -135,7 +148,7 @@ def test_annual_pass_flag(tmp_path):
     rows = synthetic_raw_rows(1, seed=3)
     rows[0]["GA"] = 1
     path = write_survey_file(tmp_path / "ga.dat", rows)
-    situations = to_choice_situations(load_raw(path, CMAP), CMAP)
+    situations = list(to_choice_situations(load_raw(path, CMAP), CMAP))
     assert situations[0].owns_annual_pass is True
 
 
@@ -174,7 +187,7 @@ def test_fractional_values_round_half_up(tmp_path):
     rows[0]["TRAIN_TT"] = "10.5"
     rows[0]["TRAIN_CO"] = "9.4"
     path = write_survey_file(tmp_path / "frac.dat", rows)
-    situation = to_choice_situations(load_raw(path, CMAP), CMAP)[0]
+    situation = list(to_choice_situations(load_raw(path, CMAP), CMAP))[0]
     assert situation.travel_time_min[ModeLabel.TRAIN] == 11
     assert situation.travel_cost[ModeLabel.TRAIN] == 9
 
@@ -212,8 +225,8 @@ def test_all_eight_features_populated(survey_file):
 
 
 def test_reingest_is_deterministic(survey_file):
-    first = to_choice_situations(load_raw(survey_file, CMAP), CMAP)
-    second = to_choice_situations(load_raw(survey_file, CMAP), CMAP)
+    first = list(to_choice_situations(load_raw(survey_file, CMAP), CMAP))
+    second = list(to_choice_situations(load_raw(survey_file, CMAP), CMAP))
     assert first == second
 
 
@@ -286,7 +299,7 @@ def test_column_map_checks_types_instead_of_coercing():
     assert ColumnMap.from_json_dict({"cost_columns": modes}).cost_columns == ("T", "C", "S")
 
 
-def _pool(per_class: int, seed: int = 0) -> list[ChoiceSituation]:
+def _pool(per_class: int, seed: int = 0) -> SituationTable:
     rng = random.Random(seed)
     pool = []
     i = 0
@@ -305,7 +318,7 @@ def _pool(per_class: int, seed: int = 0) -> list[ChoiceSituation]:
             )
             i += 1
     rng.shuffle(pool)
-    return pool
+    return table_of(pool)
 
 
 def test_balanced_split_quota_1000():
@@ -320,10 +333,10 @@ def test_balanced_split_disjoint_and_deterministic():
     pool = _pool(100)
     train_a, test_a = balanced_split(pool, 120, 60, seed=42)
     train_b, test_b = balanced_split(pool, 120, 60, seed=42)
-    assert train_a == train_b and test_a == test_b
+    assert list(train_a) == list(train_b) and list(test_a) == list(test_b)
     assert {s.situation_id for s in train_a}.isdisjoint({s.situation_id for s in test_a})
     train_c, _ = balanced_split(pool, 120, 60, seed=43)
-    assert train_c != train_a  # different seed reshuffles
+    assert list(train_c) != list(train_a)  # different seed reshuffles
 
 
 def test_balanced_split_insufficient_members():
@@ -351,3 +364,68 @@ def test_balanced_split_class_count_property():
             values = [counts.get(m, 0) for m in ModeLabel]
             assert max(values) - min(values) <= 1
         assert {s.situation_id for s in train}.isdisjoint({s.situation_id for s in test})
+
+
+def _edge_row(i, **changes):
+    row = {
+        "ID": i, "PURPOSE": 1, "TRAIN_TT": 60, "TRAIN_CO": 20, "CAR_TT": 50, "CAR_CO": 30,
+        "SM_TT": 40, "SM_CO": 25, "SURVEY": 0, "GA": 0, "TRAIN_AV": 1, "CAR_AV": 1, "SM_AV": 1,
+        "CHOICE": 1,
+    }
+    return row | changes
+
+
+def test_edge_rows_keep_the_values_of_row_by_row_ingest(tmp_path, caplog):
+    rows = [
+        # ties at x.5 round up, and so do negative ones: -0.5 -> 0
+        _edge_row(0, TRAIN_TT="10.5", CAR_TT="2.5", SM_CO="-0.5", SURVEY="-0.0", GA="0.5"),
+        _edge_row(1, CAR_CO="-0.4", SM_TT="1e300"),  # rounds to 0: kept; finite: kept
+        _edge_row(2, CHOICE="2.0"),  # Swissmetro
+        _edge_row(3, CHOICE="2.5"),  # not an integer code: unmapped
+        _edge_row(4, CHOICE="0", CAR_AV="0"),  # unmapped and unavailable: unmapped
+        _edge_row(5, TRAIN_AV="0", TRAIN_TT="0"),  # unavailable and invalid: unavailable
+        _edge_row(6, SM_TT="0.49"),  # rounds to 0: invalid
+        _edge_row(7, CHOICE="3", SURVEY="2"),
+    ]
+    path = write_survey_file(tmp_path / "edges.dat", rows)
+    with caplog.at_level(logging.INFO, logger="modechoice.dataset"):
+        situations = list(to_choice_situations(load_raw(path, CMAP), CMAP))
+    assert situations == [
+        ChoiceSituation("row00000", (11, 3, 40), (20, 30, 0), False, True, ModeLabel.TRAIN),
+        ChoiceSituation(
+            "row00001", (60, 50, int(1e300)), (20, 0, 25), False, False, ModeLabel.TRAIN
+        ),
+        ChoiceSituation("row00002", (60, 50, 40), (20, 30, 25), False, False, ModeLabel.SWISSMETRO),
+        ChoiceSituation("row00007", (60, 50, 40), (20, 30, 25), True, False, ModeLabel.CAR),
+    ]
+    for situation in situations:
+        for value in situation.travel_time_min + situation.travel_cost:
+            assert type(value) is int
+        assert type(situation.is_regular_train_user) is type(situation.owns_annual_pass) is bool
+    (record,) = [r for r in caplog.records if r.getMessage().startswith("ingest:")]
+    assert record.args == (
+        4,
+        8,
+        {"unmapped_choice_code": 2, "unavailable_alternative": 1, "invalid_values": 1},
+    )
+
+
+PINNED_TRAIN = ["row100001", "row00005", "row00007", "row123456", "row20000", "row00009"]
+PINNED_TEST = ["row10001", "row100002", "row99998"]  # numeric order would draw others
+
+
+def test_balanced_split_orders_members_by_id_text():
+    # past row99999 the ids sort as text, not as numbers: row100000 < row10001
+    indices = [9, 10001, 99999, 100000, 100001, 123456, 5, 20000, 100002, 99998, 1000000, 7]
+    situations = [
+        ChoiceSituation(f"row{i:05d}", (10, 20, 30), (1, 2, 3), False, False, ModeLabel(k % 3))
+        for k, i in enumerate(indices)
+    ]
+    pool = table_of(situations, rows=indices)
+    train, test = balanced_split(pool, 6, 3, seed=3)
+    assert [s.situation_id for s in train] == PINNED_TRAIN
+    assert [s.situation_id for s in test] == PINNED_TEST
+    # the same draw from members listed in another order
+    shuffled = table_of(situations[::-1], rows=indices[::-1])
+    again = balanced_split(shuffled, 6, 3, seed=3)
+    assert [[s.situation_id for s in part] for part in again] == [PINNED_TRAIN, PINNED_TEST]

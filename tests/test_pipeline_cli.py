@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import json
+import logging
 import re
 from pathlib import Path
 
@@ -691,6 +693,33 @@ FILE_ERROR = "bad.yaml: "  # a wrongly typed value or bad YAML: one error naming
             FILE_ERROR + "choice_code_map keys must be integers, got [1.5, 2, 3]",
             id="choice_code-float",
         ),
+        pytest.param(
+            PATH_LINE, "  path: 5\n", FILE_ERROR + "dataset.path must be a path, got int",
+            id="path-int",
+        ),
+        pytest.param(
+            "  kinds: [mnl, rf, nn]\n  mnl: {max_epochs: 300}\n" + RF_LINE + NN_LINE,
+            "  kinds: [mnl, xgb]\n",
+            FILE_ERROR + "unknown benchmark kinds: ['xgb']", id="kinds-unknown",
+        ),
+        pytest.param(
+            RF_LINE, "  rf: {hidden_units: 5, learning_rate: 0.5}\n",
+            FILE_ERROR + "unknown benchmarks.rf keys: ['hidden_units', 'learning_rate']",
+            id="rf-nn-settings",
+        ),
+        pytest.param(
+            "  mnl: {max_epochs: 300}\n", "  mnl: {n_trees: 5}\n",
+            FILE_ERROR + "unknown benchmarks.mnl keys: ['n_trees']", id="mnl-rf-setting",
+        ),
+        pytest.param(
+            NN_LINE, "  nn: {bootstrap: false}\n",
+            FILE_ERROR + "unknown benchmarks.nn keys: ['bootstrap']", id="nn-rf-setting",
+        ),
+        pytest.param(
+            "  mnl: {max_epochs: 300}\n", "  mnl: {hidden_units: 8, batch_size: 10}\n",
+            FILE_ERROR + "unknown benchmarks.mnl keys: ['batch_size', 'hidden_units']",
+            id="mnl-nn-settings",
+        ),
     ],
 )
 def test_cli_rejects_malformed_config(workspace, capsys, old, new, message):
@@ -768,3 +797,50 @@ def test_cli_reads_out_against_the_working_directory(workspace, tmp_path_factory
 def test_cli_reports_missing_config(tmp_path, capsys):
     assert run_cli("ingest", "--config", str(tmp_path / "nope.yaml")) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_sample_config_split_file_is_pinned(tmp_path):
+    """The split of the shipped sample data, byte for byte."""
+    sample = Path(__file__).resolve().parents[1] / "config.sample.yaml"
+    cfg = load_pipeline_config(sample, {"out": str(tmp_path / "out")})
+    pipeline.stage_sample(cfg, pipeline.stage_ingest(cfg))
+    (split,) = (tmp_path / "out" / "stages").glob("split-*.json")
+    digest = hashlib.sha256(split.read_bytes()).hexdigest()
+    assert digest == "829ccb96dcd1eefdf09703412ba69f23a605fe136f380b86ed8b177df794b958"
+
+
+def test_each_stage_logs_its_wall_time(workspace, caplog):
+    cfg = load_pipeline_config(workspace / "config.yaml")
+    with caplog.at_level(logging.INFO, logger="modechoice.pipeline"):
+        run_pipeline(cfg)
+    done = [r.getMessage() for r in caplog.records if ": done in " in r.getMessage()]
+    stages = [re.fullmatch(r"stage (\w+): done in \d+\.\d ms", line) for line in done]
+    assert [m.group(1) for m in stages if m] == ["ingest", "sample", "llm", "benchmarks", "report"]
+    assert len(stages) == len(done)
+
+
+def test_each_kind_keeps_the_settings_it_reads(workspace):
+    """Every setting a kind reads still loads, and keeps the model key it had."""
+    every = {
+        "mnl": "{seed: 3, learning_rate: 0.5, max_epochs: 300, tolerance: 1.0e-6,"
+        " l2_strength: 2.0}",
+        "rf": "{seed: 3, n_trees: 5, max_features: 2, bootstrap: false, max_depth: 4}",
+        "nn": "{seed: 3, learning_rate: 0.01, max_epochs: 15, tolerance: 1.0e-3,"
+        " l2_strength: 0.1, hidden_units: 8, batch_size: 50}",
+    }
+    text = BASE
+    for old, kind in (("  mnl: {max_epochs: 300}\n", "mnl"), (RF_LINE, "rf"), (NN_LINE, "nn")):
+        text = text.replace(old, f"  {kind}: {every[kind]}\n")
+    (workspace / "every.yaml").write_text(text)
+    cfg = load_pipeline_config(workspace / "every.yaml")
+    assert cfg.train_configs["rf"].max_depth == 4 and cfg.train_configs["nn"].batch_size == 50
+    assert cfg.train_configs["mnl"].tolerance == 1.0e-6
+    # pinned before unread settings were rejected
+    pinned = {
+        "config.yaml": ("3963e246077158df", "e05cc093ddbc1f29", "6f1e22cd39e7ecae"),
+        "every.yaml": ("0a090e67ff735e2f", "2d6c6e1d20aace03", "26f2372a790abc6f"),
+    }
+    for name, keys in pinned.items():
+        cfg = load_pipeline_config(workspace / name)
+        kinds = ("mnl", "rf", "nn")
+        assert tuple(pipeline._model_key(cfg, kind, "split")[:16] for kind in kinds) == keys

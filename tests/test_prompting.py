@@ -15,7 +15,7 @@ from modechoice.prompting import (
     render_travel_characteristics,
 )
 
-from conftest import make_situation, random_situation
+from conftest import make_situation, random_situation, table_of
 
 CASE_FAST_SM = make_situation(
     sid="fast-sm", times=(106, 90, 34), costs=(72, 70, 78), chosen=ModeLabel.SWISSMETRO
@@ -166,7 +166,7 @@ def test_template_config_validation():
 
 def test_prompts_are_zero_shot():
     rng = random.Random(5)
-    pool = [random_situation(rng, f"s{i:04d}") for i in range(240)]
+    pool = table_of([random_situation(rng, f"s{i:04d}") for i in range(240)])
     train, test = balanced_split(pool, 60, 30, seed=9)
     cfg = PromptTemplateConfig()
     prompts = [build_prompt(s, cfg) for s in test]

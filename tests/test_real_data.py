@@ -6,7 +6,7 @@ import numpy as np
 from modechoice.benchmarks import fit_scaler
 from modechoice.dataset import ColumnMap, balanced_split, load_raw, to_choice_situations
 
-from conftest import real_data_path, requires_real_data
+from conftest import real_data_path, requires_real_data, table_of
 
 # documented summary statistics for a balanced 1,200-row sample of the survey;
 # the sampling seed behind them is unknown, so these are ±25% sanity bands,
@@ -36,7 +36,7 @@ def test_full_file_yields_9036_situations():
 def test_balanced_sample_means_within_band():
     situations = _situations()
     train, test = balanced_split(situations, 1000, 200, seed=42)
-    sample = train + test
+    sample = table_of(list(train) + list(test))
     scaler = fit_scaler(sample)
     for name, observed in zip(EXPECTED_NUMERIC_MEANS, scaler.means):
         target = EXPECTED_NUMERIC_MEANS[name]
@@ -49,4 +49,4 @@ def test_balanced_sample_means_within_band():
 
 @requires_real_data
 def test_reingest_byte_determinism():
-    assert _situations() == _situations()
+    assert list(_situations()) == list(_situations())
