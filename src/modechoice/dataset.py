@@ -238,20 +238,24 @@ def load_raw(
         for name in names:
             if name not in position:
                 raise MissingColumn(name)
-        rows = [row for row in reader if row]
+        in_file_order = sorted(names, key=position.__getitem__)
+        pick = itemgetter(*map(position.__getitem__, in_file_order))
+        width = position[in_file_order[-1]] + 1
+        rows = [  # the mapped fields of each row, in file order
+            pick(row) if len(row) >= width else pick(row + [""] * width) for row in reader if row
+        ]
     if not rows:
         raise EmptyFile(f"{path}: header but no data rows")
-    try:  # column by column; a short row or a bad value falls through to the scan
-        getters = {name: itemgetter(position[name]) for name in names}
-        columns = {n: np.fromiter(map(float, map(get, rows)), float) for n, get in getters.items()}
+    try:  # column by column; a bad value falls through to the scan
+        texts = zip(in_file_order, zip(*rows))
+        parsed = {name: np.fromiter(map(float, column), float) for name, column in texts}
         # float() also reads "nan" and "inf"
-        if all(np.isfinite(values).all() for values in columns.values()):
-            return columns
-    except (IndexError, ValueError):
+        if all(np.isfinite(values).all() for values in parsed.values()):
+            return {name: parsed[name] for name in names}
+    except ValueError:
         pass
     for index, row in enumerate(rows):
-        for i, name in sorted((position[name], name) for name in names):
-            text = row[i] if i < len(row) else ""
+        for name, text in zip(in_file_order, row):
             try:
                 value = float(text)
             except ValueError:

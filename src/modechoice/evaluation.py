@@ -22,6 +22,7 @@ from .dataset import MODE_ORDER, ModeLabel
 logger = logging.getLogger(__name__)
 
 PARSE_FAILURE_MARKER = "PARSE_FAILURE"
+REPORT_FILES = ("report.json", "report.txt", "cases.jsonl")
 FAILURE_MODES = ("exclude", "count_as_incorrect")
 
 
@@ -196,6 +197,14 @@ class EvaluationReport:
             "confusion_matrices": dict(sorted(self.confusions.items())),
         }
 
+    @classmethod
+    def from_json_dict(cls, doc: dict) -> "EvaluationReport":
+        fields = dict(doc)
+        fields["confusions"] = fields.pop("confusion_matrices")
+        for key in ("metrics", "llm_metrics_by_mode"):
+            fields[key] = {name: PredictorMetrics(**m) for name, m in fields[key].items()}
+        return cls(**fields)
+
 
 def _predictor_order(names) -> list[str]:
     preferred = ["llm", "mnl", "rf", "nn"]
@@ -300,9 +309,9 @@ def write_report(
         cases = "".join(
             json.dumps(r.to_json_dict(), sort_keys=True) + "\n" for r in records
         )
-        write_atomic(out / "report.json", summary_json.encode("utf-8"))
-        write_atomic(out / "report.txt", (render_summary_text(report) + "\n").encode("utf-8"))
-        write_atomic(out / "cases.jsonl", cases.encode("utf-8"))
+        texts = (summary_json, render_summary_text(report) + "\n", cases)
+        for name, text in zip(REPORT_FILES, texts):
+            write_atomic(out / name, text.encode("utf-8"))
     except OSError as exc:
         raise IoFailure(f"cannot write report under {out}: {exc}") from exc
     logger.info("report written to %s", out)

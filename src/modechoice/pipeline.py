@@ -4,13 +4,17 @@ declarative config file. Stage outputs after ingest are content-addressed
 under the output directory, so reruns with unchanged inputs reuse stored
 results; a report-only rerun needs no backend credential. Each baseline's
 test-set predictions are stored apart from its model, so a warm run reads
-them and loads, encodes and predicts nothing.
+them and loads, encodes and predicts nothing. The report is stored too: a
+manifest records the sha256 of the report files and of every stage file they
+were built from, and a run that finds them all unchanged returns the stored
+report without ingesting, splitting or reading a single answer.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import hashlib
 import json
 import logging
 import time
@@ -24,7 +28,7 @@ from pathlib import Path
 import yaml
 
 from . import benchmarks
-from .artifacts import digest_of, load_or_create, stage_path
+from .artifacts import digest_of, load_or_create, stage_path, write_atomic
 from .benchmarks.config import FIELDS_READ
 from .benchmarks.model_io import FORMAT_VERSION as MODEL_FORMAT_VERSION
 from .dataset import (
@@ -35,7 +39,14 @@ from .dataset import (
     load_raw,
     to_choice_situations,
 )
-from .evaluation import FAILURE_MODES, CaseRecord, EvaluationReport, LlmAnswer, write_report
+from .evaluation import (
+    FAILURE_MODES,
+    REPORT_FILES,
+    CaseRecord,
+    EvaluationReport,
+    LlmAnswer,
+    write_report,
+)
 from .gateway import (
     BackendConfig,
     CompletionCache,
@@ -55,6 +66,9 @@ from .prompting import (
 logger = logging.getLogger(__name__)
 
 LIVE_MAX_SAMPLES_DEFAULT = 20
+# Part of the stored report's key: bump it with any change to a report byte, so
+# that an upgraded checkout rebuilds the reports it finds instead of serving them.
+REPORT_FORMAT_VERSION = 1
 
 
 class PipelineError(Exception):
@@ -274,8 +288,9 @@ def ingest_key(cfg: PipelineConfig) -> str:
 
 
 def stage_ingest(cfg: PipelineConfig) -> SituationTable:
-    """Read and validate the survey file into columns; rerun every time, since
-    that takes a few tens of ms for the paper's 10,728 rows, mostly csv parsing."""
+    """Read and validate the survey file into columns. It is not stored, since
+    that takes a few tens of ms for the paper's 10,728 rows, mostly csv parsing;
+    a run whose stored report is reusable does not call it."""
     columns = load_raw(cfg.dataset_path, cfg.column_map, delimiter=cfg.delimiter)
     return to_choice_situations(columns, cfg.column_map)
 
@@ -403,6 +418,11 @@ def stage_benchmarks(
     return {kind: _fit_or_load(cfg, kind, train, split_key) for kind in cfg.benchmark_kinds}
 
 
+def _labels_path(cfg: PipelineConfig, kind: str, split_key: str) -> Path:
+    key = digest_of(_model_key(cfg, kind, split_key), str(cfg.effective_max_samples()))
+    return stage_path(cfg.output_dir, f"labels-{kind}", key, suffix=".json")
+
+
 def stage_labels(
     cfg: PipelineConfig, train: SituationTable, test: SituationTable, split_key: str
 ) -> dict[str, list]:
@@ -411,8 +431,7 @@ def stage_labels(
     cap, so a model is read, or fitted, only when its labels are missing."""
 
     def labels(kind):
-        key = digest_of(_model_key(cfg, kind, split_key), str(cfg.effective_max_samples()))
-        path = stage_path(cfg.output_dir, f"labels-{kind}", key, suffix=".json")
+        path = _labels_path(cfg, kind, split_key)
 
         def compute():
             model, scaler = _fit_or_load(cfg, kind, train, split_key)
@@ -471,28 +490,75 @@ def prepare_split(
     return split_key, train, test
 
 
+def _digests(files: dict[str, Path]) -> dict[str, str]:
+    return {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in files.items()}
+
+
+def _unchanged(manifest: Path, files: dict[str, Path]) -> bool:
+    """Whether the manifest holds the sha256 of every file's current bytes."""
+    try:
+        return json.loads(manifest.read_bytes()) == _digests(files)
+    except (OSError, ValueError):  # a file missing or unreadable, or a damaged manifest
+        return False
+
+
 def run_pipeline(cfg: PipelineConfig, split_key: str | None = None) -> EvaluationReport:
     """Execute every stage and return the evaluation report. A caller that
     has already computed sample_key(cfg) passes it as split_key.
+
+    The report is stored as a stage. Its manifest maps the split, LLM and
+    labels files and the three report files to their sha256, and is keyed by
+    REPORT_FORMAT_VERSION, the config digest, the LLM key and those files'
+    names. While every digest matches, a run reads report.json back and runs
+    no stage; any mismatch or missing file rebuilds the report as before,
+    which rewrites the manifest. A manifest is written only when every input
+    file is stored, so a run with backend failures leaves none and its rerun
+    retries them.
 
     Fully deterministic with the mock backend and a fixed seed: stage
     artifacts, the completion cache, and the report are byte-stable across
     reruns.
     """
-    split_key, train, test = prepare_split(cfg, split_key)
+    try:
+        split_key = split_key or sample_key(cfg)
+    except OSError as exc:  # the survey file, hashed before any stage runs
+        raise PipelineError("ingest", exc) from exc
+    digest = config_digest(cfg)
+    report_dir = cfg.output_dir / f"report-{digest[:12]}"
+    answers_key = llm_key(cfg, split_key)
+    paths = [
+        stage_path(cfg.output_dir, "split", split_key, suffix=".json"),
+        stage_path(cfg.output_dir, "llm", answers_key),
+        *(_labels_path(cfg, kind, split_key) for kind in cfg.benchmark_kinds),
+        *(report_dir / name for name in REPORT_FILES),
+    ]
+    files = {path.relative_to(cfg.output_dir).as_posix(): path for path in paths}
+    key = digest_of(str(REPORT_FORMAT_VERSION), digest, answers_key, *files)
+    manifest = stage_path(cfg.output_dir, "report", key, suffix=".json")
+    if _unchanged(manifest, files):
+        with stage("report"):
+            logger.info("reusing report %s", report_dir)
+            stored = json.loads((report_dir / "report.json").read_bytes())
+            return EvaluationReport.from_json_dict(stored)
+
+    _, train, test = prepare_split(cfg, split_key)
     with stage("llm"):
         answers = stage_llm(cfg, test, split_key)
     with stage("benchmarks"):
         bench_predictions = stage_labels(cfg, train, test, split_key)
     with stage("report"):
         records = _case_records(test, answers, bench_predictions)
-        digest = config_digest(cfg)
-        report_dir = cfg.output_dir / f"report-{digest[:12]}"
         report = write_report(
             records,
             report_dir,
             parse_failure_mode=cfg.parse_failure_mode,
             config_digest=digest,
         )
+        try:
+            text = json.dumps(_digests(files), indent=0, sort_keys=True) + "\n"
+        except FileNotFoundError:  # the answers had backend failures and were not stored
+            pass
+        else:
+            write_atomic(manifest, text.encode("utf-8"))
     logger.info("pipeline complete; report in %s", report_dir)
     return report

@@ -11,6 +11,7 @@ from modechoice import pipeline
 from modechoice.artifacts import digest_of, load_or_create, stage_path
 from modechoice.cli import main
 from modechoice.dataset import ColumnMap, ModeLabel, balanced_split, load_raw, to_choice_situations
+from modechoice.evaluation import LlmAnswer, write_report
 from modechoice.gateway import MissingCredential
 from modechoice.pipeline import (
     PipelineError,
@@ -20,7 +21,7 @@ from modechoice.pipeline import (
     sample_key,
 )
 
-from conftest import synthetic_raw_rows, write_survey_file
+from conftest import make_situation, synthetic_raw_rows, table_of, write_survey_file
 
 CONFIG_TEMPLATE = """\
 dataset:
@@ -307,6 +308,118 @@ def test_warm_run_reads_labels_and_loads_no_model(workspace, monkeypatch):
     assert not list(stages.glob("model-*.json"))
 
 
+REPORT_BUILDERS = ("stage_ingest", "stage_llm", "stage_labels", "_case_records", "write_report")
+
+
+def stage_calls(monkeypatch) -> list[str]:
+    """Record each call into a step that builds the report."""
+    calls = []
+    for name in REPORT_BUILDERS:
+        original = getattr(pipeline, name)
+        monkeypatch.setattr(
+            pipeline, name, lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k)
+        )
+    return calls
+
+
+def test_warm_run_returns_the_stored_report(workspace, capsys, monkeypatch):
+    config = str(workspace / "config.yaml")
+    assert run_cli("run", "--config", config) == 0
+    cold_out = capsys.readouterr().out
+    cfg = load_pipeline_config(config)
+    first = report_files(cfg)
+    cold = run_pipeline(cfg).to_json_dict()
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a warm run with its report stored ran a stage")
+
+    for name in REPORT_BUILDERS:
+        monkeypatch.setattr(pipeline, name, fail)
+    assert run_pipeline(cfg).to_json_dict() == cold
+    assert run_cli("run", "--config", config) == 0
+    assert capsys.readouterr().out == cold_out
+    assert report_files(cfg) == first
+    assert len(list((cfg.output_dir / "stages").glob("report-*.json"))) == 1
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    [
+        "stages/split-*.json",
+        "stages/llm-*.jsonl",
+        "stages/labels-rf-*.json",
+        "report-*/report.json",
+        "report-*/report.txt",
+        "report-*/cases.jsonl",
+    ],
+)
+@pytest.mark.parametrize("change", ["edit", "remove"])
+def test_a_changed_input_or_report_file_rebuilds_the_report(
+    workspace, monkeypatch, pattern, change
+):
+    cfg = load_pipeline_config(workspace / "config.yaml")
+    cold = run_pipeline(cfg).to_json_dict()
+    first = report_files(cfg)
+    (path,) = cfg.output_dir.glob(pattern)
+    if change == "edit":  # one more byte, which every reader of the file skips
+        path.write_bytes(path.read_bytes() + b"\n")
+    else:
+        path.unlink()
+    calls = stage_calls(monkeypatch)
+    assert run_pipeline(cfg).to_json_dict() == cold
+    assert calls == list(REPORT_BUILDERS)
+    assert report_files(cfg) == first
+    # the rebuild stored a manifest of the files as they are now
+    calls.clear()
+    run_pipeline(cfg)
+    assert calls == []
+
+
+def test_a_new_report_format_version_rebuilds_the_report(workspace, monkeypatch):
+    cfg = load_pipeline_config(workspace / "config.yaml")
+    run_pipeline(cfg)
+    first = report_files(cfg)
+    calls = stage_calls(monkeypatch)
+    monkeypatch.setattr(pipeline, "REPORT_FORMAT_VERSION", pipeline.REPORT_FORMAT_VERSION + 1)
+    run_pipeline(cfg)
+    assert "write_report" in calls
+    assert report_files(cfg) == first
+    assert len(list((cfg.output_dir / "stages").glob("report-*.json"))) == 2
+
+
+def test_report_bytes_are_pinned_to_the_format_version(tmp_path):
+    """Any change to a report byte must bump REPORT_FORMAT_VERSION, or stored
+    reports from before it would still be served; edit both together."""
+    test = table_of(
+        [
+            make_situation(),
+            make_situation("", (60, 120, 50), (20, 40, 90), True, False, ModeLabel.TRAIN),
+            make_situation("", (200, 45, 70), (80, 30, 95), False, True, ModeLabel.CAR),
+            make_situation("", (90, 95, 40), (0, 55, 60), True, True, ModeLabel.TRAIN),
+        ]
+    )
+    answers = [
+        LlmAnswer("row00000", ModeLabel.SWISSMETRO, reason="Fastest.", parse_path="strict"),
+        LlmAnswer("row00001", ModeLabel.CAR, reason="Cheap \u00e9.", parse_path="fallback"),
+        LlmAnswer("row00002", None, raw_text="Car, probably", error="ParseFailure: no line"),
+        LlmAnswer("row00003", None, error="HTTPError: 503", backend_failure=True),
+    ]
+    labels = {
+        "mnl": [ModeLabel.SWISSMETRO, ModeLabel.TRAIN, ModeLabel.CAR, ModeLabel.CAR],
+        "rf": [ModeLabel.TRAIN, ModeLabel.TRAIN, ModeLabel.CAR, ModeLabel.TRAIN],
+    }
+    write_report(pipeline._case_records(test, answers, labels), tmp_path, config_digest="d")
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in REPORT_FILES
+    }
+    assert pipeline.REPORT_FORMAT_VERSION == 1
+    assert digests == {
+        "report.json": "1fdabbb6af0b46dca24d86225aa79b28943c6f8c115a05a6da5b26e0722a69ec",
+        "report.txt": "cb583d34fb7c305c4651a83eaddbe6b3996532cbcb49f7b76e5533c73f9635f1",
+        "cases.jsonl": "4edf03e44c3f94d30c316d13a89f377003eab8300f87e20e7578702400d93233",
+    }
+
+
 @pytest.mark.parametrize(
     "old, new, n_cases",
     [
@@ -392,6 +505,7 @@ def test_backend_failures_are_retried_on_rerun(workspace, chat_endpoint, monkeyp
     assert "Backend failures: 6" in next(cfg.output_dir.glob("report-*/report.txt")).read_text()
     assert "llm" not in report.metrics
     assert not list(stages.glob("llm-*.jsonl"))
+    assert not list(stages.glob("report-*.json"))  # nor a report to serve instead of retrying
 
     chat_endpoint.status = 200
     chat_endpoint.requests.clear()
@@ -435,6 +549,10 @@ def test_stage_attribution_on_bad_dataset(workspace):
     with pytest.raises(PipelineError) as err:
         run_pipeline(cfg)
     assert err.value.stage == "ingest"
+    (workspace / "survey.dat").unlink()  # hashed for the stored report's key, then read
+    with pytest.raises(PipelineError) as err:
+        run_pipeline(cfg)
+    assert err.value.stage == "ingest" and isinstance(err.value.cause, FileNotFoundError)
 
 
 # --- CLI ----------------------------------------------------------------------
@@ -811,12 +929,19 @@ def test_sample_config_split_file_is_pinned(tmp_path):
 
 def test_each_stage_logs_its_wall_time(workspace, caplog):
     cfg = load_pipeline_config(workspace / "config.yaml")
-    with caplog.at_level(logging.INFO, logger="modechoice.pipeline"):
-        run_pipeline(cfg)
-    done = [r.getMessage() for r in caplog.records if ": done in " in r.getMessage()]
-    stages = [re.fullmatch(r"stage (\w+): done in \d+\.\d ms", line) for line in done]
-    assert [m.group(1) for m in stages if m] == ["ingest", "sample", "llm", "benchmarks", "report"]
-    assert len(stages) == len(done)
+    report_dir = cfg.output_dir / f"report-{config_digest(cfg)[:12]}"
+    cold = ["ingest", "sample", "llm", "benchmarks", "report"]
+    # the rerun finds its report stored, and runs only the report stage
+    for logged, reused in [(cold, []), (["report"], [f"reusing report {report_dir}"])]:
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="modechoice.pipeline"):
+            run_pipeline(cfg)
+        messages = [r.getMessage() for r in caplog.records]
+        done = [message for message in messages if ": done in " in message]
+        stages = [re.fullmatch(r"stage (\w+): done in \d+\.\d ms", line) for line in done]
+        assert [m.group(1) for m in stages if m] == logged
+        assert len(stages) == len(done)
+        assert [m for m in messages if m.startswith("reusing report ")] == reused
 
 
 def test_each_kind_keeps_the_settings_it_reads(workspace):
