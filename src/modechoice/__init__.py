@@ -15,14 +15,7 @@ from .dataset import (
     load_raw,
     to_choice_situations,
 )
-from .evaluation import (
-    CaseRecord,
-    EvaluationReport,
-    LlmAnswer,
-    accuracy,
-    confusion_matrix,
-    weighted_f1,
-)
+from .evaluation import CaseRecord, EvaluationReport, LlmAnswer
 from .gateway import BackendConfig, CompletionCache, ModelCompletion, batch_complete, complete
 from .parsing import ParseFailure, Prediction, parse_response
 from .pipeline import PipelineConfig, load_pipeline_config, run_pipeline
@@ -56,13 +49,11 @@ __all__ = [
     "Prompt",
     "PromptTemplateConfig",
     "SituationTable",
-    "accuracy",
     "balanced_split",
     "batch_complete",
     "build_prompt",
     "complete",
     "compute_hints",
-    "confusion_matrix",
     "load_pipeline_config",
     "load_raw",
     "parse_response",
@@ -71,5 +62,4 @@ __all__ = [
     "render_travel_characteristics",
     "run_pipeline",
     "to_choice_situations",
-    "weighted_f1",
 ]

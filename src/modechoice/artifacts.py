@@ -22,18 +22,17 @@ def digest_of(*parts: str | bytes) -> str:
 
 
 def stage_path(out_dir: str | Path, stage: str, key: str, suffix: str = ".jsonl") -> Path:
-    directory = Path(out_dir) / "stages"
-    directory.mkdir(parents=True, exist_ok=True)
-    return directory / f"{stage}-{key[:16]}{suffix}"
+    return Path(out_dir) / "stages" / f"{stage}-{key[:16]}{suffix}"
 
 
 def write_atomic(path: Path, data: bytes) -> bool:
-    """Atomically write data unless identical content is already in place."""
+    """Atomically write data unless identical content is already in place,
+    making the file's directory first if it is missing."""
     try:
         if path.read_bytes() == data:
             return False
     except FileNotFoundError:
-        pass
+        path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
     tmp.write_bytes(data)
     os.replace(tmp, path)
@@ -44,7 +43,7 @@ def load_or_create(path: Path, compute, serialize, deserialize, store=lambda val
     """Return the artifact at `path`, deserializing when it exists and
     computing it otherwise; a computed value is stored only if `store`
     accepts it. A stored artifact that does not deserialize is a ValueError
-    naming its file."""
+    naming its file: damaged bytes, or a missing or mistyped field."""
     try:
         text = path.read_text(encoding="utf-8")
     except FileNotFoundError:
@@ -55,5 +54,6 @@ def load_or_create(path: Path, compute, serialize, deserialize, store=lambda val
     logger.info("reusing stage artifact %s", path)
     try:
         return deserialize(text)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        detail = f"no field {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"{path}: {detail}") from exc

@@ -15,7 +15,7 @@ from .config import (
     TrainConfig,
     default_train_config,
 )
-from .features import FeatureScaler, encode_matrix, fit_scaler, labels_array
+from .features import FeatureScaler, encode_matrix, fit_scaler
 from .forest import ForestModel
 from .mnl import MnlModel
 from .model_io import model_from_dict, model_to_dict
@@ -38,7 +38,6 @@ __all__ = [
     "encode_matrix",
     "fit_classifier",
     "fit_scaler",
-    "labels_array",
     "model_from_dict",
     "model_to_dict",
     "predict_labels",
@@ -57,7 +56,7 @@ def fit_classifier(
     if not train:
         raise EmptyTrainingSet("cannot fit on an empty training set")
     X = encode_matrix(train, scaler)
-    y = labels_array(train)
+    y = train.chosen
     if kind in ("mnl", "nn"):
         missing = {m for m in MODE_ORDER if int(m) not in set(y)}
         if missing:

@@ -62,7 +62,3 @@ def encode_matrix(situations: SituationTable, scaler: FeatureScaler) -> np.ndarr
     X = _raw_matrix(situations)
     X[:, :N_NUMERIC] = scaler.transform(X[:, :N_NUMERIC])
     return X
-
-
-def labels_array(situations: SituationTable) -> np.ndarray:
-    return situations.chosen

@@ -23,13 +23,6 @@ import numpy as np
 from .config import TrainConfig
 from .features import N_CLASSES
 
-def _resolve_max_features(max_features: str | int, n_features: int) -> int:
-    if max_features == "sqrt":
-        return max(1, int(np.sqrt(n_features)))
-    if isinstance(max_features, int) and 1 <= max_features <= n_features:
-        return max_features
-    raise ValueError(f"max_features must be 'sqrt' or an int in [1, {n_features}]")
-
 
 class Tree(NamedTuple):
     """One fitted tree as flat node arrays; node 0 is the root.
@@ -200,7 +193,7 @@ def fit(X: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> ForestModel:
     slice of its tree's row of `sample`, which its split partitions in place.
     """
     n, n_features = X.shape
-    k = _resolve_max_features(cfg.max_features, n_features)
+    k = max(1, int(np.sqrt(n_features))) if cfg.max_features == "sqrt" else cfg.max_features
     rngs = [np.random.default_rng([cfg.seed, t]) for t in range(cfg.n_trees)]
     sample = np.stack(
         [rng.integers(0, n, size=n) if cfg.bootstrap else np.arange(n) for rng in rngs]

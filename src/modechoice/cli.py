@@ -137,10 +137,8 @@ def _cmd_predict_llm(cfg) -> int:
 def _cmd_fit_bench(cfg) -> int:
     split_key, train, _ = pipeline.prepare_split(cfg)
     fitted = pipeline.stage_benchmarks(cfg, train, split_key)
-    models_dir = cfg.output_dir / "models"
-    models_dir.mkdir(parents=True, exist_ok=True)
     for kind, (model, scaler) in fitted.items():
-        destination = models_dir / f"{kind}.json"
+        destination = cfg.output_dir / "models" / f"{kind}.json"
         write_atomic(destination, pipeline.model_text(model, scaler).encode("utf-8"))
         labels = benchmarks.predict_labels(model, benchmarks.encode_matrix(train, scaler))
         hits = sum(p == chosen for p, chosen in zip(labels, train.chosen))
@@ -150,7 +148,7 @@ def _cmd_fit_bench(cfg) -> int:
 
 def _cmd_evaluate(cfg) -> int:
     split_key = pipeline.sample_key(cfg)
-    llm_artifact = pipeline.stage_path(cfg.output_dir, "llm", pipeline.llm_key(cfg, split_key))
+    llm_artifact = pipeline.llm_path(cfg, split_key)
     if not llm_artifact.exists():
         print(
             "error: no stored predictions for this config; run `predict-llm` first "

@@ -30,28 +30,12 @@ class EvaluationError(Exception):
     pass
 
 
-class LengthMismatch(EvaluationError):
-    pass
-
-
 class EmptyInput(EvaluationError):
     pass
 
 
 class IoFailure(EvaluationError):
     pass
-
-
-def _check_lengths(pred, actual, allow_empty=False):
-    if len(pred) != len(actual):
-        raise LengthMismatch(f"pred has {len(pred)} items, actual has {len(actual)}")
-    if not allow_empty and not actual:
-        raise EmptyInput("no labels to score")
-
-
-def accuracy(pred: list[ModeLabel], actual: list[ModeLabel]) -> float:
-    _check_lengths(pred, actual)
-    return sum(p == a for p, a in zip(pred, actual)) / len(actual)
 
 
 def _counts(pred, actual, n_columns: int = len(MODE_ORDER)) -> np.ndarray:
@@ -63,12 +47,6 @@ def _counts(pred, actual, n_columns: int = len(MODE_ORDER)) -> np.ndarray:
         raise ValueError("a None prediction needs the fourth column")
     cells = np.array(actual, dtype=int) * n_columns + columns
     return np.bincount(cells, minlength=n_modes * n_columns).reshape(n_modes, n_columns)
-
-
-def confusion_matrix(pred: list[ModeLabel], actual: list[ModeLabel]) -> np.ndarray:
-    """3x3 counts, rows = actual, columns = predicted, in fixed mode order."""
-    _check_lengths(pred, actual, allow_empty=True)
-    return _counts(pred, actual)
 
 
 def _weighted_f1_of(matrix: np.ndarray) -> float:
@@ -86,12 +64,6 @@ def _weighted_f1_of(matrix: np.ndarray) -> float:
         f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
         total += f1 * supports[c]
     return total / supports.sum()
-
-
-def weighted_f1(pred: list[ModeLabel], actual: list[ModeLabel]) -> float:
-    """Support-weighted mean of per-class F1; zero-support classes carry no weight."""
-    _check_lengths(pred, actual)
-    return _weighted_f1_of(confusion_matrix(pred, actual))
 
 
 @dataclass(frozen=True)
@@ -304,7 +276,6 @@ def write_report(
     report = build_report(records, parse_failure_mode, config_digest)
     out = Path(out_dir)
     try:
-        out.mkdir(parents=True, exist_ok=True)
         summary_json = json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
         cases = "".join(
             json.dumps(r.to_json_dict(), sort_keys=True) + "\n" for r in records

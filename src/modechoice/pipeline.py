@@ -302,18 +302,28 @@ def sample_key(cfg: PipelineConfig) -> str:
     return digest_of(ingest_key(cfg), str(cfg.n_train), str(cfg.n_test), str(cfg.seed))
 
 
+def split_path(cfg: PipelineConfig, split_key: str) -> Path:
+    return stage_path(cfg.output_dir, "split", split_key, suffix=".json")
+
+
 def stage_sample(
     cfg: PipelineConfig, situations: SituationTable, split_key: str | None = None
 ) -> tuple[SituationTable, SituationTable]:
-    split_key = split_key or sample_key(cfg)
-    path = stage_path(cfg.output_dir, "split", split_key, suffix=".json")
+    position = {sid: i for i, sid in enumerate(situations.ids)}
+
+    def deserialize(text):
+        ids = itemgetter("train", "test")(json.loads(text))
+        unknown = {i for part in ids for i in part} - position.keys()
+        if unknown:
+            raise ValueError(f"ids not in the survey: {sorted(unknown)[:5]}")
+        return ids
+
     train_ids, test_ids = load_or_create(
-        path,
+        split_path(cfg, split_key or sample_key(cfg)),
         lambda: [t.ids for t in balanced_split(situations, cfg.n_train, cfg.n_test, cfg.seed)],
         serialize=lambda ids: json.dumps({"train": ids[0], "test": ids[1]}, indent=0) + "\n",
-        deserialize=lambda text: itemgetter("train", "test")(json.loads(text)),
+        deserialize=deserialize,
     )
-    position = {sid: i for i, sid in enumerate(situations.ids)}
     return situations[[position[i] for i in train_ids]], situations[[position[i] for i in test_ids]]
 
 
@@ -324,6 +334,10 @@ def llm_key(cfg: PipelineConfig, split_key: str | None = None) -> str:
         request_digest(cfg.backend),
         str(cfg.effective_max_samples()),
     )
+
+
+def llm_path(cfg: PipelineConfig, split_key: str | None = None) -> Path:
+    return stage_path(cfg.output_dir, "llm", llm_key(cfg, split_key))
 
 
 def _answer(result) -> LlmAnswer:
@@ -350,8 +364,9 @@ def stage_llm(
     answer per situation, in test-set order.
 
     The answers are stored only when every request got a reply, so a transient
-    backend failure is retried on the next run instead of being replayed."""
-    path = stage_path(cfg.output_dir, "llm", llm_key(cfg, split_key))
+    backend failure is retried on the next run instead of being replayed. Stored
+    answers must be the test set's, in its order."""
+    path = llm_path(cfg, split_key)
 
     def compute():
         prompts = [build_prompt(s, cfg.prompt) for s in test]
@@ -369,15 +384,19 @@ def stage_llm(
             )
         return not failures
 
+    def deserialize(text):
+        answers = [LlmAnswer.from_json_dict(json.loads(line)) for line in text.splitlines() if line]
+        if [a.situation_id for a in answers] != test.ids:
+            raise ValueError(f"not the answers of the {len(test)} test situations, in order")
+        return answers
+
     return load_or_create(
         path,
         compute,
         serialize=lambda answers: "".join(
             json.dumps(a.to_json_dict(), sort_keys=True) + "\n" for a in answers
         ),
-        deserialize=lambda text: [
-            LlmAnswer.from_json_dict(json.loads(line)) for line in text.splitlines() if line
-        ],
+        deserialize=deserialize,
         store=store,
     )
 
@@ -418,7 +437,7 @@ def stage_benchmarks(
     return {kind: _fit_or_load(cfg, kind, train, split_key) for kind in cfg.benchmark_kinds}
 
 
-def _labels_path(cfg: PipelineConfig, kind: str, split_key: str) -> Path:
+def labels_path(cfg: PipelineConfig, kind: str, split_key: str) -> Path:
     key = digest_of(_model_key(cfg, kind, split_key), str(cfg.effective_max_samples()))
     return stage_path(cfg.output_dir, f"labels-{kind}", key, suffix=".json")
 
@@ -431,7 +450,7 @@ def stage_labels(
     cap, so a model is read, or fitted, only when its labels are missing."""
 
     def labels(kind):
-        path = _labels_path(cfg, kind, split_key)
+        path = labels_path(cfg, kind, split_key)
 
         def compute():
             model, scaler = _fit_or_load(cfg, kind, train, split_key)
@@ -458,15 +477,14 @@ def _case_records(
     answers: list[LlmAnswer],
     bench_predictions: dict[str, list],
 ) -> list[CaseRecord]:
-    by_id = {answer.situation_id: answer for answer in answers}
     return [
         CaseRecord(
-            llm=by_id[s.situation_id],
+            llm=answer,
             input_summary=f"{render_travel_characteristics(s)}. {render_individual_attributes(s)}",
             benchmark_predictions={k: preds[i] for k, preds in bench_predictions.items()},
             actual=s.chosen,
         )
-        for i, s in enumerate(test)
+        for i, (s, answer) in enumerate(zip(test, answers, strict=True))
     ]
 
 
@@ -527,9 +545,9 @@ def run_pipeline(cfg: PipelineConfig, split_key: str | None = None) -> Evaluatio
     report_dir = cfg.output_dir / f"report-{digest[:12]}"
     answers_key = llm_key(cfg, split_key)
     paths = [
-        stage_path(cfg.output_dir, "split", split_key, suffix=".json"),
-        stage_path(cfg.output_dir, "llm", answers_key),
-        *(_labels_path(cfg, kind, split_key) for kind in cfg.benchmark_kinds),
+        split_path(cfg, split_key),
+        llm_path(cfg, split_key),
+        *(labels_path(cfg, kind, split_key) for kind in cfg.benchmark_kinds),
         *(report_dir / name for name in REPORT_FILES),
     ]
     files = {path.relative_to(cfg.output_dir).as_posix(): path for path in paths}

@@ -18,14 +18,13 @@ from modechoice.benchmarks import (
     predict_labels,
 )
 from modechoice.dataset import ColumnMap, ModeLabel, balanced_split, load_raw, to_choice_situations
-from modechoice.evaluation import accuracy, confusion_matrix, weighted_f1
 from modechoice.gateway import BackendConfig, CompletionCache, batch_complete
 from modechoice.parsing import parse_response
 from modechoice.pipeline import config_digest, load_pipeline_config, run_pipeline
 from modechoice.prompting import PromptTemplateConfig, build_prompt, percent_saving
 
 from conftest import random_situation, real_data_path, synthetic_raw_rows, write_survey_file
-from test_evaluation import ref_accuracy, ref_confusion, ref_weighted_f1
+from test_evaluation import ref_accuracy, ref_confusion, ref_weighted_f1, scored
 from test_benchmarks import numeric_grad, relative_error
 from test_pipeline_cli import CONFIG_TEMPLATE, oracle_accuracy
 
@@ -80,11 +79,12 @@ def test_criterion_3_metric_oracle_equivalence():
         n = rng.randint(1, 40)
         pred = [rng.choice(list(ModeLabel)) for _ in range(n)]
         actual = [rng.choice(list(ModeLabel)) for _ in range(n)]
-        worst = max(worst, abs(accuracy(pred, actual) - ref_accuracy(pred, actual)))
-        worst = max(worst, abs(weighted_f1(pred, actual) - ref_weighted_f1(pred, actual)))
-        if confusion_matrix(pred, actual).tolist() != ref_confusion(pred, actual):
+        accuracy, f1, matrix = scored(pred, actual)
+        worst = max(worst, abs(accuracy - ref_accuracy(pred, actual)))
+        worst = max(worst, abs(f1 - ref_weighted_f1(pred, actual)))
+        if matrix.tolist() != ref_confusion(pred, actual):
             matrices_equal = False
-    hand = weighted_f1(
+    _, hand, _ = scored(
         [ModeLabel.TRAIN, ModeLabel.TRAIN, ModeLabel.CAR],
         [ModeLabel.TRAIN, ModeLabel.CAR, ModeLabel.CAR],
     )

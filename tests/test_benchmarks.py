@@ -16,7 +16,6 @@ from modechoice.benchmarks import (
     encode_matrix,
     fit_classifier,
     fit_scaler,
-    labels_array,
     model_from_dict,
     model_to_dict,
     predict_labels,
@@ -201,7 +200,7 @@ def test_mnl_matches_sklearn_objective(tmp_path):
     rows = situations_from_file(tmp_path, n=400)
     scaler = fit_scaler(rows)
     X = encode_matrix(rows, scaler)
-    y = labels_array(rows)
+    y = rows.chosen
     model = fit_classifier("mnl", rows, default_train_config("mnl"), scaler)
     reference = sklearn_linear.LogisticRegression(C=1.0, max_iter=2000, tol=1e-10)
     reference.fit(X, y)
@@ -254,7 +253,7 @@ def test_mnl_reaches_newton_optimum(tmp_path):
     rows = situations_from_file(tmp_path, n=400)
     scaler = fit_scaler(rows)
     X = encode_matrix(rows, scaler)
-    y = labels_array(rows)
+    y = rows.chosen
     cfg = default_train_config("mnl")
     objective, optimum, max_grad = newton_mnl_optimum(X, y, cfg.l2_strength)
     assert max_grad < 1e-9  # the reference did converge
@@ -417,7 +416,7 @@ def reference_training_set(tmp_path):
     rows = situations_from_file(tmp_path, n=200)
     scaler = fit_scaler(rows)
     X = encode_matrix(rows, scaler)
-    y = labels_array(rows)
+    y = rows.chosen
     # identical feature vectors with different labels cannot be split apart,
     # so an unpruned tree grown on every row must end in tied leaves
     return np.vstack([X, X[:6]]), np.concatenate([y, (y[:6] + 1) % 3])

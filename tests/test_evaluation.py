@@ -10,12 +10,10 @@ from modechoice.evaluation import (
     CaseRecord,
     EmptyInput,
     IoFailure,
-    LengthMismatch,
     LlmAnswer,
-    accuracy,
+    PredictorMetrics,
+    _counts,
     build_report,
-    confusion_matrix,
-    weighted_f1,
     write_report,
 )
 
@@ -56,37 +54,44 @@ def random_labels(rng, n):
     return [rng.choice(list(ModeLabel)) for _ in range(n)]
 
 
+def scored(pred, actual):
+    """Accuracy, weighted F1 and the 3x3 counts, as the report scores a baseline."""
+    matrix = _counts(pred, actual)
+    metrics = PredictorMetrics.of(matrix)
+    return metrics.accuracy, metrics.weighted_f1, matrix
+
+
 def test_accuracy_basic():
-    assert accuracy([TRAIN, CAR, SM], [TRAIN, CAR, SM]) == 1.0
-    assert accuracy([TRAIN, TRAIN, CAR], [TRAIN, CAR, CAR]) == pytest.approx(2 / 3)
-    assert accuracy([TRAIN, TRAIN], [CAR, SM]) == 0.0
+    assert scored([TRAIN, CAR, SM], [TRAIN, CAR, SM])[0] == 1.0
+    assert scored([TRAIN, TRAIN, CAR], [TRAIN, CAR, CAR])[0] == pytest.approx(2 / 3)
+    assert scored([TRAIN, TRAIN], [CAR, SM])[0] == 0.0
 
 
 def test_metric_input_guards():
-    with pytest.raises(LengthMismatch):
-        accuracy([TRAIN], [TRAIN, CAR])
+    # only the LLM's counts have a column for a failed answer
+    with pytest.raises(ValueError, match="fourth column"):
+        _counts([TRAIN, None], [TRAIN, CAR])
+    assert _counts([TRAIN, None], [TRAIN, CAR], n_columns=4).tolist() == [
+        [1, 0, 0, 0],
+        [0, 0, 0, 1],
+        [0, 0, 0, 0],
+    ]
     with pytest.raises(EmptyInput):
-        accuracy([], [])
-    with pytest.raises(LengthMismatch):
-        weighted_f1([TRAIN], [])
-    with pytest.raises(EmptyInput):
-        weighted_f1([], [])
-    with pytest.raises(LengthMismatch):
-        confusion_matrix([TRAIN], [])
+        build_report([])
 
 
 def test_weighted_f1_hand_example():
     pred = [TRAIN, TRAIN, CAR]
     actual = [TRAIN, CAR, CAR]
     # F1(Train)=2/3 with support 1, F1(Car)=2/3 with support 2, SM unsupported
-    assert weighted_f1(pred, actual) == pytest.approx(2 / 3)
-    assert weighted_f1([TRAIN, CAR, SM], [TRAIN, CAR, SM]) == 1.0
+    assert scored(pred, actual)[1] == pytest.approx(2 / 3)
+    assert scored([TRAIN, CAR, SM], [TRAIN, CAR, SM])[1] == 1.0
 
 
 def test_confusion_matrix_hand_example():
-    matrix = confusion_matrix([TRAIN, TRAIN, CAR], [TRAIN, CAR, CAR])
+    _, _, matrix = scored([TRAIN, TRAIN, CAR], [TRAIN, CAR, CAR])
     assert matrix.tolist() == [[1, 0, 0], [1, 1, 0], [0, 0, 0]]
-    diagonal = confusion_matrix([SM, CAR], [SM, CAR])
+    _, _, diagonal = scored([SM, CAR], [SM, CAR])
     assert diagonal.tolist() == [[0, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
@@ -96,9 +101,20 @@ def test_metrics_match_brute_force_references():
         n = rng.randint(1, 60)
         pred = random_labels(rng, n)
         actual = random_labels(rng, n)
-        assert abs(accuracy(pred, actual) - ref_accuracy(pred, actual)) < 1e-12
-        assert abs(weighted_f1(pred, actual) - ref_weighted_f1(pred, actual)) < 1e-12
-        assert confusion_matrix(pred, actual).tolist() == ref_confusion(pred, actual)
+        accuracy, f1, matrix = scored(pred, actual)
+        assert abs(accuracy - ref_accuracy(pred, actual)) < 1e-12
+        assert abs(f1 - ref_weighted_f1(pred, actual)) < 1e-12
+        assert matrix.tolist() == ref_confusion(pred, actual)
+        # the report scores the LLM and each baseline the same way
+        records = [
+            CaseRecord(LlmAnswer(f"row{i:05d}", p), "", {"mnl": p}, a)
+            for i, (p, a) in enumerate(zip(pred, actual))
+        ]
+        report = build_report(records)
+        for name in ("llm", "mnl"):
+            assert report.metrics[name].accuracy == accuracy
+            assert report.metrics[name].weighted_f1 == f1
+            assert report.confusions[name] == ref_confusion(pred, actual)
 
 
 def test_metrics_match_sklearn():
@@ -108,7 +124,7 @@ def test_metrics_match_sklearn():
         n = rng.randint(2, 80)
         pred = random_labels(rng, n)
         actual = random_labels(rng, n)
-        ours = weighted_f1(pred, actual)
+        accuracy, ours, _ = scored(pred, actual)
         theirs = sklearn_metrics.f1_score(
             [int(a) for a in actual],
             [int(p) for p in pred],
@@ -117,7 +133,7 @@ def test_metrics_match_sklearn():
             zero_division=0,
         )
         assert ours == pytest.approx(theirs, abs=1e-12)
-        assert accuracy(pred, actual) == pytest.approx(
+        assert accuracy == pytest.approx(
             sklearn_metrics.accuracy_score([int(a) for a in actual], [int(p) for p in pred])
         )
 
@@ -128,8 +144,9 @@ def test_accuracy_equals_confusion_trace():
         n = rng.randint(1, 40)
         pred = random_labels(rng, n)
         actual = random_labels(rng, n)
-        matrix = confusion_matrix(pred, actual)
-        assert accuracy(pred, actual) == pytest.approx(np.trace(matrix) / n)
+        accuracy, _, matrix = scored(pred, actual)
+        assert accuracy == pytest.approx(ref_accuracy(pred, actual))
+        assert accuracy == pytest.approx(np.trace(matrix) / n)
         assert matrix.sum() == n
         for c in ModeLabel:
             assert matrix[int(c)].sum() == sum(1 for a in actual if a == c)
@@ -145,8 +162,7 @@ def test_metrics_invariant_under_relabeling():
         relabel = dict(zip(ModeLabel, rng.choice(permutations)))
         pred_r = [relabel[p] for p in pred]
         actual_r = [relabel[a] for a in actual]
-        assert accuracy(pred, actual) == pytest.approx(accuracy(pred_r, actual_r))
-        assert weighted_f1(pred, actual) == pytest.approx(weighted_f1(pred_r, actual_r))
+        assert scored(pred, actual)[:2] == pytest.approx(scored(pred_r, actual_r)[:2])
 
 
 def _records(n=40, failure_every=None, seed=0):

@@ -257,6 +257,7 @@ def test_format_1_model_artifact_is_refit(workspace):
             "parameters": {"trees": [{"counts": [1, 0, 0]}]},
         }
     )
+    stale.parent.mkdir(parents=True)
     stale.write_text(stale_text)
     report = run_pipeline(cfg)
     assert report.metrics["rf"].n_scored == 45
@@ -477,6 +478,59 @@ def test_cli_run_rejects_a_damaged_labels_file(workspace, capsys, cut, message):
     assert report_files(cfg) == first  # no case log is written from misaligned labels
 
 
+@pytest.mark.parametrize(
+    "pattern, stage_name, cut, message",
+    [
+        (
+            "split-*.json",
+            "sample",
+            lambda text: json.dumps(dict(json.loads(text), test=["row99999"])),
+            "ids not in the survey: ['row99999']",
+        ),
+        (
+            "split-*.json",
+            "sample",
+            lambda text: json.dumps({"train": json.loads(text)["train"]}),
+            "no field 'test'",
+        ),
+        (
+            "llm-*.jsonl",
+            "llm",
+            lambda text: text.split("\n", 1)[1],
+            "not the answers of the 45 test situations, in order",
+        ),
+        (
+            "llm-*.jsonl",
+            "llm",
+            lambda text: text.replace('"reason"', '"reasons"', 1),
+            "unexpected keyword argument 'reasons'",
+        ),
+    ],
+    ids=["split-unknown-id", "split-no-test", "llm-row-missing", "llm-key-renamed"],
+)
+def test_cli_run_rejects_a_damaged_split_or_llm_file(
+    workspace, capsys, pattern, stage_name, cut, message
+):
+    config = str(workspace / "config.yaml")
+    assert run_cli("run", "--config", config) == 0
+    cfg = load_pipeline_config(workspace / "config.yaml")
+    first = report_files(cfg)
+    (stored,) = (workspace / "out" / "stages").glob(pattern)
+    stored.write_text(cut(stored.read_text()))
+    capsys.readouterr()
+    assert run_cli("run", "--config", config) == 1
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error" in line]
+    assert len(errors) == 1
+    assert errors[0].startswith(f"error in stage {stage_name!r}: {stored}: ")
+    assert message in errors[0]
+    assert "Traceback" not in err
+    assert report_files(cfg) == first
+    stored.unlink()  # deleting the damaged file rebuilds it
+    assert run_cli("run", "--config", config) == 0
+    assert report_files(cfg) == first
+
+
 def http_config(workspace, chat_endpoint):
     """The workspace config sent to the local endpoint, capped at six prompts."""
     config = CONFIG_TEMPLATE.format(mock_rule="generalized_cost").replace(
@@ -549,6 +603,7 @@ def test_stage_attribution_on_bad_dataset(workspace):
     with pytest.raises(PipelineError) as err:
         run_pipeline(cfg)
     assert err.value.stage == "ingest"
+    assert not cfg.output_dir.exists()  # a run that stores nothing makes no directory
     (workspace / "survey.dat").unlink()  # hashed for the stored report's key, then read
     with pytest.raises(PipelineError) as err:
         run_pipeline(cfg)
@@ -620,6 +675,7 @@ def test_cli_evaluate_requires_predictions(workspace, capsys):
     config = str(workspace / "config.yaml")
     assert run_cli("evaluate", "--config", config) == 2
     assert "predict-llm" in capsys.readouterr().err
+    assert not (workspace / "out").exists()
 
 
 def test_cli_run_end_to_end(workspace, capsys):
