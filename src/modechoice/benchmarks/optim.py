@@ -46,7 +46,7 @@ def minimize_gd_halving(value_and_grad, x0, learning_rate, max_epochs, tolerance
 
 
 def minimize_adam(
-    batch_value_and_grad,
+    batch_grad,
     full_value,
     x0,
     n_samples,
@@ -58,7 +58,8 @@ def minimize_adam(
     no_change_epochs=10,
 ):
     """Mini-batch Adam with early stopping when the epoch loss has not improved
-    on its best value by at least `tolerance` for `no_change_epochs` epochs."""
+    on its best value by at least `tolerance` for `no_change_epochs` epochs.
+    `batch_grad(x, idx)` is the gradient of the loss over the rows idx."""
     x = np.asarray(x0, dtype=float).copy()
     m = np.zeros_like(x)
     v = np.zeros_like(x)
@@ -72,14 +73,16 @@ def minimize_adam(
     for _ in range(max_epochs):
         order = rng.permutation(n_samples)
         for start in range(0, n_samples, batch):
-            idx = order[start : start + batch]
-            _, grad = batch_value_and_grad(x, idx)
+            grad = batch_grad(x, order[start : start + batch])
             t += 1
-            m = _ADAM_BETA1 * m + (1 - _ADAM_BETA1) * grad
-            v = _ADAM_BETA2 * v + (1 - _ADAM_BETA2) * grad * grad
+            # in place, in the textbook update's order of operations
+            m *= _ADAM_BETA1
+            m += (1 - _ADAM_BETA1) * grad
+            v *= _ADAM_BETA2
+            v += (1 - _ADAM_BETA2) * grad * grad
             m_hat = m / (1 - _ADAM_BETA1**t)
             v_hat = v / (1 - _ADAM_BETA2**t)
-            x = x - learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
+            x -= learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
         epoch_loss = float(full_value(x))
         if not np.isfinite(epoch_loss):
             raise NonFiniteLoss(f"loss became {epoch_loss} during training")

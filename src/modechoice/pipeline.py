@@ -312,11 +312,16 @@ def stage_sample(
     position = {sid: i for i, sid in enumerate(situations.ids)}
 
     def deserialize(text):
-        ids = itemgetter("train", "test")(json.loads(text))
-        unknown = {i for part in ids for i in part} - position.keys()
+        train, test = itemgetter("train", "test")(json.loads(text))
+        unknown = {*train, *test} - position.keys()
         if unknown:
             raise ValueError(f"ids not in the survey: {sorted(unknown)[:5]}")
-        return ids
+        if (len(train), len(test)) != (cfg.n_train, cfg.n_test):
+            raise ValueError(f"not {cfg.n_train} train and {cfg.n_test} test ids")
+        overlap = set(train) & set(test)
+        if overlap:
+            raise ValueError(f"train/test overlap: {sorted(overlap)[:5]}")
+        return train, test
 
     train_ids, test_ids = load_or_create(
         split_path(cfg, split_key or sample_key(cfg)),
@@ -499,9 +504,6 @@ def prepare_split(
     with stage("sample"):
         split_key = split_key or sample_key(cfg)
         train, test = stage_sample(cfg, situations, split_key)
-        overlap = set(train.ids) & set(test.ids)
-        if overlap:
-            raise ValueError(f"train/test overlap: {sorted(overlap)[:5]}")
     cap = cfg.effective_max_samples()
     if cap is not None:
         test = test[:cap]

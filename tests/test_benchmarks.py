@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -25,6 +26,7 @@ from modechoice.benchmarks.forest import Tree
 from modechoice.dataset import ColumnMap, ModeLabel, load_raw, to_choice_situations
 
 import reference_forest
+import reference_neural
 from conftest import (
     make_situation,
     random_situation,
@@ -326,7 +328,45 @@ def test_nn_learns_and_is_seed_deterministic(tmp_path):
     assert not np.array_equal(a.w1, different.w1)
 
 
+def test_nn_matches_reference_training(tmp_path):
+    X, y = reference_training_set(tmp_path)  # 206 rows
+    default = default_train_config("nn", seed=3)
+    configs = [
+        default,
+        dataclasses.replace(default, seed=4, batch_size=64, max_epochs=40),
+        dataclasses.replace(default, seed=5, tolerance=0.05),
+        dataclasses.replace(default, seed=6, l2_strength=0.0, max_epochs=40),
+    ]
+    assert len(y) % configs[1].batch_size
+    epochs = []
+    for cfg in configs:
+        model = neural.fit(X, y, cfg)
+        *params, curve = reference_neural.fit(X, y, cfg)
+        for ours, theirs in zip((model.w1, model.b1, model.w2, model.b2), params, strict=True):
+            assert np.array_equal(ours, theirs)
+        assert np.array_equal(model.loss_curve, curve)
+        epochs.append(len(curve) - 1)
+    assert epochs[2] < configs[2].max_epochs  # the large tolerance stopped training early
+
+
 # --- random forest -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("n_features", [1, 2, 8])
+def test_rf_feature_orders_drawn_in_blocks_match_one_draw_per_node(n_features):
+    # a tree's generator feeds its bootstrap draw, then one feature order per
+    # split node; the forest draws those orders a block at a time
+    n = 50
+    one_at_a_time = np.random.default_rng([3, 7])
+    one_at_a_time.integers(0, n, size=n)
+    expected = [one_at_a_time.permutation(n_features) for _ in range(2 * forest._ORDER_BLOCK + 5)]
+    in_blocks = np.random.default_rng([3, 7])
+    in_blocks.integers(0, n, size=n)
+    blocks = np.empty((3, forest._ORDER_BLOCK, n_features), dtype=np.intp)
+    for block in blocks:
+        block[:] = np.arange(n_features)
+        in_blocks.permuted(block, axis=1, out=block)
+    assert np.array_equal(blocks.reshape(-1, n_features)[: len(expected)], expected)
 
 
 def test_rf_single_tree_shatters_unique_points():
@@ -440,9 +480,10 @@ def assert_same_arrays(a, b):
 
 def test_rf_matches_reference_forest(tmp_path):
     X, y = reference_training_set(tmp_path)
-    # the default config's first step searches 100 trees x 206 rows x 2
-    # features at once, past the chunk limit, so its search runs in chunks
-    assert 100 * len(X) * 2 > forest._CHUNK_ENTRIES
+    # the default config's first step searches 100 trees x about 130 distinct
+    # rows (a bootstrap draw keeps about 63% of 206) x 2 features at once,
+    # past the chunk limit, so it runs in chunks
+    assert 100 * (len(X) // 2) * 2 > forest._CHUNK_ENTRIES
     configs = [
         default_train_config("rf", seed=4),
         TrainConfig(kind="rf", seed=5, n_trees=20, max_depth=3),

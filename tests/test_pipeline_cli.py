@@ -494,6 +494,20 @@ def test_cli_run_rejects_a_damaged_labels_file(workspace, capsys, cut, message):
             "no field 'test'",
         ),
         (
+            "split-*.json",
+            "sample",
+            lambda text: json.dumps(dict(json.loads(text), test=json.loads(text)["test"][:-1])),
+            "not 120 train and 45 test ids",
+        ),
+        (
+            "split-*.json",
+            "sample",
+            lambda text: json.dumps(
+                dict(split := json.loads(text), test=split["train"][:1] + split["test"][1:])
+            ),
+            "train/test overlap: [",
+        ),
+        (
             "llm-*.jsonl",
             "llm",
             lambda text: text.split("\n", 1)[1],
@@ -506,7 +520,14 @@ def test_cli_run_rejects_a_damaged_labels_file(workspace, capsys, cut, message):
             "unexpected keyword argument 'reasons'",
         ),
     ],
-    ids=["split-unknown-id", "split-no-test", "llm-row-missing", "llm-key-renamed"],
+    ids=[
+        "split-unknown-id",
+        "split-no-test",
+        "split-short-test",
+        "split-overlap",
+        "llm-row-missing",
+        "llm-key-renamed",
+    ],
 )
 def test_cli_run_rejects_a_damaged_split_or_llm_file(
     workspace, capsys, pattern, stage_name, cut, message
