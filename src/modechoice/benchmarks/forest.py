@@ -3,14 +3,14 @@ majority voting. Each tree is stored as flat node arrays, the layout of
 scikit-learn's `_tree` module, and predicts a whole matrix level by level in
 numpy.
 
-All trees grow in lockstep. Each tree has its own generator, seeded from the
-master seed and its index, its own bootstrap draw and its own depth-first
-stack; every step pops the top node of each stack and finds all their splits
-in one batched numpy search. The trees are bit-identical to growing each on
-its own: a tree's generator is drawn from only for that tree's nodes, in the
-same order; class counts are exact integers; and the impurity of every cut
-comes from the same element-wise arithmetic, with the same first-minimum tie
-rules.
+The trees of a share (below) grow in lockstep. Each tree has its own
+generator, seeded from the master seed and its index, its own bootstrap draw
+and its own depth-first stack; every step pops the top node of each stack
+and finds all their splits in one batched numpy search. The trees are
+bit-identical to growing each on its own: a tree's generator is drawn from
+only for that tree's nodes, in the same order; class counts are exact
+integers; and the impurity of every cut comes from the same element-wise
+arithmetic, with the same first-minimum tie rules.
 
 A tree grows on the distinct rows of its bootstrap draw, each weighted by how
 often it was drawn, as scikit-learn's forest does (Louppe, arXiv:1407.7502,
@@ -19,16 +19,23 @@ straddle a cut: the cuts are the same, and a node's class counts, its size and
 the counts left of every cut are sums of the same integers, exact in float64.
 So every impurity, tie and threshold is that of growing on the copies, with
 about a third fewer entries to sort.
+
+The trees are grown, and their votes counted, in one share per usable CPU
+(`_in_shares`). Tree t keeps generator [seed, t] and its place, and votes are
+integer counts that add exactly, so no result depends on the CPU count.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import threading
 from dataclasses import dataclass, field
 from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .config import TrainConfig
+from .config import BenchmarkError, TrainConfig
 from .features import N_CLASSES
 
 
@@ -80,11 +87,88 @@ class ForestModel:
     kind: ClassVar[str] = "rf"
 
     def predict_proba_matrix(self, X: np.ndarray) -> np.ndarray:
-        votes = np.zeros((X.shape[0], N_CLASSES))
         rows = np.arange(X.shape[0])
-        for tree in self.trees:  # one tree at a time keeps memory at O(rows)
-            votes[rows, tree.vote[tree.leaves(X)]] += 1.0
-        return votes / len(self.trees)
+
+        def count_votes(lo, hi):
+            votes = np.zeros((X.shape[0], N_CLASSES), dtype=np.intp)
+            for tree in self.trees[lo:hi]:  # one tree at a time keeps memory at O(rows)
+                votes[rows, tree.vote[tree.leaves(X)]] += 1
+            return votes
+
+        return sum(_in_shares(count_votes, len(self.trees))) / len(self.trees)
+
+
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _in_shares(work, n_items: int) -> list:
+    """The results of work(lo, hi) over contiguous shares of range(n_items),
+    one share per usable CPU, in share order. The shares after the first run
+    in forked children, which pickle their results back through pipes; this
+    process runs the first. One call work(0, n_items) runs here alone when
+    there is one CPU or item, when fork is missing, or when another thread is
+    alive, since forking beside live threads can deadlock."""
+    n_shares = min(_usable_cpus(), n_items)
+    if n_shares < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [work(0, n_items)]
+    bounds = [n_items * i // n_shares for i in range(n_shares + 1)]
+    children = []  # (pid, read end of its pipe), in share order
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            read_end, write_end = os.pipe()
+            reader = os.fdopen(read_end, "rb")
+            with os.fdopen(write_end, "wb") as writer:  # closed here once the child has it
+                try:
+                    pid = os.fork()
+                except OSError:
+                    reader.close()
+                    raise
+                if pid == 0:
+                    _run_in_child(work, lo, hi, writer)
+            children.append((pid, reader))
+        results = [work(0, bounds[1])]
+        while children:
+            pid, pipe = children[0]
+            payload = pipe.read()  # to EOF before waiting, so a full pipe cannot block the child
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[0]
+            pipe.close()
+            if status != 0:
+                raise BenchmarkError(f"forest worker exited with status {status} without a result")
+            done, result = pickle.loads(payload)
+            if not done:
+                raise result
+            results.append(result)
+        return results
+    finally:
+        if children:  # this process failed: end and reap the children left
+            import signal  # only here, so that importing the package loads no more modules
+
+            for pid, pipe in children:
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _run_in_child(work, lo, hi, writer) -> None:
+    """Run one share in a forked child and end the child, with status 0 only
+    once the pickled (True, result) or (False, exception) is written whole."""
+    status = 1
+    try:
+        try:
+            outcome = (True, work(lo, hi))
+        except BaseException as exc:  # raised again in the parent
+            outcome = (False, exc)
+        payload = pickle.dumps(outcome)
+        with writer:
+            writer.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 # A step's split search runs in chunks of at most this many (node, feature,
@@ -197,18 +281,27 @@ def _widen(array: np.ndarray, fill) -> np.ndarray:
 
 
 def fit(X: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> ForestModel:
-    """Grow all trees in lockstep.
+    """Grow the trees, one contiguous share of them per usable CPU."""
+    rank = np.column_stack([np.unique(column, return_inverse=True)[1] for column in X.T])
+    shares = _in_shares(lambda lo, hi: _grow(X, y, rank, cfg, lo, hi), cfg.n_trees)
+    return ForestModel(trees=[tree for share in shares for tree in share], seed=cfg.seed)
+
+
+def _grow(X, y, rank, cfg: TrainConfig, lo: int, hi: int) -> list[Tree]:
+    """Grow trees lo to hi - 1 of the forest in lockstep.
 
     Each tree keeps its own generator, bootstrap draw and depth-first stack
     (right child first); each step pops the top node of every non-empty
     stack and finds all their splits in one batched search. A tree's distinct
     rows, with their draw counts in `weight`, fill one slice of `flat`, and a
-    node owns a part of it, which its split partitions in place.
+    node owns a part of it, which its split partitions in place. rank holds
+    each value's dense rank within its column of X.
     """
     n, n_features = X.shape
+    n_trees = hi - lo
     k = max(1, int(np.sqrt(n_features))) if cfg.max_features == "sqrt" else cfg.max_features
-    rngs = [np.random.default_rng([cfg.seed, t]) for t in range(cfg.n_trees)]
-    drawn = np.ones((cfg.n_trees, n), dtype=np.intp)  # how often each tree drew each row
+    rngs = [np.random.default_rng([cfg.seed, t]) for t in range(lo, hi)]
+    drawn = np.ones((n_trees, n), dtype=np.intp)  # how often each tree drew each row
     if cfg.bootstrap:
         drawn = np.stack([np.bincount(rng.integers(0, n, size=n), minlength=n) for rng in rngs])
     stop = np.cumsum(np.count_nonzero(drawn, axis=1))
@@ -216,17 +309,16 @@ def fit(X: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> ForestModel:
     weight = drawn.ravel()[flat].astype(np.int32)
     flat %= n
     del drawn
-    rank = np.column_stack([np.unique(column, return_inverse=True)[1] for column in X.T])
-    nodes = np.full((cfg.n_trees, 64), _LEAF, dtype=_NODE)
-    n_nodes = np.ones(cfg.n_trees, dtype=np.intp)
-    stack = np.zeros((cfg.n_trees, 64, 4), dtype=np.intp)  # pending (node, start, end, depth)
+    nodes = np.full((n_trees, 64), _LEAF, dtype=_NODE)
+    n_nodes = np.ones(n_trees, dtype=np.intp)
+    stack = np.zeros((n_trees, 64, 4), dtype=np.intp)  # pending (node, start, end, depth)
     stack[:, 0, 1:3] = np.column_stack([np.r_[0, stop[:-1]], stop])
-    height = np.ones(cfg.n_trees, dtype=np.intp)
+    height = np.ones(n_trees, dtype=np.intp)
     # A tree's generator feeds only its nodes' feature orders after the
     # bootstrap, so they are drawn _ORDER_BLOCK at a time: permuting the rows
     # of a block takes the stream exactly as that many permutation calls.
-    orders = np.empty((cfg.n_trees, _ORDER_BLOCK, n_features), dtype=np.intp)
-    used = np.full(cfg.n_trees, _ORDER_BLOCK)  # orders taken from each tree's block
+    orders = np.empty((n_trees, _ORDER_BLOCK, n_features), dtype=np.intp)
+    used = np.full(n_trees, _ORDER_BLOCK)  # orders taken from each tree's block
     while (trees := np.flatnonzero(height)).size:
         height[trees] -= 1
         node, start, end, depth = stack[trees, height[trees]].T
@@ -280,10 +372,7 @@ def fit(X: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> ForestModel:
             stack = _widen(stack, 0)
         stack[tree, top] = np.column_stack([child, start[split], mid, depth[split] + 1])
         stack[tree, top + 1] = np.column_stack([child + 1, mid, end[split], depth[split] + 1])
-    return ForestModel(
-        trees=[
-            Tree(*(np.ascontiguousarray(grown[name]) for name in Tree._fields))
-            for grown in (nodes[t, : n_nodes[t]] for t in range(cfg.n_trees))
-        ],
-        seed=cfg.seed,
-    )
+    return [
+        Tree(*(np.ascontiguousarray(grown[name]) for name in Tree._fields))
+        for grown in (nodes[t, : n_nodes[t]] for t in range(n_trees))
+    ]

@@ -107,18 +107,19 @@ def _cmd_dump_prompt(cfg, args) -> int:
     with pipeline.stage("ingest"):
         situations = pipeline.stage_ingest(cfg)
     if args.situation_id is not None:
-        matches = [s for s in situations if s.situation_id == args.situation_id]
-        if not matches:
+        try:
+            position = situations.ids.index(args.situation_id)
+        except ValueError:
             print(f"error: no situation with id {args.situation_id!r}", file=sys.stderr)
             return 2
-        situation = matches[0]
     else:
         with pipeline.stage("sample"):
-            _, test = pipeline.stage_sample(cfg, situations)
-        if not 0 <= args.index < len(test):
-            print(f"error: --index must be in [0, {len(test)})", file=sys.stderr)
+            _, situations = pipeline.stage_sample(cfg, situations)
+        position = args.index
+        if not 0 <= position < len(situations):
+            print(f"error: --index must be in [0, {len(situations)})", file=sys.stderr)
             return 2
-        situation = list(test)[args.index]
+    [situation] = situations[position : position + 1]  # builds this row's situation alone
     print(build_prompt(situation, cfg.prompt).full_text)
     return 0
 

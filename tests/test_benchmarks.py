@@ -1,12 +1,16 @@
 import dataclasses
 import json
 import math
+import os
 import random
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from modechoice.benchmarks import (
+    BenchmarkError,
     ClassMissing,
     EmptyTrainingSet,
     FeatureScaler,
@@ -564,6 +568,102 @@ def test_rf_search_chunk_size_is_invisible(tmp_path, monkeypatch):
     # smaller than most (node, feature) pairs, so each chunk holds one pair or a few tiny ones
     monkeypatch.setattr(forest, "_CHUNK_ENTRIES", 5)
     assert_same_arrays(default, forest.fit(X, y, cfg))
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("n_trees", [1, 2, 5, 20])
+def test_rf_trees_and_votes_do_not_depend_on_the_worker_count(
+    tmp_path, monkeypatch, n_trees, workers
+):
+    X, y = reference_training_set(tmp_path)
+    cfg = TrainConfig(kind="rf", seed=13, n_trees=n_trees)
+    monkeypatch.setattr(forest, "_usable_cpus", lambda: 1)
+    alone = forest.fit(X, y, cfg)
+    votes = alone.predict_proba_matrix(X)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    monkeypatch.setattr(forest, "_usable_cpus", lambda: workers)
+    shared = forest.fit(X, y, cfg)
+    # shares are uneven (5 trees in 2 or 3), and no share is left empty: with
+    # more workers than trees, each tree gets a process of its own
+    assert len(forks) == min(workers, n_trees) - 1
+    assert_same_arrays(alone, shared)
+    assert np.array_equal(shared.predict_proba_matrix(X), votes)
+    assert len(forks) == 2 * (min(workers, n_trees) - 1)
+    assert_no_child_left()
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_rf_share_error_in_a_worker_is_raised_here(monkeypatch):
+    monkeypatch.setattr(forest, "_usable_cpus", lambda: 3)
+
+    def work(lo, hi):
+        if lo > 0:  # never in this process, which runs share 0
+            raise KeyError(f"share {lo}:{hi} failed")
+        return lo
+
+    with pytest.raises(KeyError, match=r"^'share 1:2 failed'$"):
+        forest._in_shares(work, 3)
+    assert_no_child_left()
+
+
+def test_rf_worker_exiting_without_a_result_names_its_status(monkeypatch):
+    monkeypatch.setattr(forest, "_usable_cpus", lambda: 2)
+
+    def work(lo, hi):
+        if lo > 0:
+            os._exit(1)
+        return lo
+
+    with pytest.raises(BenchmarkError, match=r"exited with status 1 without a result"):
+        forest._in_shares(work, 2)
+    assert_no_child_left()
+
+
+def test_rf_workers_are_reaped_when_this_process_fails(monkeypatch):
+    monkeypatch.setattr(forest, "_usable_cpus", lambda: 3)
+
+    def work(lo, hi):
+        if lo > 0:
+            time.sleep(60)
+        raise ValueError("share 0 failed")
+
+    started = time.monotonic()
+    with pytest.raises(ValueError, match="share 0 failed"):
+        forest._in_shares(work, 3)
+    assert time.monotonic() - started < 30  # the workers were killed, not waited for
+    assert_no_child_left()
+
+
+def test_rf_fits_in_one_process_beside_a_live_thread(tmp_path, monkeypatch):
+    X, y = reference_training_set(tmp_path)
+    cfg = TrainConfig(kind="rf", seed=14, n_trees=6)
+    monkeypatch.setattr(forest, "_usable_cpus", lambda: 1)
+    alone = forest.fit(X, y, cfg)
+    expected = alone.predict_proba_matrix(X)
+
+    def no_fork():
+        raise OSError("forked beside a live thread")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(forest, "_usable_cpus", lambda: 2)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        shared = forest.fit(X, y, cfg)
+        votes = shared.predict_proba_matrix(X)
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert_same_arrays(alone, shared)
+    assert np.array_equal(votes, expected)
 
 
 def test_rf_learns(tmp_path):

@@ -656,6 +656,18 @@ def test_cli_dump_prompt(workspace, capsys):
     assert run_cli("dump-prompt", "--config", config, "--index", "999") == 2
 
 
+def test_cli_dump_prompt_by_situation_id(workspace, capsys):
+    config = str(workspace / "config.yaml")
+    cfg = load_pipeline_config(config)
+    _, test = pipeline.stage_sample(cfg, pipeline.stage_ingest(cfg))
+    assert run_cli("dump-prompt", "--config", config, "--index", "3") == 0
+    by_index = capsys.readouterr().out
+    assert run_cli("dump-prompt", "--config", config, "--situation-id", test.ids[3]) == 0
+    assert capsys.readouterr().out == by_index
+    assert run_cli("dump-prompt", "--config", config, "--situation-id", "row99999") == 2
+    assert "no situation with id 'row99999'" in capsys.readouterr().err
+
+
 def test_cli_full_flow(workspace, capsys):
     config = str(workspace / "config.yaml")
     assert run_cli("predict-llm", "--config", config) == 0
