@@ -21,7 +21,8 @@ from .mnl import MnlModel
 from .model_io import model_from_dict, model_to_dict
 from .neural import NeuralModel
 
-BENCHMARK_KINDS = ("mnl", "rf", "nn")
+_FITS = {"mnl": mnl.fit, "rf": forest.fit, "nn": neural.fit}
+BENCHMARK_KINDS = tuple(_FITS)
 
 __all__ = [
     "BENCHMARK_KINDS",
@@ -61,13 +62,7 @@ def fit_classifier(
         missing = {m for m in MODE_ORDER if int(m) not in set(y)}
         if missing:
             raise ClassMissing(missing)
-    if kind == "mnl":
-        return mnl.fit(X, y, cfg)
-    if kind == "rf":
-        return forest.fit(X, y, cfg)
-    if kind == "nn":
-        return neural.fit(X, y, cfg)
-    raise ValueError(f"unknown benchmark kind {kind!r}")
+    return _FITS[kind](X, y, cfg)
 
 
 def predict_labels(model, X: np.ndarray) -> list[ModeLabel]:

@@ -47,7 +47,7 @@ class TrainConfig:
     max_depth: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("mnl", "rf", "nn"):
+        if self.kind not in FIELDS_READ:
             raise ValueError(f"unknown benchmark kind {self.kind!r}")
         if self.learning_rate <= 0 or self.max_epochs <= 0 or self.tolerance <= 0:
             raise ValueError("learning_rate, max_epochs, and tolerance must be positive")

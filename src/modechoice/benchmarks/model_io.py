@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from .features import FeatureScaler
@@ -11,9 +13,30 @@ from .neural import NeuralModel
 
 FORMAT_VERSION = 2  # 2: random-forest trees as flat node arrays
 
+_MODEL_CLASSES = {model.kind: model for model in (MnlModel, ForestModel, NeuralModel)}
+
+
+def _parameter_names(model_class) -> list[str]:
+    """A model's fitted parameters: every field but its seed and loss curve."""
+    return [f.name for f in dataclasses.fields(model_class) if f.name not in ("seed", "loss_curve")]
+
+
+def _to_json(name: str, value):
+    if name == "trees":  # each tree as one list per node array
+        return [{k: column.tolist() for k, column in tree._asdict().items()} for tree in value]
+    return value.tolist()
+
+
+def _from_json(name: str, value):
+    if name == "trees":
+        return [Tree.from_lists(**tree) for tree in value]
+    return np.array(value, dtype=float)
+
 
 def model_to_dict(model, scaler: FeatureScaler) -> dict:
-    doc = {
+    if type(model) not in _MODEL_CLASSES.values():
+        raise TypeError(f"cannot serialize model of type {type(model).__name__}")
+    return {
         "format_version": FORMAT_VERSION,
         "kind": model.kind,
         "seed": model.seed,
@@ -22,29 +45,10 @@ def model_to_dict(model, scaler: FeatureScaler) -> dict:
             "means": scaler.means.tolist(),
             "stds": scaler.stds.tolist(),
         },
+        "parameters": {
+            name: _to_json(name, getattr(model, name)) for name in _parameter_names(type(model))
+        },
     }
-    if isinstance(model, MnlModel):
-        doc["parameters"] = {
-            "weights": model.weights.tolist(),
-            "intercepts": model.intercepts.tolist(),
-        }
-    elif isinstance(model, NeuralModel):
-        doc["parameters"] = {
-            "w1": model.w1.tolist(),
-            "b1": model.b1.tolist(),
-            "w2": model.w2.tolist(),
-            "b2": model.b2.tolist(),
-        }
-    elif isinstance(model, ForestModel):
-        doc["parameters"] = {
-            "trees": [
-                {name: column.tolist() for name, column in tree._asdict().items()}
-                for tree in model.trees
-            ]
-        }
-    else:
-        raise TypeError(f"cannot serialize model of type {type(model).__name__}")
-    return doc
 
 
 def model_from_dict(doc: dict):
@@ -55,26 +59,9 @@ def model_from_dict(doc: dict):
         means=np.array(doc["scaler"]["means"], dtype=float),
         stds=np.array(doc["scaler"]["stds"], dtype=float),
     )
-    kind = doc["kind"]
-    params = doc["parameters"]
-    common = {"seed": doc["seed"], "loss_curve": list(doc["loss_curve"])}
-    if kind == "mnl":
-        model = MnlModel(
-            weights=np.array(params["weights"], dtype=float),
-            intercepts=np.array(params["intercepts"], dtype=float),
-            **common,
-        )
-    elif kind == "nn":
-        model = NeuralModel(
-            w1=np.array(params["w1"], dtype=float),
-            b1=np.array(params["b1"], dtype=float),
-            w2=np.array(params["w2"], dtype=float),
-            b2=np.array(params["b2"], dtype=float),
-            **common,
-        )
-    elif kind == "rf":
-        model = ForestModel(trees=[Tree.from_lists(**tree) for tree in params["trees"]], **common)
-    else:
-        raise ValueError(f"unknown model kind {kind!r}")
-    return model, scaler
-
+    model_class = _MODEL_CLASSES.get(doc["kind"])
+    if model_class is None:
+        raise ValueError(f"unknown model kind {doc['kind']!r}")
+    stored = doc["parameters"]
+    params = {name: _from_json(name, stored[name]) for name in _parameter_names(model_class)}
+    return model_class(**params, seed=doc["seed"], loss_curve=list(doc["loss_curve"])), scaler

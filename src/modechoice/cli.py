@@ -9,7 +9,6 @@ report from stored predictions, and `run` drives everything end to end.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from collections import Counter
@@ -18,7 +17,6 @@ from . import benchmarks, pipeline
 from .artifacts import write_atomic
 from .dataset import MODE_ORDER
 from .evaluation import render_summary_text
-from .gateway import GatewayError
 from .prompting import build_prompt
 
 
@@ -48,16 +46,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         description="Zero-shot travel mode choice prediction with local baselines.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, help_text in [
-        ("ingest", "load the survey file and report retained situations"),
-        ("sample", "draw the balanced train/test split"),
-        ("dump-prompt", "print one rendered prompt"),
-        ("predict-llm", "complete and parse the test-set prompts"),
-        ("fit-bench", "train the benchmark models"),
-        ("evaluate", "build the report from stored predictions"),
-        ("run", "execute the full pipeline"),
-    ]:
+    for name, (_, help_text) in COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         _add_common_flags(cmd)
         if name == "dump-prompt":
@@ -85,27 +74,22 @@ def _class_counts(situations) -> str:
     return ", ".join(f"{m.display}={counts.get(m, 0)}" for m in MODE_ORDER)
 
 
-def _cmd_ingest(cfg) -> int:
-    with pipeline.stage("ingest"):
-        situations = pipeline.stage_ingest(cfg)
+def _cmd_ingest(cfg, args) -> int:
+    situations = pipeline.stage_ingest(cfg)
     print(f"ingested {len(situations)} situations from {cfg.dataset_path}")
     print(f"class counts: {_class_counts(situations)}")
     return 0
 
 
-def _cmd_sample(cfg) -> int:
-    with pipeline.stage("ingest"):
-        situations = pipeline.stage_ingest(cfg)
-    with pipeline.stage("sample"):
-        train, test = pipeline.stage_sample(cfg, situations)
+def _cmd_sample(cfg, args) -> int:
+    train, test = pipeline.stage_sample(cfg, pipeline.stage_ingest(cfg))
     print(f"train: {len(train)} ({_class_counts(train)})")
     print(f"test:  {len(test)} ({_class_counts(test)})")
     return 0
 
 
 def _cmd_dump_prompt(cfg, args) -> int:
-    with pipeline.stage("ingest"):
-        situations = pipeline.stage_ingest(cfg)
+    situations = pipeline.stage_ingest(cfg)
     if args.situation_id is not None:
         try:
             position = situations.ids.index(args.situation_id)
@@ -113,8 +97,7 @@ def _cmd_dump_prompt(cfg, args) -> int:
             print(f"error: no situation with id {args.situation_id!r}", file=sys.stderr)
             return 2
     else:
-        with pipeline.stage("sample"):
-            _, situations = pipeline.stage_sample(cfg, situations)
+        _, situations = pipeline.stage_sample(cfg, situations)
         position = args.index
         if not 0 <= position < len(situations):
             print(f"error: --index must be in [0, {len(situations)})", file=sys.stderr)
@@ -124,7 +107,7 @@ def _cmd_dump_prompt(cfg, args) -> int:
     return 0
 
 
-def _cmd_predict_llm(cfg) -> int:
+def _cmd_predict_llm(cfg, args) -> int:
     split_key, _, test = pipeline.prepare_split(cfg)
     answers = pipeline.stage_llm(cfg, test, split_key)
     backend = sum(a.backend_failure for a in answers)
@@ -135,7 +118,7 @@ def _cmd_predict_llm(cfg) -> int:
     return 0
 
 
-def _cmd_fit_bench(cfg) -> int:
+def _cmd_fit_bench(cfg, args) -> int:
     split_key, train, _ = pipeline.prepare_split(cfg)
     fitted = pipeline.stage_benchmarks(cfg, train, split_key)
     for kind, (model, scaler) in fitted.items():
@@ -147,7 +130,7 @@ def _cmd_fit_bench(cfg) -> int:
     return 0
 
 
-def _cmd_evaluate(cfg) -> int:
+def _cmd_evaluate(cfg, args) -> int:
     split_key = pipeline.sample_key(cfg)
     llm_artifact = pipeline.llm_path(cfg, split_key)
     if not llm_artifact.exists():
@@ -162,7 +145,7 @@ def _cmd_evaluate(cfg) -> int:
     return 0
 
 
-def _cmd_run(cfg) -> int:
+def _cmd_run(cfg, args) -> int:
     report = pipeline.run_pipeline(cfg)
     print(render_summary_text(report))
     report_dir = cfg.output_dir / f"report-{pipeline.config_digest(cfg)[:12]}"
@@ -170,30 +153,27 @@ def _cmd_run(cfg) -> int:
     return 0
 
 
+COMMANDS = {
+    "ingest": (_cmd_ingest, "load the survey file and report retained situations"),
+    "sample": (_cmd_sample, "draw the balanced train/test split"),
+    "dump-prompt": (_cmd_dump_prompt, "print one rendered prompt"),
+    "predict-llm": (_cmd_predict_llm, "complete and parse the test-set prompts"),
+    "fit-bench": (_cmd_fit_bench, "train the benchmark models"),
+    "evaluate": (_cmd_evaluate, "build the report from stored predictions"),
+    "run": (_cmd_run, "execute the full pipeline"),
+}
+
+
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     args = build_arg_parser().parse_args(argv)
     try:
-        cfg = _load_config(args)
-        if args.command == "ingest":
-            return _cmd_ingest(cfg)
-        if args.command == "sample":
-            return _cmd_sample(cfg)
-        if args.command == "dump-prompt":
-            return _cmd_dump_prompt(cfg, args)
-        if args.command == "predict-llm":
-            return _cmd_predict_llm(cfg)
-        if args.command == "fit-bench":
-            return _cmd_fit_bench(cfg)
-        if args.command == "evaluate":
-            return _cmd_evaluate(cfg)
-        if args.command == "run":
-            return _cmd_run(cfg)
-        raise ValueError(f"unknown command {args.command!r}")
+        command, _ = COMMANDS[args.command]
+        return command(_load_config(args), args)
     except pipeline.PipelineError as exc:
         print(f"error in stage {exc.stage!r}: {exc.cause}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, GatewayError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

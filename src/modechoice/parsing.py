@@ -11,13 +11,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .dataset import ModeLabel
+from .dataset import MODE_ORDER, ModeLabel
 
-_MODE_BY_WORD = {
-    "train": ModeLabel.TRAIN,
-    "car": ModeLabel.CAR,
-    "swissmetro": ModeLabel.SWISSMETRO,
-}
+_MODE_BY_WORD = {mode.name.lower(): mode for mode in MODE_ORDER}
 # "SM" is accepted only on a strict Prediction line; as a bare token it shows
 # up inside too many ordinary words to be safe in the fallback scan.
 _STRICT_ALIASES = dict(_MODE_BY_WORD, sm=ModeLabel.SWISSMETRO)

@@ -266,8 +266,8 @@ def config_digest(cfg: PipelineConfig) -> str:
 
 @contextmanager
 def stage(name: str):
-    """Run a block as the named stage: a failure in it becomes a PipelineError.
-    The done line gives the stage's wall time."""
+    """Run a block, or decorate a function, as the named stage: a failure in it
+    becomes a PipelineError. The done line gives the stage's wall time."""
     logger.info("stage %s: start", name)
     started = time.perf_counter()
     try:
@@ -287,6 +287,7 @@ def ingest_key(cfg: PipelineConfig) -> str:
     )
 
 
+@stage("ingest")
 def stage_ingest(cfg: PipelineConfig) -> SituationTable:
     """Read and validate the survey file into columns. It is not stored, since
     that takes a few tens of ms for the paper's 10,728 rows, mostly csv parsing;
@@ -298,14 +299,20 @@ def stage_ingest(cfg: PipelineConfig) -> SituationTable:
 def sample_key(cfg: PipelineConfig) -> str:
     """Key of the split, and the prefix of every later stage's key. It hashes
     the survey file, so a run computes it once and hands it to each stage;
-    a stage called without it computes it again."""
-    return digest_of(ingest_key(cfg), str(cfg.n_train), str(cfg.n_test), str(cfg.seed))
+    a stage called without it computes it again. An unreadable survey file
+    fails the ingest stage."""
+    try:
+        survey = ingest_key(cfg)
+    except OSError as exc:
+        raise PipelineError("ingest", exc) from exc
+    return digest_of(survey, str(cfg.n_train), str(cfg.n_test), str(cfg.seed))
 
 
 def split_path(cfg: PipelineConfig, split_key: str) -> Path:
     return stage_path(cfg.output_dir, "split", split_key, suffix=".json")
 
 
+@stage("sample")
 def stage_sample(
     cfg: PipelineConfig, situations: SituationTable, split_key: str | None = None
 ) -> tuple[SituationTable, SituationTable]:
@@ -332,16 +339,16 @@ def stage_sample(
     return situations[[position[i] for i in train_ids]], situations[[position[i] for i in test_ids]]
 
 
-def llm_key(cfg: PipelineConfig, split_key: str | None = None) -> str:
+def llm_key(cfg: PipelineConfig, split_key: str) -> str:
     return digest_of(
-        split_key or sample_key(cfg),
+        split_key,
         json.dumps(dataclasses.asdict(cfg.prompt), sort_keys=True),
         request_digest(cfg.backend),
         str(cfg.effective_max_samples()),
     )
 
 
-def llm_path(cfg: PipelineConfig, split_key: str | None = None) -> Path:
+def llm_path(cfg: PipelineConfig, split_key: str) -> Path:
     return stage_path(cfg.output_dir, "llm", llm_key(cfg, split_key))
 
 
@@ -362,9 +369,8 @@ def _answer(result) -> LlmAnswer:
     )
 
 
-def stage_llm(
-    cfg: PipelineConfig, test: SituationTable, split_key: str | None = None
-) -> list[LlmAnswer]:
+@stage("llm")
+def stage_llm(cfg: PipelineConfig, test: SituationTable, split_key: str) -> list[LlmAnswer]:
     """Predict the capped test set with the configured backend; returns one
     answer per situation, in test-set order.
 
@@ -434,6 +440,7 @@ def _fit_or_load(cfg: PipelineConfig, kind: str, train: SituationTable, split_ke
     )
 
 
+@stage("benchmarks")
 def stage_benchmarks(
     cfg: PipelineConfig, train: SituationTable, split_key: str | None = None
 ) -> dict[str, tuple]:
@@ -447,6 +454,7 @@ def labels_path(cfg: PipelineConfig, kind: str, split_key: str) -> Path:
     return stage_path(cfg.output_dir, f"labels-{kind}", key, suffix=".json")
 
 
+@stage("benchmarks")
 def stage_labels(
     cfg: PipelineConfig, train: SituationTable, test: SituationTable, split_key: str
 ) -> dict[str, list]:
@@ -499,11 +507,9 @@ def prepare_split(
     """Ingest, split and cap: the prefix every run shares. Returns the split
     key (the dataset is hashed here unless the caller passes it), the
     training set, and the test set cut to the configured cap."""
-    with stage("ingest"):
-        situations = stage_ingest(cfg)
-    with stage("sample"):
-        split_key = split_key or sample_key(cfg)
-        train, test = stage_sample(cfg, situations, split_key)
+    situations = stage_ingest(cfg)
+    split_key = split_key or sample_key(cfg)
+    train, test = stage_sample(cfg, situations, split_key)
     cap = cfg.effective_max_samples()
     if cap is not None:
         test = test[:cap]
@@ -539,10 +545,7 @@ def run_pipeline(cfg: PipelineConfig, split_key: str | None = None) -> Evaluatio
     artifacts, the completion cache, and the report are byte-stable across
     reruns.
     """
-    try:
-        split_key = split_key or sample_key(cfg)
-    except OSError as exc:  # the survey file, hashed before any stage runs
-        raise PipelineError("ingest", exc) from exc
+    split_key = split_key or sample_key(cfg)
     digest = config_digest(cfg)
     report_dir = cfg.output_dir / f"report-{digest[:12]}"
     answers_key = llm_key(cfg, split_key)
@@ -562,10 +565,8 @@ def run_pipeline(cfg: PipelineConfig, split_key: str | None = None) -> Evaluatio
             return EvaluationReport.from_json_dict(stored)
 
     _, train, test = prepare_split(cfg, split_key)
-    with stage("llm"):
-        answers = stage_llm(cfg, test, split_key)
-    with stage("benchmarks"):
-        bench_predictions = stage_labels(cfg, train, test, split_key)
+    answers = stage_llm(cfg, test, split_key)
+    bench_predictions = stage_labels(cfg, train, test, split_key)
     with stage("report"):
         records = _case_records(test, answers, bench_predictions)
         report = write_report(

@@ -750,14 +750,57 @@ def test_cli_evaluate_needs_no_credential(workspace, chat_endpoint, capsys, monk
     assert {p.name: p.read_bytes() for p in report_dir.iterdir()} == snapshot
 
 
-@pytest.mark.parametrize("command", ["ingest", "sample", "dump-prompt"])
-def test_cli_reports_a_bad_survey_file(workspace, capsys, command):
-    (workspace / "survey.dat").write_text("")
+@pytest.mark.parametrize(
+    "command, missing",
+    [
+        *(pytest.param(c, False, id=c) for c in ("ingest", "sample", "dump-prompt")),
+        *(
+            pytest.param(c, True, id=f"{c}-missing")
+            for c in ("evaluate", "predict-llm", "fit-bench", "run")
+        ),
+    ],
+)
+def test_cli_reports_a_bad_survey_file(workspace, capsys, command, missing):
+    survey = workspace / "survey.dat"
+    if missing:
+        survey.unlink()
+        cause = f"[Errno 2] No such file or directory: '{survey}'"
+    else:
+        survey.write_text("")
+        cause = f"{survey}: no header row"
     assert run_cli(command, "--config", str(workspace / "config.yaml")) == 1
     err = capsys.readouterr().err
     assert [line for line in err.splitlines() if "error" in line] == [
-        f"error in stage 'ingest': {workspace / 'survey.dat'}: no header row"
+        f"error in stage 'ingest': {cause}"
     ]
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, old, new, line",
+    [
+        pytest.param(
+            "fit-bench", "  n_train: 120\n", "  n_train: 2\n",
+            r"error in stage 'benchmarks': training set lacks classes: \[.+\]",
+            id="fit-bench-class-missing",
+        ),
+        pytest.param(
+            "predict-llm", "  backend_kind: mock\n", "  backend_kind: http_chat\n",
+            "error in stage 'llm': environment variable LLM_API_KEY is not set",
+            id="predict-llm-no-credential",
+        ),
+    ],
+)
+def test_cli_subcommand_names_its_failing_stage(
+    workspace, capsys, monkeypatch, command, old, new, line
+):
+    monkeypatch.delenv("LLM_API_KEY", raising=False)
+    config = workspace / "config.yaml"
+    config.write_text(config.read_text().replace(old, new))
+    assert run_cli(command, "--config", str(config)) == 1
+    err = capsys.readouterr().err
+    errors = [text for text in err.splitlines() if "error" in text]
+    assert len(errors) == 1 and re.fullmatch(line, errors[0])
     assert "Traceback" not in err
 
 
@@ -1031,6 +1074,20 @@ def test_each_stage_logs_its_wall_time(workspace, caplog):
         assert [m.group(1) for m in stages if m] == logged
         assert len(stages) == len(done)
         assert [m for m in messages if m.startswith("reusing report ")] == reused
+
+
+def test_each_subcommand_logs_its_stages(workspace, caplog):
+    config = str(workspace / "config.yaml")
+    for command, logged in [
+        ("predict-llm", ["ingest", "sample", "llm"]),
+        ("fit-bench", ["ingest", "sample", "benchmarks"]),
+    ]:
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="modechoice.pipeline"):
+            assert run_cli(command, "--config", config) == 0
+        done = [r.getMessage() for r in caplog.records if ": done in " in r.getMessage()]
+        stages = [re.fullmatch(r"stage (\w+): done in \d+\.\d ms", line) for line in done]
+        assert all(stages) and [m.group(1) for m in stages] == logged
 
 
 def test_each_kind_keeps_the_settings_it_reads(workspace):
