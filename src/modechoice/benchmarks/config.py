@@ -49,6 +49,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.kind not in FIELDS_READ:
             raise ValueError(f"unknown benchmark kind {self.kind!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.learning_rate <= 0 or self.max_epochs <= 0 or self.tolerance <= 0:
             raise ValueError("learning_rate, max_epochs, and tolerance must be positive")
         if self.l2_strength < 0:

@@ -17,6 +17,7 @@ from . import benchmarks, pipeline
 from .artifacts import write_atomic
 from .dataset import MODE_ORDER
 from .evaluation import render_summary_text
+from .gateway import BACKEND_KINDS
 from .prompting import build_prompt
 
 
@@ -25,7 +26,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="override the sampling seed")
     parser.add_argument(
         "--backend",
-        choices=["http_chat", "mock"],
+        choices=BACKEND_KINDS,
         default=None,
         help="override the completion backend",
     )

@@ -31,6 +31,7 @@ from .prompting import Prompt
 
 logger = logging.getLogger(__name__)
 
+BACKEND_KINDS = ("http_chat", "mock")
 MOCK_RULES = ("min_time", "min_cost", "generalized_cost", "fixed", "malformed")
 
 _CHARACTERISTICS = re.compile(
@@ -82,6 +83,11 @@ class BackendConfig:
     credential_env_var: str = "LLM_API_KEY"
 
     def __post_init__(self):
+        if self.backend_kind not in BACKEND_KINDS:
+            raise ValueError(
+                f"unknown backend_kind {self.backend_kind!r}; expected one of {BACKEND_KINDS}"
+            )
+        parse_mock_rule(self.mock_rule)
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
         if self.timeout_seconds <= 0 or self.retry_backoff_base_seconds < 0:
@@ -191,6 +197,15 @@ def parse_prompt_characteristics(prompt_text: str) -> tuple[tuple[int, ...], tup
     return numbers[:3], numbers[3:]
 
 
+def parse_mock_rule(rule: str) -> tuple[str, ModeLabel | None]:
+    """A mock rule as its name and, for `fixed:<Mode>`, the mode it answers;
+    an unknown rule or mode is a ValueError."""
+    base, _, label = rule.partition(":")
+    if base not in MOCK_RULES:
+        raise ValueError(f"unknown mock rule {rule!r}; expected one of {MOCK_RULES}")
+    return base, ModeLabel.from_name(label) if base == "fixed" else None
+
+
 class MockBackend:
     """Deterministic stand-in for a hosted model; a pure function of the prompt.
 
@@ -199,13 +214,7 @@ class MockBackend:
     """
 
     def __init__(self, rule: str = "generalized_cost"):
-        base = rule.split(":", 1)[0]
-        if base not in MOCK_RULES:
-            raise ValueError(f"unknown mock rule {rule!r}; expected one of {MOCK_RULES}")
-        if base == "fixed":
-            label = rule.split(":", 1)[1] if ":" in rule else ""
-            self._fixed = ModeLabel.from_name(label)
-        self.rule = base
+        self.rule, self._fixed = parse_mock_rule(rule)
 
     def generate(self, prompt_text: str) -> str:
         if self.rule == "malformed":
@@ -269,9 +278,7 @@ class HttpChatBackend:
 def make_backend(cfg: BackendConfig):
     if cfg.backend_kind == "mock":
         return MockBackend(cfg.mock_rule)
-    if cfg.backend_kind == "http_chat":
-        return HttpChatBackend(cfg)
-    raise ValueError(f"unknown backend_kind {cfg.backend_kind!r}")
+    return HttpChatBackend(cfg)
 
 
 def _generate_with_retries(backend, prompt_text: str, cfg: BackendConfig) -> tuple[str, int]:

@@ -2,12 +2,12 @@
 completion, parsing, benchmark training, and report writing, driven by one
 declarative config file. Stage outputs after ingest are content-addressed
 under the output directory, so reruns with unchanged inputs reuse stored
-results; a report-only rerun needs no backend credential. Each baseline's
-test-set predictions are stored apart from its model, so a warm run reads
-them and loads, encodes and predicts nothing. The report is stored too: a
-manifest records the sha256 of the report files and of every stage file they
-were built from, and a run that finds them all unchanged returns the stored
-report without ingesting, splitting or reading a single answer.
+results; a report-only rerun needs no backend credential. The report is
+stored too: a manifest records the sha256 of the report files and of the
+split and answer files they were built from, and a run that finds them all
+unchanged returns the stored report without ingesting, splitting, reading a
+single answer or loading a model. A rebuild over stored stages reloads each
+baseline's model and predicts its test-set labels again.
 """
 
 from __future__ import annotations
@@ -31,14 +31,7 @@ from . import benchmarks
 from .artifacts import digest_of, load_or_create, stage_path, write_atomic
 from .benchmarks.config import FIELDS_READ
 from .benchmarks.model_io import FORMAT_VERSION as MODEL_FORMAT_VERSION
-from .dataset import (
-    MODE_ORDER,
-    ColumnMap,
-    SituationTable,
-    balanced_split,
-    load_raw,
-    to_choice_situations,
-)
+from .dataset import ColumnMap, SituationTable, balanced_split, load_raw, to_choice_situations
 from .evaluation import (
     FAILURE_MODES,
     REPORT_FILES,
@@ -52,7 +45,7 @@ from .gateway import (
     CompletionCache,
     CompletionFailure,
     batch_complete,
-    make_backend,  # noqa: F401 -- unused here, but perfbench's tracer wraps it by name
+    make_backend,
     request_digest,
 )
 from .parsing import ParseFailure, parse_response
@@ -102,6 +95,8 @@ class PipelineConfig:
             raise ValueError(f"delimiter must be one character, got {self.delimiter!r}")
         if self.n_train <= 0 or self.n_test <= 0:
             raise ValueError("n_train and n_test must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.parse_failure_mode not in FAILURE_MODES:
             raise ValueError(f"parse_failure_mode must be one of {FAILURE_MODES}")
         unknown = set(self.benchmark_kinds) - set(benchmarks.BENCHMARK_KINDS)
@@ -380,10 +375,11 @@ def stage_llm(cfg: PipelineConfig, test: SituationTable, split_key: str) -> list
     path = llm_path(cfg, split_key)
 
     def compute():
+        backend = make_backend(cfg.backend)  # checks the credential before any request
         prompts = [build_prompt(s, cfg.prompt) for s in test]
         cache = CompletionCache(cfg.resolved_cache_dir)
-        # builds the backend, and so checks its credential, before any request
-        return [_answer(result) for result in batch_complete(prompts, cfg.backend, cache)]
+        results = batch_complete(prompts, cfg.backend, cache, backend=backend)
+        return [_answer(result) for result in results]
 
     def store(answers):
         failures = sum(a.backend_failure for a in answers)
@@ -449,38 +445,16 @@ def stage_benchmarks(
     return {kind: _fit_or_load(cfg, kind, train, split_key) for kind in cfg.benchmark_kinds}
 
 
-def labels_path(cfg: PipelineConfig, kind: str, split_key: str) -> Path:
-    key = digest_of(_model_key(cfg, kind, split_key), str(cfg.effective_max_samples()))
-    return stage_path(cfg.output_dir, f"labels-{kind}", key, suffix=".json")
-
-
 @stage("benchmarks")
 def stage_labels(
     cfg: PipelineConfig, train: SituationTable, test: SituationTable, split_key: str
 ) -> dict[str, list]:
-    """Each configured benchmark's predicted mode per capped test situation.
-    They are stored per kind, as class indices under the model key and the
-    cap, so a model is read, or fitted, only when its labels are missing."""
+    """Each configured benchmark's predicted mode per capped test situation,
+    from the model that is reloaded, or fitted and stored."""
 
     def labels(kind):
-        path = labels_path(cfg, kind, split_key)
-
-        def compute():
-            model, scaler = _fit_or_load(cfg, kind, train, split_key)
-            return benchmarks.predict_labels(model, benchmarks.encode_matrix(test, scaler))
-
-        def deserialize(text):
-            values = json.loads(text)
-            if not isinstance(values, list) or len(values) != len(test) or set(values) - {0, 1, 2}:
-                raise ValueError(f"not a list of {len(test)} class indices in 0..2")
-            return [MODE_ORDER[v] for v in values]
-
-        return load_or_create(
-            path,
-            compute,
-            lambda preds: json.dumps(list(map(int, preds)), separators=(",", ":")) + "\n",
-            deserialize,
-        )
+        model, scaler = _fit_or_load(cfg, kind, train, split_key)
+        return benchmarks.predict_labels(model, benchmarks.encode_matrix(test, scaler))
 
     return {kind: labels(kind) for kind in cfg.benchmark_kinds}
 
@@ -532,8 +506,8 @@ def run_pipeline(cfg: PipelineConfig, split_key: str | None = None) -> Evaluatio
     """Execute every stage and return the evaluation report. A caller that
     has already computed sample_key(cfg) passes it as split_key.
 
-    The report is stored as a stage. Its manifest maps the split, LLM and
-    labels files and the three report files to their sha256, and is keyed by
+    The report is stored as a stage. Its manifest maps the split and LLM
+    files and the three report files to their sha256, and is keyed by
     REPORT_FORMAT_VERSION, the config digest, the LLM key and those files'
     names. While every digest matches, a run reads report.json back and runs
     no stage; any mismatch or missing file rebuilds the report as before,
@@ -552,7 +526,6 @@ def run_pipeline(cfg: PipelineConfig, split_key: str | None = None) -> Evaluatio
     paths = [
         split_path(cfg, split_key),
         llm_path(cfg, split_key),
-        *(labels_path(cfg, kind, split_key) for kind in cfg.benchmark_kinds),
         *(report_dir / name for name in REPORT_FILES),
     ]
     files = {path.relative_to(cfg.output_dir).as_posix(): path for path in paths}

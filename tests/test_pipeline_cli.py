@@ -286,27 +286,24 @@ def report_files(cfg) -> dict[str, bytes]:
     return {name: (report_dir / name).read_bytes() for name in REPORT_FILES}
 
 
-def test_warm_run_reads_labels_and_loads_no_model(workspace, monkeypatch):
+def test_rebuild_reuses_every_stored_model(workspace, monkeypatch):
     cfg = load_pipeline_config(workspace / "config.yaml")
     run_pipeline(cfg)
     first = report_files(cfg)
-    stages = cfg.output_dir / "stages"
-    labels = sorted(stages.glob("labels-*.json"))
-    assert [path.name.split("-")[1] for path in labels] == ["mnl", "nn", "rf"]
-    for path in labels:  # one class index per capped test situation
-        values = json.loads(path.read_text())
-        assert len(values) == 45 and set(values) <= {0, 1, 2}
+    models = sorted((cfg.output_dir / "stages").glob("model-*.json"))
+    assert [path.name.split("-")[1] for path in models] == ["mnl", "nn", "rf"]
+    mtimes = {path: path.stat().st_mtime_ns for path in models}
 
-    models = list(stages.glob("model-*.json"))
-    assert len(models) == 3
-    for path in models:
-        path.unlink()
     for path in (cfg.output_dir / f"report-{config_digest(cfg)[:12]}").iterdir():
         path.unlink()
-    monkeypatch.setattr(pipeline.benchmarks, "encode_matrix", None)  # nothing is encoded
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a rebuild over stored models fitted one")
+
+    monkeypatch.setattr(pipeline.benchmarks, "fit_classifier", fail)
     run_pipeline(cfg)
     assert report_files(cfg) == first
-    assert not list(stages.glob("model-*.json"))
+    assert {path: path.stat().st_mtime_ns for path in models} == mtimes
 
 
 REPORT_BUILDERS = ("stage_ingest", "stage_llm", "stage_labels", "_case_records", "write_report")
@@ -348,7 +345,6 @@ def test_warm_run_returns_the_stored_report(workspace, capsys, monkeypatch):
     [
         "stages/split-*.json",
         "stages/llm-*.jsonl",
-        "stages/labels-rf-*.json",
         "report-*/report.json",
         "report-*/report.txt",
         "report-*/cases.jsonl",
@@ -431,22 +427,16 @@ def test_report_bytes_are_pinned_to_the_format_version(tmp_path):
 )
 def test_changed_train_setting_or_cap_recomputes_labels(workspace, old, new, n_cases):
     run_pipeline(load_pipeline_config(workspace / "config.yaml"))
-    stages = workspace / "out" / "stages"
-    stale = set(stages.glob("labels-rf-*.json"))
     (workspace / "changed.yaml").write_text(
         CONFIG_TEMPLATE.format(mock_rule="generalized_cost").replace(old, new)
     )
     cfg = load_pipeline_config(workspace / "changed.yaml")
     run_pipeline(cfg)
-    (labels,) = set(stages.glob("labels-rf-*.json")) - stale
-    values = json.loads(labels.read_text())
-    assert len(values) == n_cases
     cases = [json.loads(line) for line in report_files(cfg)["cases.jsonl"].splitlines()]
-    rf = [case["benchmark_predictions"]["rf"] for case in cases]
-    assert rf == [ModeLabel(v).display for v in values]
+    assert len(cases) == n_cases
 
     # the same config into an empty directory writes the same report; with two
-    # trees instead of five, stale labels would not match it
+    # trees instead of five, a report from the stale forest would not match it
     fresh = load_pipeline_config(workspace / "changed.yaml", {"out": str(workspace / "fresh")})
     run_pipeline(fresh)
     assert report_files(fresh) == report_files(cfg)
@@ -456,26 +446,35 @@ def test_changed_train_setting_or_cap_recomputes_labels(workspace, old, new, n_c
     "cut, message",
     [
         (lambda text: text[: len(text) // 2], "Expecting"),
-        (lambda text: json.dumps(json.loads(text)[:-1]), "not a list of 45 class indices in 0..2"),
-        (lambda text: json.dumps(json.loads(text)[:-1] + [3]), "not a list of 45 class indices"),
+        (
+            lambda text: json.dumps(dict(json.loads(text), format_version=1)),
+            "unsupported model format_version 1",
+        ),
+        (
+            lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "parameters"}),
+            "no field 'parameters'",
+        ),
     ],
-    ids=["bytes", "one-label-short", "out-of-range"],
+    ids=["bytes", "format-version-1", "no-parameters"],
 )
-def test_cli_run_rejects_a_damaged_labels_file(workspace, capsys, cut, message):
+def test_cli_rebuild_rejects_a_damaged_model_file(workspace, capsys, cut, message):
     config = str(workspace / "config.yaml")
     assert run_cli("run", "--config", config) == 0
     cfg = load_pipeline_config(workspace / "config.yaml")
     first = report_files(cfg)
-    (labels,) = (workspace / "out" / "stages").glob("labels-rf-*.json")
-    labels.write_text(cut(labels.read_text()))
+    stages = workspace / "out" / "stages"
+    (manifest,) = stages.glob("report-*.json")
+    manifest.unlink()  # the next run rebuilds the report over the stored stages
+    (model,) = stages.glob("model-rf-*.json")
+    model.write_text(cut(model.read_text()))
     capsys.readouterr()
     assert run_cli("run", "--config", config) == 1
     err = capsys.readouterr().err
     errors = [line for line in err.splitlines() if "error" in line]
     assert len(errors) == 1
-    assert errors[0].startswith(f"error in stage 'benchmarks': {labels}: {message}")
+    assert errors[0].startswith(f"error in stage 'benchmarks': {model}: {message}")
     assert "Traceback" not in err
-    assert report_files(cfg) == first  # no case log is written from misaligned labels
+    assert report_files(cfg) == first  # no report is written from a damaged model
 
 
 @pytest.mark.parametrize(
@@ -970,17 +969,53 @@ FILE_ERROR = "bad.yaml: "  # a wrongly typed value or bad YAML: one error naming
             FILE_ERROR + "unknown benchmarks.mnl keys: ['batch_size', 'hidden_units']",
             id="mnl-nn-settings",
         ),
+        pytest.param(
+            "  backend_kind: mock\n", "  backend_kind: openai\n",
+            FILE_ERROR + "unknown backend_kind 'openai'", id="backend_kind-openai",
+        ),
+        pytest.param(
+            "  mock_rule: min_time\n", "  mock_rule: cheapest\n",
+            FILE_ERROR + "unknown mock rule 'cheapest'", id="mock_rule-cheapest",
+        ),
+        pytest.param(
+            "  mock_rule: min_time\n", "  mock_rule: fixed\n",
+            FILE_ERROR + "unknown mode name ''", id="mock_rule-fixed",
+        ),
+        pytest.param(
+            "  mock_rule: min_time\n", "  mock_rule: fixed:Bus\n",
+            FILE_ERROR + "unknown mode name 'Bus'", id="mock_rule-fixed-bus",
+        ),
+        pytest.param(
+            "  seed: 11\n", "  seed: -1\n",
+            FILE_ERROR + "seed must be non-negative, got -1", id="seed-negative",
+        ),
+        pytest.param(
+            RF_LINE, "  rf: {seed: -1}\n",
+            FILE_ERROR + "seed must be non-negative, got -1", id="rf-seed-negative",
+        ),
     ],
 )
 def test_cli_rejects_malformed_config(workspace, capsys, old, new, message):
     assert old in BASE
     (workspace / "bad.yaml").write_text(BASE.replace(old, new))
-    assert run_cli("ingest", "--config", str(workspace / "bad.yaml")) == 1
+    for command in ("ingest", "run"):
+        assert run_cli(command, "--config", str(workspace / "bad.yaml")) == 1
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error" in line]
+        assert len(errors) == 1 and errors[0].startswith("error: ")
+        assert message in errors[0]
+        assert "Traceback" not in err
+    assert not (workspace / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["ingest", "run"])
+def test_cli_rejects_a_negative_seed_override(workspace, capsys, command):
+    config = str(workspace / "config.yaml")
+    assert run_cli(command, "--config", config, "--seed", "-1") == 1
     err = capsys.readouterr().err
     errors = [line for line in err.splitlines() if "error" in line]
-    assert len(errors) == 1 and errors[0].startswith("error: ")
-    assert message in errors[0]
-    assert "Traceback" not in err
+    assert errors == [f"error: {config}: seed must be non-negative, got -1"]
+    assert not (workspace / "out").exists()
 
 
 def test_config_keeps_each_value_as_written(workspace):

@@ -69,6 +69,9 @@ def test_compute_hints_full_tie():
     for hint in (time_hint, cost_hint):
         assert hint.min_modes == tuple(ModeLabel)
         assert hint.savings == {}
+    guide = build_prompt(situation, PromptTemplateConfig()).components["guide"]
+    assert "Train, Car and Swissmetro all have the same travel time." in guide
+    assert "Train, Car and Swissmetro all have the same travel cost." in guide
 
 
 def test_compute_hints_partition_property():
