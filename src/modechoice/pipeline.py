@@ -412,7 +412,7 @@ def _model_key(cfg: PipelineConfig, kind: str, split_key: str) -> str:
     return digest_of(
         split_key,
         str(MODEL_FORMAT_VERSION),
-        json.dumps(dataclasses.asdict(cfg.train_configs[kind]), sort_keys=True),
+        json.dumps(vars(cfg.train_configs[kind]), sort_keys=True),
     )
 
 
@@ -508,8 +508,9 @@ def run_pipeline(cfg: PipelineConfig, split_key: str | None = None) -> Evaluatio
 
     The report is stored as a stage. Its manifest maps the split and LLM
     files and the three report files to their sha256, and is keyed by
-    REPORT_FORMAT_VERSION, the config digest, the LLM key and those files'
-    names. While every digest matches, a run reads report.json back and runs
+    REPORT_FORMAT_VERSION, the config digest, the LLM key, each configured
+    kind's model key and those files' names, so a new MODEL_FORMAT_VERSION
+    rebuilds the report over refitted models. While every digest matches, a run reads report.json back and runs
     no stage; any mismatch or missing file rebuilds the report as before,
     which rewrites the manifest. A manifest is written only when every input
     file is stored, so a run with backend failures leaves none and its rerun
@@ -529,7 +530,8 @@ def run_pipeline(cfg: PipelineConfig, split_key: str | None = None) -> Evaluatio
         *(report_dir / name for name in REPORT_FILES),
     ]
     files = {path.relative_to(cfg.output_dir).as_posix(): path for path in paths}
-    key = digest_of(str(REPORT_FORMAT_VERSION), digest, answers_key, *files)
+    model_keys = [_model_key(cfg, kind, split_key) for kind in cfg.benchmark_kinds]
+    key = digest_of(str(REPORT_FORMAT_VERSION), digest, answers_key, *model_keys, *files)
     manifest = stage_path(cfg.output_dir, "report", key, suffix=".json")
     if _unchanged(manifest, files):
         with stage("report"):

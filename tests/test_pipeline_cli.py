@@ -384,6 +384,22 @@ def test_a_new_report_format_version_rebuilds_the_report(workspace, monkeypatch)
     assert len(list((cfg.output_dir / "stages").glob("report-*.json"))) == 2
 
 
+def test_a_new_model_format_version_refits_and_rebuilds_the_report(
+    workspace, caplog, monkeypatch
+):
+    cfg = load_pipeline_config(workspace / "config.yaml")
+    run_pipeline(cfg)
+    stages = cfg.output_dir / "stages"
+    before = {path.name for path in stages.glob("model-*.json")}
+    monkeypatch.setattr(pipeline, "MODEL_FORMAT_VERSION", pipeline.MODEL_FORMAT_VERSION + 1)
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="modechoice.pipeline"):
+        run_pipeline(cfg)
+    assert not [r for r in caplog.records if r.getMessage().startswith("reusing report")]
+    after = {path.name for path in stages.glob("model-*.json")}
+    assert len(before) == 3 and len(after - before) == 3
+
+
 def test_report_bytes_are_pinned_to_the_format_version(tmp_path):
     """Any change to a report byte must bump REPORT_FORMAT_VERSION, or stored
     reports from before it would still be served; edit both together."""
