@@ -1,16 +1,20 @@
 """Random forest: bootstrapped CART trees with Gini-impurity axis splits and
-majority voting. Each tree is stored as flat node arrays, the layout of
-scikit-learn's `_tree` module, and predicts a whole matrix level by level in
-numpy.
+majority voting. Each tree is stored as flat node arrays in level order, the
+layout of scikit-learn's `_tree` module, and predicts a whole matrix level by
+level in numpy.
 
-The trees of a share (below) grow in lockstep. Each tree has its own
-generator, seeded from the master seed and its index, its own bootstrap draw
-and its own depth-first stack; every step pops the top node of each stack
-and finds all their splits in one batched numpy search. The trees are
-bit-identical to growing each on its own: a tree's generator is drawn from
-only for that tree's nodes, in the same order; class counts are exact
+The trees grow level by level, as the depthwise policy of gradient-boosting
+libraries does (Louppe, arXiv:1407.7502, ch. 3 and 5; Chen & Guestrin, KDD
+2016), in passes of _PASS_TREES trees: every step finds the splits of every
+open node of every tree in the pass in one batched numpy search, so a pass
+takes one step per level of its deepest tree. Each tree has its own
+generator, seeded from the master seed and its index, and its own bootstrap
+draw, and takes one feature order per open node in level order. So a tree is
+bit-identical to growing it on its own, breadth-first: its generator is drawn
+from only for its own nodes, in the same order; class counts are exact
 integers; and the impurity of every cut comes from the same element-wise
-arithmetic, with the same first-minimum tie rules.
+arithmetic, with the same first-minimum tie rules. No tree depends on the
+pass size or on the other trees.
 
 A tree grows on the distinct rows of its bootstrap draw, each weighted by how
 often it was drawn, as scikit-learn's forest does (Louppe, arXiv:1407.7502,
@@ -19,23 +23,16 @@ straddle a cut: the cuts are the same, and a node's class counts, its size and
 the counts left of every cut are sums of the same integers, exact in float64.
 So every impurity, tie and threshold is that of growing on the copies, with
 about a third fewer entries to sort.
-
-The trees are grown, and their votes counted, in one share per usable CPU
-(`_in_shares`). Tree t keeps generator [seed, t] and its place, and votes are
-integer counts that add exactly, so no result depends on the CPU count.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
-import threading
 from dataclasses import dataclass, field
 from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .config import BenchmarkError, TrainConfig
+from .config import TrainConfig
 from .features import N_CLASSES
 
 
@@ -88,95 +85,19 @@ class ForestModel:
 
     def predict_proba_matrix(self, X: np.ndarray) -> np.ndarray:
         rows = np.arange(X.shape[0])
-
-        def count_votes(lo, hi):
-            votes = np.zeros((X.shape[0], N_CLASSES), dtype=np.intp)
-            for tree in self.trees[lo:hi]:  # one tree at a time keeps memory at O(rows)
-                votes[rows, tree.vote[tree.leaves(X)]] += 1
-            return votes
-
-        return sum(_in_shares(count_votes, len(self.trees))) / len(self.trees)
-
-
-def _usable_cpus() -> int:
-    """How many CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _in_shares(work, n_items: int) -> list:
-    """The results of work(lo, hi) over contiguous shares of range(n_items),
-    one share per usable CPU, in share order. The shares after the first run
-    in forked children, which pickle their results back through pipes; this
-    process runs the first. One call work(0, n_items) runs here alone when
-    there is one CPU or item, when fork is missing, or when another thread is
-    alive, since forking beside live threads can deadlock."""
-    n_shares = min(_usable_cpus(), n_items)
-    if n_shares < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return [work(0, n_items)]
-    bounds = [n_items * i // n_shares for i in range(n_shares + 1)]
-    children = []  # (pid, read end of its pipe), in share order
-    try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            read_end, write_end = os.pipe()
-            reader = os.fdopen(read_end, "rb")
-            with os.fdopen(write_end, "wb") as writer:  # closed here once the child has it
-                try:
-                    pid = os.fork()
-                except OSError:
-                    reader.close()
-                    raise
-                if pid == 0:
-                    _run_in_child(work, lo, hi, writer)
-            children.append((pid, reader))
-        results = [work(0, bounds[1])]
-        while children:
-            pid, pipe = children[0]
-            payload = pipe.read()  # to EOF before waiting, so a full pipe cannot block the child
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[0]
-            pipe.close()
-            if status != 0:
-                raise BenchmarkError(f"forest worker exited with status {status} without a result")
-            done, result = pickle.loads(payload)
-            if not done:
-                raise result
-            results.append(result)
-        return results
-    finally:
-        if children:  # this process failed: end and reap the children left
-            import signal  # only here, so that importing the package loads no more modules
-
-            for pid, pipe in children:
-                pipe.close()
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-
-
-def _run_in_child(work, lo, hi, writer) -> None:
-    """Run one share in a forked child and end the child, with status 0 only
-    once the pickled (True, result) or (False, exception) is written whole."""
-    status = 1
-    try:
-        try:
-            outcome = (True, work(lo, hi))
-        except BaseException as exc:  # raised again in the parent
-            outcome = (False, exc)
-        payload = pickle.dumps(outcome)
-        with writer:
-            writer.write(payload)
-        status = 0
-    finally:
-        os._exit(status)
+        votes = np.zeros((X.shape[0], N_CLASSES), dtype=np.intp)
+        for tree in self.trees:  # one tree at a time keeps memory at O(rows)
+            votes[rows, tree.vote[tree.leaves(X)]] += 1
+        return votes / len(self.trees)
 
 
 # A step's split search runs in chunks of at most this many (node, feature,
 # row) entries, which bounds its transient memory.
 _CHUNK_ENTRIES = 8192
 
-# Each tree draws its nodes' feature orders this many at a time.
-_ORDER_BLOCK = 64
+# The trees grow this many at a time, which bounds the memory a fit holds at
+# once; no tree depends on the others of its pass.
+_PASS_TREES = 25
 
 
 def _scan_features(X, y, rank, rows, weight, first, size, features):
@@ -262,40 +183,25 @@ def _best_splits(X, y, rank, rows, weight, first, size, order, k):
     return feature, threshold
 
 
-_NODE = np.dtype(
-    [
-        ("feature", np.intp),
-        ("threshold", float),
-        ("left", np.intp),
-        ("right", np.intp),
-        ("vote", np.intp),
-    ]
-)
-_LEAF = np.array((-1, 0.0, -1, -1, 0), dtype=_NODE)
-
-
-def _widen(array: np.ndarray, fill) -> np.ndarray:
-    """array with its second axis doubled, the new places set to fill."""
-    extra = np.full(array.shape, fill, dtype=array.dtype)
-    return np.concatenate([array, extra], axis=1)
-
-
 def fit(X: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> ForestModel:
-    """Grow the trees, one contiguous share of them per usable CPU."""
+    """Grow the trees, _PASS_TREES at a time."""
     rank = np.column_stack([np.unique(column, return_inverse=True)[1] for column in X.T])
-    shares = _in_shares(lambda lo, hi: _grow(X, y, rank, cfg, lo, hi), cfg.n_trees)
-    return ForestModel(trees=[tree for share in shares for tree in share], seed=cfg.seed)
+    trees = []
+    for lo in range(0, cfg.n_trees, _PASS_TREES):
+        trees += _grow(X, y, rank, cfg, lo, min(lo + _PASS_TREES, cfg.n_trees))
+    return ForestModel(trees=trees, seed=cfg.seed)
 
 
 def _grow(X, y, rank, cfg: TrainConfig, lo: int, hi: int) -> list[Tree]:
-    """Grow trees lo to hi - 1 of the forest in lockstep.
+    """Grow trees lo to hi - 1 of the forest together, level by level.
 
-    Each tree keeps its own generator, bootstrap draw and depth-first stack
-    (right child first); each step pops the top node of every non-empty
-    stack and finds all their splits in one batched search. A tree's distinct
-    rows, with their draw counts in `weight`, fill one slice of `flat`, and a
-    node owns a part of it, which its split partitions in place. rank holds
-    each value's dense rank within its column of X.
+    The frontier holds every open node of every tree as (tree, node, start,
+    end) arrays, grouped by tree and in level order within each; each step
+    finds all their splits in one batched search and puts their children,
+    numbered per tree in level order, in the next frontier. A tree's
+    distinct rows, with their draw counts in `weight`, fill one slice of
+    `flat`, and a node owns a part of it, which its split partitions in
+    place. rank holds each value's dense rank within its column of X.
     """
     n, n_features = X.shape
     n_trees = hi - lo
@@ -304,75 +210,77 @@ def _grow(X, y, rank, cfg: TrainConfig, lo: int, hi: int) -> list[Tree]:
     drawn = np.ones((n_trees, n), dtype=np.intp)  # how often each tree drew each row
     if cfg.bootstrap:
         drawn = np.stack([np.bincount(rng.integers(0, n, size=n), minlength=n) for rng in rngs])
-    stop = np.cumsum(np.count_nonzero(drawn, axis=1))
+    end = np.cumsum(np.count_nonzero(drawn, axis=1))
     flat = np.flatnonzero(drawn)  # each tree's distinct rows, tree after tree
     weight = drawn.ravel()[flat].astype(np.int32)
     flat %= n
     del drawn
-    nodes = np.full((n_trees, 64), _LEAF, dtype=_NODE)
+    tree, node, start = np.arange(n_trees), np.zeros(n_trees, dtype=np.intp), np.r_[0, end[:-1]]
     n_nodes = np.ones(n_trees, dtype=np.intp)
-    stack = np.zeros((n_trees, 64, 4), dtype=np.intp)  # pending (node, start, end, depth)
-    stack[:, 0, 1:3] = np.column_stack([np.r_[0, stop[:-1]], stop])
-    height = np.ones(n_trees, dtype=np.intp)
-    # A tree's generator feeds only its nodes' feature orders after the
-    # bootstrap, so they are drawn _ORDER_BLOCK at a time: permuting the rows
-    # of a block takes the stream exactly as that many permutation calls.
-    orders = np.empty((n_trees, _ORDER_BLOCK, n_features), dtype=np.intp)
-    used = np.full(n_trees, _ORDER_BLOCK)  # orders taken from each tree's block
-    while (trees := np.flatnonzero(height)).size:
-        height[trees] -= 1
-        node, start, end, depth = stack[trees, height[trees]].T
+    voted, splits = [], []  # each level's (tree, node, vote) and split (tree, node, feature, threshold, left)
+    depth = 0
+    while tree.size:
         size = end - start
         first = np.cumsum(size) - size
-        seg = np.repeat(np.arange(len(trees)), size)
+        seg = np.repeat(np.arange(len(tree)), size)
         slot = np.repeat(start - first, size) + np.arange(len(seg))
         rows, w = flat[slot], weight[slot]
-        counts = np.bincount(seg * N_CLASSES + y[rows], w, minlength=len(trees) * N_CLASSES)
+        counts = np.bincount(seg * N_CLASSES + y[rows], w, minlength=len(tree) * N_CLASSES)
         counts = counts.reshape(-1, N_CLASSES)
-        nodes["vote"][trees, node] = counts.argmax(axis=1)  # ties fall to the lowest class index
-        open_ = counts.max(axis=1) < counts.sum(axis=1)  # more than one class
-        if cfg.max_depth is not None:
-            open_ &= depth < cfg.max_depth
-        split = np.flatnonzero(open_)
-        if not split.size:
-            continue
-        tree = trees[split]
-        for t in tree[used[tree] == _ORDER_BLOCK]:
-            orders[t] = np.arange(n_features)
-            rngs[t].permuted(orders[t], axis=1, out=orders[t])
-            used[t] = 0
-        order = orders[tree, used[tree]]
-        used[tree] += 1
+        voted.append((tree, node, counts.argmax(axis=1)))  # ties fall to the lowest class index
+        if cfg.max_depth is not None and depth == cfg.max_depth:
+            break
+        depth += 1
+        split = np.flatnonzero(counts.max(axis=1) < counts.sum(axis=1))  # more than one class
+        # each tree draws one feature order per open node, in level order: one
+        # permuted call over a tree's rows takes its stream as that many
+        # permutation calls would
+        order = np.tile(np.arange(n_features), (len(split), 1))
+        per_tree = np.bincount(tree[split], minlength=n_trees)
+        for t, stop in zip(np.flatnonzero(per_tree), np.cumsum(per_tree)[per_tree > 0]):
+            block = order[stop - per_tree[t] : stop]
+            rngs[t].permuted(block, axis=1, out=block)
         feature, threshold = _best_splits(X, y, rank, rows, w, first[split], size[split], order, k)
         found = feature >= 0
         split, feature, threshold = split[found], feature[found], threshold[found]
-        if not split.size:
-            continue
         # a node that does not split keeps all its rows on the left, in place
-        seg_feature = np.zeros(len(trees), dtype=np.intp)
+        seg_feature = np.zeros(len(tree), dtype=np.intp)
         seg_feature[split] = feature
-        seg_threshold = np.full(len(trees), np.inf)
+        seg_threshold = np.full(len(tree), np.inf)
         seg_threshold[split] = threshold
         goes_left = X[rows, seg_feature[seg]] <= seg_threshold[seg]
         moved = np.argsort(2 * seg + ~goes_left, kind="stable")
         flat[slot], weight[slot] = rows[moved], w[moved]
-        mid = start[split] + np.bincount(seg[goes_left], minlength=len(trees))[split]
-        tree, parent = trees[split], node[split]
-        child = n_nodes[tree]
-        nodes["feature"][tree, parent] = feature
-        nodes["threshold"][tree, parent] = threshold
-        nodes["left"][tree, parent] = child
-        nodes["right"][tree, parent] = child + 1
-        n_nodes[tree] += 2
-        if n_nodes.max() > nodes.shape[1]:
-            nodes = _widen(nodes, _LEAF)
-        top = height[tree]
-        height[tree] += 2
-        if height.max() > stack.shape[1]:
-            stack = _widen(stack, 0)
-        stack[tree, top] = np.column_stack([child, start[split], mid, depth[split] + 1])
-        stack[tree, top + 1] = np.column_stack([child + 1, mid, end[split], depth[split] + 1])
+        mid = start[split] + np.bincount(seg[goes_left], minlength=len(tree))[split]
+        parent_tree = tree[split]
+        # the j-th split of a tree at this level gets children 2j and 2j + 1 after its last node
+        j = np.arange(len(split)) - np.searchsorted(parent_tree, parent_tree)
+        left = n_nodes[parent_tree] + 2 * j
+        n_nodes += 2 * np.bincount(parent_tree, minlength=n_trees)
+        splits.append((parent_tree, node[split], feature, threshold, left))
+        tree = np.repeat(parent_tree, 2)
+        node = np.column_stack([left, left + 1]).ravel()
+        start, end = (
+            np.column_stack([start[split], mid]).ravel(),
+            np.column_stack([mid, end[split]]).ravel(),
+        )
+    return _assemble(n_nodes, voted, splits)
+
+
+def _assemble(n_nodes, voted, splits) -> list[Tree]:
+    """The trees, from the node counts and the per-level records of _grow."""
+    bounds = np.r_[0, np.cumsum(n_nodes)]
+    feature = np.full(bounds[-1], -1, dtype=np.intp)
+    threshold = np.zeros(bounds[-1])
+    left = np.full(bounds[-1], -1, dtype=np.intp)
+    right = np.full(bounds[-1], -1, dtype=np.intp)
+    vote = np.zeros(bounds[-1], dtype=np.intp)
+    for tree, node, votes in voted:
+        vote[bounds[tree] + node] = votes
+    for tree, node, features, thresholds, lefts in splits:
+        at = bounds[tree] + node
+        feature[at], threshold[at], left[at], right[at] = features, thresholds, lefts, lefts + 1
     return [
-        Tree(*(np.ascontiguousarray(grown[name]) for name in Tree._fields))
-        for grown in (nodes[t, : n_nodes[t]] for t in range(n_trees))
+        Tree(*(array[a:b].copy() for array in (feature, threshold, left, right, vote)))
+        for a, b in zip(bounds[:-1], bounds[1:])
     ]

@@ -11,7 +11,7 @@ from .forest import ForestModel, Tree
 from .mnl import MnlModel
 from .neural import NeuralModel
 
-FORMAT_VERSION = 2  # 2: random-forest trees as flat node arrays
+FORMAT_VERSION = 3  # 2: random-forest trees as flat node arrays; 3: grown level by level
 
 _MODEL_CLASSES = {model.kind: model for model in (MnlModel, ForestModel, NeuralModel)}
 

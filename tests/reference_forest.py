@@ -3,10 +3,14 @@ frozen as the oracle for the array-backed forest in
 `modechoice.benchmarks.forest`.
 
 Internal nodes are {"feature", "threshold", "left", "right"}; leaves are
-{"counts"}. The split search, the RNG draws and the stack order are those the
+{"counts"}. The split search, the RNG draws and the node order are those the
 array forest must reproduce bit for bit, so this file must not change when
-the production forest is optimised.
+the production forest is optimised. Nodes are grown breadth-first from a FIFO
+queue, level by level and left before right within a level, which is the
+order in which a tree draws its feature orders.
 """
+
+from collections import deque
 
 import numpy as np
 
@@ -53,9 +57,9 @@ def find_split(X, y, feature_order, k):
 def build_tree(X, y, rng, k, max_depth):
     n_features = X.shape[1]
     root = {}
-    stack = [(root, np.arange(len(y)), 0)]
-    while stack:
-        node, idx, depth = stack.pop()
+    queue = deque([(root, np.arange(len(y)), 0)])
+    while queue:
+        node, idx, depth = queue.popleft()
         labels = y[idx]
         counts = np.bincount(labels, minlength=N_CLASSES)
         at_depth_limit = max_depth is not None and depth >= max_depth
@@ -72,8 +76,8 @@ def build_tree(X, y, rng, k, max_depth):
         node["threshold"] = threshold
         node["left"] = {}
         node["right"] = {}
-        stack.append((node["left"], idx[mask], depth + 1))
-        stack.append((node["right"], idx[~mask], depth + 1))
+        queue.append((node["left"], idx[mask], depth + 1))
+        queue.append((node["right"], idx[~mask], depth + 1))
     return root
 
 

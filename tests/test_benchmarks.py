@@ -1,10 +1,8 @@
 import dataclasses
+import hashlib
 import json
 import math
-import os
 import random
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -359,18 +357,21 @@ def test_nn_matches_reference_training(tmp_path):
 @pytest.mark.parametrize("n_features", [1, 2, 8])
 def test_rf_feature_orders_drawn_in_blocks_match_one_draw_per_node(n_features):
     # a tree's generator feeds its bootstrap draw, then one feature order per
-    # split node; the forest draws those orders a block at a time
+    # open node in level order; the forest draws a level's orders for a tree
+    # with one permuted call over as many rows as the tree has open nodes
     n = 50
+    levels = [1, 2, 3, 64, 130, 5]
     one_at_a_time = np.random.default_rng([3, 7])
     one_at_a_time.integers(0, n, size=n)
-    expected = [one_at_a_time.permutation(n_features) for _ in range(2 * forest._ORDER_BLOCK + 5)]
-    in_blocks = np.random.default_rng([3, 7])
-    in_blocks.integers(0, n, size=n)
-    blocks = np.empty((3, forest._ORDER_BLOCK, n_features), dtype=np.intp)
-    for block in blocks:
-        block[:] = np.arange(n_features)
-        in_blocks.permuted(block, axis=1, out=block)
-    assert np.array_equal(blocks.reshape(-1, n_features)[: len(expected)], expected)
+    expected = [one_at_a_time.permutation(n_features) for _ in range(sum(levels))]
+    per_level = np.random.default_rng([3, 7])
+    per_level.integers(0, n, size=n)
+    drawn = []
+    for c in levels:
+        block = np.tile(np.arange(n_features), (c, 1))
+        per_level.permuted(block, axis=1, out=block)
+        drawn.append(block)
+    assert np.array_equal(np.concatenate(drawn), expected)
 
 
 def test_rf_single_tree_shatters_unique_points():
@@ -529,8 +530,8 @@ def test_rf_rows_on_the_threshold_train_left():
 
 def test_rf_deep_tree_matches_reference():
     # alternating labels along one feature: every split peels off the lowest
-    # row, so each tree is a 150-level chain whose pending left leaves pile up
-    # on the stack, well past the node and stack arrays' first allocation
+    # row, so each tree is a 150-level chain, grown in 150 steps whose
+    # frontier holds one open node and one new leaf per tree
     X = np.arange(150, dtype=float)[:, None]
     y = np.arange(150) % 2
     cfg = TrainConfig(kind="rf", seed=0, n_trees=2, bootstrap=False)
@@ -570,100 +571,30 @@ def test_rf_search_chunk_size_is_invisible(tmp_path, monkeypatch):
     assert_same_arrays(default, forest.fit(X, y, cfg))
 
 
-@pytest.mark.parametrize("workers", [2, 3])
-@pytest.mark.parametrize("n_trees", [1, 2, 5, 20])
-def test_rf_trees_and_votes_do_not_depend_on_the_worker_count(
-    tmp_path, monkeypatch, n_trees, workers
-):
+def test_rf_pass_size_is_invisible(tmp_path, monkeypatch):
     X, y = reference_training_set(tmp_path)
-    cfg = TrainConfig(kind="rf", seed=13, n_trees=n_trees)
-    monkeypatch.setattr(forest, "_usable_cpus", lambda: 1)
-    alone = forest.fit(X, y, cfg)
-    votes = alone.predict_proba_matrix(X)
-    forks = []
-    fork = os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    monkeypatch.setattr(forest, "_usable_cpus", lambda: workers)
-    shared = forest.fit(X, y, cfg)
-    # shares are uneven (5 trees in 2 or 3), and no share is left empty: with
-    # more workers than trees, each tree gets a process of its own
-    assert len(forks) == min(workers, n_trees) - 1
-    assert_same_arrays(alone, shared)
-    assert np.array_equal(shared.predict_proba_matrix(X), votes)
-    assert len(forks) == 2 * (min(workers, n_trees) - 1)
-    assert_no_child_left()
+    cfg = TrainConfig(kind="rf", seed=13, n_trees=20)
+    default = forest.fit(X, y, cfg)
+    assert forest._PASS_TREES >= cfg.n_trees  # one pass by default
+    for size in (1, 7):  # one tree a pass, and uneven passes with a short last one
+        monkeypatch.setattr(forest, "_PASS_TREES", size)
+        assert_same_arrays(default, forest.fit(X, y, cfg))
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_rf_share_error_in_a_worker_is_raised_here(monkeypatch):
-    monkeypatch.setattr(forest, "_usable_cpus", lambda: 3)
-
-    def work(lo, hi):
-        if lo > 0:  # never in this process, which runs share 0
-            raise KeyError(f"share {lo}:{hi} failed")
-        return lo
-
-    with pytest.raises(KeyError, match=r"^'share 1:2 failed'$"):
-        forest._in_shares(work, 3)
-    assert_no_child_left()
-
-
-def test_rf_worker_exiting_without_a_result_names_its_status(monkeypatch):
-    monkeypatch.setattr(forest, "_usable_cpus", lambda: 2)
-
-    def work(lo, hi):
-        if lo > 0:
-            os._exit(1)
-        return lo
-
-    with pytest.raises(BenchmarkError, match=r"exited with status 1 without a result"):
-        forest._in_shares(work, 2)
-    assert_no_child_left()
-
-
-def test_rf_workers_are_reaped_when_this_process_fails(monkeypatch):
-    monkeypatch.setattr(forest, "_usable_cpus", lambda: 3)
-
-    def work(lo, hi):
-        if lo > 0:
-            time.sleep(60)
-        raise ValueError("share 0 failed")
-
-    started = time.monotonic()
-    with pytest.raises(ValueError, match="share 0 failed"):
-        forest._in_shares(work, 3)
-    assert time.monotonic() - started < 30  # the workers were killed, not waited for
-    assert_no_child_left()
-
-
-def test_rf_fits_in_one_process_beside_a_live_thread(tmp_path, monkeypatch):
-    X, y = reference_training_set(tmp_path)
-    cfg = TrainConfig(kind="rf", seed=14, n_trees=6)
-    monkeypatch.setattr(forest, "_usable_cpus", lambda: 1)
-    alone = forest.fit(X, y, cfg)
-    expected = alone.predict_proba_matrix(X)
-
-    def no_fork():
-        raise OSError("forked beside a live thread")
-
-    monkeypatch.setattr(os, "fork", no_fork)
-    monkeypatch.setattr(forest, "_usable_cpus", lambda: 2)
-    release = threading.Event()
-    thread = threading.Thread(target=release.wait)
-    thread.start()
-    try:
-        shared = forest.fit(X, y, cfg)
-        votes = shared.predict_proba_matrix(X)
-    finally:
-        release.set()
-        thread.join(timeout=10)
-    assert not thread.is_alive()
-    assert_same_arrays(alone, shared)
-    assert np.array_equal(votes, expected)
+def test_rf_labels_are_pinned_to_the_model_format_version():
+    """Any change to a fitted forest must bump MODEL_FORMAT_VERSION, or models
+    stored before it would still be served; edit both together."""
+    i = np.arange(90)
+    X = ((i[:, None] * [3, 5, 7, 11, 13, 17, 19, 23]) % 31) / 31.0
+    y = (X[:, 0] + X[:, 3] > 1.0).astype(np.intp) + (X[:, 5] > 0.6)
+    y[::9] = 2 - y[::9]  # label noise, so that trees split deep and disagree
+    model = forest.fit(X, y, TrainConfig(kind="rf", seed=5, n_trees=10))
+    probe = ((i[:60, None] * [29, 2, 23, 3, 19, 5, 17, 7]) % 37) / 37.0
+    labels = "".join(str(int(label)) for label in predict_labels(model, probe))
+    assert model_to_dict(model, IDENTITY)["format_version"] == 3
+    assert hashlib.sha256(labels.encode()).hexdigest() == (
+        "8e7eb05f65318a86a9519a3519e0510112afa471f27ca08a8e9b6e7ae08ea121"
+    )
 
 
 def test_rf_learns(tmp_path):

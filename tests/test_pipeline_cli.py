@@ -264,7 +264,7 @@ def test_format_1_model_artifact_is_refit(workspace):
     assert stale.read_text() == stale_text
     refit = [p for p in (cfg.output_dir / "stages").glob("model-rf-*.json") if p != stale]
     assert len(refit) == 1
-    assert json.loads(refit[0].read_text())["format_version"] == 2
+    assert json.loads(refit[0].read_text())["format_version"] == 3
 
 
 def test_load_or_create_reads_in_one_step(tmp_path, monkeypatch):
@@ -1141,7 +1141,7 @@ def test_each_subcommand_logs_its_stages(workspace, caplog):
         assert all(stages) and [m.group(1) for m in stages] == logged
 
 
-def test_each_kind_keeps_the_settings_it_reads(workspace):
+def test_each_kind_keeps_the_settings_it_reads(workspace, monkeypatch):
     """Every setting a kind reads still loads, and keeps the model key it had."""
     every = {
         "mnl": "{seed: 3, learning_rate: 0.5, max_epochs: 300, tolerance: 1.0e-6,"
@@ -1157,7 +1157,8 @@ def test_each_kind_keeps_the_settings_it_reads(workspace):
     cfg = load_pipeline_config(workspace / "every.yaml")
     assert cfg.train_configs["rf"].max_depth == 4 and cfg.train_configs["nn"].batch_size == 50
     assert cfg.train_configs["mnl"].tolerance == 1.0e-6
-    # pinned before unread settings were rejected
+    # pinned before unread settings were rejected, at model format version 2
+    monkeypatch.setattr(pipeline, "MODEL_FORMAT_VERSION", 2)
     pinned = {
         "config.yaml": ("3963e246077158df", "e05cc093ddbc1f29", "6f1e22cd39e7ecae"),
         "every.yaml": ("0a090e67ff735e2f", "2d6c6e1d20aace03", "26f2372a790abc6f"),
