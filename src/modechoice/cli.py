@@ -3,7 +3,8 @@
 Partial runs matter because live completions cost money: `ingest`, `sample`,
 `dump-prompt`, `predict-llm`, and `fit-bench` each run a prefix of the
 pipeline against content-addressed stage artifacts, `evaluate` builds the
-report from stored predictions, and `run` drives everything end to end.
+report from the stored predictions and models alone, and `run` drives
+everything end to end.
 """
 
 from __future__ import annotations
@@ -133,13 +134,23 @@ def _cmd_fit_bench(cfg, args) -> int:
 
 def _cmd_evaluate(cfg, args) -> int:
     split_key = pipeline.sample_key(cfg)
-    llm_artifact = pipeline.llm_path(cfg, split_key)
-    if not llm_artifact.exists():
-        print(
-            "error: no stored predictions for this config; run `predict-llm` first "
-            f"(expected {llm_artifact})",
-            file=sys.stderr,
-        )
+    stored = {
+        ("predictions", "predict-llm"): [pipeline.llm_path(cfg, split_key)],
+        ("models", "fit-bench"): [
+            pipeline.model_path(cfg, kind, split_key) for kind in cfg.benchmark_kinds
+        ],
+    }
+    missing = False
+    for (what, command), paths in stored.items():
+        absent = [str(path) for path in paths if not path.exists()]
+        if absent:
+            missing = True
+            print(
+                f"error: no stored {what} for this config; run `{command}` first "
+                f"(expected {', '.join(absent)})",
+                file=sys.stderr,
+            )
+    if missing:
         return 2
     report = pipeline.run_pipeline(cfg, split_key)
     print(render_summary_text(report))
@@ -160,7 +171,7 @@ COMMANDS = {
     "dump-prompt": (_cmd_dump_prompt, "print one rendered prompt"),
     "predict-llm": (_cmd_predict_llm, "complete and parse the test-set prompts"),
     "fit-bench": (_cmd_fit_bench, "train the benchmark models"),
-    "evaluate": (_cmd_evaluate, "build the report from stored predictions"),
+    "evaluate": (_cmd_evaluate, "build the report from stored predictions and models"),
     "run": (_cmd_run, "execute the full pipeline"),
 }
 

@@ -416,6 +416,10 @@ def _model_key(cfg: PipelineConfig, kind: str, split_key: str) -> str:
     )
 
 
+def model_path(cfg: PipelineConfig, kind: str, split_key: str) -> Path:
+    return stage_path(cfg.output_dir, f"model-{kind}", _model_key(cfg, kind, split_key), ".json")
+
+
 def model_text(model, scaler) -> str:
     """A fitted model and its scaler as stored: versioned JSON, one line."""
     return json.dumps(benchmarks.model_to_dict(model, scaler), sort_keys=True) + "\n"
@@ -429,7 +433,7 @@ def _fit_or_load(cfg: PipelineConfig, kind: str, train: SituationTable, split_ke
         return benchmarks.fit_classifier(kind, train, cfg.train_configs[kind], scaler), scaler
 
     return load_or_create(
-        stage_path(cfg.output_dir, f"model-{kind}", _model_key(cfg, kind, split_key), ".json"),
+        model_path(cfg, kind, split_key),
         compute,
         serialize=lambda pair: model_text(*pair),
         deserialize=lambda text: benchmarks.model_from_dict(json.loads(text)),

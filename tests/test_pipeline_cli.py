@@ -712,6 +712,7 @@ def test_cli_predict_llm_counts_each_failure_kind(workspace, chat_endpoint, caps
 def test_cli_evaluate_hashes_the_dataset_once(workspace, capsys, monkeypatch):
     config = str(workspace / "config.yaml")
     assert run_cli("predict-llm", "--config", config) == 0
+    assert run_cli("fit-bench", "--config", config) == 0
     calls = []
     hash_dataset = pipeline.ingest_key
     monkeypatch.setattr(pipeline, "ingest_key", lambda cfg: calls.append(cfg) or hash_dataset(cfg))
@@ -724,6 +725,24 @@ def test_cli_evaluate_requires_predictions(workspace, capsys):
     assert run_cli("evaluate", "--config", config) == 2
     assert "predict-llm" in capsys.readouterr().err
     assert not (workspace / "out").exists()
+
+
+def test_cli_evaluate_requires_models(workspace, capsys):
+    config = str(workspace / "config.yaml")
+    assert run_cli("predict-llm", "--config", config) == 0
+    before = sorted(path.name for path in (workspace / "out").rglob("*"))
+    capsys.readouterr()
+    assert run_cli("evaluate", "--config", config) == 2
+    err = capsys.readouterr().err
+    cfg = load_pipeline_config(config)
+    split_key = sample_key(cfg)
+    missing = [str(pipeline.model_path(cfg, kind, split_key)) for kind in ("mnl", "rf", "nn")]
+    assert [line for line in err.splitlines() if "error" in line] == [
+        "error: no stored models for this config; run `fit-bench` first "
+        f"(expected {', '.join(missing)})"
+    ]
+    assert not list((workspace / "out").rglob("model-*.json"))
+    assert sorted(path.name for path in (workspace / "out").rglob("*")) == before
 
 
 def test_cli_run_end_to_end(workspace, capsys):
