@@ -217,7 +217,7 @@ def _grow(X, y, rank, cfg: TrainConfig, lo: int, hi: int) -> list[Tree]:
     del drawn
     tree, node, start = np.arange(n_trees), np.zeros(n_trees, dtype=np.intp), np.r_[0, end[:-1]]
     n_nodes = np.ones(n_trees, dtype=np.intp)
-    voted, splits = [], []  # each level's (tree, node, vote) and split (tree, node, feature, threshold, left)
+    voted, splits = [], []  # per level: (tree, node, vote), (tree, node, feature, threshold, left)
     depth = 0
     while tree.size:
         size = end - start
@@ -260,10 +260,8 @@ def _grow(X, y, rank, cfg: TrainConfig, lo: int, hi: int) -> list[Tree]:
         splits.append((parent_tree, node[split], feature, threshold, left))
         tree = np.repeat(parent_tree, 2)
         node = np.column_stack([left, left + 1]).ravel()
-        start, end = (
-            np.column_stack([start[split], mid]).ravel(),
-            np.column_stack([mid, end[split]]).ravel(),
-        )
+        edges = np.column_stack([start[split], mid, end[split]])
+        start, end = edges[:, :2].ravel(), edges[:, 1:].ravel()
     return _assemble(n_nodes, voted, splits)
 
 

@@ -514,11 +514,11 @@ def run_pipeline(cfg: PipelineConfig, split_key: str | None = None) -> Evaluatio
     files and the three report files to their sha256, and is keyed by
     REPORT_FORMAT_VERSION, the config digest, the LLM key, each configured
     kind's model key and those files' names, so a new MODEL_FORMAT_VERSION
-    rebuilds the report over refitted models. While every digest matches, a run reads report.json back and runs
-    no stage; any mismatch or missing file rebuilds the report as before,
-    which rewrites the manifest. A manifest is written only when every input
-    file is stored, so a run with backend failures leaves none and its rerun
-    retries them.
+    rebuilds the report over refitted models. While every digest matches, a
+    run reads report.json back and runs no stage; any mismatch or missing
+    file rebuilds the report as before, which rewrites the manifest. A
+    manifest is written only when every input file is stored, so a run with
+    backend failures leaves none and its rerun retries them.
 
     Fully deterministic with the mock backend and a fixed seed: stage
     artifacts, the completion cache, and the report are byte-stable across
