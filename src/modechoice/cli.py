@@ -158,10 +158,8 @@ def _cmd_evaluate(cfg, args) -> int:
 
 
 def _cmd_run(cfg, args) -> int:
-    report = pipeline.run_pipeline(cfg)
-    print(render_summary_text(report))
-    report_dir = cfg.output_dir / f"report-{pipeline.config_digest(cfg)[:12]}"
-    print(f"report artifacts: {report_dir}")
+    print(render_summary_text(pipeline.run_pipeline(cfg)))
+    print(f"report artifacts: {pipeline.report_dir(cfg)}")
     return 0
 
 

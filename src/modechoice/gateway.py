@@ -18,6 +18,7 @@ import random
 import re
 import threading
 import time
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from http.client import HTTPException
@@ -143,14 +144,14 @@ def request_digest(cfg: BackendConfig) -> str:
 class CompletionCache:
     """Digest-keyed completion store, kept on disk as segment files.
 
-    Opening the cache reads every `*.jsonl.gz` segment in its directory, in
-    sorted name order; the first entry for a key wins. `put` records an entry
-    in memory, and `flush` writes the entries put since the last flush as one
-    new segment: gzip'd JSON lines of [key, text], sorted by key and named by
-    the digest of their bytes, so the same entries always make the same file
-    whatever order they arrived in. Until `flush`, new entries live only in
-    this object: `batch_complete` flushes when it ends, and a caller of
-    `complete` alone flushes itself.
+    Opening the cache reads every `*.jsonl.gz` segment in its directory, in sorted
+    name order; the first entry for a key wins, and a damaged segment is a
+    ValueError naming its file. `put` records an entry in memory, and `flush`
+    writes the entries put since the last flush as one new segment: gzip'd JSON
+    lines of [key, text], sorted by key and named by the digest of their bytes, so
+    the same entries always make the same file whatever order they arrived in.
+    Until `flush`, new entries live only in this object: `batch_complete` flushes
+    when it ends, and a caller of `complete` alone flushes itself.
     """
 
     SUFFIX = ".jsonl.gz"
@@ -162,9 +163,15 @@ class CompletionCache:
         self._pending: dict[str, str] = {}
         self._lock = threading.Lock()  # pool threads put concurrently
         for path in sorted(self.directory.glob(f"*{self.SUFFIX}")):
-            for line in gzip.decompress(path.read_bytes()).splitlines():
-                key, text = json.loads(line)
-                self._entries.setdefault(key, text)
+            try:
+                for line in gzip.decompress(path.read_bytes()).splitlines():
+                    match json.loads(line):
+                        case [str() as key, str() as text]:
+                            self._entries.setdefault(key, text)
+                        case _:
+                            raise ValueError(f"not a [key, text] pair of strings: {line[:80]!r}")
+            except (OSError, EOFError, zlib.error, ValueError) as exc:
+                raise ValueError(f"{path}: {exc}") from exc
 
     def get(self, key: str) -> str | None:
         return self._entries.get(key)

@@ -6,8 +6,8 @@ results; a report-only rerun needs no backend credential. The report is
 stored too: a manifest records the sha256 of the report files and of the
 split and answer files they were built from, and a run that finds them all
 unchanged returns the stored report without ingesting, splitting, reading a
-single answer or loading a model. A rebuild over stored stages reloads each
-baseline's model and predicts its test-set labels again.
+single answer or loading a model. A rebuild over stored stages reloads the
+models that `fit-bench` or an earlier run stored, and predicts again.
 """
 
 from __future__ import annotations
@@ -425,42 +425,26 @@ def model_text(model, scaler) -> str:
     return json.dumps(benchmarks.model_to_dict(model, scaler), sort_keys=True) + "\n"
 
 
-def _fit_or_load(cfg: PipelineConfig, kind: str, train: SituationTable, split_key: str):
-    """One benchmark kind as (model, scaler), fitted or reloaded."""
-
-    def compute():
-        scaler = benchmarks.fit_scaler(train)
-        return benchmarks.fit_classifier(kind, train, cfg.train_configs[kind], scaler), scaler
-
-    return load_or_create(
-        model_path(cfg, kind, split_key),
-        compute,
-        serialize=lambda pair: model_text(*pair),
-        deserialize=lambda text: benchmarks.model_from_dict(json.loads(text)),
-    )
-
-
 @stage("benchmarks")
 def stage_benchmarks(
     cfg: PipelineConfig, train: SituationTable, split_key: str | None = None
 ) -> dict[str, tuple]:
     """Fit (or reload) each configured benchmark; returns kind -> (model, scaler)."""
     split_key = split_key or sample_key(cfg)
-    return {kind: _fit_or_load(cfg, kind, train, split_key) for kind in cfg.benchmark_kinds}
 
+    def fit(kind):
+        scaler = benchmarks.fit_scaler(train)
+        return benchmarks.fit_classifier(kind, train, cfg.train_configs[kind], scaler), scaler
 
-@stage("benchmarks")
-def stage_labels(
-    cfg: PipelineConfig, train: SituationTable, test: SituationTable, split_key: str
-) -> dict[str, list]:
-    """Each configured benchmark's predicted mode per capped test situation,
-    from the model that is reloaded, or fitted and stored."""
-
-    def labels(kind):
-        model, scaler = _fit_or_load(cfg, kind, train, split_key)
-        return benchmarks.predict_labels(model, benchmarks.encode_matrix(test, scaler))
-
-    return {kind: labels(kind) for kind in cfg.benchmark_kinds}
+    return {
+        kind: load_or_create(
+            model_path(cfg, kind, split_key),
+            functools.partial(fit, kind),
+            serialize=lambda pair: model_text(*pair),
+            deserialize=lambda text: benchmarks.model_from_dict(json.loads(text)),
+        )
+        for kind in cfg.benchmark_kinds
+    }
 
 
 def _case_records(
@@ -506,9 +490,14 @@ def _unchanged(manifest: Path, files: dict[str, Path]) -> bool:
         return False
 
 
+def report_dir(cfg: PipelineConfig, digest: str | None = None) -> Path:
+    return cfg.output_dir / f"report-{(digest or config_digest(cfg))[:12]}"
+
+
 def run_pipeline(cfg: PipelineConfig, split_key: str | None = None) -> EvaluationReport:
     """Execute every stage and return the evaluation report. A caller that
-    has already computed sample_key(cfg) passes it as split_key.
+    has already computed sample_key(cfg) passes it as split_key. The models
+    come from stage_benchmarks, as in `fit-bench`.
 
     The report is stored as a stage. Its manifest maps the split and LLM
     files and the three report files to their sha256, and is keyed by
@@ -526,12 +515,12 @@ def run_pipeline(cfg: PipelineConfig, split_key: str | None = None) -> Evaluatio
     """
     split_key = split_key or sample_key(cfg)
     digest = config_digest(cfg)
-    report_dir = cfg.output_dir / f"report-{digest[:12]}"
+    directory = report_dir(cfg, digest)
     answers_key = llm_key(cfg, split_key)
     paths = [
         split_path(cfg, split_key),
         llm_path(cfg, split_key),
-        *(report_dir / name for name in REPORT_FILES),
+        *(directory / name for name in REPORT_FILES),
     ]
     files = {path.relative_to(cfg.output_dir).as_posix(): path for path in paths}
     model_keys = [_model_key(cfg, kind, split_key) for kind in cfg.benchmark_kinds]
@@ -539,18 +528,23 @@ def run_pipeline(cfg: PipelineConfig, split_key: str | None = None) -> Evaluatio
     manifest = stage_path(cfg.output_dir, "report", key, suffix=".json")
     if _unchanged(manifest, files):
         with stage("report"):
-            logger.info("reusing report %s", report_dir)
-            stored = json.loads((report_dir / "report.json").read_bytes())
+            logger.info("reusing report %s", directory)
+            stored = json.loads((directory / "report.json").read_bytes())
             return EvaluationReport.from_json_dict(stored)
 
     _, train, test = prepare_split(cfg, split_key)
     answers = stage_llm(cfg, test, split_key)
-    bench_predictions = stage_labels(cfg, train, test, split_key)
+    fitted = stage_benchmarks(cfg, train, split_key)
     with stage("report"):
+        bench_predictions = {
+            kind: benchmarks.predict_labels(model, benchmarks.encode_matrix(test, scaler))
+            for kind, (model, scaler) in fitted.items()
+        }
+        del fitted
         records = _case_records(test, answers, bench_predictions)
         report = write_report(
             records,
-            report_dir,
+            directory,
             parse_failure_mode=cfg.parse_failure_mode,
             config_digest=digest,
         )
@@ -560,5 +554,5 @@ def run_pipeline(cfg: PipelineConfig, split_key: str | None = None) -> Evaluatio
             pass
         else:
             write_atomic(manifest, text.encode("utf-8"))
-    logger.info("pipeline complete; report in %s", report_dir)
+    logger.info("pipeline complete; report in %s", directory)
     return report

@@ -1,4 +1,5 @@
 import dataclasses
+import gzip
 import hashlib
 import json
 import logging
@@ -306,7 +307,7 @@ def test_rebuild_reuses_every_stored_model(workspace, monkeypatch):
     assert {path: path.stat().st_mtime_ns for path in models} == mtimes
 
 
-REPORT_BUILDERS = ("stage_ingest", "stage_llm", "stage_labels", "_case_records", "write_report")
+REPORT_BUILDERS = ("stage_ingest", "stage_llm", "stage_benchmarks", "_case_records", "write_report")
 
 
 def stage_calls(monkeypatch) -> list[str]:
@@ -565,6 +566,52 @@ def test_cli_run_rejects_a_damaged_split_or_llm_file(
     stored.unlink()  # deleting the damaged file rebuilds it
     assert run_cli("run", "--config", config) == 0
     assert report_files(cfg) == first
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda data: data[: len(data) // 2],
+        lambda data: b"not gzip\n",
+        lambda data: data[:10] + b"\xff" * (len(data) - 10),
+        lambda data: gzip.compress(b"not json\n"),
+        lambda data: gzip.compress(b'["k", 5]\n'),
+    ],
+    ids=["truncated", "not-gzip", "corrupt-deflate", "not-json", "not-a-string-pair"],
+)
+def test_cli_run_names_a_damaged_cache_segment(workspace, capsys, damage):
+    config = str(workspace / "config.yaml")
+    assert run_cli("run", "--config", config) == 0
+    stages = workspace / "out" / "stages"
+    for path in [*stages.glob("llm-*.jsonl"), *stages.glob("report-*.json")]:
+        path.unlink()
+    (segment,) = (workspace / "out" / "cache").glob("*.jsonl.gz")
+    segment.write_bytes(damage(segment.read_bytes()))
+    capsys.readouterr()
+    assert run_cli("run", "--config", config) == 1
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error" in line]
+    assert len(errors) == 1
+    assert errors[0].startswith(f"error in stage 'llm': {segment}: ")
+    assert "Traceback" not in err
+    segment.unlink()  # deleting the damaged segment asks the backend again
+    assert run_cli("run", "--config", config) == 0
+
+
+def test_run_reloads_the_models_fit_bench_stored(workspace, monkeypatch):
+    config = str(workspace / "config.yaml")
+    fresh, shared = workspace / "fresh", workspace / "shared"
+    assert run_cli("run", "--config", config, "--out", str(fresh)) == 0
+    assert run_cli("fit-bench", "--config", config, "--out", str(shared)) == 0
+
+    def fail(*args, **kwargs):
+        raise AssertionError("run fitted a model that fit-bench had stored")
+
+    monkeypatch.setattr(pipeline.benchmarks, "fit_classifier", fail)
+    assert run_cli("run", "--config", config, "--out", str(shared)) == 0
+    assert report_files(load_pipeline_config(config, {"out": shared})) == report_files(
+        load_pipeline_config(config, {"out": fresh})
+    )
 
 
 def http_config(workspace, chat_endpoint):
