@@ -1,8 +1,12 @@
+import hashlib
+import itertools
+import json
 import random
 
 import pytest
 
-from modechoice.dataset import ModeLabel, balanced_split
+import reference_prompt
+from modechoice.dataset import ColumnMap, ModeLabel, balanced_split, load_raw, to_choice_situations
 from modechoice.prompting import (
     COMPONENT_NAMES,
     InvalidComparison,
@@ -15,7 +19,7 @@ from modechoice.prompting import (
     render_travel_characteristics,
 )
 
-from conftest import make_situation, random_situation, table_of
+from conftest import make_situation, random_situation, synthetic_raw_rows, table_of, write_survey_file
 
 CASE_FAST_SM = make_situation(
     sid="fast-sm", times=(106, 90, 34), costs=(72, 70, 78), chosen=ModeLabel.SWISSMETRO
@@ -180,3 +184,77 @@ def test_prompts_are_zero_shot():
             continue  # coincidental value collision with a test row
         for prompt in prompts:
             assert characteristics not in prompt.full_text
+
+
+# times from an ingested row whose Car saving is 99% in exact arithmetic and
+# 100% in float64, which rounds Train - Car
+HUGE_TIMES = (15459593762783283200, 77297968813918672, 15459593762783283200)
+BOUND = 2**53 // 100  # the largest value whose 100-fold float64 holds exactly
+EDGE_VALUES = [  # (times, costs)
+    ((50, 50, 80), (10, 20, 30)),  # two-way ties, each pair of modes
+    ((80, 50, 50), (30, 30, 10)),
+    ((50, 80, 50), (30, 10, 30)),
+    ((60, 60, 60), (25, 25, 25)),  # three-way ties
+    ((45, 90, 30), (0, 12, 40)),  # a zero cost saves 100%
+    ((45, 90, 30), (0, 0, 40)),
+    ((45, 90, 30), (0, 0, 0)),
+    ((8, 1, 200), (8, 3, 40)),  # savings of exactly k + 0.5 round up
+    (HUGE_TIMES, (3, 2, 1)),
+    ((10**19, 7, 9), (10**19, 10**19, 0)),
+    ((BOUND, BOUND + 1, 1), (BOUND + 1, BOUND, BOUND + 1)),  # either side of 2**53 / 100
+    ((2**53, 2**53 - 1, 2**60), (2**63, 1, 2**64)),
+    ((2**53 + 1, 2**53 + 3, 2**60 + 1), (2**64 + 1, 2**64, 3)),  # past float64's integers
+]
+EDGE_SITUATIONS = [
+    make_situation(f"edge{i:03d}", times, costs, regular, annual)
+    for i, ((times, costs), (regular, annual)) in enumerate(
+        itertools.product(EDGE_VALUES, itertools.product((False, True), repeat=2))
+    )
+]
+CUSTOM_CFG = PromptTemplateConfig(
+    task_description_text="Predict the mode.",
+    domain_knowledge_texts=("Time matters.", "So does cost"),
+    output_format_text="Prediction: <mode>\nReason: <why>",
+    component_order=("guide", "attributes", "output_format", "characteristics", "task"),
+)
+ORACLE_CONFIGS = [PromptTemplateConfig(), CUSTOM_CFG]
+
+
+def oracle_situations():
+    rng = random.Random(2312)
+    return [random_situation(rng, f"s{i:04d}") for i in range(2000)] + EDGE_SITUATIONS
+
+
+@pytest.mark.parametrize("cfg", ORACLE_CONFIGS, ids=["default", "custom"])
+def test_build_prompt_matches_reference(cfg):
+    for situation in oracle_situations():
+        prompt = build_prompt(situation, cfg)
+        assert (prompt.full_text, prompt.components) == reference_prompt.build_prompt(
+            situation, cfg
+        ), situation
+        assert prompt.situation_id == situation.situation_id
+        assert compute_hints(situation) == reference_prompt.compute_hints(situation)
+
+
+def test_prompt_bytes_are_pinned():
+    rendered = [
+        [prompt.full_text, prompt.components]
+        for cfg in ORACLE_CONFIGS
+        for prompt in (build_prompt(s, cfg) for s in EDGE_SITUATIONS)
+    ]
+    digest = hashlib.sha256(json.dumps(rendered, sort_keys=True).encode("utf-8")).hexdigest()
+    assert digest == "e20f1f324376bae6704addc8958792118c52a35d2073b1daa5da34ef0fd121b9"
+
+
+def test_savings_stay_exact_past_2_to_the_53(tmp_path):
+    rows = synthetic_raw_rows(1, seed=6)
+    rows[0].update(zip(("TRAIN_TT", "CAR_TT", "SM_TT"), map(str, HUGE_TIMES)))
+    path = write_survey_file(tmp_path / "huge.dat", rows)
+    table = to_choice_situations(load_raw(path, ColumnMap()), ColumnMap())
+    [situation] = table
+    assert situation.travel_time_min == HUGE_TIMES
+    expected = (
+        "Car has the lowest travel time, saving 99% compared to Train, "
+        "saving 99% compared to Swissmetro."
+    )
+    assert expected in build_prompt(situation, PromptTemplateConfig()).components["guide"]
