@@ -24,6 +24,7 @@ from .prompting import (
     Prompt,
     PromptTemplateConfig,
     build_prompt,
+    build_prompts,
     compute_hints,
     percent_saving,
     render_individual_attributes,
@@ -52,6 +53,7 @@ __all__ = [
     "balanced_split",
     "batch_complete",
     "build_prompt",
+    "build_prompts",
     "complete",
     "compute_hints",
     "load_pipeline_config",

@@ -321,11 +321,13 @@ def complete(
     cfg: BackendConfig,
     cache: CompletionCache | None,
     backend=None,
+    request: str | None = None,
 ) -> ModelCompletion:
     """Complete one prompt, consulting the cache first and storing on success.
+    A caller that has already computed request_digest(cfg) passes it as request.
 
     A new completion is kept in the cache's memory until `cache.flush()`."""
-    key = digest_of(request_digest(cfg), prompt.full_text)
+    key = digest_of(request or request_digest(cfg), prompt.full_text)
     if cache is not None:
         cached = cache.get(key)
         if cached is not None:
@@ -372,10 +374,11 @@ def batch_complete(
         raise ValueError("prompts must be non-empty")
     if backend is None:
         backend = make_backend(cfg)  # credential problems surface before any work
+    request = request_digest(cfg)
 
     def one(prompt: Prompt) -> ModelCompletion | CompletionFailure:
         try:
-            return complete(prompt, cfg, cache, backend=backend)
+            return complete(prompt, cfg, cache, backend, request)
         except GatewayError as exc:
             logger.warning("completion failed for %s: %s", prompt.situation_id, exc)
             return CompletionFailure(

@@ -31,7 +31,9 @@ from . import benchmarks
 from .artifacts import digest_of, load_or_create, stage_path, write_atomic
 from .benchmarks.config import FIELDS_READ
 from .benchmarks.model_io import FORMAT_VERSION as MODEL_FORMAT_VERSION
-from .dataset import ColumnMap, SituationTable, balanced_split, load_raw, to_choice_situations
+from .dataset import (
+    MODE_ORDER, ColumnMap, SituationTable, balanced_split, load_raw, to_choice_situations
+)
 from .evaluation import (
     FAILURE_MODES,
     REPORT_FILES,
@@ -51,7 +53,8 @@ from .gateway import (
 from .parsing import ParseFailure, parse_response
 from .prompting import (
     PromptTemplateConfig,
-    build_prompt,
+    build_prompt,  # not called here: perfbench's tracer wraps pipeline.build_prompt by name
+    build_prompts,
     render_individual_attributes,
     render_travel_characteristics,
 )
@@ -376,7 +379,7 @@ def stage_llm(cfg: PipelineConfig, test: SituationTable, split_key: str) -> list
 
     def compute():
         backend = make_backend(cfg.backend)  # checks the credential before any request
-        prompts = [build_prompt(s, cfg.prompt) for s in test]
+        prompts = build_prompts(test, cfg.prompt)
         cache = CompletionCache(cfg.resolved_cache_dir)
         results = batch_complete(prompts, cfg.backend, cache, backend=backend)
         return [_answer(result) for result in results]
@@ -452,14 +455,16 @@ def _case_records(
     answers: list[LlmAnswer],
     bench_predictions: dict[str, list],
 ) -> list[CaseRecord]:
+    characteristics = render_travel_characteristics(test)
+    attributes = render_individual_attributes(test)
     return [
         CaseRecord(
             llm=answer,
-            input_summary=f"{render_travel_characteristics(s)}. {render_individual_attributes(s)}",
+            input_summary=f"{characteristics[i]}. {attributes[i]}",
             benchmark_predictions={k: preds[i] for k, preds in bench_predictions.items()},
-            actual=s.chosen,
+            actual=MODE_ORDER[chosen],
         )
-        for i, (s, answer) in enumerate(zip(test, answers, strict=True))
+        for i, (answer, chosen) in enumerate(zip(answers, test.chosen.tolist(), strict=True))
     ]
 
 

@@ -5,6 +5,10 @@ in dictionary form, the traveler attributes in plain sentences, a guide that
 combines domain statements with pre-computed arithmetic hints (which mode is
 cheapest/fastest and by what percent), and an output-format instruction. All
 template text is configurable; the defaults below are reconstructions.
+
+`build_prompts` renders a whole SituationTable from its columns, both hints
+computed in numpy, with no per-row situation or hint object; `build_prompt`
+and `compute_hints` run one situation through the same code.
 """
 
 from __future__ import annotations
@@ -13,7 +17,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .dataset import MODE_ORDER, ChoiceSituation, ModeLabel
+import numpy as np
+
+from .dataset import MODE_ORDER, ChoiceSituation, ModeLabel, SituationTable
 
 COMPONENT_NAMES = ("task", "characteristics", "attributes", "guide", "output_format")
 
@@ -90,11 +96,10 @@ class PromptTemplateConfig:
 
 @dataclass(frozen=True)
 class Prompt:
-    """A rendered prompt plus its per-component breakdown and arithmetic hints."""
+    """A rendered prompt plus its per-component breakdown."""
 
     full_text: str
     components: dict[str, str]
-    hints: tuple[ArithmeticHint, ...]
     situation_id: str
 
 
@@ -110,80 +115,110 @@ def percent_saving(x_other: float, x_min: float) -> int:
     return math.floor(100 * (x_other - x_min) / x_other + 0.5)
 
 
+def _hints(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each row of an (n, 3) block of integral values in MODE_ORDER: which
+    modes hold the row's minimum, and each mode's percent_saving against it
+    (0 for a minimum mode)."""
+    low = values.min(axis=1, keepdims=True)
+    savings = np.zeros(values.shape, dtype=int)
+    # float64 holds every integer below 2**53, so in those rows each step of
+    # percent_saving is the same IEEE operation on the same operands
+    exact = 100 * values.max(axis=1) < 2**53
+    x, x_min = values[exact].astype(float), low[exact].astype(float)
+    quotient = np.divide(100 * (x - x_min), x, out=np.zeros_like(x), where=x > 0)
+    savings[exact] = np.floor(quotient + 0.5)
+    for row in np.flatnonzero(~exact).tolist():
+        ints = [int(v) for v in values[row].tolist()]
+        savings[row] = [percent_saving(v, min(ints)) if v else 0 for v in ints]
+    return values == low, savings
+
+
 def compute_hints(situation: ChoiceSituation) -> list[ArithmeticHint]:
     """Arithmetic hints for travel time and travel cost, in that order."""
     hints = []
-    for attribute, values in (
-        (TripAttribute.TRAVEL_TIME, situation.travel_time_min),
-        (TripAttribute.TRAVEL_COST, situation.travel_cost),
-    ):
-        minimum = min(values[m] for m in MODE_ORDER)
-        min_modes = tuple(m for m in MODE_ORDER if values[m] == minimum)
-        savings = {
-            m: percent_saving(values[m], minimum) for m in MODE_ORDER if m not in min_modes
-        }
-        hints.append(ArithmeticHint(attribute=attribute, min_modes=min_modes, savings=savings))
+    for attribute, values in zip(TripAttribute, (situation.travel_time_min, situation.travel_cost)):
+        [is_min], [savings] = _hints(np.array([values], dtype=object))
+        min_modes = tuple(m for m in MODE_ORDER if is_min[m])
+        others = {m: int(savings[m]) for m in MODE_ORDER if m not in min_modes}
+        hints.append(ArithmeticHint(attribute=attribute, min_modes=min_modes, savings=others))
     return hints
 
 
-def render_travel_characteristics(situation: ChoiceSituation) -> str:
-    """Dictionary-form characteristics string with fixed key order and integer values."""
-    times = ", ".join(
-        f"{m.display}: {situation.travel_time_min[m]}" for m in MODE_ORDER
-    )
-    costs = ", ".join(f"{m.display}: {situation.travel_cost[m]}" for m in MODE_ORDER)
-    return f"{{Travel time: {{{times}}}, Travel cost: {{{costs}}}}}"
-
-
-def render_individual_attributes(situation: ChoiceSituation) -> str:
-    """Two fixed-template sentences covering the traveler's two boolean attributes."""
-    regular = (
-        "The person is a regular Train user."
-        if situation.is_regular_train_user
-        else "The person is not a regular Train user."
-    )
-    annual = (
-        "He/She owns the Train annual pass."
-        if situation.owns_annual_pass
-        else "He/She does not own the Train annual pass."
-    )
-    return f"{regular} {annual}"
-
-
-def render_hint_sentence(hint: ArithmeticHint) -> str:
-    attr = hint.attribute.value
-    names = [m.display for m in hint.min_modes]
-    if len(hint.min_modes) == len(MODE_ORDER):
+def _hint_template(attr: str, mask: int) -> str:
+    """The hint sentence when the modes in bit mask `mask` share the minimum,
+    as a str.format template over a row's three savings in MODE_ORDER."""
+    names = [m.display for m in MODE_ORDER if mask >> m & 1]
+    if len(names) == len(MODE_ORDER):
         return f"{', '.join(names[:-1])} and {names[-1]} all have the same {attr}."
-    subject = " and ".join(names)
     verb = "has" if len(names) == 1 else "have"
     comparisons = ", ".join(
-        f"saving {hint.savings[m]}% compared to {m.display}"
-        for m in MODE_ORDER
-        if m in hint.savings
+        f"saving {{{int(m)}}}% compared to {m.display}" for m in MODE_ORDER if not mask >> m & 1
     )
-    return f"{subject} {verb} the lowest {attr}, {comparisons}."
+    return f"{' and '.join(names)} {verb} the lowest {attr}, {comparisons}."
+
+
+def _hint_sentences(attribute: TripAttribute, values: np.ndarray) -> list[str]:
+    templates = [_hint_template(attribute.value, mask) for mask in range(2 ** len(MODE_ORDER))]
+    is_min, savings = _hints(values)
+    masks = is_min @ (1 << np.arange(len(MODE_ORDER)))
+    return [templates[mask].format(*row) for mask, row in zip(masks.tolist(), savings.tolist())]
+
+
+# a str.format template over a row's three times, then its three costs
+_CHARACTERISTICS = "{{Travel time: {{%s}}, Travel cost: {{%s}}}}" % tuple(
+    ", ".join(f"{m.display}: {{{first + m}}}" for m in MODE_ORDER) for first in (0, 3)
+)
+
+
+def render_travel_characteristics(table: SituationTable) -> list[str]:
+    """Each row's dictionary-form characteristics, with fixed key order and
+    integer values."""
+    rows = np.hstack([table.times, table.costs]).tolist()
+    return [_CHARACTERISTICS.format(*map(int, row)) for row in rows]
+
+
+def render_individual_attributes(table: SituationTable) -> list[str]:
+    """Each row's two fixed-template sentences on the traveler's two flags."""
+    regular = ("The person is not a regular Train user.", "The person is a regular Train user.")
+    annual = ("He/She does not own the Train annual pass.", "He/She owns the Train annual pass.")
+    flags = zip(table.regular.tolist(), table.annual_pass.tolist())
+    return [f"{regular[r]} {annual[a]}" for r, a in flags]
+
+
+def build_prompts(table: SituationTable, cfg: PromptTemplateConfig) -> list[Prompt]:
+    """Render all five components of each row's prompt and join them in the
+    configured order; one prompt per row, in row order.
+
+    Deterministic: the same row and config always produce byte-identical
+    text. No training examples are ever included (the prompt is zero-shot).
+    """
+    domain = " ".join(cfg.domain_knowledge_texts)
+    columns = zip(
+        table.ids,
+        render_travel_characteristics(table),
+        render_individual_attributes(table),
+        _hint_sentences(TripAttribute.TRAVEL_TIME, table.times),
+        _hint_sentences(TripAttribute.TRAVEL_COST, table.costs),
+    )
+    prompts = []
+    for situation_id, characteristics, attributes, time_hint, cost_hint in columns:
+        components = {
+            "task": cfg.task_description_text,
+            "characteristics": characteristics,
+            "attributes": attributes,
+            "guide": f"{domain} {time_hint} {cost_hint}",
+            "output_format": cfg.output_format_text,
+        }
+        full_text = "\n\n".join([components[name] for name in cfg.component_order])
+        prompts.append(Prompt(full_text, components, situation_id))
+    return prompts
 
 
 def build_prompt(situation: ChoiceSituation, cfg: PromptTemplateConfig) -> Prompt:
-    """Render all five components and join them in the configured order.
-
-    Deterministic: the same situation and config always produce byte-identical
-    text. No training examples are ever included (the prompt is zero-shot).
-    """
-    hints = compute_hints(situation)
-    guide_sentences = list(cfg.domain_knowledge_texts) + [render_hint_sentence(h) for h in hints]
-    components = {
-        "task": cfg.task_description_text,
-        "characteristics": render_travel_characteristics(situation),
-        "attributes": render_individual_attributes(situation),
-        "guide": " ".join(guide_sentences),
-        "output_format": cfg.output_format_text,
-    }
-    full_text = "\n\n".join(components[name] for name in cfg.component_order)
-    return Prompt(
-        full_text=full_text,
-        components=components,
-        hints=tuple(hints),
-        situation_id=situation.situation_id,
-    )
+    """One situation's prompt, rendered as a one-row table. Its times and
+    costs stay Python ints, so a value past float64's integers stays exact."""
+    per_mode = (situation.travel_time_min, situation.travel_cost)
+    flags = (situation.is_regular_train_user, situation.owns_annual_pass)
+    columns = [np.array([v], dtype=object) for v in per_mode] + [np.array([f]) for f in flags]
+    [prompt] = build_prompts(SituationTable(np.zeros(1, int), *columns, np.zeros(1, int)), cfg)
+    return Prompt(prompt.full_text, prompt.components, situation.situation_id)

@@ -11,7 +11,14 @@ import pytest
 from modechoice import pipeline
 from modechoice.artifacts import digest_of, load_or_create, stage_path
 from modechoice.cli import main
-from modechoice.dataset import ColumnMap, ModeLabel, balanced_split, load_raw, to_choice_situations
+from modechoice.dataset import (
+    ColumnMap,
+    ModeLabel,
+    SituationTable,
+    balanced_split,
+    load_raw,
+    to_choice_situations,
+)
 from modechoice.evaluation import LlmAnswer, write_report
 from modechoice.gateway import MissingCredential
 from modechoice.pipeline import (
@@ -305,6 +312,21 @@ def test_rebuild_reuses_every_stored_model(workspace, monkeypatch):
     run_pipeline(cfg)
     assert report_files(cfg) == first
     assert {path: path.stat().st_mtime_ns for path in models} == mtimes
+
+
+def test_a_run_builds_no_situation_object(workspace, monkeypatch):
+    def fail(self):
+        raise AssertionError("a run iterated a situation table")
+
+    monkeypatch.setattr(SituationTable, "__iter__", fail)
+    cfg = load_pipeline_config(workspace / "config.yaml")
+    run_pipeline(cfg)
+    first = report_files(cfg)
+    # a rebuild over the stored stages takes the full path again
+    for manifest in (cfg.output_dir / "stages").glob("report-*.json"):
+        manifest.unlink()
+    run_pipeline(cfg)
+    assert report_files(cfg) == first
 
 
 REPORT_BUILDERS = ("stage_ingest", "stage_llm", "stage_benchmarks", "_case_records", "write_report")

@@ -13,6 +13,7 @@ from modechoice.prompting import (
     PromptTemplateConfig,
     TripAttribute,
     build_prompt,
+    build_prompts,
     compute_hints,
     percent_saving,
     render_individual_attributes,
@@ -88,20 +89,18 @@ def test_compute_hints_partition_property():
 
 
 def test_render_travel_characteristics_exact():
-    assert render_travel_characteristics(CASE_FAST_SM) == (
+    assert render_travel_characteristics(table_of([CASE_FAST_SM, CASE_CHEAP_TRAIN])) == [
         "{Travel time: {Train: 106, Car: 90, Swissmetro: 34}, "
-        "Travel cost: {Train: 72, Car: 70, Swissmetro: 78}}"
-    )
-    assert render_travel_characteristics(CASE_CHEAP_TRAIN) == (
+        "Travel cost: {Train: 72, Car: 70, Swissmetro: 78}}",
         "{Travel time: {Train: 95, Car: 130, Swissmetro: 92}, "
-        "Travel cost: {Train: 29, Car: 44, Swissmetro: 32}}"
-    )
+        "Travel cost: {Train: 29, Car: 44, Swissmetro: 32}}",
+    ]
 
 
 def test_render_travel_characteristics_integer_formatting():
     rng = random.Random(3)
-    for i in range(50):
-        text = render_travel_characteristics(random_situation(rng, f"s{i}"))
+    table = table_of([random_situation(rng, f"s{i}") for i in range(50)])
+    for text in render_travel_characteristics(table):
         assert "." not in text and "," not in text.replace(", ", "")
 
 
@@ -128,7 +127,7 @@ def test_render_travel_characteristics_integer_formatting():
 )
 def test_render_individual_attributes(regular, annual, expected):
     situation = make_situation(regular=regular, annual=annual)
-    assert render_individual_attributes(situation) == expected
+    assert render_individual_attributes(table_of([situation])) == [expected]
 
 
 def test_build_prompt_deterministic_and_complete():
@@ -137,10 +136,10 @@ def test_build_prompt_deterministic_and_complete():
     second = build_prompt(CASE_FAST_SM, cfg)
     assert first.full_text == second.full_text
     assert set(first.components) == set(COMPONENT_NAMES)
-    assert render_travel_characteristics(CASE_FAST_SM) in first.full_text
+    assert render_travel_characteristics(table_of([CASE_FAST_SM]))[0] in first.full_text
     assert "saving 62% compared to Car" in first.full_text
     assert first.situation_id == "fast-sm"
-    assert len(first.hints) == 2
+    assert len(compute_hints(CASE_FAST_SM)) == 2
 
 
 def test_build_prompt_component_round_trip():
@@ -176,10 +175,9 @@ def test_prompts_are_zero_shot():
     pool = table_of([random_situation(rng, f"s{i:04d}") for i in range(240)])
     train, test = balanced_split(pool, 60, 30, seed=9)
     cfg = PromptTemplateConfig()
-    prompts = [build_prompt(s, cfg) for s in test]
-    test_chars = {render_travel_characteristics(s) for s in test}
-    for situation in train:
-        characteristics = render_travel_characteristics(situation)
+    prompts = build_prompts(test, cfg)
+    test_chars = set(render_travel_characteristics(test))
+    for characteristics in render_travel_characteristics(train):
         if characteristics in test_chars:
             continue  # coincidental value collision with a test row
         for prompt in prompts:
@@ -236,6 +234,17 @@ def test_build_prompt_matches_reference(cfg):
         assert compute_hints(situation) == reference_prompt.compute_hints(situation)
 
 
+@pytest.mark.parametrize("cfg", ORACLE_CONFIGS, ids=["default", "custom"])
+def test_build_prompts_match_reference(cfg):
+    # the table holds float64, so the reference renders the rows it holds
+    table = table_of(oracle_situations())
+    for situation, prompt in zip(table, build_prompts(table, cfg), strict=True):
+        assert (prompt.full_text, prompt.components) == reference_prompt.build_prompt(
+            situation, cfg
+        ), situation
+        assert prompt.situation_id == situation.situation_id
+
+
 def test_prompt_bytes_are_pinned():
     rendered = [
         [prompt.full_text, prompt.components]
@@ -258,3 +267,5 @@ def test_savings_stay_exact_past_2_to_the_53(tmp_path):
         "saving 99% compared to Swissmetro."
     )
     assert expected in build_prompt(situation, PromptTemplateConfig()).components["guide"]
+    [prompt] = build_prompts(table, PromptTemplateConfig())
+    assert expected in prompt.components["guide"]
