@@ -341,6 +341,19 @@ def test_batch_rerun_fully_cached(tmp_path):
     assert segments[0].stat().st_mtime_ns == stamp
 
 
+def test_batch_computes_the_request_digest_once(tmp_path, monkeypatch):
+    rng = random.Random(11)
+    prompts = [build_prompt(random_situation(rng, f"s{i:03d}"), PROMPT_CFG) for i in range(6)]
+    calls = []
+    monkeypatch.setattr(
+        gateway, "request_digest", lambda cfg: calls.append(cfg) or request_digest(cfg)
+    )
+    batch_complete(prompts, mock_cfg(), CompletionCache(tmp_path), MockBackend("min_time"))
+    assert len(calls) == 1
+    reopened = CompletionCache(tmp_path)  # under the keys `complete` alone uses
+    assert all(reopened.get(digest_of(request_digest(mock_cfg()), p.full_text)) for p in prompts)
+
+
 def test_batch_segment_does_not_depend_on_completion_order(tmp_path):
     rng = random.Random(12)
     prompts = [build_prompt(random_situation(rng, f"s{i:03d}"), PROMPT_CFG) for i in range(8)]

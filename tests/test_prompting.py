@@ -20,7 +20,9 @@ from modechoice.prompting import (
     render_travel_characteristics,
 )
 
-from conftest import make_situation, random_situation, synthetic_raw_rows, table_of, write_survey_file
+from conftest import (
+    make_situation, random_situation, synthetic_raw_rows, table_of, write_survey_file
+)
 
 CASE_FAST_SM = make_situation(
     sid="fast-sm", times=(106, 90, 34), costs=(72, 70, 78), chosen=ModeLabel.SWISSMETRO
@@ -201,6 +203,11 @@ EDGE_VALUES = [  # (times, costs)
     ((10**19, 7, 9), (10**19, 10**19, 0)),
     ((BOUND, BOUND + 1, 1), (BOUND + 1, BOUND, BOUND + 1)),  # either side of 2**53 / 100
     ((2**53, 2**53 - 1, 2**60), (2**63, 1, 2**64)),
+    # float64 would give 21% for 22% below 2**53, and 37% for 36% below 2**63
+    (
+        (7655684891668628, 6009712639959873, 7655684891668628),
+        (25456742613887252, 16165031559818406, 16165031559818406),
+    ),
     ((2**53 + 1, 2**53 + 3, 2**60 + 1), (2**64 + 1, 2**64, 3)),  # past float64's integers
 ]
 EDGE_SITUATIONS = [
@@ -252,7 +259,7 @@ def test_prompt_bytes_are_pinned():
         for prompt in (build_prompt(s, cfg) for s in EDGE_SITUATIONS)
     ]
     digest = hashlib.sha256(json.dumps(rendered, sort_keys=True).encode("utf-8")).hexdigest()
-    assert digest == "e20f1f324376bae6704addc8958792118c52a35d2073b1daa5da34ef0fd121b9"
+    assert digest == "4241be8f1acadbbb5ef578cbf3e76f8022d8cd8a90669f354e8c28144deb776a"
 
 
 def test_savings_stay_exact_past_2_to_the_53(tmp_path):
