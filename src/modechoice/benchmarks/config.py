@@ -24,6 +24,9 @@ class ClassMissing(BenchmarkError):
         self.missing = missing
         super().__init__(f"training set lacks classes: {sorted(m.display for m in missing)}")
 
+    def __reduce__(self):  # args holds the message; rebuild from the classes instead
+        return ClassMissing, (self.missing,)
+
 
 @dataclass
 class TrainConfig:

@@ -11,7 +11,7 @@ from .forest import ForestModel, Tree
 from .mnl import MnlModel
 from .neural import NeuralModel
 
-FORMAT_VERSION = 3  # 2: random-forest trees as flat node arrays; 3: grown level by level
+FORMAT_VERSION = 4  # 2: flat tree nodes; 3: level-wise forest; 4: NN stops on batch losses
 
 _MODEL_CLASSES = {model.kind: model for model in (MnlModel, ForestModel, NeuralModel)}
 

@@ -8,7 +8,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .config import NonFiniteLoss, TrainConfig
+from .config import TrainConfig
 from .features import N_CLASSES
 from .mnl import _log_softmax, softmax
 from .optim import minimize_adam
@@ -49,20 +49,24 @@ def _forward(w1, b1, w2, b2, X):
     return hidden, _log_softmax(hidden @ w2.T + b2)
 
 
-def loss_value(w1, b1, w2, b2, X, y, l2_strength):
+def _loss(log_p, y, w1, w2, l2_strength):
     """Mean cross-entropy plus l2/(2N)·(||W1||²+||W2||²)."""
-    n = X.shape[0]
-    log_p = _forward(w1, b1, w2, b2, X)[1]
+    n = log_p.shape[0]
     loss = -log_p[np.arange(n), y].mean()
     loss += 0.5 * l2_strength * (np.sum(w1**2) + np.sum(w2**2)) / n
     return loss
 
 
-def grad(w1, b1, w2, b2, X, y, l2_strength):
-    """Analytic gradients of loss_value for all four parameter arrays; the
-    mini-batch steps need no loss."""
+def loss_value(w1, b1, w2, b2, X, y, l2_strength):
+    return _loss(_forward(w1, b1, w2, b2, X)[1], y, w1, w2, l2_strength)
+
+
+def loss_and_grad(w1, b1, w2, b2, X, y, l2_strength):
+    """The loss of loss_value and its analytic gradients for all four
+    parameter arrays, from one forward pass."""
     n = X.shape[0]
     hidden, log_p = _forward(w1, b1, w2, b2, X)
+    loss = _loss(log_p, y, w1, w2, l2_strength)
     p = np.exp(log_p)
     p[np.arange(n), y] -= 1.0
     d_logits = p / n
@@ -72,12 +76,7 @@ def grad(w1, b1, w2, b2, X, y, l2_strength):
     d_z1 = d_hidden * (hidden > 0)  # hidden > 0 exactly where z1 = X·W1ᵀ + b1 > 0
     d_w1 = d_z1.T @ X + (l2_strength / n) * w1
     d_b1 = d_z1.sum(axis=0)
-    return d_w1, d_b1, d_w2, d_b2
-
-
-def loss_and_grad(w1, b1, w2, b2, X, y, l2_strength):
-    args = (w1, b1, w2, b2, X, y, l2_strength)
-    return loss_value(*args), grad(*args)
+    return loss, (d_w1, d_b1, d_w2, d_b2)
 
 
 def _pack(w1, b1, w2, b2):
@@ -95,16 +94,14 @@ def fit(X: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> NeuralModel:
     hidden = cfg.hidden_units
     rng = np.random.default_rng(cfg.seed)
 
-    def batch_grad(flat, idx):
-        return _pack(*grad(*_unpack(flat, n_features, hidden), X[idx], y[idx], cfg.l2_strength))
-
-    def full_loss(flat):
-        return loss_value(*_unpack(flat, n_features, hidden), X, y, cfg.l2_strength)
+    def batch_value_and_grad(flat, idx):
+        params = _unpack(flat, n_features, hidden)
+        loss, grads = loss_and_grad(*params, X[idx], y[idx], cfg.l2_strength)
+        return loss, _pack(*grads)
 
     x0 = _pack(*init_params(n_features, hidden, rng))
     flat, curve = minimize_adam(
-        batch_grad,
-        full_loss,
+        batch_value_and_grad,
         x0,
         n_samples=X.shape[0],
         batch_size=cfg.batch_size,
@@ -113,7 +110,5 @@ def fit(X: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> NeuralModel:
         max_epochs=cfg.max_epochs,
         tolerance=cfg.tolerance,
     )
-    if not np.isfinite(curve[-1]):
-        raise NonFiniteLoss(f"final loss is {curve[-1]}")
     w1, b1, w2, b2 = _unpack(flat, n_features, hidden)
     return NeuralModel(w1=w1, b1=b1, w2=w2, b2=b2, seed=cfg.seed, loss_curve=curve)

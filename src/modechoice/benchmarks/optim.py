@@ -46,8 +46,7 @@ def minimize_gd_halving(value_and_grad, x0, learning_rate, max_epochs, tolerance
 
 
 def minimize_adam(
-    batch_grad,
-    full_value,
+    batch_value_and_grad,
     x0,
     n_samples,
     batch_size,
@@ -59,21 +58,25 @@ def minimize_adam(
 ):
     """Mini-batch Adam with early stopping when the epoch loss has not improved
     on its best value by at least `tolerance` for `no_change_epochs` epochs.
-    `batch_grad(x, idx)` is the gradient of the loss over the rows idx."""
+    `batch_value_and_grad(x, idx)` is the loss over the rows idx and its
+    gradient. The epoch loss is the row-weighted mean of the epoch's batch
+    losses, each taken before its step, as scikit-learn's MLPClassifier
+    stops on; the curve holds one per epoch run."""
     x = np.asarray(x0, dtype=float).copy()
     m = np.zeros_like(x)
     v = np.zeros_like(x)
     t = 0
-    curve = [float(full_value(x))]
-    if not np.isfinite(curve[0]):
-        raise NonFiniteLoss(f"initial loss is {curve[0]}")
-    best = curve[0]
+    curve = []
+    best = np.inf
     stall = 0
     batch = min(batch_size, n_samples)
     for _ in range(max_epochs):
         order = rng.permutation(n_samples)
+        total = 0.0
         for start in range(0, n_samples, batch):
-            grad = batch_grad(x, order[start : start + batch])
+            idx = order[start : start + batch]
+            loss, grad = batch_value_and_grad(x, idx)
+            total += loss * len(idx)
             t += 1
             # in place, in the textbook update's order of operations
             m *= _ADAM_BETA1
@@ -83,7 +86,7 @@ def minimize_adam(
             m_hat = m / (1 - _ADAM_BETA1**t)
             v_hat = v / (1 - _ADAM_BETA2**t)
             x -= learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
-        epoch_loss = float(full_value(x))
+        epoch_loss = float(total / n_samples)
         if not np.isfinite(epoch_loss):
             raise NonFiniteLoss(f"loss became {epoch_loss} during training")
         curve.append(epoch_loss)

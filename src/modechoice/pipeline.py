@@ -17,6 +17,10 @@ import functools
 import hashlib
 import json
 import logging
+import os
+import pickle
+import signal
+import threading
 import time
 import types
 import typing
@@ -428,25 +432,114 @@ def model_text(model, scaler) -> str:
     return json.dumps(benchmarks.model_to_dict(model, scaler), sort_keys=True) + "\n"
 
 
+def _fit_in_order(fit, kinds) -> dict:
+    """kind -> (True, fit(kind)) for each kind in order, up to the first whose
+    fit raises; that kind maps to (False, its exception)."""
+    outcomes = {}
+    for kind in kinds:
+        try:
+            outcomes[kind] = (True, fit(kind))
+        except Exception as exc:
+            outcomes[kind] = (False, exc)
+            break
+    return outcomes
+
+
+def _fit_side_by_side(fit, kinds: list[str]) -> dict:
+    """The outcomes of _fit_in_order for the kinds dealt round-robin into one
+    share per usable CPU. Each share after the first is fitted in a forked
+    child, which pickles its outcomes back through a pipe; this process fits
+    the first. Everything is fitted here when there is one CPU or kind, when
+    fork is missing, or when another thread is alive, since forking beside
+    live threads can deadlock."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    n_shares = min(cpus, len(kinds))
+    if n_shares < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        n_shares = 1
+    shares = [kinds[i::n_shares] for i in range(n_shares)]
+    children = []  # (pid, read end of its pipe, its kinds), in share order
+    outcomes = {}
+    try:
+        for share in shares[1:]:
+            read_end, write_end = os.pipe()
+            reader = os.fdopen(read_end, "rb")
+            with os.fdopen(write_end, "wb") as writer:  # closed here once the child has it
+                try:
+                    pid = os.fork()
+                except OSError:
+                    reader.close()
+                    raise
+                if pid == 0:
+                    _fit_in_child(fit, share, writer)
+            children.append((pid, reader, share))
+        outcomes.update(_fit_in_order(fit, shares[0]))
+        while children:
+            pid, reader, share = children[0]
+            try:
+                received = pickle.load(reader)  # before reaping, so a full pipe cannot block it
+            except (EOFError, pickle.UnpicklingError):  # it ended before writing them whole
+                received = None
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[0]
+            reader.close()
+            if status != 0 or received is None:
+                raise benchmarks.BenchmarkError(
+                    f"the worker fitting {share} exited with status {status} without a result"
+                )
+            outcomes.update(received)
+    finally:
+        for pid, reader, _ in children:  # this process failed: end and reap the children left
+            reader.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return outcomes
+
+
+def _fit_in_child(fit, kinds, writer) -> None:
+    """Fit one share in a forked child and end the child, with status 0 only
+    once its pickled outcomes are written whole."""
+    status = 1
+    try:
+        with writer:
+            pickle.dump(_fit_in_order(fit, kinds), writer)
+        status = 0
+    finally:
+        os._exit(status)
+
+
 @stage("benchmarks")
 def stage_benchmarks(
     cfg: PipelineConfig, train: SituationTable, split_key: str | None = None
 ) -> dict[str, tuple]:
-    """Fit (or reload) each configured benchmark; returns kind -> (model, scaler)."""
+    """Fit (or reload) each configured benchmark; returns kind -> (model, scaler).
+    The kinds with no stored model are fitted side by side, one share of them
+    per usable CPU. This process then stores them in order, as fitting them
+    one by one would: up to the first whose fit failed, whose error it raises."""
     split_key = split_key or sample_key(cfg)
+    paths = {kind: model_path(cfg, kind, split_key) for kind in cfg.benchmark_kinds}
 
     def fit(kind):
         scaler = benchmarks.fit_scaler(train)
         return benchmarks.fit_classifier(kind, train, cfg.train_configs[kind], scaler), scaler
 
+    outcomes = _fit_side_by_side(fit, [kind for kind, path in paths.items() if not path.exists()])
+
+    def fitted(kind):
+        if kind not in outcomes:  # its file was there when the kinds to fit were chosen
+            return fit(kind)
+        done, value = outcomes.pop(kind)
+        if not done:
+            raise value
+        return value
+
     return {
         kind: load_or_create(
-            model_path(cfg, kind, split_key),
-            functools.partial(fit, kind),
+            path,
+            functools.partial(fitted, kind),
             serialize=lambda pair: model_text(*pair),
             deserialize=lambda text: benchmarks.model_from_dict(json.loads(text)),
         )
-        for kind in cfg.benchmark_kinds
+        for kind, path in paths.items()
     }
 
 

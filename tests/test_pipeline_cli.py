@@ -3,13 +3,17 @@ import gzip
 import hashlib
 import json
 import logging
+import os
 import re
+import threading
+import time
 from pathlib import Path
 
 import pytest
 
 from modechoice import pipeline
 from modechoice.artifacts import digest_of, load_or_create, stage_path
+from modechoice.benchmarks import BenchmarkError, ClassMissing, EmptyTrainingSet, NonFiniteLoss
 from modechoice.cli import main
 from modechoice.dataset import (
     ColumnMap,
@@ -272,7 +276,7 @@ def test_format_1_model_artifact_is_refit(workspace):
     assert stale.read_text() == stale_text
     refit = [p for p in (cfg.output_dir / "stages").glob("model-rf-*.json") if p != stale]
     assert len(refit) == 1
-    assert json.loads(refit[0].read_text())["format_version"] == 3
+    assert json.loads(refit[0].read_text())["format_version"] == 4
 
 
 def test_load_or_create_reads_in_one_step(tmp_path, monkeypatch):
@@ -634,6 +638,131 @@ def test_run_reloads_the_models_fit_bench_stored(workspace, monkeypatch):
     assert report_files(load_pipeline_config(config, {"out": shared})) == report_files(
         load_pipeline_config(config, {"out": fresh})
     )
+
+
+def fit_on(cfg, monkeypatch, cpus: int, out: Path) -> tuple[dict, int]:
+    """Run stage_benchmarks into `out` as if on `cpus` CPUs; returns the stored
+    model bytes by file name, and how many workers were forked."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    cfg = dataclasses.replace(cfg, output_dir=out)
+    _, train, _ = pipeline.prepare_split(cfg)
+    try:
+        fitted = pipeline.stage_benchmarks(cfg, train)
+    finally:
+        monkeypatch.setattr(os, "fork", fork)
+        with pytest.raises(ChildProcessError):  # no worker is left, reaped or not
+            os.waitpid(-1, os.WNOHANG)
+    assert list(fitted) == list(cfg.benchmark_kinds)
+    models = {p.name: p.read_bytes() for p in sorted((out / "stages").glob("model-*.json"))}
+    return models, len(forks)
+
+
+def test_model_files_do_not_depend_on_the_cpu_count(workspace, monkeypatch):
+    cfg = load_pipeline_config(workspace / "config.yaml")
+    alone, forks = fit_on(cfg, monkeypatch, 1, workspace / "one")
+    assert forks == 0 and len(alone) == 3
+    shared, forks = fit_on(cfg, monkeypatch, 2, workspace / "two")
+    assert forks == 1  # [mnl, nn] fit here, [rf] in the worker
+    assert shared == alone
+    _, forks = fit_on(cfg, monkeypatch, 8, workspace / "eight")
+    assert forks == 2  # one kind per process, no share left empty
+    _, forks = fit_on(cfg, monkeypatch, 2, workspace / "two")
+    assert forks == 0  # every model is stored: none is fitted
+
+
+def failing_fits(monkeypatch, errors: dict):
+    """fit_classifier raises errors[kind] for the kinds it names."""
+    fit = pipeline.benchmarks.fit_classifier
+
+    def failing(kind, *args):
+        if kind in errors:
+            raise errors[kind]
+        return fit(kind, *args)
+
+    monkeypatch.setattr(pipeline.benchmarks, "fit_classifier", failing)
+
+
+@pytest.mark.parametrize(
+    "errors",
+    [
+        {"rf": ClassMissing({ModeLabel.TRAIN})},
+        {"rf": NonFiniteLoss("loss became nan during training")},
+        # the first kind in order fails, whichever process fits it
+        {"rf": NonFiniteLoss("rf failed"), "nn": NonFiniteLoss("nn failed")},
+        {"mnl": EmptyTrainingSet("mnl failed"), "rf": NonFiniteLoss("rf failed")},
+    ],
+)
+def test_a_fit_failing_in_a_worker_fails_as_it_would_here(workspace, monkeypatch, errors):
+    cfg = load_pipeline_config(workspace / "config.yaml")
+    failing_fits(monkeypatch, errors)
+    first = next(iter(errors.values()))
+    for cpus in (1, 2):
+        out = workspace / f"cpus-{cpus}"
+        with pytest.raises(PipelineError) as failed:
+            fit_on(cfg, monkeypatch, cpus, out)
+        assert failed.value.stage == "benchmarks"
+        assert type(failed.value.cause) is type(first)
+        assert str(failed.value) == f"stage 'benchmarks' failed: {first}"
+        # the kinds before the failed one are stored, as fitting one by one stores them
+        stored = [path.name.split("-")[1] for path in out.glob("stages/model-*.json")]
+        assert stored == ["mnl"][: list(cfg.benchmark_kinds).index(next(iter(errors)))]
+
+
+def test_a_worker_ending_without_a_result_names_its_kinds(workspace, monkeypatch):
+    cfg = load_pipeline_config(workspace / "config.yaml")
+    fit = pipeline.benchmarks.fit_classifier
+    here = os.getpid()
+
+    def dying(*args):
+        if os.getpid() != here:
+            os._exit(3)
+        return fit(*args)
+
+    monkeypatch.setattr(pipeline.benchmarks, "fit_classifier", dying)
+    with pytest.raises(PipelineError) as failed:
+        fit_on(cfg, monkeypatch, 2, workspace / "out")
+    assert isinstance(failed.value.cause, BenchmarkError)
+    assert str(failed.value) == (
+        "stage 'benchmarks' failed: the worker fitting ['rf'] exited with status 3 without a result"
+    )
+
+
+class Interrupted(BaseException):
+    pass
+
+
+def test_workers_are_killed_when_this_process_fails(workspace, monkeypatch):
+    cfg = load_pipeline_config(workspace / "config.yaml")
+    here = os.getpid()
+
+    def stuck(*args):
+        if os.getpid() != here:
+            time.sleep(60)
+        raise Interrupted
+
+    monkeypatch.setattr(pipeline.benchmarks, "fit_classifier", stuck)
+    started = time.monotonic()
+    with pytest.raises(Interrupted):
+        fit_on(cfg, monkeypatch, 3, workspace / "out")
+    assert time.monotonic() - started < 30  # the workers were killed, not waited for
+
+
+def test_the_fits_run_here_beside_a_live_thread(workspace, monkeypatch):
+    cfg = load_pipeline_config(workspace / "config.yaml")
+    alone, _ = fit_on(cfg, monkeypatch, 1, workspace / "one")
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        shared, forks = fit_on(cfg, monkeypatch, 2, workspace / "two")
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert forks == 0
+    assert shared == alone
 
 
 def http_config(workspace, chat_endpoint):
