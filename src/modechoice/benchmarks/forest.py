@@ -79,7 +79,8 @@ class Tree(NamedTuple):
 class ForestModel:
     trees: list[Tree]
     seed: int = 0
-    loss_curve: list[float] = field(default_factory=list)  # unused; kept for parity
+    # always empty: perfbench's tracer reads len(loss_curve) of every kind's model
+    loss_curve: list[float] = field(default_factory=list)
 
     kind: ClassVar[str] = "rf"
 

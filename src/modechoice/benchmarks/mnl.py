@@ -9,7 +9,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .config import NonFiniteLoss, TrainConfig
+from .config import TrainConfig
 from .features import N_CLASSES
 from .optim import minimize_gd_halving
 
@@ -83,7 +83,5 @@ def fit(X: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> MnlModel:
     flat, curve = minimize_gd_halving(
         value_and_grad, x0, cfg.learning_rate, cfg.max_epochs, cfg.tolerance
     )
-    if not np.isfinite(curve[-1]):
-        raise NonFiniteLoss(f"final loss is {curve[-1]}")
     weights, intercepts = _unpack(flat, n_features)
     return MnlModel(weights=weights, intercepts=intercepts, seed=cfg.seed, loss_curve=curve)

@@ -49,24 +49,13 @@ def _forward(w1, b1, w2, b2, X):
     return hidden, _log_softmax(hidden @ w2.T + b2)
 
 
-def _loss(log_p, y, w1, w2, l2_strength):
-    """Mean cross-entropy plus l2/(2N)·(||W1||²+||W2||²)."""
-    n = log_p.shape[0]
-    loss = -log_p[np.arange(n), y].mean()
-    loss += 0.5 * l2_strength * (np.sum(w1**2) + np.sum(w2**2)) / n
-    return loss
-
-
-def loss_value(w1, b1, w2, b2, X, y, l2_strength):
-    return _loss(_forward(w1, b1, w2, b2, X)[1], y, w1, w2, l2_strength)
-
-
 def loss_and_grad(w1, b1, w2, b2, X, y, l2_strength):
-    """The loss of loss_value and its analytic gradients for all four
-    parameter arrays, from one forward pass."""
+    """The loss, mean cross-entropy plus l2/(2N)·(||W1||²+||W2||²), and its
+    analytic gradients for all four parameter arrays, from one forward pass."""
     n = X.shape[0]
     hidden, log_p = _forward(w1, b1, w2, b2, X)
-    loss = _loss(log_p, y, w1, w2, l2_strength)
+    loss = -log_p[np.arange(n), y].mean()
+    loss += 0.5 * l2_strength * (np.sum(w1**2) + np.sum(w2**2)) / n
     p = np.exp(log_p)
     p[np.arange(n), y] -= 1.0
     d_logits = p / n

@@ -19,7 +19,7 @@ from .artifacts import write_atomic
 from .dataset import MODE_ORDER
 from .evaluation import render_summary_text
 from .gateway import BACKEND_KINDS
-from .prompting import build_prompt
+from .prompting import build_prompts
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -104,8 +104,8 @@ def _cmd_dump_prompt(cfg, args) -> int:
         if not 0 <= position < len(situations):
             print(f"error: --index must be in [0, {len(situations)})", file=sys.stderr)
             return 2
-    [situation] = situations[position : position + 1]  # builds this row's situation alone
-    print(build_prompt(situation, cfg.prompt).full_text)
+    [prompt] = build_prompts(situations[position : position + 1], cfg.prompt)
+    print(prompt.full_text)
     return 0
 
 

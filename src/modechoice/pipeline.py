@@ -17,13 +17,13 @@ import functools
 import hashlib
 import json
 import logging
+import multiprocessing
 import os
-import pickle
-import signal
 import threading
 import time
 import types
 import typing
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -327,9 +327,10 @@ def stage_sample(
             raise ValueError(f"ids not in the survey: {sorted(unknown)[:5]}")
         if (len(train), len(test)) != (cfg.n_train, cfg.n_test):
             raise ValueError(f"not {cfg.n_train} train and {cfg.n_test} test ids")
-        overlap = set(train) & set(test)
-        if overlap:
-            raise ValueError(f"train/test overlap: {sorted(overlap)[:5]}")
+        repeated = sorted(sid for sid, count in Counter([*train, *test]).items() if count > 1)
+        if repeated:
+            where = "train/test overlap" if set(train) & set(test) else "ids repeated"
+            raise ValueError(f"{where}: {repeated[:5]}")
         return train, test
 
     train_ids, test_ids = load_or_create(
@@ -433,78 +434,71 @@ def model_text(model, scaler) -> str:
 
 
 def _fit_in_order(fit, kinds) -> dict:
-    """kind -> (True, fit(kind)) for each kind in order, up to the first whose
-    fit raises; that kind maps to (False, its exception)."""
+    """kind -> fit(kind) for each kind in order, up to the first whose fit
+    raises; that kind maps to its exception."""
     outcomes = {}
     for kind in kinds:
         try:
-            outcomes[kind] = (True, fit(kind))
+            outcomes[kind] = fit(kind)
         except Exception as exc:
-            outcomes[kind] = (False, exc)
+            outcomes[kind] = exc
             break
     return outcomes
 
 
+def _send_fits(fit, kinds, writer) -> None:
+    """A worker's target: it sends its outcomes, a failed fit's error among
+    them, and never raises one."""
+    writer.send(_fit_in_order(fit, kinds))
+
+
 def _fit_side_by_side(fit, kinds: list[str]) -> dict:
     """The outcomes of _fit_in_order for the kinds dealt round-robin into one
-    share per usable CPU. Each share after the first is fitted in a forked
-    child, which pickles its outcomes back through a pipe; this process fits
-    the first. Everything is fitted here when there is one CPU or kind, when
-    fork is missing, or when another thread is alive, since forking beside
-    live threads can deadlock."""
+    share per usable CPU. Each share after the first is fitted in a worker
+    process of multiprocessing's fork context, which sends its outcomes back
+    through a one-way pipe; this process fits the first. Everything is fitted
+    here when there is one CPU or kind, when os.sched_getaffinity is missing,
+    or when another thread is alive, since forking beside live threads can
+    deadlock. If this process fails, every worker is killed and reaped."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     n_shares = min(cpus, len(kinds))
-    if n_shares < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+    if n_shares < 2 or threading.active_count() > 1:
         n_shares = 1
     shares = [kinds[i::n_shares] for i in range(n_shares)]
-    children = []  # (pid, read end of its pipe, its kinds), in share order
+    workers = []  # (process, read end of its pipe, its kinds), in share order
     outcomes = {}
     try:
         for share in shares[1:]:
-            read_end, write_end = os.pipe()
-            reader = os.fdopen(read_end, "rb")
-            with os.fdopen(write_end, "wb") as writer:  # closed here once the child has it
+            context = multiprocessing.get_context("fork")  # only with sched_getaffinity, so fork
+            reader, writer = context.Pipe(duplex=False)
+            process = context.Process(target=_send_fits, args=(fit, share, writer))
+            with writer:  # closed here once the worker has its own copy
                 try:
-                    pid = os.fork()
-                except OSError:
+                    process.start()
+                except BaseException:
                     reader.close()
                     raise
-                if pid == 0:
-                    _fit_in_child(fit, share, writer)
-            children.append((pid, reader, share))
+            workers.append((process, reader, share))
         outcomes.update(_fit_in_order(fit, shares[0]))
-        while children:
-            pid, reader, share = children[0]
+        for process, reader, share in workers:
             try:
-                received = pickle.load(reader)  # before reaping, so a full pipe cannot block it
-            except (EOFError, pickle.UnpicklingError):  # it ended before writing them whole
+                received = reader.recv()  # before join, so a full pipe cannot block it
+            except (EOFError, OSError):  # it ended before sending them whole
                 received = None
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[0]
-            reader.close()
-            if status != 0 or received is None:
+            process.join()
+            if process.exitcode != 0 or received is None:
                 raise benchmarks.BenchmarkError(
-                    f"the worker fitting {share} exited with status {status} without a result"
+                    f"the worker fitting {share} exited with status {process.exitcode}"
+                    " without a result"
                 )
             outcomes.update(received)
     finally:
-        for pid, reader, _ in children:  # this process failed: end and reap the children left
+        for process, reader, _ in workers:  # kill and join: no-ops once joined
             reader.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+            process.kill()
+            process.join()
+            process.close()  # its descriptors, else kept while a traceback holds it
     return outcomes
-
-
-def _fit_in_child(fit, kinds, writer) -> None:
-    """Fit one share in a forked child and end the child, with status 0 only
-    once its pickled outcomes are written whole."""
-    status = 1
-    try:
-        with writer:
-            pickle.dump(_fit_in_order(fit, kinds), writer)
-        status = 0
-    finally:
-        os._exit(status)
 
 
 @stage("benchmarks")
@@ -512,9 +506,11 @@ def stage_benchmarks(
     cfg: PipelineConfig, train: SituationTable, split_key: str | None = None
 ) -> dict[str, tuple]:
     """Fit (or reload) each configured benchmark; returns kind -> (model, scaler).
-    The kinds with no stored model are fitted side by side, one share of them
-    per usable CPU. This process then stores them in order, as fitting them
-    one by one would: up to the first whose fit failed, whose error it raises."""
+    The kinds with no stored model are fitted side by side by _fit_side_by_side,
+    one share of them per usable CPU, each share after the first in a forked
+    worker. This process then stores them in order, as fitting them one by one
+    would: up to the first whose fit failed, whichever process fitted it, and
+    raises that fit's error."""
     split_key = split_key or sample_key(cfg)
     paths = {kind: model_path(cfg, kind, split_key) for kind in cfg.benchmark_kinds}
 
@@ -527,10 +523,9 @@ def stage_benchmarks(
     def fitted(kind):
         if kind not in outcomes:  # its file was there when the kinds to fit were chosen
             return fit(kind)
-        done, value = outcomes.pop(kind)
-        if not done:
-            raise value
-        return value
+        if isinstance(outcomes[kind], Exception):
+            raise outcomes.pop(kind)
+        return outcomes.pop(kind)
 
     return {
         kind: load_or_create(

@@ -324,17 +324,6 @@ def test_nn_gradient_matches_finite_differences():
             assert relative_error(analytic, approx) < 1e-3
 
 
-def test_nn_loss_value_is_the_loss_of_loss_and_grad():
-    rng = np.random.default_rng(12)
-    for n in (1, 7, 200):
-        X = rng.normal(size=(n, 8))
-        y = rng.integers(0, 3, size=n)
-        params = [rng.normal(size=shape) for shape in [(5, 8), (5,), (3, 5), (3,)]]
-        for l2 in (0.0, 1e-4, 1.0):
-            expected = neural.loss_and_grad(*params, X, y, l2)[0]
-            assert neural.loss_value(*params, X, y, l2) == expected
-
-
 def test_nn_learns_and_is_seed_deterministic(tmp_path):
     rows = situations_from_file(tmp_path, n=400)
     scaler = fit_scaler(rows)

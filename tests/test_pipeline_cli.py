@@ -1,10 +1,13 @@
 import dataclasses
+import errno
 import gzip
 import hashlib
 import json
 import logging
+import multiprocessing.popen_fork
 import os
 import re
+import signal
 import threading
 import time
 from pathlib import Path
@@ -32,6 +35,7 @@ from modechoice.pipeline import (
     run_pipeline,
     sample_key,
 )
+from modechoice.prompting import build_prompts
 
 from conftest import make_situation, synthetic_raw_rows, table_of, write_survey_file
 
@@ -550,6 +554,14 @@ def test_cli_rebuild_rejects_a_damaged_model_file(workspace, capsys, cut, messag
             "train/test overlap: [",
         ),
         (
+            "split-*.json",
+            "sample",
+            lambda text: json.dumps(
+                dict(split := json.loads(text), train=split["train"][:1] * 2 + split["train"][2:])
+            ),
+            "ids repeated: [",
+        ),
+        (
             "llm-*.jsonl",
             "llm",
             lambda text: text.split("\n", 1)[1],
@@ -567,6 +579,7 @@ def test_cli_rebuild_rejects_a_damaged_model_file(workspace, capsys, cut, messag
         "split-no-test",
         "split-short-test",
         "split-overlap",
+        "split-repeated-id",
         "llm-row-missing",
         "llm-key-renamed",
     ],
@@ -730,6 +743,70 @@ def test_a_worker_ending_without_a_result_names_its_kinds(workspace, monkeypatch
     )
 
 
+def test_a_worker_killed_by_a_signal_names_its_kinds_and_the_signal(workspace, monkeypatch):
+    cfg = load_pipeline_config(workspace / "config.yaml")
+    fit = pipeline.benchmarks.fit_classifier
+    here = os.getpid()
+
+    def killed(*args):
+        if os.getpid() != here:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return fit(*args)
+
+    monkeypatch.setattr(pipeline.benchmarks, "fit_classifier", killed)
+    with pytest.raises(PipelineError) as failed:
+        fit_on(cfg, monkeypatch, 2, workspace / "out")
+    assert isinstance(failed.value.cause, BenchmarkError)
+    assert str(failed.value) == (
+        "stage 'benchmarks' failed: "
+        "the worker fitting ['rf'] exited with status -9 without a result"
+    )
+
+
+class PopenOs:
+    """os as multiprocessing's fork Popen sees it, recording the descriptors
+    of the pipes it opens."""
+
+    def __init__(self):
+        self.opened = []
+
+    def __getattr__(self, name):
+        return getattr(os, name)
+
+    def pipe(self):
+        fds = os.pipe()
+        self.opened.extend(fds)
+        return fds
+
+
+def test_a_failed_fork_leaves_no_worker_and_no_descriptor(workspace, monkeypatch):
+    cfg = load_pipeline_config(workspace / "config.yaml")
+    fork = os.fork
+    forks = []
+
+    def second_fails():
+        forks.append(1)
+        if len(forks) == 2:
+            raise OSError(errno.EAGAIN, "fork refused")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", second_fails)
+    popen_os = PopenOs()
+    monkeypatch.setattr(multiprocessing.popen_fork, "os", popen_os)
+    descriptors = set(os.listdir("/proc/self/fd"))
+    with pytest.raises(PipelineError) as failed:
+        fit_on(cfg, monkeypatch, 3, workspace / "out")  # checks that no child is left
+    assert failed.value.stage == "benchmarks"
+    assert isinstance(failed.value.cause, OSError)
+    assert len(forks) == 2  # [rf] was forked, [nn] was not
+    # multiprocessing's fork Popen (Python 3.11) opens two pipes before it
+    # forks and closes neither when the fork fails; every other one is closed
+    left = {int(fd) for fd in set(os.listdir("/proc/self/fd")) - descriptors}
+    for fd in left:
+        os.close(fd)
+    assert left <= set(popen_os.opened[-4:])
+
+
 class Interrupted(BaseException):
     pass
 
@@ -879,6 +956,17 @@ def test_cli_dump_prompt_by_situation_id(workspace, capsys):
     assert capsys.readouterr().out == by_index
     assert run_cli("dump-prompt", "--config", config, "--situation-id", "row99999") == 2
     assert "no situation with id 'row99999'" in capsys.readouterr().err
+
+
+def test_cli_dump_prompt_prints_the_prompt_the_llm_stage_sends(workspace, capsys):
+    config = str(workspace / "config.yaml")
+    cfg = load_pipeline_config(config)
+    _, test = pipeline.stage_sample(cfg, pipeline.stage_ingest(cfg))
+    prompts = build_prompts(test, cfg.prompt)
+    for position in (0, 3, len(test) - 1):
+        for flags in (["--index", str(position)], ["--situation-id", test.ids[position]]):
+            assert run_cli("dump-prompt", "--config", config, *flags) == 0
+            assert capsys.readouterr().out == prompts[position].full_text + "\n"
 
 
 def test_cli_full_flow(workspace, capsys):
