@@ -7,7 +7,10 @@ The trees grow level by level, as the depthwise policy of gradient-boosting
 libraries does (Louppe, arXiv:1407.7502, ch. 3 and 5; Chen & Guestrin, KDD
 2016), in passes of _PASS_TREES trees: every step finds the splits of every
 open node of every tree in the pass in one batched numpy search, so a pass
-takes one step per level of its deepest tree. Each tree has its own
+takes one step per level of its deepest tree. The search sorts each
+(node, feature) pair's entries by value and counts the classes left of every
+cut with one cumulative sum of the weights per class, class-major as
+(class x entry) rows (Louppe, ch. 5). Each tree has its own
 generator, seeded from the master seed and its index, and its own bootstrap
 draw, and takes one feature order per open node in level order. So a tree is
 bit-identical to growing it on its own, breadth-first: its generator is drawn
@@ -112,10 +115,12 @@ def _scan_features(X, y, rank, rows, weight, first, size, features):
 
     Each chunk of pairs is sorted once by (pair, dense rank of the value), and
     the class counts left of every cut come from one cumulative sum of the
-    weights, less the count before the pair's first entry. The counts are
-    exact and the impurity arithmetic is element for element that of a single
-    column, so the results are bit-identical to scanning each column on its
-    own.
+    weights per class, a row of the class-major (class x entry) `counts`,
+    less the count before the pair's first entry. The counts are exact, the
+    sums over the classes run in numpy's (a + b) + c order, that of the
+    row-major (entry x class) sums the stored models are pinned to, and the
+    impurity arithmetic is element for element that of a single column, so
+    the results are bit-identical to scanning each column on its own.
     """
     n_nodes, width = features.shape
     impurity = np.full(n_nodes * width, np.inf)
@@ -139,16 +144,19 @@ def _scan_features(X, y, rank, rows, weight, first, size, features):
         key, r, f, w = key[order], r[order], f[order], w[order]
         cut = np.flatnonzero((key[1:] != key[:-1]) & (pair[1:] == pair[:-1])) + 1
         if cut.size:
-            counts = np.zeros((len(r) + 1, N_CLASSES))
-            counts[1:] = np.cumsum(np.eye(N_CLASSES)[y[r]] * w[:, None], axis=0)
+            counts = np.zeros((N_CLASSES, len(r) + 1))
+            label = y[r]
+            for c in range(N_CLASSES):
+                np.cumsum(np.where(label == c, w, 0.0), out=counts[c, 1:])
             at = pair[cut]
             begin = starts[at]
-            left = counts[cut] - counts[begin]
-            right = counts[begin + sizes[at]] - counts[cut]
-            n_left = left.sum(axis=1)
-            n_right = right.sum(axis=1)
-            gini_left = 1.0 - ((left / n_left[:, None]) ** 2).sum(axis=1)
-            gini_right = 1.0 - ((right / n_right[:, None]) ** 2).sum(axis=1)
+            below = np.take(counts, cut, axis=1)
+            left = below - np.take(counts, begin, axis=1)
+            right = np.take(counts, begin + sizes[at], axis=1) - below
+            n_left = left.sum(axis=0)
+            n_right = right.sum(axis=0)
+            gini_left = 1.0 - ((left / n_left) ** 2).sum(axis=0)
+            gini_right = 1.0 - ((right / n_right) ** 2).sum(axis=0)
             weighted = (n_left * gini_left + n_right * gini_right) / (n_left + n_right)
             head = np.flatnonzero(np.diff(at, prepend=-1))
             lowest = np.minimum.reduceat(weighted, head)
@@ -213,7 +221,7 @@ def _grow(X, y, rank, cfg: TrainConfig, lo: int, hi: int) -> list[Tree]:
         drawn = np.stack([np.bincount(rng.integers(0, n, size=n), minlength=n) for rng in rngs])
     end = np.cumsum(np.count_nonzero(drawn, axis=1))
     flat = np.flatnonzero(drawn)  # each tree's distinct rows, tree after tree
-    weight = drawn.ravel()[flat].astype(np.int32)
+    weight = drawn.ravel()[flat].astype(float)
     flat %= n
     del drawn
     tree, node, start = np.arange(n_trees), np.zeros(n_trees, dtype=np.intp), np.r_[0, end[:-1]]

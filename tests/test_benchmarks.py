@@ -26,8 +26,10 @@ from modechoice.benchmarks import (
     predict_labels,
 )
 from modechoice.benchmarks import forest, mnl, neural
+from modechoice.benchmarks.features import N_CLASSES
 from modechoice.benchmarks.forest import Tree
 from modechoice.dataset import ColumnMap, ModeLabel, load_raw, to_choice_situations
+from modechoice.pipeline import model_text
 
 import reference_forest
 import reference_neural
@@ -634,6 +636,45 @@ def test_rf_labels_are_pinned_to_the_model_format_version():
     assert hashlib.sha256(labels.encode()).hexdigest() == (
         "8e7eb05f65318a86a9519a3519e0510112afa471f27ca08a8e9b6e7ae08ea121"
     )
+
+
+@pytest.mark.parametrize(
+    "kind, fit, digest",
+    [
+        ("mnl", mnl.fit, "8b65edcb0a31cd98645bff10d5919c512894813b7c527a35bba5ff678b9c6270"),
+        ("rf", forest.fit, "fe973fabe35cdc809fe5fa1e4336d694234fd303f21101ca4419a49c4fde9aad"),
+        ("nn", neural.fit, "125cb0f3a09b03b0cefa70d0a798fe2cf210789dc4d799504739ce0c91afde37"),
+    ],
+)
+def test_model_bytes_are_pinned_to_the_model_format_version(tmp_path, kind, fit, digest):
+    """Every bit of a stored model, thresholds and weights too, not just the
+    labels it predicts: a change to any must bump MODEL_FORMAT_VERSION, or
+    models stored before it would still be served; edit both together."""
+    X, y = reference_training_set(tmp_path)
+    text = model_text(fit(X, y, default_train_config(kind)), IDENTITY)
+    assert json.loads(text)["format_version"] == 4
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_class_major_sums_match_the_row_major_reduction():
+    """The split search keeps its class counts class-major, (class x cut), and
+    sums them with .sum(axis=0), which numpy computes as (a + b) + c. The
+    stored trees are pinned to the order of a row-major (cut x class)
+    .sum(axis=1); if a numpy release orders either reduction differently,
+    this fails by name rather than the trees changing silently."""
+    rng = np.random.default_rng(11)
+    rows = rng.random((500, N_CLASSES)) * rng.integers(1, 10**6, size=(500, 1))
+    rows[::5, 0] = 0.0  # a class absent on one side of the cut
+    rows[1::5, 1] = 0.0
+    rows[2::5, 2] = 0.0
+    n_rows = rows.sum(axis=1)
+    gini_rows = 1.0 - ((rows / n_rows[:, None]) ** 2).sum(axis=1)
+    counts = np.ascontiguousarray(rows.T)
+    n = counts.sum(axis=0)
+    gini = 1.0 - ((counts / n) ** 2).sum(axis=0)
+    a, b, c = counts
+    assert n.tobytes() == ((a + b) + c).tobytes() == n_rows.tobytes()
+    assert gini.tobytes() == gini_rows.tobytes()
 
 
 def test_rf_learns(tmp_path):
