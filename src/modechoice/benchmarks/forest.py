@@ -1,7 +1,7 @@
 """Random forest: bootstrapped CART trees with Gini-impurity axis splits and
-majority voting. Each tree is stored as flat node arrays in level order, the
-layout of scikit-learn's `_tree` module, and predicts a whole matrix level by
-level in numpy.
+majority voting. Each tree is stored as three flat node arrays in level
+order, with implicit children (the k-th split node's are 2k + 1 and 2k + 2),
+and predicts a whole matrix level by level in numpy.
 
 The trees grow level by level, as the depthwise policy of gradient-boosting
 libraries does (Louppe, arXiv:1407.7502, ch. 3 and 5; Chen & Guestrin, KDD
@@ -40,32 +40,42 @@ from .features import N_CLASSES
 
 
 class Tree(NamedTuple):
-    """One fitted tree as flat node arrays; node 0 is the root.
+    """One fitted tree as flat node arrays in level order; node 0 is the root.
 
-    An internal node sends x to `left` when x[feature] <= threshold and to
-    `right` otherwise. A leaf has feature -1, and `vote` holds the majority
-    class of its training rows, ties falling to the lowest class index.
+    A split node sends x to its left child when x[feature] <= threshold and to
+    its right child otherwise; the k-th split node in node order has the
+    implicit children 2k + 1 and 2k + 2. A leaf has feature -1 and threshold
+    0, and `vote` holds the majority class of its training rows, ties falling
+    to the lowest class index. A split node's vote is 0 and never read.
     """
 
     feature: np.ndarray
     threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
     vote: np.ndarray
 
     @classmethod
-    def from_lists(cls, feature, threshold, left, right, vote) -> "Tree":
-        return cls(
-            feature=np.array(feature, dtype=np.intp),
-            threshold=np.array(threshold, dtype=float),
-            left=np.array(left, dtype=np.intp),
-            right=np.array(right, dtype=np.intp),
-            vote=np.array(vote, dtype=np.intp),
-        )
+    def from_lists(cls, feature, threshold, vote) -> "Tree":
+        """The tree of a to_lists form; a ValueError unless its list lengths fit a full tree."""
+        feature = np.array(feature, dtype=np.intp)
+        split = feature >= 0
+        n = int(split.sum())
+        if (len(feature), len(threshold), len(vote)) != (2 * n + 1, n, n + 1):
+            given = f"{len(feature)} nodes, {len(threshold)} thresholds and {len(vote)} votes"
+            raise ValueError(f"{given} are not a full level-order tree of {n} split nodes")
+        tree = cls(feature, np.zeros(len(feature)), np.zeros(len(feature), dtype=np.intp))
+        tree.threshold[split], tree.vote[~split] = threshold, vote
+        return tree
+
+    def to_lists(self) -> dict:
+        """Feature per node, threshold per split node and vote per leaf, in node order."""
+        split = self.feature >= 0
+        stored = self.feature, self.threshold[split], self.vote[~split]
+        return {name: array.tolist() for name, array in zip(self._fields, stored)}
 
     def leaves(self, X: np.ndarray) -> np.ndarray:
         """Leaf index of every row of X, descending level by level and
         advancing only the rows that have not reached a leaf yet."""
+        first_child = 2 * np.cumsum(self.feature >= 0) - 1
         node = np.zeros(X.shape[0], dtype=np.intp)
         rows = np.arange(X.shape[0])
         while rows.size:
@@ -74,7 +84,7 @@ class Tree(NamedTuple):
             inner = feature >= 0
             rows, at, feature = rows[inner], at[inner], feature[inner]
             go_left = X[rows, feature] <= self.threshold[at]
-            node[rows] = np.where(go_left, self.left[at], self.right[at])
+            node[rows] = first_child[at] + ~go_left
         return node
 
 
@@ -138,10 +148,10 @@ def _scan_features(X, y, rank, rows, weight, first, size, features):
         pair = np.repeat(np.arange(hi - lo), sizes)
         entry = np.repeat(pair_first[lo:hi] - starts, sizes) + np.arange(len(pair))
         r, w = rows[entry], weight[entry]
-        f = np.repeat(pair_feature[lo:hi], sizes)
-        key = pair * len(rank) + rank[r, f]
+        cell = r * X.shape[1] + np.repeat(pair_feature[lo:hi], sizes)  # flat index of X[r, f]
+        key = pair * len(rank) + np.take(rank, cell)
         order = np.argsort(key)  # permutes within pairs only, so `pair` stays valid
-        key, r, f, w = key[order], r[order], f[order], w[order]
+        key, r, cell, w = key[order], r[order], cell[order], w[order]
         cut = np.flatnonzero((key[1:] != key[:-1]) & (pair[1:] == pair[:-1])) + 1
         if cut.size:
             counts = np.zeros((N_CLASSES, len(r) + 1))
@@ -164,7 +174,7 @@ def _scan_features(X, y, rank, rows, weight, first, size, features):
             best = hit[np.diff(at[hit], prepend=-1) > 0]  # the first lowest cut of each pair
             c = cut[best]
             impurity[lo + at[best]] = weighted[best]
-            threshold[lo + at[best]] = 0.5 * (X[r[c - 1], f[c - 1]] + X[r[c], f[c]])
+            threshold[lo + at[best]] = 0.5 * (np.take(X, cell[c - 1]) + np.take(X, cell[c]))
         lo = hi
     return impurity.reshape(n_nodes, width), threshold.reshape(n_nodes, width)
 
@@ -226,7 +236,7 @@ def _grow(X, y, rank, cfg: TrainConfig, lo: int, hi: int) -> list[Tree]:
     del drawn
     tree, node, start = np.arange(n_trees), np.zeros(n_trees, dtype=np.intp), np.r_[0, end[:-1]]
     n_nodes = np.ones(n_trees, dtype=np.intp)
-    voted, splits = [], []  # per level: (tree, node, vote), (tree, node, feature, threshold, left)
+    voted, splits = [], []  # per level: (tree, node, vote), (tree, node, feature, threshold)
     depth = 0
     while tree.size:
         size = end - start
@@ -266,7 +276,7 @@ def _grow(X, y, rank, cfg: TrainConfig, lo: int, hi: int) -> list[Tree]:
         j = np.arange(len(split)) - np.searchsorted(parent_tree, parent_tree)
         left = n_nodes[parent_tree] + 2 * j
         n_nodes += 2 * np.bincount(parent_tree, minlength=n_trees)
-        splits.append((parent_tree, node[split], feature, threshold, left))
+        splits.append((parent_tree, node[split], feature, threshold))
         tree = np.repeat(parent_tree, 2)
         node = np.column_stack([left, left + 1]).ravel()
         edges = np.column_stack([start[split], mid, end[split]])
@@ -279,15 +289,13 @@ def _assemble(n_nodes, voted, splits) -> list[Tree]:
     bounds = np.r_[0, np.cumsum(n_nodes)]
     feature = np.full(bounds[-1], -1, dtype=np.intp)
     threshold = np.zeros(bounds[-1])
-    left = np.full(bounds[-1], -1, dtype=np.intp)
-    right = np.full(bounds[-1], -1, dtype=np.intp)
     vote = np.zeros(bounds[-1], dtype=np.intp)
     for tree, node, votes in voted:
         vote[bounds[tree] + node] = votes
-    for tree, node, features, thresholds, lefts in splits:
+    for tree, node, features, thresholds in splits:
         at = bounds[tree] + node
-        feature[at], threshold[at], left[at], right[at] = features, thresholds, lefts, lefts + 1
+        feature[at], threshold[at], vote[at] = features, thresholds, 0
     return [
-        Tree(*(array[a:b].copy() for array in (feature, threshold, left, right, vote)))
+        Tree(*(array[a:b].copy() for array in (feature, threshold, vote)))
         for a, b in zip(bounds[:-1], bounds[1:])
     ]

@@ -11,7 +11,7 @@ from .forest import ForestModel, Tree
 from .mnl import MnlModel
 from .neural import NeuralModel
 
-FORMAT_VERSION = 4  # 2: flat tree nodes; 3: level-wise forest; 4: NN stops on batch losses
+FORMAT_VERSION = 5  # 2: flat trees; 3: level-wise forest; 4: NN batch losses; 5: no children
 
 _MODEL_CLASSES = {model.kind: model for model in (MnlModel, ForestModel, NeuralModel)}
 
@@ -22,8 +22,8 @@ def _parameter_names(model_class) -> list[str]:
 
 
 def _to_json(name: str, value):
-    if name == "trees":  # each tree as one list per node array
-        return [{k: column.tolist() for k, column in tree._asdict().items()} for tree in value]
+    if name == "trees":
+        return [tree.to_lists() for tree in value]
     return value.tolist()
 
 

@@ -435,9 +435,7 @@ def test_rf_single_tree_shatters_unique_points():
 
 def leaf_tree(counts):
     """A one-node tree: a leaf holding these class counts."""
-    return Tree.from_lists(
-        feature=[-1], threshold=[0.0], left=[-1], right=[-1], vote=[int(np.argmax(counts))]
-    )
+    return Tree.from_lists(feature=[-1], threshold=[], vote=[int(np.argmax(counts))])
 
 
 def test_rf_vote_probabilities():
@@ -476,8 +474,9 @@ def test_rf_seed_deterministic(tmp_path):
 
 
 def assert_same_tree(reference, tree):
-    """Walk a reference dict tree and the node arrays side by side; returns
-    the number of leaves whose counts tie for the majority."""
+    """Walk a reference dict tree and the node arrays side by side, the k-th
+    split node's children at 2k + 1 and 2k + 2; returns the number of leaves
+    whose counts tie for the majority."""
     ties = 0
     stack = [(reference, 0)]
     visited = 0
@@ -488,12 +487,15 @@ def assert_same_tree(reference, tree):
             counts = np.array(node["counts"])
             ties += int((counts == counts.max()).sum() > 1)
             assert tree.feature[i] == -1
+            assert tree.threshold[i] == 0
             assert tree.vote[i] == int(np.argmax(counts))
         else:
             assert tree.feature[i] == node["feature"]
             assert tree.threshold[i] == node["threshold"]
-            stack.append((node["left"], tree.left[i]))
-            stack.append((node["right"], tree.right[i]))
+            assert tree.vote[i] == 0
+            k = np.count_nonzero(tree.feature[:i] >= 0)  # split nodes before this one
+            stack.append((node["left"], 2 * k + 1))
+            stack.append((node["right"], 2 * k + 2))
     assert visited == len(tree.feature)
     return ties
 
@@ -632,7 +634,7 @@ def test_rf_labels_are_pinned_to_the_model_format_version():
     model = forest.fit(X, y, TrainConfig(kind="rf", seed=5, n_trees=10))
     probe = ((i[:60, None] * [29, 2, 23, 3, 19, 5, 17, 7]) % 37) / 37.0
     labels = "".join(str(int(label)) for label in predict_labels(model, probe))
-    assert model_to_dict(model, IDENTITY)["format_version"] == 4
+    assert model_to_dict(model, IDENTITY)["format_version"] == 5
     assert hashlib.sha256(labels.encode()).hexdigest() == (
         "8e7eb05f65318a86a9519a3519e0510112afa471f27ca08a8e9b6e7ae08ea121"
     )
@@ -641,10 +643,11 @@ def test_rf_labels_are_pinned_to_the_model_format_version():
 @pytest.mark.parametrize(
     "kind, fit, digest",
     [
-        ("mnl", mnl.fit, "8b65edcb0a31cd98645bff10d5919c512894813b7c527a35bba5ff678b9c6270"),
-        ("rf", forest.fit, "fe973fabe35cdc809fe5fa1e4336d694234fd303f21101ca4419a49c4fde9aad"),
-        ("nn", neural.fit, "125cb0f3a09b03b0cefa70d0a798fe2cf210789dc4d799504739ce0c91afde37"),
+        ("mnl", mnl.fit, "a1a62e30be3b9c69d806334b68a736903aa6a3bea314d95a3a162cbb5d415b64"),
+        ("rf", forest.fit, "08c58b302f11b63746b58460bb3745f41177425bb71412aa10d179b7bfb1b214"),
+        ("nn", neural.fit, "1e76c989ce4af9f72a0f6495cf91e5bd4320f534c3caeaee379dba1b31d5126c"),
     ],
+    ids=["mnl", "rf", "nn"],  # a new digest must not rename the test
 )
 def test_model_bytes_are_pinned_to_the_model_format_version(tmp_path, kind, fit, digest):
     """Every bit of a stored model, thresholds and weights too, not just the
@@ -652,8 +655,27 @@ def test_model_bytes_are_pinned_to_the_model_format_version(tmp_path, kind, fit,
     models stored before it would still be served; edit both together."""
     X, y = reference_training_set(tmp_path)
     text = model_text(fit(X, y, default_train_config(kind)), IDENTITY)
-    assert json.loads(text)["format_version"] == 4
+    assert json.loads(text)["format_version"] == 5
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_stored_forest_reads_back_array_for_array(tmp_path):
+    """A tree is stored without its children, with thresholds of split nodes
+    and votes of leaves only; reading it back rebuilds every node array, and
+    storing that again gives the same text."""
+    X, y = reference_training_set(tmp_path)
+    model = forest.fit(X, y, default_train_config("rf"))
+    text = model_text(model, IDENTITY)
+    stored = json.loads(text)["parameters"]["trees"][0]
+    n_split = int(np.count_nonzero(model.trees[0].feature >= 0))
+    assert sorted(stored) == ["feature", "threshold", "vote"]
+    assert [len(stored[name]) for name in sorted(stored)] == [2 * n_split + 1, n_split, n_split + 1]
+    clone, _ = model_from_dict(json.loads(text))
+    for fitted, read in zip(model.trees, clone.trees, strict=True):
+        for name in Tree._fields:
+            assert getattr(read, name).dtype == getattr(fitted, name).dtype
+            assert np.array_equal(getattr(read, name), getattr(fitted, name))
+    assert model_text(clone, IDENTITY) == text
 
 
 def test_class_major_sums_match_the_row_major_reduction():

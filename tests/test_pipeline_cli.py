@@ -280,7 +280,7 @@ def test_format_1_model_artifact_is_refit(workspace):
     assert stale.read_text() == stale_text
     refit = [p for p in (cfg.output_dir / "stages").glob("model-rf-*.json") if p != stale]
     assert len(refit) == 1
-    assert json.loads(refit[0].read_text())["format_version"] == 4
+    assert json.loads(refit[0].read_text())["format_version"] == 5
 
 
 def test_load_or_create_reads_in_one_step(tmp_path, monkeypatch):
@@ -522,6 +522,43 @@ def test_cli_rebuild_rejects_a_damaged_model_file(workspace, capsys, cut, messag
     assert errors[0].startswith(f"error in stage 'benchmarks': {model}: {message}")
     assert "Traceback" not in err
     assert report_files(cfg) == first  # no report is written from a damaged model
+
+
+@pytest.mark.parametrize(
+    "cut, given",
+    [
+        (lambda tree: tree["feature"].pop(), lambda n: (2 * n, n, n + 1)),  # the last node, a leaf
+        (lambda tree: tree["threshold"].pop(), lambda n: (2 * n + 1, n - 1, n + 1)),
+        (lambda tree: tree["vote"].pop(0), lambda n: (2 * n + 1, n, n)),
+    ],
+    ids=["nodes", "thresholds", "votes"],
+)
+def test_a_stored_tree_that_is_not_full_is_rejected(workspace, cut, given):
+    """A tree's children are implicit, so a stored tree must hold 2n + 1 nodes
+    for its n split nodes, n thresholds and n + 1 votes; any other is an
+    error naming the file, not a wrong or failing prediction later."""
+    cfg = load_pipeline_config(workspace / "config.yaml")
+    cfg = dataclasses.replace(cfg, benchmark_kinds=("rf",))
+    _, train, _ = pipeline.prepare_split(cfg)
+    pipeline.stage_benchmarks(cfg, train)
+    (model,) = (cfg.output_dir / "stages").glob("model-rf-*.json")
+    doc = json.loads(model.read_text())
+    tree = doc["parameters"]["trees"][-1]
+    n = sum(feature >= 0 for feature in tree["feature"])
+    assert n > 0
+    assert [len(tree[k]) for k in ("feature", "threshold", "vote")] == [2 * n + 1, n, n + 1]
+    cut(tree)
+    damaged = json.dumps(doc)
+    model.write_text(damaged)
+    with pytest.raises(PipelineError) as error:
+        pipeline.stage_benchmarks(cfg, train)
+    assert error.value.stage == "benchmarks" and isinstance(error.value.cause, ValueError)
+    nodes, thresholds, votes = given(n)
+    assert str(error.value.cause) == (
+        f"{model}: {nodes} nodes, {thresholds} thresholds and {votes} votes"
+        f" are not a full level-order tree of {n} split nodes"
+    )
+    assert model.read_text() == damaged  # reported, not refitted over
 
 
 @pytest.mark.parametrize(
