@@ -35,7 +35,7 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .config import TrainConfig
+from .config import N_FEATURES, TrainConfig
 from .features import N_CLASSES
 
 
@@ -55,15 +55,21 @@ class Tree(NamedTuple):
 
     @classmethod
     def from_lists(cls, feature, threshold, vote) -> "Tree":
-        """The tree of a to_lists form; a ValueError unless its list lengths fit a full tree."""
-        feature = np.array(feature, dtype=np.intp)
+        """The tree of a to_lists form; a ValueError unless its list lengths fit
+        a full tree and it holds integral features in [-1, N_FEATURES), finite
+        thresholds and integral votes in [0, N_CLASSES)."""
+        feature = _integers("feature", feature, -1, N_FEATURES)
         split = feature >= 0
         n = int(split.sum())
         if (len(feature), len(threshold), len(vote)) != (2 * n + 1, n, n + 1):
             given = f"{len(feature)} nodes, {len(threshold)} thresholds and {len(vote)} votes"
             raise ValueError(f"{given} are not a full level-order tree of {n} split nodes")
         tree = cls(feature, np.zeros(len(feature)), np.zeros(len(feature), dtype=np.intp))
-        tree.threshold[split], tree.vote[~split] = threshold, vote
+        tree.threshold[split] = threshold
+        tree.vote[~split] = _integers("vote", vote, 0, N_CLASSES)
+        finite = np.isfinite(tree.threshold)
+        if not finite.all():
+            raise ValueError(f"threshold {tree.threshold[np.argmin(finite)]} is not finite")
         return tree
 
     def to_lists(self) -> dict:
@@ -86,6 +92,17 @@ class Tree(NamedTuple):
             go_left = X[rows, feature] <= self.threshold[at]
             node[rows] = first_child[at] + ~go_left
         return node
+
+
+def _integers(name: str, values: list, low: int, high: int) -> np.ndarray:
+    """The values as integers; a ValueError naming the first that is not an
+    integer in [low, high)."""
+    given = np.array(values, dtype=float)
+    bad = ~((given == np.floor(given)) & (low <= given) & (given < high))  # NaN is bad too
+    if bad.any():
+        value = values[int(np.argmax(bad))]
+        raise ValueError(f"{name} {value!r} is not an integer in [{low}, {high})")
+    return given.astype(np.intp)
 
 
 @dataclass

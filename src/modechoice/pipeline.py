@@ -7,7 +7,10 @@ stored too: a manifest records the sha256 of the report files and of the
 split and answer files they were built from, and a run that finds them all
 unchanged returns the stored report without ingesting, splitting, reading a
 single answer or loading a model. A rebuild over stored stages reloads the
-models that `fit-bench` or an earlier run stored, and predicts again.
+models that `fit-bench` or an earlier run stored, and predicts again. A cold
+run forks its baseline workers before the LLM stage, answers the prompts in
+this process while they fit, and takes each model's test labels from the
+process that fitted it.
 """
 
 from __future__ import annotations
@@ -452,14 +455,16 @@ def _send_fits(fit, kinds, writer) -> None:
     writer.send(_fit_in_order(fit, kinds))
 
 
-def _fit_side_by_side(fit, kinds: list[str]) -> dict:
+def _fit_side_by_side(fit, kinds: list[str], meanwhile=lambda: None) -> dict:
     """The outcomes of _fit_in_order for the kinds dealt round-robin into one
-    share per usable CPU. Each share after the first is fitted in a worker
+    share per usable CPU, with `meanwhile()` run in this process once the
+    workers have started. Each share after the first is fitted in a worker
     process of multiprocessing's fork context, which sends its outcomes back
-    through a one-way pipe; this process fits the first. Everything is fitted
-    here when there is one CPU or kind, when os.sched_getaffinity is missing,
-    or when another thread is alive, since forking beside live threads can
-    deadlock. If this process fails, every worker is killed and reaped."""
+    through a one-way pipe; this process runs `meanwhile`, then fits the
+    first share. Everything is fitted here, after `meanwhile`, when there is
+    one CPU or kind, when os.sched_getaffinity is missing, or when another
+    thread is alive, since forking beside live threads can deadlock. If this
+    process fails, `meanwhile` included, every worker is killed and reaped."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     n_shares = min(cpus, len(kinds))
     if n_shares < 2 or threading.active_count() > 1:
@@ -479,6 +484,7 @@ def _fit_side_by_side(fit, kinds: list[str]) -> dict:
                     reader.close()
                     raise
             workers.append((process, reader, share))
+        meanwhile()
         outcomes.update(_fit_in_order(fit, shares[0]))
         for process, reader, share in workers:
             try:
@@ -503,22 +509,36 @@ def _fit_side_by_side(fit, kinds: list[str]) -> dict:
 
 @stage("benchmarks")
 def stage_benchmarks(
-    cfg: PipelineConfig, train: SituationTable, split_key: str | None = None
-) -> dict[str, tuple]:
-    """Fit (or reload) each configured benchmark; returns kind -> (model, scaler).
-    The kinds with no stored model are fitted side by side by _fit_side_by_side,
-    one share of them per usable CPU, each share after the first in a forked
-    worker. This process then stores them in order, as fitting them one by one
-    would: up to the first whose fit failed, whichever process fitted it, and
-    raises that fit's error."""
+    cfg: PipelineConfig,
+    train: SituationTable,
+    split_key: str | None = None,
+    test: SituationTable | None = None,
+    meanwhile=lambda: None,
+) -> dict:
+    """Fit (or reload) each configured benchmark; returns kind -> (model,
+    scaler), or, given `test` rows, kind -> the labels predicted for them.
+    The kinds with no stored model are fitted side by side by
+    _fit_side_by_side, one share of them per usable CPU, each share after the
+    first in a forked worker, with `meanwhile()` run here while the workers
+    fit. A newly fitted model predicts the test rows in the process that
+    fitted it; a stored one, in this process once it is loaded. This process
+    stores the fitted models in order, as fitting them one by one would: up
+    to the first whose fit failed, whichever process fitted it, and raises
+    that fit's error. An error of `meanwhile` is raised as it is, and no
+    model is stored."""
     split_key = split_key or sample_key(cfg)
     paths = {kind: model_path(cfg, kind, split_key) for kind in cfg.benchmark_kinds}
 
+    def predict(model, scaler):
+        return benchmarks.predict_labels(model, benchmarks.encode_matrix(test, scaler))
+
     def fit(kind):
         scaler = benchmarks.fit_scaler(train)
-        return benchmarks.fit_classifier(kind, train, cfg.train_configs[kind], scaler), scaler
+        model = benchmarks.fit_classifier(kind, train, cfg.train_configs[kind], scaler)
+        return model, scaler, None if test is None else predict(model, scaler)
 
-    outcomes = _fit_side_by_side(fit, [kind for kind, path in paths.items() if not path.exists()])
+    to_fit = [kind for kind, path in paths.items() if not path.exists()]
+    outcomes = _fit_side_by_side(fit, to_fit, meanwhile)
 
     def fitted(kind):
         if kind not in outcomes:  # its file was there when the kinds to fit were chosen
@@ -527,14 +547,20 @@ def stage_benchmarks(
             raise outcomes.pop(kind)
         return outcomes.pop(kind)
 
-    return {
+    done = {
         kind: load_or_create(
             path,
             functools.partial(fitted, kind),
-            serialize=lambda pair: model_text(*pair),
-            deserialize=lambda text: benchmarks.model_from_dict(json.loads(text)),
+            serialize=lambda triple: model_text(*triple[:2]),
+            deserialize=lambda text: (*benchmarks.model_from_dict(json.loads(text)), None),
         )
         for kind, path in paths.items()
+    }
+    if test is None:
+        return {kind: (model, scaler) for kind, (model, scaler, _) in done.items()}
+    return {
+        kind: predict(model, scaler) if labels is None else labels
+        for kind, (model, scaler, labels) in done.items()
     }
 
 
@@ -590,7 +616,9 @@ def report_dir(cfg: PipelineConfig, digest: str | None = None) -> Path:
 def run_pipeline(cfg: PipelineConfig, split_key: str | None = None) -> EvaluationReport:
     """Execute every stage and return the evaluation report. A caller that
     has already computed sample_key(cfg) passes it as split_key. The models
-    come from stage_benchmarks, as in `fit-bench`.
+    come from stage_benchmarks, as in `fit-bench`, which runs stage_llm in
+    this process while its workers fit, and returns each kind's labels for
+    the capped test rows.
 
     The report is stored as a stage. Its manifest maps the split and LLM
     files and the three report files to their sha256, and is keyed by
@@ -626,14 +654,11 @@ def run_pipeline(cfg: PipelineConfig, split_key: str | None = None) -> Evaluatio
             return EvaluationReport.from_json_dict(stored)
 
     _, train, test = prepare_split(cfg, split_key)
-    answers = stage_llm(cfg, test, split_key)
-    fitted = stage_benchmarks(cfg, train, split_key)
+    answers = []  # the LLM stage runs here while the workers fit
+    bench_predictions = stage_benchmarks(
+        cfg, train, split_key, test, lambda: answers.extend(stage_llm(cfg, test, split_key))
+    )
     with stage("report"):
-        bench_predictions = {
-            kind: benchmarks.predict_labels(model, benchmarks.encode_matrix(test, scaler))
-            for kind, (model, scaler) in fitted.items()
-        }
-        del fitted
         records = _case_records(test, answers, bench_predictions)
         report = write_report(
             records,

@@ -10,6 +10,7 @@ import re
 import signal
 import threading
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -337,7 +338,9 @@ def test_a_run_builds_no_situation_object(workspace, monkeypatch):
     assert report_files(cfg) == first
 
 
-REPORT_BUILDERS = ("stage_ingest", "stage_llm", "stage_benchmarks", "_case_records", "write_report")
+# in the order a rebuild enters them: the LLM stage runs inside stage_benchmarks,
+# while its workers fit
+REPORT_BUILDERS = ("stage_ingest", "stage_benchmarks", "stage_llm", "_case_records", "write_report")
 
 
 def stage_calls(monkeypatch) -> list[str]:
@@ -562,6 +565,36 @@ def test_a_stored_tree_that_is_not_full_is_rejected(workspace, cut, given):
 
 
 @pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("feature", 9, "feature 9 is not an integer in [-1, 8)"),
+        ("vote", -1, "vote -1 is not an integer in [0, 3)"),
+        ("vote", 1.7, "vote 1.7 is not an integer in [0, 3)"),
+        ("threshold", float("nan"), "threshold nan is not finite"),
+    ],
+    ids=["feature-out-of-range", "negative-vote", "fractional-vote", "nan-threshold"],
+)
+def test_a_stored_tree_with_a_value_out_of_range_is_rejected(workspace, name, value, message):
+    """A stored tree must hold features in [-1, 8), finite thresholds and
+    integral votes in [0, 3); any other is an error naming the file, not a
+    failing prediction, a wrong vote or every row sent right later."""
+    cfg = load_pipeline_config(workspace / "config.yaml")
+    cfg = dataclasses.replace(cfg, benchmark_kinds=("rf",))
+    _, train, _ = pipeline.prepare_split(cfg)
+    pipeline.stage_benchmarks(cfg, train)
+    (model,) = (cfg.output_dir / "stages").glob("model-rf-*.json")
+    doc = json.loads(model.read_text())
+    doc["parameters"]["trees"][-1][name][0] = value  # the root's, or the first leaf's vote
+    damaged = json.dumps(doc)
+    model.write_text(damaged)
+    with pytest.raises(PipelineError) as error:
+        pipeline.stage_benchmarks(cfg, train)
+    assert error.value.stage == "benchmarks" and isinstance(error.value.cause, ValueError)
+    assert str(error.value.cause) == f"{model}: {message}"
+    assert model.read_text() == damaged  # reported, not refitted over
+
+
+@pytest.mark.parametrize(
     "pattern, stage_name, cut, message",
     [
         (
@@ -690,24 +723,41 @@ def test_run_reloads_the_models_fit_bench_stored(workspace, monkeypatch):
     )
 
 
-def fit_on(cfg, monkeypatch, cpus: int, out: Path) -> tuple[dict, int]:
-    """Run stage_benchmarks into `out` as if on `cpus` CPUs; returns the stored
-    model bytes by file name, and how many workers were forked."""
+@contextmanager
+def on_cpus(monkeypatch, cpus: int):
+    """Run the block as if on `cpus` CPUs; yields the list that each fork adds
+    one item to, and checks on leaving that no worker is left."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     forks = []
     fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    cfg = dataclasses.replace(cfg, output_dir=out)
-    _, train, _ = pipeline.prepare_split(cfg)
     try:
-        fitted = pipeline.stage_benchmarks(cfg, train)
+        yield forks
     finally:
         monkeypatch.setattr(os, "fork", fork)
         with pytest.raises(ChildProcessError):  # no worker is left, reaped or not
             os.waitpid(-1, os.WNOHANG)
+
+
+def fit_on(cfg, monkeypatch, cpus: int, out: Path) -> tuple[dict, int]:
+    """Run stage_benchmarks into `out` as if on `cpus` CPUs; returns the stored
+    model bytes by file name, and how many workers were forked."""
+    cfg = dataclasses.replace(cfg, output_dir=out)
+    _, train, _ = pipeline.prepare_split(cfg)
+    with on_cpus(monkeypatch, cpus) as forks:
+        fitted = pipeline.stage_benchmarks(cfg, train)
     assert list(fitted) == list(cfg.benchmark_kinds)
     models = {p.name: p.read_bytes() for p in sorted((out / "stages").glob("model-*.json"))}
     return models, len(forks)
+
+
+def run_on(cfg, monkeypatch, cpus: int, out: Path) -> tuple[dict, int]:
+    """Run the pipeline into `out` as if on `cpus` CPUs; returns the bytes of
+    its model and report files by path, and how many workers were forked."""
+    with on_cpus(monkeypatch, cpus) as forks:
+        run_pipeline(dataclasses.replace(cfg, output_dir=out))
+    files = sorted([*out.glob("stages/model-*.json"), *out.glob("report-*/*")])
+    return {path.relative_to(out).as_posix(): path.read_bytes() for path in files}, len(forks)
 
 
 def test_model_files_do_not_depend_on_the_cpu_count(workspace, monkeypatch):
@@ -721,6 +771,112 @@ def test_model_files_do_not_depend_on_the_cpu_count(workspace, monkeypatch):
     assert forks == 2  # one kind per process, no share left empty
     _, forks = fit_on(cfg, monkeypatch, 2, workspace / "two")
     assert forks == 0  # every model is stored: none is fitted
+
+
+def test_report_files_do_not_depend_on_the_cpu_count(workspace, monkeypatch):
+    """Each worker predicts the test rows with the models it fitted, so the
+    labels in the report come from other processes on other CPU counts."""
+    cfg = load_pipeline_config(workspace / "config.yaml")
+    alone, forks = run_on(cfg, monkeypatch, 1, workspace / "one")
+    assert forks == 0 and len(alone) == 6  # three models, three report files
+    for cpus, workers in ((2, 1), (8, 2)):
+        shared, forks = run_on(cfg, monkeypatch, cpus, workspace / f"cpus-{cpus}")
+        assert forks == workers
+        assert shared == alone
+
+
+@pytest.mark.parametrize("cpus, workers", [(1, 0), (2, 1)])
+def test_the_llm_stage_runs_while_the_workers_fit(workspace, monkeypatch, cpus, workers):
+    """The workers are forked before the LLM stage, and no fit, in a worker or
+    here, starts before the LLM stage has begun."""
+    cfg = load_pipeline_config(workspace / "config.yaml")
+    begun = multiprocessing.get_context("fork").Event()
+    live = []
+    llm, fit = pipeline.stage_llm, pipeline.benchmarks.fit_classifier
+
+    def counting(*args):
+        live.append(len(multiprocessing.active_children()))
+        begun.set()
+        return llm(*args)
+
+    def waiting(*args):
+        assert begun.wait(timeout=30), "a fit started before the LLM stage"
+        return fit(*args)
+
+    monkeypatch.setattr(pipeline, "stage_llm", counting)
+    monkeypatch.setattr(pipeline.benchmarks, "fit_classifier", waiting)
+    with on_cpus(monkeypatch, cpus) as forks:
+        run_pipeline(cfg)
+    assert len(forks) == workers
+    assert live == [workers]
+
+
+def test_each_new_model_predicts_where_it_was_fitted(workspace, monkeypatch):
+    """On 2 CPUs the rf worker predicts the test rows itself, so this process
+    predicts with mnl and nn only; a rebuild predicts with every stored model
+    here."""
+    cfg = load_pipeline_config(workspace / "config.yaml")
+    here = []
+    predict = pipeline.benchmarks.predict_labels
+
+    def recording(model, X):
+        here.append(model.kind)
+        return predict(model, X)
+
+    monkeypatch.setattr(pipeline.benchmarks, "predict_labels", recording)
+    with on_cpus(monkeypatch, 2):
+        run_pipeline(cfg)
+        assert here == ["mnl", "nn"]
+        here.clear()
+        for manifest in (cfg.output_dir / "stages").glob("report-*.json"):
+            manifest.unlink()
+        run_pipeline(cfg)
+        assert here == ["mnl", "rf", "nn"]
+
+
+def test_an_llm_stage_failing_beside_a_worker_kills_it_and_stores_no_model(
+    workspace, monkeypatch
+):
+    cfg = load_pipeline_config(workspace / "config.yaml")
+    run_pipeline(cfg)
+    stages = cfg.output_dir / "stages"
+    for pattern in ("model-*.json", "llm-*.jsonl", "report-*.json"):
+        for path in stages.glob(pattern):
+            path.unlink()
+    (segment,) = (cfg.output_dir / "cache").glob("*.jsonl.gz")
+    segment.write_bytes(b"not gzip\n")
+    fit = pipeline.benchmarks.fit_classifier
+    here = os.getpid()
+
+    def stuck(*args):
+        if os.getpid() != here:
+            time.sleep(60)  # still fitting when the LLM stage fails
+        return fit(*args)
+
+    monkeypatch.setattr(pipeline.benchmarks, "fit_classifier", stuck)
+    started = time.monotonic()
+    with pytest.raises(PipelineError) as failed, on_cpus(monkeypatch, 2) as forks:
+        run_pipeline(cfg)
+    assert time.monotonic() - started < 30  # the worker was killed, not waited for
+    assert len(forks) == 1
+    assert failed.value.stage == "llm"
+    assert str(failed.value.cause).startswith(f"{segment}: ")
+    assert list(stages.glob("model-*.json")) == []
+
+
+def test_a_fit_failing_in_a_worker_after_the_llm_stage_keeps_the_answers(
+    workspace, monkeypatch
+):
+    cfg = load_pipeline_config(workspace / "config.yaml")
+    failing_fits(monkeypatch, {"rf": NonFiniteLoss("rf failed")})
+    for cpus in (1, 2):
+        out = workspace / f"cpus-{cpus}"
+        with pytest.raises(PipelineError) as failed, on_cpus(monkeypatch, cpus):
+            run_pipeline(dataclasses.replace(cfg, output_dir=out))
+        assert str(failed.value) == "stage 'benchmarks' failed: rf failed"
+        assert len(list(out.glob("stages/llm-*.jsonl"))) == 1
+        stored = [path.name.split("-")[1] for path in out.glob("stages/model-*.json")]
+        assert stored == ["mnl"]  # in configured order, up to the failed kind
 
 
 def failing_fits(monkeypatch, errors: dict):
