@@ -1,7 +1,11 @@
 """Random forest: bootstrapped CART trees with Gini-impurity axis splits and
-majority voting. Each tree is stored as three flat node arrays in level
+majority voting. Each tree is held as three flat node arrays in level
 order, with implicit children (the k-th split node's are 2k + 1 and 2k + 2),
-and predicts a whole matrix level by level in numpy.
+and predicts a whole matrix level by level in numpy. On disk a forest is one
+table of its distinct split thresholds and, per tree, a string of one
+character per node and a list of indices into that table: every threshold is
+the midpoint of two neighbouring training values of its feature, so the trees
+share most of them (Louppe, arXiv:1407.7502, ch. 3).
 
 The trees grow level by level, as the depthwise policy of gradient-boosting
 libraries does (Louppe, arXiv:1407.7502, ch. 3 and 5; Chen & Guestrin, KDD
@@ -35,6 +39,7 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
+from ..dataset import MODE_ORDER
 from .config import N_FEATURES, TrainConfig
 from .features import N_CLASSES
 
@@ -46,37 +51,13 @@ class Tree(NamedTuple):
     its right child otherwise; the k-th split node in node order has the
     implicit children 2k + 1 and 2k + 2. A leaf has feature -1 and threshold
     0, and `vote` holds the majority class of its training rows, ties falling
-    to the lowest class index. A split node's vote is 0 and never read.
+    to the lowest class index. A split node's vote is 0 and never read. On
+    disk a tree is one node string and one list of cuts (trees_to_json).
     """
 
     feature: np.ndarray
     threshold: np.ndarray
     vote: np.ndarray
-
-    @classmethod
-    def from_lists(cls, feature, threshold, vote) -> "Tree":
-        """The tree of a to_lists form; a ValueError unless its list lengths fit
-        a full tree and it holds integral features in [-1, N_FEATURES), finite
-        thresholds and integral votes in [0, N_CLASSES)."""
-        feature = _integers("feature", feature, -1, N_FEATURES)
-        split = feature >= 0
-        n = int(split.sum())
-        if (len(feature), len(threshold), len(vote)) != (2 * n + 1, n, n + 1):
-            given = f"{len(feature)} nodes, {len(threshold)} thresholds and {len(vote)} votes"
-            raise ValueError(f"{given} are not a full level-order tree of {n} split nodes")
-        tree = cls(feature, np.zeros(len(feature)), np.zeros(len(feature), dtype=np.intp))
-        tree.threshold[split] = threshold
-        tree.vote[~split] = _integers("vote", vote, 0, N_CLASSES)
-        finite = np.isfinite(tree.threshold)
-        if not finite.all():
-            raise ValueError(f"threshold {tree.threshold[np.argmin(finite)]} is not finite")
-        return tree
-
-    def to_lists(self) -> dict:
-        """Feature per node, threshold per split node and vote per leaf, in node order."""
-        split = self.feature >= 0
-        stored = self.feature, self.threshold[split], self.vote[~split]
-        return {name: array.tolist() for name, array in zip(self._fields, stored)}
 
     def leaves(self, X: np.ndarray) -> np.ndarray:
         """Leaf index of every row of X, descending level by level and
@@ -92,6 +73,70 @@ class Tree(NamedTuple):
             go_left = X[rows, feature] <= self.threshold[at]
             node[rows] = first_child[at] + ~go_left
         return node
+
+
+# A stored node is one character: a split node's feature as a digit, a leaf's
+# vote as its mode's initial (T, C or S). Code c < N_FEATURES is feature c,
+# and code N_FEATURES + v is a leaf voting v.
+_NODE_CHARS = "".join(map(str, range(N_FEATURES))) + "".join(m.display[0] for m in MODE_ORDER)
+_CODE_BYTES = np.frombuffer(_NODE_CHARS.encode("ascii"), np.uint8)
+_BYTE_CODES = np.full(256, -1, dtype=np.intp)
+_BYTE_CODES[_CODE_BYTES] = np.arange(len(_NODE_CHARS))
+
+
+def trees_to_json(trees: list[Tree]) -> dict:
+    """The trees as stored: `thresholds`, every distinct split threshold of the
+    forest in ascending order, and per tree a `nodes` string of one
+    _NODE_CHARS character per node and a `cuts` list holding each split node's
+    index into `thresholds`, both in node order."""
+    feature, threshold, vote = (np.concatenate(arrays) for arrays in zip(*trees))
+    split = feature >= 0
+    # np.unique holds -0.0 and 0.0 as one value; the two split every row alike
+    table, cuts = np.unique(threshold[split], return_inverse=True)
+    cuts = cuts.tolist()
+    text = _CODE_BYTES[np.where(split, feature, N_FEATURES + vote)].tobytes().decode("ascii")
+    bounds = np.r_[0, np.cumsum([len(tree.feature) for tree in trees])]
+    node_at, cut_at = bounds.tolist(), np.r_[0, np.cumsum(split)][bounds].tolist()
+    return {
+        "thresholds": table.tolist(),
+        "nodes": [text[a:b] for a, b in zip(node_at[:-1], node_at[1:])],
+        "cuts": [cuts[a:b] for a, b in zip(cut_at[:-1], cut_at[1:])],
+    }
+
+
+def trees_from_json(stored: dict) -> list[Tree]:
+    """The trees of a trees_to_json form; a ValueError unless every threshold
+    is finite, every node is a _NODE_CHARS character, and each of at least one
+    tree holds 2n + 1 nodes and n cuts for its n split nodes, each cut an
+    integer index into `thresholds`."""
+    table = np.array(stored["thresholds"], dtype=float)
+    nodes, cuts = stored["nodes"], stored["cuts"]
+    if len(nodes) != len(cuts) or not nodes:
+        raise ValueError(f"{len(nodes)} node strings and {len(cuts)} cut lists")
+    finite = np.isfinite(table)
+    if not finite.all():
+        raise ValueError(f"threshold {table[np.argmin(finite)]} is not finite")
+    text = "".join(nodes)
+    # latin-1 with "replace" keeps one byte per character, so code[i] is text[i]'s
+    code = _BYTE_CODES[np.frombuffer(text.encode("latin-1", "replace"), np.uint8)]
+    if (code < 0).any():
+        raise ValueError(f"node {text[np.argmax(code < 0)]!r} is not one of {_NODE_CHARS!r}")
+    split = code < N_FEATURES
+    bounds = np.r_[0, np.cumsum([len(tree) for tree in nodes])]
+    n_nodes = np.diff(bounds)
+    n_split = np.diff(np.r_[0, np.cumsum(split)][bounds])
+    n_cuts = np.array([len(tree) for tree in cuts], dtype=np.intp)
+    bad = (n_nodes != 2 * n_split + 1) | (n_cuts != n_split)
+    if bad.any():
+        t = int(np.argmax(bad))
+        raise ValueError(
+            f"tree {t}: {n_nodes[t]} nodes and {n_cuts[t]} cuts"
+            f" are not a full level-order tree of {n_split[t]} split nodes"
+        )
+    threshold = np.zeros(len(code))
+    threshold[split] = table[_integers("cut", [c for tree in cuts for c in tree], 0, len(table))]
+    arrays = np.where(split, code, -1), threshold, np.where(split, 0, code - N_FEATURES)
+    return [Tree(*tree) for tree in zip(*(np.split(a, bounds[1:-1]) for a in arrays))]
 
 
 def _integers(name: str, values: list, low: int, high: int) -> np.ndarray:

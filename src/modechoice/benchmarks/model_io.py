@@ -7,11 +7,13 @@ import dataclasses
 import numpy as np
 
 from .features import FeatureScaler
-from .forest import ForestModel, Tree
+from .forest import ForestModel, trees_from_json, trees_to_json
 from .mnl import MnlModel
 from .neural import NeuralModel
 
-FORMAT_VERSION = 5  # 2: flat trees; 3: level-wise forest; 4: NN batch losses; 5: no children
+# 2: flat trees; 3: level-wise forest; 4: NN batch losses; 5: no children;
+# 6: one node string per tree, with cuts into a shared threshold table
+FORMAT_VERSION = 6
 
 _MODEL_CLASSES = {model.kind: model for model in (MnlModel, ForestModel, NeuralModel)}
 
@@ -23,13 +25,13 @@ def _parameter_names(model_class) -> list[str]:
 
 def _to_json(name: str, value):
     if name == "trees":
-        return [tree.to_lists() for tree in value]
+        return trees_to_json(value)
     return value.tolist()
 
 
 def _from_json(name: str, value):
     if name == "trees":
-        return [Tree.from_lists(**tree) for tree in value]
+        return trees_from_json(value)
     return np.array(value, dtype=float)
 
 

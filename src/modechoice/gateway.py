@@ -164,8 +164,15 @@ class CompletionCache:
         self._lock = threading.Lock()  # pool threads put concurrently
         for path in sorted(self.directory.glob(f"*{self.SUFFIX}")):
             try:
-                for line in gzip.decompress(path.read_bytes()).splitlines():
-                    match json.loads(line):
+                lines = gzip.decompress(path.read_bytes()).splitlines()
+                # one parse per segment; the count rejects a line of two values, and
+                # the "]" ending each line a value split across lines, as one
+                # parse per line did
+                entries = json.loads(b"[" + b",".join(lines) + b"]")
+                if len(entries) != len(lines) or not all(line.endswith(b"]") for line in lines):
+                    raise ValueError(f"{len(lines)} lines do not hold one JSON value each")
+                for line, entry in zip(lines, entries):
+                    match entry:
                         case [str() as key, str() as text]:
                             self._entries.setdefault(key, text)
                         case _:

@@ -173,8 +173,12 @@ _CHARACTERISTICS = "{{Travel time: {{%s}}, Travel cost: {{%s}}}}" % tuple(
 def render_travel_characteristics(table: SituationTable) -> list[str]:
     """Each row's dictionary-form characteristics, with fixed key order and
     integer values."""
-    rows = np.hstack([table.times, table.costs]).tolist()
-    return [_CHARACTERISTICS.format(*map(int, row)) for row in rows]
+    values = np.hstack([table.times, table.costs])
+    wide = np.any(np.abs(values) >= 2**63, axis=1)  # rows that int64 cannot hold
+    rows = np.where(wide[:, None], 0, values).astype(np.int64).tolist()
+    for i in np.flatnonzero(wide).tolist():
+        rows[i] = [*map(int, values[i].tolist())]
+    return [_CHARACTERISTICS.format(*row) for row in rows]
 
 
 def render_individual_attributes(table: SituationTable) -> list[str]:

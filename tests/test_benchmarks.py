@@ -435,7 +435,7 @@ def test_rf_single_tree_shatters_unique_points():
 
 def leaf_tree(counts):
     """A one-node tree: a leaf holding these class counts."""
-    return Tree.from_lists(feature=[-1], threshold=[], vote=[int(np.argmax(counts))])
+    return Tree(np.array([-1]), np.zeros(1), np.array([np.argmax(counts)]))
 
 
 def test_rf_vote_probabilities():
@@ -634,7 +634,7 @@ def test_rf_labels_are_pinned_to_the_model_format_version():
     model = forest.fit(X, y, TrainConfig(kind="rf", seed=5, n_trees=10))
     probe = ((i[:60, None] * [29, 2, 23, 3, 19, 5, 17, 7]) % 37) / 37.0
     labels = "".join(str(int(label)) for label in predict_labels(model, probe))
-    assert model_to_dict(model, IDENTITY)["format_version"] == 5
+    assert model_to_dict(model, IDENTITY)["format_version"] == 6
     assert hashlib.sha256(labels.encode()).hexdigest() == (
         "8e7eb05f65318a86a9519a3519e0510112afa471f27ca08a8e9b6e7ae08ea121"
     )
@@ -643,9 +643,9 @@ def test_rf_labels_are_pinned_to_the_model_format_version():
 @pytest.mark.parametrize(
     "kind, fit, digest",
     [
-        ("mnl", mnl.fit, "a1a62e30be3b9c69d806334b68a736903aa6a3bea314d95a3a162cbb5d415b64"),
-        ("rf", forest.fit, "08c58b302f11b63746b58460bb3745f41177425bb71412aa10d179b7bfb1b214"),
-        ("nn", neural.fit, "1e76c989ce4af9f72a0f6495cf91e5bd4320f534c3caeaee379dba1b31d5126c"),
+        ("mnl", mnl.fit, "f9a403e4bc1d45ccebd188ad5280ba2ee78a97630d8d4fedd75d2b282f64df9b"),
+        ("rf", forest.fit, "50c495e482c61764cd1b065fbcbe9c515e7c3bd7d9dd283c193cd3dfac57c336"),
+        ("nn", neural.fit, "8fd5d5d0985719cd9879db9fdf2cc5408cc00d0df4766dbd38dafd0a1a322605"),
     ],
     ids=["mnl", "rf", "nn"],  # a new digest must not rename the test
 )
@@ -655,21 +655,32 @@ def test_model_bytes_are_pinned_to_the_model_format_version(tmp_path, kind, fit,
     models stored before it would still be served; edit both together."""
     X, y = reference_training_set(tmp_path)
     text = model_text(fit(X, y, default_train_config(kind)), IDENTITY)
-    assert json.loads(text)["format_version"] == 5
+    assert json.loads(text)["format_version"] == 6
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_stored_forest_reads_back_array_for_array(tmp_path):
-    """A tree is stored without its children, with thresholds of split nodes
-    and votes of leaves only; reading it back rebuilds every node array, and
+    """A forest is stored as one ascending table of its distinct split
+    thresholds and, per tree, one character per node and one cut into the
+    table per split node; reading it back rebuilds every node array, and
     storing that again gives the same text."""
     X, y = reference_training_set(tmp_path)
     model = forest.fit(X, y, default_train_config("rf"))
     text = model_text(model, IDENTITY)
-    stored = json.loads(text)["parameters"]["trees"][0]
-    n_split = int(np.count_nonzero(model.trees[0].feature >= 0))
-    assert sorted(stored) == ["feature", "threshold", "vote"]
-    assert [len(stored[name]) for name in sorted(stored)] == [2 * n_split + 1, n_split, n_split + 1]
+    stored = json.loads(text)["parameters"]["trees"]
+    assert sorted(stored) == ["cuts", "nodes", "thresholds"]
+    table = stored["thresholds"]
+    assert all(a < b for a, b in zip(table, table[1:]))  # strictly ascending
+    split_thresholds = np.concatenate([tree.threshold[tree.feature >= 0] for tree in model.trees])
+    assert table == np.unique(split_thresholds).tolist()  # each split threshold once
+    assert len(stored["nodes"]) == len(stored["cuts"]) == len(model.trees)
+    for tree, nodes, cuts in zip(model.trees, stored["nodes"], stored["cuts"]):
+        split = tree.feature >= 0
+        assert len(nodes) == len(tree.feature) == 2 * len(cuts) + 1
+        assert nodes == "".join(
+            str(f) if f >= 0 else "TCS"[v] for f, v in zip(tree.feature, tree.vote)
+        )
+        assert [table[cut] for cut in cuts] == tree.threshold[split].tolist()
     clone, _ = model_from_dict(json.loads(text))
     for fitted, read in zip(model.trees, clone.trees, strict=True):
         for name in Tree._fields:

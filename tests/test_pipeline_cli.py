@@ -281,7 +281,7 @@ def test_format_1_model_artifact_is_refit(workspace):
     assert stale.read_text() == stale_text
     refit = [p for p in (cfg.output_dir / "stages").glob("model-rf-*.json") if p != stale]
     assert len(refit) == 1
-    assert json.loads(refit[0].read_text())["format_version"] == 5
+    assert json.loads(refit[0].read_text())["format_version"] == 6
 
 
 def test_load_or_create_reads_in_one_step(tmp_path, monkeypatch):
@@ -527,70 +527,115 @@ def test_cli_rebuild_rejects_a_damaged_model_file(workspace, capsys, cut, messag
     assert report_files(cfg) == first  # no report is written from a damaged model
 
 
+def stored_forest(cfg, train):
+    """Fit and store the rf model alone; returns its file and parsed text."""
+    pipeline.stage_benchmarks(cfg, train)
+    (model,) = (cfg.output_dir / "stages").glob("model-rf-*.json")
+    return model, json.loads(model.read_text())
+
+
+def last_nodes(edit):
+    """A damage that edits the last tree's node string."""
+    return lambda trees: trees["nodes"].append(edit(trees["nodes"].pop()))
+
+
+def first_leaf(text: str, to: str) -> str:
+    """The node string with its first leaf replaced by `to`."""
+    return re.sub("[TCS]", to, text, count=1)
+
+
+def not_full(tree, nodes, cuts, n):
+    """The error for a stored tree whose counts do not fit its n split nodes."""
+    counts = f"tree {tree}: {nodes} nodes and {cuts} cuts"
+    return f"{counts} are not a full level-order tree of {n} split nodes"
+
+
 @pytest.mark.parametrize(
-    "cut, given",
+    "damage, message",
     [
-        (lambda tree: tree["feature"].pop(), lambda n: (2 * n, n, n + 1)),  # the last node, a leaf
-        (lambda tree: tree["threshold"].pop(), lambda n: (2 * n + 1, n - 1, n + 1)),
-        (lambda tree: tree["vote"].pop(0), lambda n: (2 * n + 1, n, n)),
+        # the last node, a leaf
+        (last_nodes(lambda nodes: nodes[:-1]), lambda n, t: not_full(t, 2 * n, n, n)),
+        (lambda trees: trees["cuts"][-1].pop(), lambda n, t: not_full(t, 2 * n + 1, n - 1, n)),
+        (last_nodes(lambda nodes: first_leaf(nodes, "")), lambda n, t: not_full(t, 2 * n, n, n)),
+        (
+            lambda trees: trees["nodes"].pop(),
+            lambda n, t: f"{t} node strings and {t + 1} cut lists",
+        ),
+        (
+            lambda trees: (trees["nodes"].clear(), trees["cuts"].clear()),
+            lambda n, t: "0 node strings and 0 cut lists",
+        ),
     ],
-    ids=["nodes", "thresholds", "votes"],
+    ids=["nodes", "thresholds", "votes", "trees", "no-trees"],
 )
-def test_a_stored_tree_that_is_not_full_is_rejected(workspace, cut, given):
+def test_a_stored_tree_that_is_not_full_is_rejected(workspace, damage, message):
     """A tree's children are implicit, so a stored tree must hold 2n + 1 nodes
-    for its n split nodes, n thresholds and n + 1 votes; any other is an
-    error naming the file, not a wrong or failing prediction later."""
+    and n cuts for its n split nodes, and the forest at least one tree and one
+    node string per cut list; any other is an error naming the file, not a wrong or failing
+    prediction later."""
     cfg = load_pipeline_config(workspace / "config.yaml")
     cfg = dataclasses.replace(cfg, benchmark_kinds=("rf",))
     _, train, _ = pipeline.prepare_split(cfg)
-    pipeline.stage_benchmarks(cfg, train)
-    (model,) = (cfg.output_dir / "stages").glob("model-rf-*.json")
-    doc = json.loads(model.read_text())
-    tree = doc["parameters"]["trees"][-1]
-    n = sum(feature >= 0 for feature in tree["feature"])
-    assert n > 0
-    assert [len(tree[k]) for k in ("feature", "threshold", "vote")] == [2 * n + 1, n, n + 1]
-    cut(tree)
+    model, doc = stored_forest(cfg, train)
+    trees = doc["parameters"]["trees"]
+    last = len(trees["nodes"]) - 1
+    n = len(trees["cuts"][last])
+    assert n > 0 and len(trees["nodes"][last]) == 2 * n + 1
+    damage(trees)
     damaged = json.dumps(doc)
     model.write_text(damaged)
     with pytest.raises(PipelineError) as error:
         pipeline.stage_benchmarks(cfg, train)
     assert error.value.stage == "benchmarks" and isinstance(error.value.cause, ValueError)
-    nodes, thresholds, votes = given(n)
-    assert str(error.value.cause) == (
-        f"{model}: {nodes} nodes, {thresholds} thresholds and {votes} votes"
-        f" are not a full level-order tree of {n} split nodes"
-    )
+    assert str(error.value.cause) == f"{model}: {message(n, last)}"
     assert model.read_text() == damaged  # reported, not refitted over
 
 
+def set_first_cut(value):
+    """A damage that sets the last tree's first cut, given the table length."""
+    return lambda trees: trees["cuts"][-1].__setitem__(0, value(len(trees["thresholds"])))
+
+
 @pytest.mark.parametrize(
-    "name, value, message",
+    "damage, message",
     [
-        ("feature", 9, "feature 9 is not an integer in [-1, 8)"),
-        ("vote", -1, "vote -1 is not an integer in [0, 3)"),
-        ("vote", 1.7, "vote 1.7 is not an integer in [0, 3)"),
-        ("threshold", float("nan"), "threshold nan is not finite"),
+        (
+            last_nodes(lambda nodes: "9" + nodes[1:]),
+            lambda m: "node '9' is not one of '01234567TCS'",
+        ),
+        (
+            last_nodes(lambda nodes: first_leaf(nodes, "X")),
+            lambda m: "node 'X' is not one of '01234567TCS'",
+        ),
+        (set_first_cut(lambda m: 1.5), lambda m: f"cut 1.5 is not an integer in [0, {m})"),
+        (set_first_cut(lambda m: m), lambda m: f"cut {m} is not an integer in [0, {m})"),
+        (
+            lambda trees: trees["thresholds"].__setitem__(0, float("nan")),
+            lambda m: "threshold nan is not finite",
+        ),
     ],
-    ids=["feature-out-of-range", "negative-vote", "fractional-vote", "nan-threshold"],
+    ids=[
+        "feature-out-of-range", "unknown-vote", "fractional-cut", "cut-out-of-range",
+        "nan-threshold",
+    ],
 )
-def test_a_stored_tree_with_a_value_out_of_range_is_rejected(workspace, name, value, message):
-    """A stored tree must hold features in [-1, 8), finite thresholds and
-    integral votes in [0, 3); any other is an error naming the file, not a
-    failing prediction, a wrong vote or every row sent right later."""
+def test_a_stored_tree_with_a_value_out_of_range_is_rejected(workspace, damage, message):
+    """A stored node must be a feature digit 0-7 or a vote T, C or S, a cut
+    an integer index into the threshold table and every threshold finite;
+    any other is an error naming the file, not a failing prediction, a wrong
+    vote or every row sent right later."""
     cfg = load_pipeline_config(workspace / "config.yaml")
     cfg = dataclasses.replace(cfg, benchmark_kinds=("rf",))
     _, train, _ = pipeline.prepare_split(cfg)
-    pipeline.stage_benchmarks(cfg, train)
-    (model,) = (cfg.output_dir / "stages").glob("model-rf-*.json")
-    doc = json.loads(model.read_text())
-    doc["parameters"]["trees"][-1][name][0] = value  # the root's, or the first leaf's vote
+    model, doc = stored_forest(cfg, train)
+    trees = doc["parameters"]["trees"]
+    damage(trees)
     damaged = json.dumps(doc)
     model.write_text(damaged)
     with pytest.raises(PipelineError) as error:
         pipeline.stage_benchmarks(cfg, train)
     assert error.value.stage == "benchmarks" and isinstance(error.value.cause, ValueError)
-    assert str(error.value.cause) == f"{model}: {message}"
+    assert str(error.value.cause) == f"{model}: {message(len(trees['thresholds']))}"
     assert model.read_text() == damaged  # reported, not refitted over
 
 
@@ -685,8 +730,13 @@ def test_cli_run_rejects_a_damaged_split_or_llm_file(
         lambda data: data[:10] + b"\xff" * (len(data) - 10),
         lambda data: gzip.compress(b"not json\n"),
         lambda data: gzip.compress(b'["k", 5]\n'),
+        lambda data: gzip.compress(b'["k", "v"], ["k2", "v2"]\n'),
+        lambda data: gzip.compress(b'["k", "v"], ["k2"\n"v2"]\n'),  # joins as two pairs
     ],
-    ids=["truncated", "not-gzip", "corrupt-deflate", "not-json", "not-a-string-pair"],
+    ids=[
+        "truncated", "not-gzip", "corrupt-deflate", "not-json", "not-a-string-pair", "two-values",
+        "value-across-lines",
+    ],
 )
 def test_cli_run_names_a_damaged_cache_segment(workspace, capsys, damage):
     config = str(workspace / "config.yaml")
