@@ -4,9 +4,12 @@ loads the stored result instead of recomputing."""
 
 from __future__ import annotations
 
+import gzip
 import hashlib
+import json
 import logging
 import os
+import zlib
 from pathlib import Path
 
 logger = logging.getLogger(__name__)
@@ -39,21 +42,49 @@ def write_atomic(path: Path, data: bytes) -> bool:
     return True
 
 
-def load_or_create(path: Path, compute, serialize, deserialize, store=lambda value: True):
-    """Return the artifact at `path`, deserializing when it exists and
-    computing it otherwise; a computed value is stored only if `store`
-    accepts it. A stored artifact that does not deserialize is a ValueError
-    naming its file: damaged bytes, or a missing or mistyped field."""
+def dump_json_lines(values, **options) -> bytes:
+    """The values as gzip'd JSON lines, one value a line, each dumped with
+    json.dumps(value, **options); with mtime=0 the bytes depend on the values
+    alone."""
+    text = "".join(json.dumps(value, **options) + "\n" for value in values)
+    return gzip.compress(text.encode("utf-8"), mtime=0)
+
+
+def load_json_lines(data: bytes) -> list:
+    """The values of gzip'd JSON lines, with one decompress and one parse.
+    Bytes that are not gzip, or are truncated or corrupt, and a line that is
+    not one JSON array or object, are a ValueError."""
     try:
-        text = path.read_text(encoding="utf-8")
+        lines = gzip.decompress(data).splitlines()
+    except (OSError, EOFError, zlib.error) as exc:
+        raise ValueError(exc) from exc
+    # the joined parse alone would accept a line of two values, which the count
+    # rejects, and a value split across lines, which the brackets around each
+    # line reject
+    values = json.loads(b"[" + b",".join(lines) + b"]")
+    closed = all(line[:1] + line[-1:] in (b"[]", b"{}") for line in lines)
+    if len(values) != len(lines) or not closed:
+        raise ValueError(f"{len(lines)} lines do not hold one JSON value each")
+    return values
+
+
+def load_or_create(path: Path, compute, serialize, deserialize, store=lambda value: True):
+    """Return the artifact at `path`, deserializing its bytes when it exists
+    and computing it otherwise; a computed value is stored only if `store`
+    accepts it, as the bytes `serialize` returns, or its text in UTF-8. A
+    stored artifact that does not deserialize is a ValueError naming its
+    file: damaged bytes, or a missing or mistyped field."""
+    try:
+        data = path.read_bytes()
     except FileNotFoundError:
         value = compute()
         if store(value):
-            write_atomic(path, serialize(value).encode("utf-8"))
+            stored = serialize(value)
+            write_atomic(path, stored if isinstance(stored, bytes) else stored.encode("utf-8"))
         return value
     logger.info("reusing stage artifact %s", path)
     try:
-        return deserialize(text)
+        return deserialize(data)
     except (KeyError, TypeError, ValueError) as exc:
         detail = f"no field {exc}" if isinstance(exc, KeyError) else exc
         raise ValueError(f"{path}: {detail}") from exc

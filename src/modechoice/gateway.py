@@ -10,7 +10,6 @@ and, at temperature 0, lossless.
 
 from __future__ import annotations
 
-import gzip
 import json
 import logging
 import os
@@ -18,7 +17,6 @@ import random
 import re
 import threading
 import time
-import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from http.client import HTTPException
@@ -26,7 +24,7 @@ from pathlib import Path
 from urllib.error import HTTPError
 from urllib.request import Request, urlopen
 
-from .artifacts import digest_of, write_atomic
+from .artifacts import digest_of, dump_json_lines, load_json_lines, write_atomic
 from .dataset import MODE_ORDER, ModeLabel
 from .prompting import Prompt
 
@@ -164,20 +162,13 @@ class CompletionCache:
         self._lock = threading.Lock()  # pool threads put concurrently
         for path in sorted(self.directory.glob(f"*{self.SUFFIX}")):
             try:
-                lines = gzip.decompress(path.read_bytes()).splitlines()
-                # one parse per segment; the count rejects a line of two values, and
-                # the "]" ending each line a value split across lines, as one
-                # parse per line did
-                entries = json.loads(b"[" + b",".join(lines) + b"]")
-                if len(entries) != len(lines) or not all(line.endswith(b"]") for line in lines):
-                    raise ValueError(f"{len(lines)} lines do not hold one JSON value each")
-                for line, entry in zip(lines, entries):
+                for entry in load_json_lines(path.read_bytes()):
                     match entry:
                         case [str() as key, str() as text]:
                             self._entries.setdefault(key, text)
                         case _:
-                            raise ValueError(f"not a [key, text] pair of strings: {line[:80]!r}")
-            except (OSError, EOFError, zlib.error, ValueError) as exc:
+                            raise ValueError(f"not a [key, text] pair of strings: {entry!r:.80}")
+            except (OSError, ValueError) as exc:
                 raise ValueError(f"{path}: {exc}") from exc
 
     def get(self, key: str) -> str | None:
@@ -195,8 +186,7 @@ class CompletionCache:
             pending, self._pending = self._pending, {}
         if not pending:
             return None
-        lines = "".join(json.dumps([key, pending[key]]) + "\n" for key in sorted(pending))
-        data = gzip.compress(lines.encode("utf-8"), mtime=0)
+        data = dump_json_lines([key, pending[key]] for key in sorted(pending))
         path = self.directory / f"{digest_of(data)}{self.SUFFIX}"
         write_atomic(path, data)
         return path

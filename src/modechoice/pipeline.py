@@ -35,7 +35,9 @@ from pathlib import Path
 import yaml
 
 from . import benchmarks
-from .artifacts import digest_of, load_or_create, stage_path, write_atomic
+from .artifacts import (
+    digest_of, dump_json_lines, load_json_lines, load_or_create, stage_path, write_atomic
+)
 from .benchmarks.config import FIELDS_READ
 from .benchmarks.model_io import FORMAT_VERSION as MODEL_FORMAT_VERSION
 from .dataset import (
@@ -62,8 +64,7 @@ from .prompting import (
     PromptTemplateConfig,
     build_prompt,  # not called here: perfbench's tracer wraps pipeline.build_prompt by name
     build_prompts,
-    render_individual_attributes,
-    render_travel_characteristics,
+    render_rows,
 )
 
 logger = logging.getLogger(__name__)
@@ -323,8 +324,8 @@ def stage_sample(
 ) -> tuple[SituationTable, SituationTable]:
     position = {sid: i for i, sid in enumerate(situations.ids)}
 
-    def deserialize(text):
-        train, test = itemgetter("train", "test")(json.loads(text))
+    def deserialize(data):
+        train, test = itemgetter("train", "test")(json.loads(data))
         unknown = {*train, *test} - position.keys()
         if unknown:
             raise ValueError(f"ids not in the survey: {sorted(unknown)[:5]}")
@@ -355,7 +356,7 @@ def llm_key(cfg: PipelineConfig, split_key: str) -> str:
 
 
 def llm_path(cfg: PipelineConfig, split_key: str) -> Path:
-    return stage_path(cfg.output_dir, "llm", llm_key(cfg, split_key))
+    return stage_path(cfg.output_dir, "llm", llm_key(cfg, split_key), ".jsonl.gz")
 
 
 def _answer(result) -> LlmAnswer:
@@ -376,18 +377,22 @@ def _answer(result) -> LlmAnswer:
 
 
 @stage("llm")
-def stage_llm(cfg: PipelineConfig, test: SituationTable, split_key: str) -> list[LlmAnswer]:
+def stage_llm(
+    cfg: PipelineConfig, test: SituationTable, split_key: str, rendered=None
+) -> list[LlmAnswer]:
     """Predict the capped test set with the configured backend; returns one
-    answer per situation, in test-set order.
+    answer per situation, in test-set order. `rendered` is render_rows(test),
+    where the caller has it already.
 
-    The answers are stored only when every request got a reply, so a transient
-    backend failure is retried on the next run instead of being replayed. Stored
-    answers must be the test set's, in its order."""
+    The answers are stored as gzip'd JSON lines, one row each, and only when
+    every request got a reply, so a transient backend failure is retried on the
+    next run instead of being replayed. Stored answers must be the test set's,
+    in its order."""
     path = llm_path(cfg, split_key)
 
     def compute():
         backend = make_backend(cfg.backend)  # checks the credential before any request
-        prompts = build_prompts(test, cfg.prompt)
+        prompts = build_prompts(test, cfg.prompt, rendered)
         cache = CompletionCache(cfg.resolved_cache_dir)
         results = batch_complete(prompts, cfg.backend, cache, backend=backend)
         return [_answer(result) for result in results]
@@ -402,8 +407,8 @@ def stage_llm(cfg: PipelineConfig, test: SituationTable, split_key: str) -> list
             )
         return not failures
 
-    def deserialize(text):
-        answers = [LlmAnswer.from_json_dict(json.loads(line)) for line in text.splitlines() if line]
+    def deserialize(data):
+        answers = [LlmAnswer.from_json_dict(row) for row in load_json_lines(data)]
         if [a.situation_id for a in answers] != test.ids:
             raise ValueError(f"not the answers of the {len(test)} test situations, in order")
         return answers
@@ -411,8 +416,8 @@ def stage_llm(cfg: PipelineConfig, test: SituationTable, split_key: str) -> list
     return load_or_create(
         path,
         compute,
-        serialize=lambda answers: "".join(
-            json.dumps(a.to_json_dict(), sort_keys=True) + "\n" for a in answers
+        serialize=lambda answers: dump_json_lines(
+            (a.to_json_dict() for a in answers), sort_keys=True
         ),
         deserialize=deserialize,
         store=store,
@@ -552,7 +557,7 @@ def stage_benchmarks(
             path,
             functools.partial(fitted, kind),
             serialize=lambda triple: model_text(*triple[:2]),
-            deserialize=lambda text: (*benchmarks.model_from_dict(json.loads(text)), None),
+            deserialize=lambda data: (*benchmarks.model_from_dict(json.loads(data)), None),
         )
         for kind, path in paths.items()
     }
@@ -568,9 +573,9 @@ def _case_records(
     test: SituationTable,
     answers: list[LlmAnswer],
     bench_predictions: dict[str, list],
+    rendered=None,
 ) -> list[CaseRecord]:
-    characteristics = render_travel_characteristics(test)
-    attributes = render_individual_attributes(test)
+    characteristics, attributes = rendered or render_rows(test)
     return [
         CaseRecord(
             llm=answer,
@@ -654,12 +659,15 @@ def run_pipeline(cfg: PipelineConfig, split_key: str | None = None) -> Evaluatio
             return EvaluationReport.from_json_dict(stored)
 
     _, train, test = prepare_split(cfg, split_key)
-    answers = []  # the LLM stage runs here while the workers fit
-    bench_predictions = stage_benchmarks(
-        cfg, train, split_key, test, lambda: answers.extend(stage_llm(cfg, test, split_key))
-    )
+    rendered, answers = [], []
+
+    def llm():  # runs here while the workers fit; renders the rows the report shows too
+        rendered.extend(render_rows(test))
+        answers.extend(stage_llm(cfg, test, split_key, rendered))
+
+    bench_predictions = stage_benchmarks(cfg, train, split_key, test, llm)
     with stage("report"):
-        records = _case_records(test, answers, bench_predictions)
+        records = _case_records(test, answers, bench_predictions, rendered)
         report = write_report(
             records,
             directory,

@@ -189,9 +189,16 @@ def render_individual_attributes(table: SituationTable) -> list[str]:
     return [f"{regular[r]} {annual[a]}" for r, a in flags]
 
 
-def build_prompts(table: SituationTable, cfg: PromptTemplateConfig) -> list[Prompt]:
+def render_rows(table: SituationTable) -> tuple[list[str], list[str]]:
+    """Each row's characteristics and attributes, as the prompt and the case
+    log show them."""
+    return render_travel_characteristics(table), render_individual_attributes(table)
+
+
+def build_prompts(table: SituationTable, cfg: PromptTemplateConfig, rendered=None) -> list[Prompt]:
     """Render all five components of each row's prompt and join them in the
-    configured order; one prompt per row, in row order.
+    configured order; one prompt per row, in row order. `rendered` is
+    render_rows(table), where the caller has it already.
 
     Deterministic: the same row and config always produce byte-identical
     text. No training examples are ever included (the prompt is zero-shot).
@@ -199,8 +206,7 @@ def build_prompts(table: SituationTable, cfg: PromptTemplateConfig) -> list[Prom
     domain = " ".join(cfg.domain_knowledge_texts)
     columns = zip(
         table.ids,
-        render_travel_characteristics(table),
-        render_individual_attributes(table),
+        *(rendered or render_rows(table)),
         _hint_sentences(TripAttribute.TRAVEL_TIME, table.times),
         _hint_sentences(TripAttribute.TRAVEL_COST, table.costs),
     )

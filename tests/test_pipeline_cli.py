@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from modechoice import pipeline
+from modechoice import pipeline, prompting
 from modechoice.artifacts import digest_of, load_or_create, stage_path
 from modechoice.benchmarks import BenchmarkError, ClassMissing, EmptyTrainingSet, NonFiniteLoss
 from modechoice.cli import main
@@ -246,7 +246,7 @@ def test_parse_failures_reported_not_fatal(workspace):
     assert report.metrics["mnl"].n_scored == 45
 
     # a rerun reads the stored answers back and writes the same case log
-    (stored,) = (cfg.output_dir / "stages").glob("llm-*.jsonl")
+    (stored,) = (cfg.output_dir / "stages").glob("llm-*.jsonl.gz")
     mtime = stored.stat().st_mtime_ns
     cases = cfg.output_dir / f"report-{config_digest(cfg)[:12]}" / "cases.jsonl"
     first = cases.read_bytes()
@@ -378,7 +378,7 @@ def test_warm_run_returns_the_stored_report(workspace, capsys, monkeypatch):
     "pattern",
     [
         "stages/split-*.json",
-        "stages/llm-*.jsonl",
+        "stages/llm-*.jsonl.gz",
         "report-*/report.json",
         "report-*/report.txt",
         "report-*/cases.jsonl",
@@ -392,8 +392,9 @@ def test_a_changed_input_or_report_file_rebuilds_the_report(
     cold = run_pipeline(cfg).to_json_dict()
     first = report_files(cfg)
     (path,) = cfg.output_dir.glob(pattern)
-    if change == "edit":  # one more byte, which every reader of the file skips
-        path.write_bytes(path.read_bytes() + b"\n")
+    if change == "edit":  # one more byte, or an empty gzip member, which every reader skips
+        tail = gzip.compress(b"") if path.suffix == ".gz" else b"\n"
+        path.write_bytes(path.read_bytes() + tail)
     else:
         path.unlink()
     calls = stage_calls(monkeypatch)
@@ -677,13 +678,13 @@ def test_a_stored_tree_with_a_value_out_of_range_is_rejected(workspace, damage, 
             "ids repeated: [",
         ),
         (
-            "llm-*.jsonl",
+            "llm-*.jsonl.gz",
             "llm",
             lambda text: text.split("\n", 1)[1],
             "not the answers of the 45 test situations, in order",
         ),
         (
-            "llm-*.jsonl",
+            "llm-*.jsonl.gz",
             "llm",
             lambda text: text.replace('"reason"', '"reasons"', 1),
             "unexpected keyword argument 'reasons'",
@@ -707,7 +708,11 @@ def test_cli_run_rejects_a_damaged_split_or_llm_file(
     cfg = load_pipeline_config(workspace / "config.yaml")
     first = report_files(cfg)
     (stored,) = (workspace / "out" / "stages").glob(pattern)
-    stored.write_text(cut(stored.read_text()))
+    if stored.suffix == ".gz":
+        text = gzip.decompress(stored.read_bytes()).decode()
+        stored.write_bytes(gzip.compress(cut(text).encode()))
+    else:
+        stored.write_text(cut(stored.read_text()))
     capsys.readouterr()
     assert run_cli("run", "--config", config) == 1
     err = capsys.readouterr().err
@@ -742,7 +747,7 @@ def test_cli_run_names_a_damaged_cache_segment(workspace, capsys, damage):
     config = str(workspace / "config.yaml")
     assert run_cli("run", "--config", config) == 0
     stages = workspace / "out" / "stages"
-    for path in [*stages.glob("llm-*.jsonl"), *stages.glob("report-*.json")]:
+    for path in [*stages.glob("llm-*.jsonl.gz"), *stages.glob("report-*.json")]:
         path.unlink()
     (segment,) = (workspace / "out" / "cache").glob("*.jsonl.gz")
     segment.write_bytes(damage(segment.read_bytes()))
@@ -755,6 +760,116 @@ def test_cli_run_names_a_damaged_cache_segment(workspace, capsys, damage):
     assert "Traceback" not in err
     segment.unlink()  # deleting the damaged segment asks the backend again
     assert run_cli("run", "--config", config) == 0
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda data: data[: len(data) // 2],
+        lambda data: b"not gzip\n",
+        lambda data: data[:10] + b"\xff" * (len(data) - 10),
+        lambda data: gzip.compress(b"not json\n"),
+        # the first row's comma dropped at a line break: the lines join back into the rows
+        lambda data: gzip.compress(gzip.decompress(data).replace(b", ", b"\n", 1)),
+    ],
+    ids=["truncated", "not-gzip", "corrupt-deflate", "not-json", "row-across-lines"],
+)
+def test_cli_run_names_a_damaged_llm_file(workspace, chat_endpoint, capsys, monkeypatch, damage):
+    monkeypatch.setenv("LLM_API_KEY", "sk-test")
+    cfg = http_config(workspace, chat_endpoint)
+    config = str(workspace / "http.yaml")
+    assert run_cli("run", "--config", config) == 0
+    first = report_files(cfg)
+    (stored,) = (cfg.output_dir / "stages").glob("llm-*.jsonl.gz")
+    answers = stored.read_bytes()
+    stored.write_bytes(damage(answers))
+    chat_endpoint.requests.clear()
+    capsys.readouterr()
+    assert run_cli("run", "--config", config) == 1
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error" in line]
+    assert len(errors) == 1
+    assert errors[0].startswith(f"error in stage 'llm': {stored}: ")
+    assert "Traceback" not in err
+    assert report_files(cfg) == first
+    stored.unlink()  # deleting the damaged file rebuilds it from the completion cache
+    assert run_cli("run", "--config", config) == 0
+    assert chat_endpoint.requests == []
+    assert stored.read_bytes() == answers
+    assert report_files(cfg) == first
+
+
+def test_a_plain_llm_file_left_by_an_older_checkout_is_not_read(
+    workspace, chat_endpoint, capsys, monkeypatch
+):
+    monkeypatch.setenv("LLM_API_KEY", "sk-test")
+    cfg = http_config(workspace, chat_endpoint)
+    config = str(workspace / "http.yaml")
+    assert run_cli("run", "--config", config) == 0
+    first = report_files(cfg)
+    # out/ as a checkout that stored the answers as plain JSON lines left it: the same
+    # rows in `llm-<key>.jsonl`, and the report manifest it keyed by that file's name
+    stages = cfg.output_dir / "stages"
+    (stored,) = stages.glob("llm-*.jsonl.gz")
+    plain = stored.with_suffix("")
+    plain.write_bytes(gzip.decompress(stored.read_bytes()))
+    stored.unlink()
+    (manifest,) = stages.glob("report-*.json")
+    manifest.unlink()
+    split_key = sample_key(cfg)
+    directory = pipeline.report_dir(cfg)
+    paths = [pipeline.split_path(cfg, split_key), plain, *(directory / n for n in REPORT_FILES)]
+    files = {path.relative_to(cfg.output_dir).as_posix(): path for path in paths}
+    model_keys = [pipeline._model_key(cfg, kind, split_key) for kind in cfg.benchmark_kinds]
+    old_key = digest_of(
+        str(pipeline.REPORT_FORMAT_VERSION),
+        config_digest(cfg),
+        pipeline.llm_key(cfg, split_key),
+        *model_keys,
+        *files,
+    )
+    old_manifest = stage_path(cfg.output_dir, "report", old_key, suffix=".json")
+    old_manifest.write_text(json.dumps(pipeline._digests(files), indent=0, sort_keys=True) + "\n")
+    plain_bytes = plain.read_bytes()
+
+    chat_endpoint.requests.clear()
+    capsys.readouterr()
+    assert run_cli("run", "--config", config) == 0
+    assert "reusing report" not in capsys.readouterr().err
+    assert chat_endpoint.requests == []  # rebuilt from the completion cache
+    assert gzip.decompress(stored.read_bytes()) == plain_bytes
+    assert plain.read_bytes() == plain_bytes  # left in place, as every older stage file is
+    assert report_files(cfg) == first
+    assert len(list(stages.glob("report-*.json"))) == 2
+
+    stored.unlink()  # only the plain file is left: evaluate finds no stored answers
+    assert run_cli("evaluate", "--config", config) == 2
+    err = capsys.readouterr().err
+    assert "run `predict-llm` first" in err and str(stored) in err
+    assert "fit-bench" not in err
+    assert chat_endpoint.requests == []
+    assert plain.read_bytes() == plain_bytes
+
+
+def test_each_run_renders_the_test_rows_once(workspace, monkeypatch):
+    cfg = load_pipeline_config(workspace / "config.yaml")
+    render = prompting.render_travel_characteristics
+    calls = []
+
+    def counted(table):
+        calls.append(len(table))
+        return render(table)
+
+    monkeypatch.setattr(prompting, "render_travel_characteristics", counted)
+    run_pipeline(cfg)
+    assert calls == [45]  # for the prompts and the case log alike
+    first = report_files(cfg)
+    for manifest in (cfg.output_dir / "stages").glob("report-*.json"):
+        manifest.unlink()
+    calls.clear()
+    run_pipeline(cfg)  # a rebuild over the stored answers, which renders no prompt
+    assert calls == [45]
+    assert report_files(cfg) == first
 
 
 def test_run_reloads_the_models_fit_bench_stored(workspace, monkeypatch):
@@ -890,7 +1005,7 @@ def test_an_llm_stage_failing_beside_a_worker_kills_it_and_stores_no_model(
     cfg = load_pipeline_config(workspace / "config.yaml")
     run_pipeline(cfg)
     stages = cfg.output_dir / "stages"
-    for pattern in ("model-*.json", "llm-*.jsonl", "report-*.json"):
+    for pattern in ("model-*.json", "llm-*.jsonl.gz", "report-*.json"):
         for path in stages.glob(pattern):
             path.unlink()
     (segment,) = (cfg.output_dir / "cache").glob("*.jsonl.gz")
@@ -924,7 +1039,7 @@ def test_a_fit_failing_in_a_worker_after_the_llm_stage_keeps_the_answers(
         with pytest.raises(PipelineError) as failed, on_cpus(monkeypatch, cpus):
             run_pipeline(dataclasses.replace(cfg, output_dir=out))
         assert str(failed.value) == "stage 'benchmarks' failed: rf failed"
-        assert len(list(out.glob("stages/llm-*.jsonl"))) == 1
+        assert len(list(out.glob("stages/llm-*.jsonl.gz"))) == 1
         stored = [path.name.split("-")[1] for path in out.glob("stages/model-*.json")]
         assert stored == ["mnl"]  # in configured order, up to the failed kind
 
@@ -1112,7 +1227,7 @@ def test_backend_failures_are_retried_on_rerun(workspace, chat_endpoint, monkeyp
     assert (summary["backend_failure_count"], summary["parse_failure_count"]) == (6, 0)
     assert "Backend failures: 6" in next(cfg.output_dir.glob("report-*/report.txt")).read_text()
     assert "llm" not in report.metrics
-    assert not list(stages.glob("llm-*.jsonl"))
+    assert not list(stages.glob("llm-*.jsonl.gz"))
     assert not list(stages.glob("report-*.json"))  # nor a report to serve instead of retrying
 
     chat_endpoint.status = 200
@@ -1121,7 +1236,7 @@ def test_backend_failures_are_retried_on_rerun(workspace, chat_endpoint, monkeyp
     assert len(chat_endpoint.requests) == 6
     assert (report.backend_failure_count, report.parse_failure_count) == (0, 0)
     assert report.metrics["llm"].n_scored == 6
-    assert len(list(stages.glob("llm-*.jsonl"))) == 1
+    assert len(list(stages.glob("llm-*.jsonl.gz"))) == 1
 
     chat_endpoint.requests.clear()
     run_pipeline(cfg)
