@@ -7,7 +7,6 @@ and neural network classifiers.
 """
 
 from .dataset import (
-    ChoiceSituation,
     ColumnMap,
     ModeLabel,
     SituationTable,
@@ -20,12 +19,10 @@ from .gateway import BackendConfig, CompletionCache, ModelCompletion, batch_comp
 from .parsing import ParseFailure, Prediction, parse_response
 from .pipeline import PipelineConfig, load_pipeline_config, run_pipeline
 from .prompting import (
-    ArithmeticHint,
     Prompt,
     PromptTemplateConfig,
     build_prompt,
     build_prompts,
-    compute_hints,
     percent_saving,
     render_individual_attributes,
     render_travel_characteristics,
@@ -34,10 +31,8 @@ from .prompting import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArithmeticHint",
     "BackendConfig",
     "CaseRecord",
-    "ChoiceSituation",
     "ColumnMap",
     "CompletionCache",
     "EvaluationReport",
@@ -55,7 +50,6 @@ __all__ = [
     "build_prompt",
     "build_prompts",
     "complete",
-    "compute_hints",
     "load_pipeline_config",
     "load_raw",
     "parse_response",

@@ -105,12 +105,19 @@ def trees_to_json(trees: list[Tree]) -> dict:
 
 
 def trees_from_json(stored: dict) -> list[Tree]:
-    """The trees of a trees_to_json form; a ValueError unless every threshold
-    is finite, every node is a _NODE_CHARS character, and each of at least one
+    """The trees of a trees_to_json form; a ValueError unless `thresholds` is
+    a list of finite numbers, `nodes` a list of strings and `cuts` a list of
+    lists, every node is a _NODE_CHARS character, and each of at least one
     tree holds 2n + 1 nodes and n cuts for its n split nodes, each cut an
     integer index into `thresholds`."""
-    table = np.array(stored["thresholds"], dtype=float)
-    nodes, cuts = stored["nodes"], stored["cuts"]
+    thresholds, nodes, cuts = stored["thresholds"], stored["nodes"], stored["cuts"]
+    table = np.array(thresholds)
+    if not isinstance(thresholds, list) or table.ndim != 1 or table.dtype.kind not in "iuf":
+        raise ValueError("thresholds must be a list of numbers")
+    if not isinstance(nodes, list) or not all(isinstance(tree, str) for tree in nodes):
+        raise ValueError("nodes must be a list of node strings")
+    if not isinstance(cuts, list) or not all(isinstance(tree, list) for tree in cuts):
+        raise ValueError("cuts must be a list of cut lists")
     if len(nodes) != len(cuts) or not nodes:
         raise ValueError(f"{len(nodes)} node strings and {len(cuts)} cut lists")
     finite = np.isfinite(table)
@@ -142,7 +149,9 @@ def trees_from_json(stored: dict) -> list[Tree]:
 def _integers(name: str, values: list, low: int, high: int) -> np.ndarray:
     """The values as integers; a ValueError naming the first that is not an
     integer in [low, high)."""
-    given = np.array(values, dtype=float)
+    given = np.array(values)
+    if given.dtype.kind not in "iuf" or given.ndim != 1:  # a string, null or list; or all bools
+        given = np.array([v if type(v) in (int, float) else np.nan for v in values], dtype=float)
     bad = ~((given == np.floor(given)) & (low <= given) & (given < high))  # NaN is bad too
     if bad.any():
         value = values[int(np.argmax(bad))]

@@ -54,6 +54,8 @@ def model_to_dict(model, scaler: FeatureScaler) -> dict:
 
 
 def model_from_dict(doc: dict):
+    if not isinstance(doc, dict):
+        raise ValueError(f"a model is a JSON object, not {type(doc).__name__}")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported model format_version {version!r}")

@@ -167,31 +167,11 @@ class ColumnMap:
 
 
 @dataclass(frozen=True)
-class ChoiceSituation:
-    """One survey response: per-mode times/costs, two traveler flags, observed choice."""
-
-    situation_id: str
-    travel_time_min: tuple[int, int, int]  # in MODE_ORDER
-    travel_cost: tuple[int, int, int]  # in MODE_ORDER
-    is_regular_train_user: bool
-    owns_annual_pass: bool
-    chosen: ModeLabel
-
-    def __post_init__(self):
-        if not len(self.travel_time_min) == len(self.travel_cost) == len(MODE_ORDER):
-            raise ValueError("travel times and costs need one value per mode")
-        if min(self.travel_time_min) <= 0:
-            raise ValueError("travel times must be positive")
-        if min(self.travel_cost) < 0:
-            raise ValueError("travel costs must be non-negative")
-
-
-@dataclass(frozen=True)
 class SituationTable:
     """Validated survey rows as columns. Times and costs are rounded but kept
     as float64, since a finite value may lie past the int64 range. A slice or
-    a list of positions indexes rows; iterating builds one ChoiceSituation
-    per row, with exact ints."""
+    a list of positions indexes rows; iterating yields each row as a one-row
+    table."""
 
     row_index: np.ndarray  # (n,) the row's index among the file's data rows
     times: np.ndarray  # (n, 3) in MODE_ORDER
@@ -211,9 +191,7 @@ class SituationTable:
         return [f"row{i:05d}" for i in self.row_index.tolist()]
 
     def __iter__(self):
-        for i, times, costs, *flags, chosen in zip(*(c.tolist() for c in vars(self).values())):
-            times, costs = tuple(map(int, times)), tuple(map(int, costs))
-            yield ChoiceSituation(f"row{i:05d}", times, costs, *flags, MODE_ORDER[chosen])
+        return (self[i : i + 1] for i in range(len(self)))
 
 
 def load_raw(
@@ -270,7 +248,7 @@ def to_choice_situations(columns: dict[str, np.ndarray], cmap: ColumnMap) -> Sit
 
     A row is dropped when its choice code is not in the code map (including
     the 0 = unknown code), when any alternative is flagged unavailable, or
-    when its rounded times/costs violate ChoiceSituation's value constraints;
+    when a rounded time is not above 0 or a rounded cost is below 0;
     each dropped row counts under the first rule it breaks. Exclusion counts
     are emitted as a structured log record.
     """

@@ -98,6 +98,8 @@ class LlmAnswer:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "LlmAnswer":
         name = doc["prediction"]
+        if not isinstance(name, str):
+            raise ValueError(f"prediction {name!r} is not a string")
         prediction = None if name == PARSE_FAILURE_MARKER else ModeLabel.from_name(name)
         return cls(**dict(doc, prediction=prediction))
 

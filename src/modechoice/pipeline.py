@@ -62,7 +62,9 @@ from .gateway import (
 from .parsing import ParseFailure, parse_response
 from .prompting import (
     PromptTemplateConfig,
-    build_prompt,  # not called here: perfbench's tracer wraps pipeline.build_prompt by name
+    # not called here: build_prompt, like SituationTable.__iter__, stays only for perfbench,
+    # whose tracer wraps pipeline.build_prompt by name and whose probe renders row by row
+    build_prompt,
     build_prompts,
     render_rows,
 )

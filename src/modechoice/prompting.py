@@ -8,18 +8,17 @@ template text is configurable; the defaults below are reconstructions.
 
 `build_prompts` renders a whole SituationTable from its columns, both hints
 computed in numpy, with no per-row situation or hint object; `build_prompt`
-and `compute_hints` run one situation through the same code.
+renders a one-row table through the same code.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .dataset import MODE_ORDER, ChoiceSituation, ModeLabel, SituationTable
+from .dataset import MODE_ORDER, SituationTable
 
 COMPONENT_NAMES = ("task", "characteristics", "attributes", "guide", "output_format")
 
@@ -50,30 +49,6 @@ class PromptError(Exception):
 
 class InvalidComparison(PromptError):
     pass
-
-
-class TripAttribute(Enum):
-    TRAVEL_TIME = "travel time"
-    TRAVEL_COST = "travel cost"
-
-
-@dataclass(frozen=True)
-class ArithmeticHint:
-    """Which modes minimize an attribute, and the percent saved versus the rest."""
-
-    attribute: TripAttribute
-    min_modes: tuple[ModeLabel, ...]
-    savings: dict[ModeLabel, int]
-
-    def __post_init__(self):
-        if not self.min_modes:
-            raise ValueError("min_modes must be non-empty")
-        others = {m for m in MODE_ORDER if m not in self.min_modes}
-        if set(self.savings) != others:
-            raise ValueError("savings keys must be exactly the non-minimum modes")
-        # 100 occurs when the minimum is exactly 0 (free mode vs. paid ones)
-        if any(not 0 <= s <= 100 for s in self.savings.values()):
-            raise ValueError("savings must lie in [0, 100]")
 
 
 @dataclass(frozen=True)
@@ -133,17 +108,6 @@ def _hints(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values == low, savings
 
 
-def compute_hints(situation: ChoiceSituation) -> list[ArithmeticHint]:
-    """Arithmetic hints for travel time and travel cost, in that order."""
-    hints = []
-    for attribute, values in zip(TripAttribute, (situation.travel_time_min, situation.travel_cost)):
-        [is_min], [savings] = _hints(np.array([values], dtype=object))
-        min_modes = tuple(m for m in MODE_ORDER if is_min[m])
-        others = {m: int(savings[m]) for m in MODE_ORDER if m not in min_modes}
-        hints.append(ArithmeticHint(attribute=attribute, min_modes=min_modes, savings=others))
-    return hints
-
-
 def _hint_template(attr: str, mask: int) -> str:
     """The hint sentence when the modes in bit mask `mask` share the minimum,
     as a str.format template over a row's three savings in MODE_ORDER."""
@@ -157,8 +121,9 @@ def _hint_template(attr: str, mask: int) -> str:
     return f"{' and '.join(names)} {verb} the lowest {attr}, {comparisons}."
 
 
-def _hint_sentences(attribute: TripAttribute, values: np.ndarray) -> list[str]:
-    templates = [_hint_template(attribute.value, mask) for mask in range(2 ** len(MODE_ORDER))]
+def _hint_sentences(attr: str, values: np.ndarray) -> list[str]:
+    """Each row's hint sentence on `attr` ("travel time" or "travel cost")."""
+    templates = [_hint_template(attr, mask) for mask in range(2 ** len(MODE_ORDER))]
     is_min, savings = _hints(values)
     masks = is_min @ (1 << np.arange(len(MODE_ORDER)))
     return [templates[mask].format(*row) for mask, row in zip(masks.tolist(), savings.tolist())]
@@ -207,8 +172,8 @@ def build_prompts(table: SituationTable, cfg: PromptTemplateConfig, rendered=Non
     columns = zip(
         table.ids,
         *(rendered or render_rows(table)),
-        _hint_sentences(TripAttribute.TRAVEL_TIME, table.times),
-        _hint_sentences(TripAttribute.TRAVEL_COST, table.costs),
+        _hint_sentences("travel time", table.times),
+        _hint_sentences("travel cost", table.costs),
     )
     prompts = []
     for situation_id, characteristics, attributes, time_hint, cost_hint in columns:
@@ -224,11 +189,7 @@ def build_prompts(table: SituationTable, cfg: PromptTemplateConfig, rendered=Non
     return prompts
 
 
-def build_prompt(situation: ChoiceSituation, cfg: PromptTemplateConfig) -> Prompt:
-    """One situation's prompt, rendered as a one-row table. Its times and
-    costs stay Python ints, so a value past float64's integers stays exact."""
-    per_mode = (situation.travel_time_min, situation.travel_cost)
-    flags = (situation.is_regular_train_user, situation.owns_annual_pass)
-    columns = [np.array([v], dtype=object) for v in per_mode] + [np.array([f]) for f in flags]
-    [prompt] = build_prompts(SituationTable(np.zeros(1, int), *columns, np.zeros(1, int)), cfg)
-    return Prompt(prompt.full_text, prompt.components, situation.situation_id)
+def build_prompt(row: SituationTable, cfg: PromptTemplateConfig) -> Prompt:
+    """The prompt of a one-row table."""
+    [prompt] = build_prompts(row, cfg)
+    return prompt

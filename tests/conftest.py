@@ -6,11 +6,12 @@ import threading
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from modechoice.dataset import ChoiceSituation, ModeLabel, SituationTable
+from modechoice.dataset import ModeLabel, SituationTable
 
 RAW_COLUMNS = [
     "ID",
@@ -33,6 +34,18 @@ RAW_COLUMNS = [
 CODE_OF_MODE = {ModeLabel.TRAIN: 1, ModeLabel.SWISSMETRO: 2, ModeLabel.CAR: 3}
 
 
+class Situation(NamedTuple):
+    """One survey response, as a record: per-mode times/costs, two traveler
+    flags, observed choice."""
+
+    situation_id: str
+    travel_time_min: tuple[int, int, int]  # in MODE_ORDER
+    travel_cost: tuple[int, int, int]  # in MODE_ORDER
+    is_regular_train_user: bool
+    owns_annual_pass: bool
+    chosen: ModeLabel
+
+
 def make_situation(
     sid="s0",
     times=(106, 90, 34),
@@ -41,7 +54,7 @@ def make_situation(
     annual=False,
     chosen=ModeLabel.SWISSMETRO,
 ):
-    return ChoiceSituation(
+    return Situation(
         situation_id=sid,
         travel_time_min=tuple(times),
         travel_cost=tuple(costs),
@@ -51,9 +64,9 @@ def make_situation(
     )
 
 
-def random_situation(rng: random.Random, sid: str) -> ChoiceSituation:
+def random_situation(rng: random.Random, sid: str) -> Situation:
     order = (ModeLabel.TRAIN, ModeLabel.CAR, ModeLabel.SWISSMETRO)
-    return ChoiceSituation(
+    return Situation(
         situation_id=sid,
         travel_time_min=tuple(rng.randint(5, 400) for _ in order),
         travel_cost=tuple(rng.randint(0, 300) for _ in order),
@@ -63,18 +76,28 @@ def random_situation(rng: random.Random, sid: str) -> ChoiceSituation:
     )
 
 
-def table_of(situations, rows=None) -> SituationTable:
+def table_of(situations, rows=None, dtype=float) -> SituationTable:
     """Hand-built situations as a table, at these row indices (default: their
-    positions); ids follow the row index, as ingest writes them."""
+    positions); ids follow the row index, as ingest writes them. With
+    dtype=object the times and costs stay Python ints, exact past 2**53."""
     situations = list(situations)
     return SituationTable(
         row_index=np.arange(len(situations)) if rows is None else np.array(rows),
-        times=np.array([s.travel_time_min for s in situations], dtype=float).reshape(-1, 3),
-        costs=np.array([s.travel_cost for s in situations], dtype=float).reshape(-1, 3),
+        times=np.array([s.travel_time_min for s in situations], dtype=dtype).reshape(-1, 3),
+        costs=np.array([s.travel_cost for s in situations], dtype=dtype).reshape(-1, 3),
         regular=np.array([s.is_regular_train_user for s in situations], dtype=bool),
         annual_pass=np.array([s.owns_annual_pass for s in situations], dtype=bool),
         chosen=np.array([int(s.chosen) for s in situations], dtype=int),
     )
+
+
+def records(table: SituationTable) -> list[Situation]:
+    """One record per table row, with exact ints and the row's id."""
+    columns = zip(table.ids, *(column.tolist() for column in vars(table).values()))
+    return [
+        Situation(sid, tuple(map(int, times)), tuple(map(int, costs)), *flags, ModeLabel(k))
+        for sid, _, times, costs, *flags, k in columns
+    ]
 
 
 def synthetic_raw_rows(n: int, seed: int) -> list[dict]:

@@ -3,18 +3,41 @@ kept frozen as the oracle for the column renderer in `modechoice.prompting`.
 
 Every prompt byte is part of a completion-cache key, so the column renderer
 must reproduce these strings exactly; this file must not change when the
-production renderer is optimised.
+production renderer is optimised. A situation is a `conftest.Situation`
+record; the hint and attribute types live here, since the column renderer
+builds neither.
 """
 
 import math
+from dataclasses import dataclass
+from enum import Enum
 
-from modechoice.dataset import MODE_ORDER, ChoiceSituation
-from modechoice.prompting import (
-    ArithmeticHint,
-    InvalidComparison,
-    PromptTemplateConfig,
-    TripAttribute,
-)
+from modechoice.dataset import MODE_ORDER, ModeLabel
+from modechoice.prompting import InvalidComparison, PromptTemplateConfig
+
+
+class TripAttribute(Enum):
+    TRAVEL_TIME = "travel time"
+    TRAVEL_COST = "travel cost"
+
+
+@dataclass(frozen=True)
+class ArithmeticHint:
+    """Which modes minimize an attribute, and the percent saved versus the rest."""
+
+    attribute: TripAttribute
+    min_modes: tuple[ModeLabel, ...]
+    savings: dict[ModeLabel, int]
+
+    def __post_init__(self):
+        if not self.min_modes:
+            raise ValueError("min_modes must be non-empty")
+        others = {m for m in MODE_ORDER if m not in self.min_modes}
+        if set(self.savings) != others:
+            raise ValueError("savings keys must be exactly the non-minimum modes")
+        # 100 occurs when the minimum is exactly 0 (free mode vs. paid ones)
+        if any(not 0 <= s <= 100 for s in self.savings.values()):
+            raise ValueError("savings must lie in [0, 100]")
 
 
 def percent_saving(x_other: float, x_min: float) -> int:
@@ -29,7 +52,7 @@ def percent_saving(x_other: float, x_min: float) -> int:
     return math.floor(100 * (x_other - x_min) / x_other + 0.5)
 
 
-def compute_hints(situation: ChoiceSituation) -> list[ArithmeticHint]:
+def compute_hints(situation) -> list[ArithmeticHint]:
     """Arithmetic hints for travel time and travel cost, in that order."""
     hints = []
     for attribute, values in (
@@ -45,7 +68,7 @@ def compute_hints(situation: ChoiceSituation) -> list[ArithmeticHint]:
     return hints
 
 
-def render_travel_characteristics(situation: ChoiceSituation) -> str:
+def render_travel_characteristics(situation) -> str:
     """Dictionary-form characteristics string with fixed key order and integer values."""
     times = ", ".join(
         f"{m.display}: {situation.travel_time_min[m]}" for m in MODE_ORDER
@@ -54,7 +77,7 @@ def render_travel_characteristics(situation: ChoiceSituation) -> str:
     return f"{{Travel time: {{{times}}}, Travel cost: {{{costs}}}}}"
 
 
-def render_individual_attributes(situation: ChoiceSituation) -> str:
+def render_individual_attributes(situation) -> str:
     """Two fixed-template sentences covering the traveler's two boolean attributes."""
     regular = (
         "The person is a regular Train user."
@@ -84,9 +107,7 @@ def render_hint_sentence(hint: ArithmeticHint) -> str:
     return f"{subject} {verb} the lowest {attr}, {comparisons}."
 
 
-def build_prompt(
-    situation: ChoiceSituation, cfg: PromptTemplateConfig
-) -> tuple[str, dict[str, str]]:
+def build_prompt(situation, cfg: PromptTemplateConfig) -> tuple[str, dict[str, str]]:
     """The prompt's full text and its components, keyed by component name."""
     hints = compute_hints(situation)
     guide_sentences = list(cfg.domain_knowledge_texts) + [render_hint_sentence(h) for h in hints]

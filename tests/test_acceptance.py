@@ -21,9 +21,11 @@ from modechoice.dataset import ColumnMap, ModeLabel, balanced_split, load_raw, t
 from modechoice.gateway import BackendConfig, CompletionCache, batch_complete
 from modechoice.parsing import parse_response
 from modechoice.pipeline import config_digest, load_pipeline_config, run_pipeline
-from modechoice.prompting import PromptTemplateConfig, build_prompt, percent_saving
+from modechoice.prompting import PromptTemplateConfig, build_prompt, build_prompts, percent_saving
 
-from conftest import random_situation, real_data_path, synthetic_raw_rows, write_survey_file
+from conftest import (
+    random_situation, real_data_path, synthetic_raw_rows, table_of, write_survey_file
+)
 from test_evaluation import ref_accuracy, ref_confusion, ref_weighted_f1, scored
 from test_benchmarks import numeric_grad, relative_error
 from test_pipeline_cli import CONFIG_TEMPLATE, oracle_accuracy
@@ -55,9 +57,9 @@ def test_criterion_2_prompt_parse_round_trip():
     words = ["lowest", "time", "cost", "train", "car", "swissmetro", "pass", "43%", "user"]
     failures = 0
     for i in range(1000):
-        situation = random_situation(rng, f"s{i:04d}")
-        prompt_a = build_prompt(situation, cfg)
-        prompt_b = build_prompt(situation, cfg)
+        row = table_of([random_situation(rng, f"s{i:04d}")])
+        prompt_a = build_prompt(row, cfg)
+        prompt_b = build_prompt(row, cfg)
         if prompt_a.full_text != prompt_b.full_text:
             failures += 1
             continue
@@ -196,10 +198,8 @@ def test_criterion_7_live_backend_smoke(tmp_path):
     if not os.environ.get("LLM_API_KEY"):
         _skip(7, "live backend smoke test", "LLM_API_KEY not set; live check is opt-in")
     rng = random.Random(99)
-    prompts = [
-        build_prompt(random_situation(rng, f"live{i:02d}"), PromptTemplateConfig())
-        for i in range(20)
-    ]
+    situations = table_of(random_situation(rng, f"live{i:02d}") for i in range(20))
+    prompts = build_prompts(situations, PromptTemplateConfig())
     cfg = BackendConfig(backend_kind="http_chat", max_parallel_requests=2)
     cache = CompletionCache(tmp_path / "live_cache")
     first = batch_complete(prompts, cfg, cache)

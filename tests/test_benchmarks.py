@@ -36,6 +36,7 @@ import reference_neural
 from conftest import (
     make_situation,
     random_situation,
+    records,
     synthetic_raw_rows,
     table_of,
     write_survey_file,
@@ -199,7 +200,7 @@ def test_mnl_learns_separable_rule():
     scaler = fit_scaler(rows)
     model = fit_classifier("mnl", rows, default_train_config("mnl"), scaler)
     labels = predict_labels(model, encode_matrix(rows, scaler))
-    accuracy = sum(p == s.chosen for p, s in zip(labels, rows)) / len(rows)
+    accuracy = sum(p == s.chosen for p, s in zip(labels, records(rows))) / len(rows)
     assert accuracy > 0.9
 
 
@@ -335,7 +336,7 @@ def test_nn_learns_and_is_seed_deterministic(tmp_path):
     for left, right in zip((a.w1, a.b1, a.w2, a.b2), (b.w1, b.b1, b.w2, b.b2)):
         assert np.array_equal(left, right)
     labels = predict_labels(a, encode_matrix(rows, scaler))
-    accuracy = sum(p == s.chosen for p, s in zip(labels, rows)) / len(rows)
+    accuracy = sum(p == s.chosen for p, s in zip(labels, records(rows))) / len(rows)
     assert accuracy > 0.7
     different = fit_classifier("nn", rows, default_train_config("nn", seed=6), scaler)
     assert not np.array_equal(a.w1, different.w1)
@@ -430,7 +431,7 @@ def test_rf_single_tree_shatters_unique_points():
     cfg = TrainConfig(kind="rf", seed=0, n_trees=1, max_features=8, bootstrap=False)
     model = fit_classifier("rf", rows, cfg, IDENTITY)
     labels = predict_labels(model, encode_matrix(rows, IDENTITY))
-    assert all(p == s.chosen for p, s in zip(labels, rows))
+    assert all(p == s.chosen for p, s in zip(labels, records(rows)))
 
 
 def leaf_tree(counts):
@@ -715,7 +716,7 @@ def test_rf_learns(tmp_path):
     scaler = fit_scaler(rows)
     model = fit_classifier("rf", rows, default_train_config("rf"), scaler)
     labels = predict_labels(model, encode_matrix(rows, scaler))
-    accuracy = sum(p == s.chosen for p, s in zip(labels, rows)) / len(rows)
+    accuracy = sum(p == s.chosen for p, s in zip(labels, records(rows))) / len(rows)
     assert accuracy > 0.9  # bootstrap forest nearly memorizes its training data
 
 

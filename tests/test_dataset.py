@@ -5,7 +5,6 @@ from collections import Counter
 import pytest
 
 from modechoice.dataset import (
-    ChoiceSituation,
     ColumnMap,
     EmptyFile,
     InsufficientClassMembers,
@@ -19,7 +18,10 @@ from modechoice.dataset import (
     to_choice_situations,
 )
 
-from conftest import RAW_COLUMNS, random_situation, synthetic_raw_rows, table_of, write_survey_file
+from conftest import (
+    RAW_COLUMNS, Situation, random_situation, records, synthetic_raw_rows, table_of,
+    write_survey_file,
+)
 
 CMAP = ColumnMap()
 
@@ -119,11 +121,11 @@ def test_load_raw_short_row_is_unparseable(tmp_path):
 
 def test_blank_line_does_not_shift_situation_ids(tmp_path):
     path = write_survey_file(tmp_path / "plain.dat", synthetic_raw_rows(4, seed=2))
-    expected = list(to_choice_situations(load_raw(path, CMAP), CMAP))
+    expected = records(to_choice_situations(load_raw(path, CMAP), CMAP))
     lines = path.read_text().splitlines()
     gapped = tmp_path / "gapped.dat"
     gapped.write_text("\n".join(lines[:3] + [""] + lines[3:]) + "\n\n")
-    assert list(to_choice_situations(load_raw(gapped, CMAP), CMAP)) == expected
+    assert records(to_choice_situations(load_raw(gapped, CMAP), CMAP)) == expected
     assert [s.situation_id for s in expected] == ["row00000", "row00001", "row00002", "row00003"]
 
 
@@ -140,7 +142,7 @@ def test_choice_code_mapping(tmp_path):
     rows = synthetic_raw_rows(1, seed=3)
     rows[0]["CHOICE"] = 2
     path = write_survey_file(tmp_path / "code2.dat", rows)
-    situations = list(to_choice_situations(load_raw(path, CMAP), CMAP))
+    situations = records(to_choice_situations(load_raw(path, CMAP), CMAP))
     assert situations[0].chosen is ModeLabel.SWISSMETRO
 
 
@@ -148,7 +150,7 @@ def test_annual_pass_flag(tmp_path):
     rows = synthetic_raw_rows(1, seed=3)
     rows[0]["GA"] = 1
     path = write_survey_file(tmp_path / "ga.dat", rows)
-    situations = list(to_choice_situations(load_raw(path, CMAP), CMAP))
+    situations = records(to_choice_situations(load_raw(path, CMAP), CMAP))
     assert situations[0].owns_annual_pass is True
 
 
@@ -164,7 +166,7 @@ def test_exclusion_rules(tmp_path, caplog):
     with caplog.at_level(logging.INFO, logger="modechoice.dataset"):
         situations = to_choice_situations(load_raw(path, CMAP), CMAP)
     assert len(situations) == 2
-    assert {s.situation_id for s in situations} == {"row00004", "row00005"}
+    assert {s.situation_id for s in records(situations)} == {"row00004", "row00005"}
     (record,) = [r for r in caplog.records if r.getMessage().startswith("ingest:")]
     assert record.args == (
         2,
@@ -187,7 +189,7 @@ def test_fractional_values_round_half_up(tmp_path):
     rows[0]["TRAIN_TT"] = "10.5"
     rows[0]["TRAIN_CO"] = "9.4"
     path = write_survey_file(tmp_path / "frac.dat", rows)
-    situation = list(to_choice_situations(load_raw(path, CMAP), CMAP))[0]
+    situation = records(to_choice_situations(load_raw(path, CMAP), CMAP))[0]
     assert situation.travel_time_min[ModeLabel.TRAIN] == 11
     assert situation.travel_cost[ModeLabel.TRAIN] == 9
 
@@ -199,7 +201,8 @@ def test_rounding_boundaries(tmp_path):
     rows[2]["CAR_CO"] = "-0.4"  # rounds to 0: kept
     rows[3]["CAR_CO"] = "-0.6"  # rounds to -1: excluded
     path = write_survey_file(tmp_path / "bounds.dat", rows)
-    situations = {s.situation_id: s for s in to_choice_situations(load_raw(path, CMAP), CMAP)}
+    table = to_choice_situations(load_raw(path, CMAP), CMAP)
+    situations = {s.situation_id: s for s in records(table)}
     assert sorted(situations) == ["row00001", "row00002"]
     assert situations["row00001"].travel_time_min[ModeLabel.TRAIN] == 1
     assert situations["row00002"].travel_cost[ModeLabel.CAR] == 0
@@ -209,14 +212,14 @@ def test_huge_value_is_kept_as_an_exact_int(tmp_path):
     rows = synthetic_raw_rows(1, seed=6)
     rows[0]["SM_TT"] = "1e19"  # past the int64 range
     path = write_survey_file(tmp_path / "huge.dat", rows)
-    (situation,) = to_choice_situations(load_raw(path, CMAP), CMAP)
+    (situation,) = records(to_choice_situations(load_raw(path, CMAP), CMAP))
     assert situation.travel_time_min[ModeLabel.SWISSMETRO] == 10**19
     assert type(situation.travel_time_min[ModeLabel.SWISSMETRO]) is int
 
 
 def test_all_eight_features_populated(survey_file):
     situations = to_choice_situations(load_raw(survey_file, CMAP), CMAP)
-    for situation in situations:
+    for situation in records(situations):
         assert len(situation.travel_time_min) == len(situation.travel_cost) == len(ModeLabel)
         assert all(type(v) is int for v in situation.travel_time_min + situation.travel_cost)
         assert isinstance(situation.is_regular_train_user, bool)
@@ -225,30 +228,20 @@ def test_all_eight_features_populated(survey_file):
 
 
 def test_reingest_is_deterministic(survey_file):
-    first = list(to_choice_situations(load_raw(survey_file, CMAP), CMAP))
-    second = list(to_choice_situations(load_raw(survey_file, CMAP), CMAP))
+    first = records(to_choice_situations(load_raw(survey_file, CMAP), CMAP))
+    second = records(to_choice_situations(load_raw(survey_file, CMAP), CMAP))
     assert first == second
 
 
-def test_situation_validation_rejects_bad_values():
+def test_situation_validation_rejects_bad_values(tmp_path):
+    # a table holds no zero time: ingest drops the row
+    rows = synthetic_raw_rows(1, seed=5)
+    rows[0]["TRAIN_TT"] = 0
+    path = write_survey_file(tmp_path / "zero.dat", rows)
+    with pytest.raises(NoValidRows):
+        to_choice_situations(load_raw(path, CMAP), CMAP)
     with pytest.raises(ValueError):
-        ChoiceSituation(
-            situation_id="x",
-            travel_time_min=(0, 5, 5),
-            travel_cost=(1, 1, 1),
-            is_regular_train_user=False,
-            owns_annual_pass=False,
-            chosen=ModeLabel.CAR,
-        )
-    with pytest.raises(ValueError):
-        ChoiceSituation(
-            situation_id="x",
-            travel_time_min=(5, 5),  # one value short
-            travel_cost=(1, 1, 1),
-            is_regular_train_user=False,
-            owns_annual_pass=False,
-            chosen=ModeLabel.CAR,
-        )
+        ColumnMap(time_columns=("TRAIN_TT", "CAR_TT"))  # one value short
 
 
 def test_column_map_rejects_duplicates():
@@ -305,17 +298,7 @@ def _pool(per_class: int, seed: int = 0) -> SituationTable:
     i = 0
     for mode in ModeLabel:
         for _ in range(per_class):
-            situation = random_situation(rng, f"s{i:05d}")
-            pool.append(
-                ChoiceSituation(
-                    situation_id=situation.situation_id,
-                    travel_time_min=situation.travel_time_min,
-                    travel_cost=situation.travel_cost,
-                    is_regular_train_user=situation.is_regular_train_user,
-                    owns_annual_pass=situation.owns_annual_pass,
-                    chosen=mode,
-                )
-            )
+            pool.append(random_situation(rng, f"s{i:05d}")._replace(chosen=mode))
             i += 1
     rng.shuffle(pool)
     return table_of(pool)
@@ -323,20 +306,22 @@ def _pool(per_class: int, seed: int = 0) -> SituationTable:
 
 def test_balanced_split_quota_1000():
     train, test = balanced_split(_pool(450), n_train=1000, n_test=200, seed=42)
-    counts = Counter(s.chosen for s in train)
+    counts = Counter(s.chosen for s in records(train))
     assert sorted(counts.values()) == [333, 333, 334]
     assert len(train) == 1000 and len(test) == 200
-    assert sorted(Counter(s.chosen for s in test).values()) == [66, 67, 67]
+    assert sorted(Counter(s.chosen for s in records(test)).values()) == [66, 67, 67]
 
 
 def test_balanced_split_disjoint_and_deterministic():
     pool = _pool(100)
     train_a, test_a = balanced_split(pool, 120, 60, seed=42)
     train_b, test_b = balanced_split(pool, 120, 60, seed=42)
-    assert list(train_a) == list(train_b) and list(test_a) == list(test_b)
-    assert {s.situation_id for s in train_a}.isdisjoint({s.situation_id for s in test_a})
+    assert records(train_a) == records(train_b) and records(test_a) == records(test_b)
+    assert {s.situation_id for s in records(train_a)}.isdisjoint(
+        {s.situation_id for s in records(test_a)}
+    )
     train_c, _ = balanced_split(pool, 120, 60, seed=43)
-    assert list(train_c) != list(train_a)  # different seed reshuffles
+    assert records(train_c) != records(train_a)  # different seed reshuffles
 
 
 def test_balanced_split_insufficient_members():
@@ -360,10 +345,12 @@ def test_balanced_split_class_count_property():
         train, test = balanced_split(pool, n_train, n_test, seed=trial)
         assert len(train) == n_train and len(test) == n_test
         for split in (train, test):
-            counts = Counter(s.chosen for s in split)
+            counts = Counter(s.chosen for s in records(split))
             values = [counts.get(m, 0) for m in ModeLabel]
             assert max(values) - min(values) <= 1
-        assert {s.situation_id for s in train}.isdisjoint({s.situation_id for s in test})
+        assert {s.situation_id for s in records(train)}.isdisjoint(
+            {s.situation_id for s in records(test)}
+        )
 
 
 def _edge_row(i, **changes):
@@ -389,14 +376,14 @@ def test_edge_rows_keep_the_values_of_row_by_row_ingest(tmp_path, caplog):
     ]
     path = write_survey_file(tmp_path / "edges.dat", rows)
     with caplog.at_level(logging.INFO, logger="modechoice.dataset"):
-        situations = list(to_choice_situations(load_raw(path, CMAP), CMAP))
+        situations = records(to_choice_situations(load_raw(path, CMAP), CMAP))
     assert situations == [
-        ChoiceSituation("row00000", (11, 3, 40), (20, 30, 0), False, True, ModeLabel.TRAIN),
-        ChoiceSituation(
+        Situation("row00000", (11, 3, 40), (20, 30, 0), False, True, ModeLabel.TRAIN),
+        Situation(
             "row00001", (60, 50, int(1e300)), (20, 0, 25), False, False, ModeLabel.TRAIN
         ),
-        ChoiceSituation("row00002", (60, 50, 40), (20, 30, 25), False, False, ModeLabel.SWISSMETRO),
-        ChoiceSituation("row00007", (60, 50, 40), (20, 30, 25), True, False, ModeLabel.CAR),
+        Situation("row00002", (60, 50, 40), (20, 30, 25), False, False, ModeLabel.SWISSMETRO),
+        Situation("row00007", (60, 50, 40), (20, 30, 25), True, False, ModeLabel.CAR),
     ]
     for situation in situations:
         for value in situation.travel_time_min + situation.travel_cost:
@@ -418,14 +405,16 @@ def test_balanced_split_orders_members_by_id_text():
     # past row99999 the ids sort as text, not as numbers: row100000 < row10001
     indices = [9, 10001, 99999, 100000, 100001, 123456, 5, 20000, 100002, 99998, 1000000, 7]
     situations = [
-        ChoiceSituation(f"row{i:05d}", (10, 20, 30), (1, 2, 3), False, False, ModeLabel(k % 3))
+        Situation(f"row{i:05d}", (10, 20, 30), (1, 2, 3), False, False, ModeLabel(k % 3))
         for k, i in enumerate(indices)
     ]
     pool = table_of(situations, rows=indices)
     train, test = balanced_split(pool, 6, 3, seed=3)
-    assert [s.situation_id for s in train] == PINNED_TRAIN
-    assert [s.situation_id for s in test] == PINNED_TEST
+    assert [s.situation_id for s in records(train)] == PINNED_TRAIN
+    assert [s.situation_id for s in records(test)] == PINNED_TEST
     # the same draw from members listed in another order
     shuffled = table_of(situations[::-1], rows=indices[::-1])
     again = balanced_split(shuffled, 6, 3, seed=3)
-    assert [[s.situation_id for s in part] for part in again] == [PINNED_TRAIN, PINNED_TEST]
+    assert [[s.situation_id for s in records(part)] for part in again] == [
+        PINNED_TRAIN, PINNED_TEST
+    ]

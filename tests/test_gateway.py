@@ -31,12 +31,17 @@ from modechoice.gateway import (
     parse_prompt_characteristics,
     request_digest,
 )
-from modechoice.prompting import PromptTemplateConfig, build_prompt
+from modechoice.prompting import PromptTemplateConfig, build_prompt, build_prompts
 
-from conftest import chat_reply, make_situation, random_situation, serving
+from conftest import chat_reply, make_situation, random_situation, serving, table_of
 
 PROMPT_CFG = PromptTemplateConfig()
-FAST_SM = build_prompt(make_situation(sid="fast-sm"), PROMPT_CFG)
+FAST_SM = build_prompt(table_of([make_situation(sid="fast-sm")]), PROMPT_CFG)
+
+
+def random_prompts(rng, n):
+    """The prompts of n random situations, one per row of a table."""
+    return build_prompts(table_of(random_situation(rng, f"s{i:03d}") for i in range(n)), PROMPT_CFG)
 
 
 def mock_cfg(**kwargs):
@@ -162,7 +167,7 @@ def test_cache_key_sensitivity(tmp_path):
 
     # each distinct prompt text gets its own entry
     rng = random.Random(23)
-    prompts = [FAST_SM] + [build_prompt(random_situation(rng, f"s{i}"), PROMPT_CFG) for i in range(50)]
+    prompts = [FAST_SM] + random_prompts(rng, 50)
     cache = CompletionCache(tmp_path)
     for prompt in prompts:
         complete(prompt, mock_cfg(), cache)
@@ -246,14 +251,14 @@ def test_cache_ignores_per_key_files(tmp_path):
 
 def test_batch_preserves_order(tmp_path):
     rng = random.Random(5)
-    prompts = [build_prompt(random_situation(rng, f"s{i:03d}"), PROMPT_CFG) for i in range(10)]
+    prompts = random_prompts(rng, 10)
     results = batch_complete(prompts, mock_cfg(), CompletionCache(tmp_path), MockBackend("min_cost"))
     assert [r.situation_id for r in results] == [p.situation_id for p in prompts]
 
 
 def test_batch_isolates_failures(tmp_path):
     rng = random.Random(6)
-    prompts = [build_prompt(random_situation(rng, f"s{i:03d}"), PROMPT_CFG) for i in range(10)]
+    prompts = random_prompts(rng, 10)
 
     class FailsOne:
         def generate(self, prompt_text):
@@ -272,7 +277,7 @@ def test_batch_isolates_failures(tmp_path):
 
 def test_batch_bounded_parallelism():
     rng = random.Random(8)
-    prompts = [build_prompt(random_situation(rng, f"s{i:03d}"), PROMPT_CFG) for i in range(16)]
+    prompts = random_prompts(rng, 16)
 
     class CountingBackend:
         def __init__(self):
@@ -296,7 +301,7 @@ def test_batch_bounded_parallelism():
 
 def test_batch_runs_mock_on_calling_thread():
     rng = random.Random(8)
-    prompts = [build_prompt(random_situation(rng, f"s{i:03d}"), PROMPT_CFG) for i in range(16)]
+    prompts = random_prompts(rng, 16)
 
     class ThreadRecordingMock(CountingMock):
         def __init__(self, rule):
@@ -315,7 +320,7 @@ def test_batch_runs_mock_on_calling_thread():
 
 def test_batch_matches_sequential_complete(tmp_path):
     rng = random.Random(9)
-    prompts = [build_prompt(random_situation(rng, f"s{i:03d}"), PROMPT_CFG) for i in range(12)]
+    prompts = random_prompts(rng, 12)
     cfg = mock_cfg(mock_rule="generalized_cost")
     batch = batch_complete(prompts, cfg, None, MockBackend("generalized_cost"))
     for prompt, result in zip(prompts, batch):
@@ -326,7 +331,7 @@ def test_batch_matches_sequential_complete(tmp_path):
 
 def test_batch_rerun_fully_cached(tmp_path):
     rng = random.Random(10)
-    prompts = [build_prompt(random_situation(rng, f"s{i:03d}"), PROMPT_CFG) for i in range(6)]
+    prompts = random_prompts(rng, 6)
     backend = CountingMock("min_time")
     first = batch_complete(prompts, mock_cfg(), CompletionCache(tmp_path), backend)
     calls_after_first = backend.calls
@@ -343,7 +348,7 @@ def test_batch_rerun_fully_cached(tmp_path):
 
 def test_batch_computes_the_request_digest_once(tmp_path, monkeypatch):
     rng = random.Random(11)
-    prompts = [build_prompt(random_situation(rng, f"s{i:03d}"), PROMPT_CFG) for i in range(6)]
+    prompts = random_prompts(rng, 6)
     calls = []
     monkeypatch.setattr(
         gateway, "request_digest", lambda cfg: calls.append(cfg) or request_digest(cfg)
@@ -356,7 +361,7 @@ def test_batch_computes_the_request_digest_once(tmp_path, monkeypatch):
 
 def test_batch_segment_does_not_depend_on_completion_order(tmp_path):
     rng = random.Random(12)
-    prompts = [build_prompt(random_situation(rng, f"s{i:03d}"), PROMPT_CFG) for i in range(8)]
+    prompts = random_prompts(rng, 8)
 
     class DelayedBackend:
         """Waits per prompt, so the pool finishes prompts in delay order."""
@@ -387,7 +392,7 @@ def test_batch_segment_does_not_depend_on_completion_order(tmp_path):
 
 def test_batch_keeps_completions_made_before_an_unexpected_error(tmp_path):
     rng = random.Random(13)
-    prompts = [build_prompt(random_situation(rng, f"s{i:03d}"), PROMPT_CFG) for i in range(8)]
+    prompts = random_prompts(rng, 8)
 
     class BreaksOnFifth(CountingMock):
         def generate(self, prompt_text):

@@ -38,7 +38,7 @@ from modechoice.pipeline import (
 )
 from modechoice.prompting import build_prompts
 
-from conftest import make_situation, synthetic_raw_rows, table_of, write_survey_file
+from conftest import make_situation, records, synthetic_raw_rows, table_of, write_survey_file
 
 CONFIG_TEMPLATE = """\
 dataset:
@@ -75,7 +75,7 @@ def oracle_accuracy(dataset_path, n_train, n_test, seed):
     situations = to_choice_situations(load_raw(dataset_path, cmap), cmap)
     _, test = balanced_split(situations, n_train, n_test, seed)
     hits = 0
-    for situation in test:
+    for situation in records(test):
         best, best_total = None, None
         for mode in ModeLabel:
             total = situation.travel_time_min[mode] + situation.travel_cost[mode]
@@ -505,8 +505,18 @@ def test_changed_train_setting_or_cap_recomputes_labels(workspace, old, new, n_c
             lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "parameters"}),
             "no field 'parameters'",
         ),
+        (lambda text: "[]", "a model is a JSON object, not list"),
+        (
+            lambda text: json.dumps(
+                dict(
+                    json.loads(text),
+                    parameters={"trees": {"thresholds": None, "nodes": [None], "cuts": [None]}},
+                )
+            ),
+            "thresholds must be a list of numbers",
+        ),
     ],
-    ids=["bytes", "format-version-1", "no-parameters"],
+    ids=["bytes", "format-version-1", "no-parameters", "not-an-object", "forest-of-nulls"],
 )
 def test_cli_rebuild_rejects_a_damaged_model_file(workspace, capsys, cut, message):
     config = str(workspace / "config.yaml")
@@ -614,10 +624,19 @@ def set_first_cut(value):
             lambda trees: trees["thresholds"].__setitem__(0, float("nan")),
             lambda m: "threshold nan is not finite",
         ),
+        (set_first_cut(lambda m: "0"), lambda m: f"cut '0' is not an integer in [0, {m})"),
+        (
+            lambda trees: trees.update(nodes="T", cuts=[[]]),
+            lambda m: "nodes must be a list of node strings",
+        ),
+        (
+            lambda trees: trees.update(nodes=["0TT"], cuts=["0"]),
+            lambda m: "cuts must be a list of cut lists",
+        ),
     ],
     ids=[
         "feature-out-of-range", "unknown-vote", "fractional-cut", "cut-out-of-range",
-        "nan-threshold",
+        "nan-threshold", "text-cut", "nodes-a-string", "cuts-a-string",
     ],
 )
 def test_a_stored_tree_with_a_value_out_of_range_is_rejected(workspace, damage, message):
@@ -689,6 +708,12 @@ def test_a_stored_tree_with_a_value_out_of_range_is_rejected(workspace, damage, 
             lambda text: text.replace('"reason"', '"reasons"', 1),
             "unexpected keyword argument 'reasons'",
         ),
+        (
+            "llm-*.jsonl.gz",
+            "llm",
+            lambda text: re.sub('"prediction": "[^"]*"', '"prediction": 5', text, count=1),
+            "prediction 5 is not a string",
+        ),
     ],
     ids=[
         "split-unknown-id",
@@ -698,6 +723,7 @@ def test_a_stored_tree_with_a_value_out_of_range_is_rejected(workspace, damage, 
         "split-repeated-id",
         "llm-row-missing",
         "llm-key-renamed",
+        "llm-prediction-not-a-string",
     ],
 )
 def test_cli_run_rejects_a_damaged_split_or_llm_file(

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -11,18 +12,17 @@ from modechoice.prompting import (
     COMPONENT_NAMES,
     InvalidComparison,
     PromptTemplateConfig,
-    TripAttribute,
     build_prompt,
     build_prompts,
-    compute_hints,
     percent_saving,
     render_individual_attributes,
     render_travel_characteristics,
 )
 
 from conftest import (
-    make_situation, random_situation, synthetic_raw_rows, table_of, write_survey_file
+    make_situation, random_situation, records, synthetic_raw_rows, table_of, write_survey_file
 )
+from reference_prompt import ArithmeticHint, TripAttribute
 
 CASE_FAST_SM = make_situation(
     sid="fast-sm", times=(106, 90, 34), costs=(72, 70, 78), chosen=ModeLabel.SWISSMETRO
@@ -30,6 +30,32 @@ CASE_FAST_SM = make_situation(
 CASE_CHEAP_TRAIN = make_situation(
     sid="cheap-train", times=(95, 130, 92), costs=(29, 44, 32), chosen=ModeLabel.TRAIN
 )
+
+
+def prompt_of(situation, cfg=PromptTemplateConfig()):
+    """A hand-built situation's prompt, as a one-row table that keeps its
+    times and costs as exact ints."""
+    return build_prompt(table_of([situation], dtype=object), cfg)
+
+
+def guide_hints(prompt, cfg=PromptTemplateConfig()) -> list[ArithmeticHint]:
+    """The arithmetic hints the prompt's guide states after its domain texts,
+    read back from their sentences: which modes hold the minimum, and the
+    percent saved against each other mode."""
+    domain = " ".join(cfg.domain_knowledge_texts)
+    hints = []
+    for sentence in re.findall(r"[^.]+\.", prompt.components["guide"][len(domain) :]):
+        pattern = r" (.+?)(?: all)? ha(?:s|ve) the \w+ (travel \w+)"
+        subject, attr = re.match(pattern, sentence).groups()
+        savings = re.findall(r"saving (\d+)% compared to (\w+)", sentence)
+        hints.append(
+            ArithmeticHint(
+                TripAttribute(attr),
+                tuple(ModeLabel.from_name(name) for name in re.split(", | and ", subject)),
+                {ModeLabel.from_name(name): int(percent) for percent, name in savings},
+            )
+        )
+    return hints
 
 
 @pytest.mark.parametrize(
@@ -61,7 +87,7 @@ def test_percent_saving_monotone_in_minimum():
 
 
 def test_compute_hints_fast_swissmetro():
-    time_hint, cost_hint = compute_hints(CASE_FAST_SM)
+    time_hint, cost_hint = guide_hints(prompt_of(CASE_FAST_SM))
     assert time_hint.attribute is TripAttribute.TRAVEL_TIME
     assert time_hint.min_modes == (ModeLabel.SWISSMETRO,)
     assert time_hint.savings == {ModeLabel.CAR: 62, ModeLabel.TRAIN: 68}
@@ -72,20 +98,21 @@ def test_compute_hints_fast_swissmetro():
 
 def test_compute_hints_full_tie():
     situation = make_situation(times=(60, 60, 60), costs=(30, 30, 30))
-    time_hint, cost_hint = compute_hints(situation)
+    prompt = prompt_of(situation)
+    time_hint, cost_hint = guide_hints(prompt)
     for hint in (time_hint, cost_hint):
         assert hint.min_modes == tuple(ModeLabel)
         assert hint.savings == {}
-    guide = build_prompt(situation, PromptTemplateConfig()).components["guide"]
+    guide = prompt.components["guide"]
     assert "Train, Car and Swissmetro all have the same travel time." in guide
     assert "Train, Car and Swissmetro all have the same travel cost." in guide
 
 
 def test_compute_hints_partition_property():
     rng = random.Random(13)
-    for i in range(300):
-        situation = random_situation(rng, f"s{i}")
-        for hint in compute_hints(situation):
+    table = table_of(random_situation(rng, f"s{i}") for i in range(300))
+    for prompt in build_prompts(table, PromptTemplateConfig()):
+        for hint in guide_hints(prompt):
             for mode in ModeLabel:
                 assert (mode in hint.min_modes) != (mode in hint.savings)
 
@@ -134,21 +161,22 @@ def test_render_individual_attributes(regular, annual, expected):
 
 def test_build_prompt_deterministic_and_complete():
     cfg = PromptTemplateConfig()
-    first = build_prompt(CASE_FAST_SM, cfg)
-    second = build_prompt(CASE_FAST_SM, cfg)
+    row = table_of([CASE_FAST_SM], rows=[426])
+    first = build_prompt(row, cfg)
+    second = build_prompt(row, cfg)
     assert first.full_text == second.full_text
     assert set(first.components) == set(COMPONENT_NAMES)
     assert render_travel_characteristics(table_of([CASE_FAST_SM]))[0] in first.full_text
     assert "saving 62% compared to Car" in first.full_text
-    assert first.situation_id == "fast-sm"
-    assert len(compute_hints(CASE_FAST_SM)) == 2
+    assert first.situation_id == "row00426"
+    assert len(guide_hints(first)) == 2
 
 
 def test_build_prompt_component_round_trip():
     cfg = PromptTemplateConfig()
     rng = random.Random(21)
-    for i in range(100):
-        prompt = build_prompt(random_situation(rng, f"s{i}"), cfg)
+    for row in table_of(random_situation(rng, f"s{i}") for i in range(100)):
+        prompt = build_prompt(row, cfg)
         rebuilt = "\n\n".join(prompt.components[name] for name in cfg.component_order)
         assert rebuilt == prompt.full_text
 
@@ -156,7 +184,7 @@ def test_build_prompt_component_round_trip():
 def test_build_prompt_respects_component_order():
     order = ("output_format", "guide", "attributes", "characteristics", "task")
     cfg = PromptTemplateConfig(component_order=order)
-    prompt = build_prompt(CASE_FAST_SM, cfg)
+    prompt = prompt_of(CASE_FAST_SM, cfg)
     assert prompt.full_text.startswith(cfg.output_format_text)
     assert prompt.full_text.endswith(cfg.task_description_text)
 
@@ -232,20 +260,31 @@ def oracle_situations():
 
 @pytest.mark.parametrize("cfg", ORACLE_CONFIGS, ids=["default", "custom"])
 def test_build_prompt_matches_reference(cfg):
-    for situation in oracle_situations():
-        prompt = build_prompt(situation, cfg)
+    # object-dtype columns keep each value exact, as the oracle holds it
+    table = table_of(oracle_situations(), dtype=object)
+    for situation, row in zip(records(table), table, strict=True):
+        prompt = build_prompt(row, cfg)
         assert (prompt.full_text, prompt.components) == reference_prompt.build_prompt(
             situation, cfg
         ), situation
         assert prompt.situation_id == situation.situation_id
-        assert compute_hints(situation) == reference_prompt.compute_hints(situation)
+        assert guide_hints(prompt, cfg) == reference_prompt.compute_hints(situation)
+
+
+@pytest.mark.parametrize("cfg", ORACLE_CONFIGS, ids=["default", "custom"])
+@pytest.mark.parametrize("dtype", [float, object])
+def test_build_prompt_row_by_row_matches_build_prompts(cfg, dtype):
+    # perfbench's probe renders the test table row by row through build_prompt
+    situations = oracle_situations()
+    table = table_of(situations, rows=[7 + 3 * i for i in range(len(situations))], dtype=dtype)
+    assert [build_prompt(row, cfg) for row in table] == build_prompts(table, cfg)
 
 
 @pytest.mark.parametrize("cfg", ORACLE_CONFIGS, ids=["default", "custom"])
 def test_build_prompts_match_reference(cfg):
     # the table holds float64, so the reference renders the rows it holds
     table = table_of(oracle_situations())
-    for situation, prompt in zip(table, build_prompts(table, cfg), strict=True):
+    for situation, prompt in zip(records(table), build_prompts(table, cfg), strict=True):
         assert (prompt.full_text, prompt.components) == reference_prompt.build_prompt(
             situation, cfg
         ), situation
@@ -256,7 +295,7 @@ def test_prompt_bytes_are_pinned():
     rendered = [
         [prompt.full_text, prompt.components]
         for cfg in ORACLE_CONFIGS
-        for prompt in (build_prompt(s, cfg) for s in EDGE_SITUATIONS)
+        for prompt in build_prompts(table_of(EDGE_SITUATIONS, dtype=object), cfg)
     ]
     digest = hashlib.sha256(json.dumps(rendered, sort_keys=True).encode("utf-8")).hexdigest()
     assert digest == "4241be8f1acadbbb5ef578cbf3e76f8022d8cd8a90669f354e8c28144deb776a"
@@ -267,12 +306,12 @@ def test_savings_stay_exact_past_2_to_the_53(tmp_path):
     rows[0].update(zip(("TRAIN_TT", "CAR_TT", "SM_TT"), map(str, HUGE_TIMES)))
     path = write_survey_file(tmp_path / "huge.dat", rows)
     table = to_choice_situations(load_raw(path, ColumnMap()), ColumnMap())
-    [situation] = table
+    [situation] = records(table)
     assert situation.travel_time_min == HUGE_TIMES
     expected = (
         "Car has the lowest travel time, saving 99% compared to Train, "
         "saving 99% compared to Swissmetro."
     )
-    assert expected in build_prompt(situation, PromptTemplateConfig()).components["guide"]
+    assert expected in prompt_of(situation).components["guide"]
     [prompt] = build_prompts(table, PromptTemplateConfig())
     assert expected in prompt.components["guide"]

@@ -6,7 +6,7 @@ import numpy as np
 from modechoice.benchmarks import fit_scaler
 from modechoice.dataset import ColumnMap, balanced_split, load_raw, to_choice_situations
 
-from conftest import real_data_path, requires_real_data, table_of
+from conftest import real_data_path, records, requires_real_data
 
 # documented summary statistics for a balanced 1,200-row sample of the survey;
 # the sampling seed behind them is unknown, so these are ±25% sanity bands,
@@ -36,17 +36,19 @@ def test_full_file_yields_9036_situations():
 def test_balanced_sample_means_within_band():
     situations = _situations()
     train, test = balanced_split(situations, 1000, 200, seed=42)
-    sample = table_of(list(train) + list(test))
+    # ingest keeps the file's row order, so each row's index finds its position
+    rows = np.r_[train.row_index, test.row_index]
+    sample = situations[np.searchsorted(situations.row_index, rows)]
     scaler = fit_scaler(sample)
     for name, observed in zip(EXPECTED_NUMERIC_MEANS, scaler.means):
         target = EXPECTED_NUMERIC_MEANS[name]
         assert abs(observed - target) <= 0.25 * target, (name, observed, target)
-    regular = np.mean([s.is_regular_train_user for s in sample])
-    annual = np.mean([s.owns_annual_pass for s in sample])
+    regular = np.mean(sample.regular)
+    annual = np.mean(sample.annual_pass)
     assert abs(regular - 0.34) <= 0.25 * 0.34, regular
     assert abs(annual - 0.13) <= 0.25 * 0.13, annual
 
 
 @requires_real_data
 def test_reingest_byte_determinism():
-    assert list(_situations()) == list(_situations())
+    assert records(_situations()) == records(_situations())
