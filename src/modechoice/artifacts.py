@@ -43,10 +43,11 @@ def write_atomic(path: Path, data: bytes) -> bool:
 
 
 def dump_json_lines(values, **options) -> bytes:
-    """The values as gzip'd JSON lines, one value a line, each dumped with
-    json.dumps(value, **options); with mtime=0 the bytes depend on the values
-    alone."""
-    text = "".join(json.dumps(value, **options) + "\n" for value in values)
+    """The values as gzip'd JSON lines, one value a line, each dumped as
+    json.dumps(value, **options) would, by one shared encoder; with mtime=0
+    the bytes depend on the values alone."""
+    encode = json.JSONEncoder(**options).encode
+    text = "".join(encode(value) + "\n" for value in values)
     return gzip.compress(text.encode("utf-8"), mtime=0)
 
 
@@ -73,7 +74,8 @@ def load_or_create(path: Path, compute, serialize, deserialize, store=lambda val
     and computing it otherwise; a computed value is stored only if `store`
     accepts it, as the bytes `serialize` returns, or its text in UTF-8. A
     stored artifact that does not deserialize is a ValueError naming its
-    file: damaged bytes, or a missing or mistyped field."""
+    file: damaged bytes, a missing or mistyped field, or a number too large
+    for a float."""
     try:
         data = path.read_bytes()
     except FileNotFoundError:
@@ -85,6 +87,6 @@ def load_or_create(path: Path, compute, serialize, deserialize, store=lambda val
     logger.info("reusing stage artifact %s", path)
     try:
         return deserialize(data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         detail = f"no field {exc}" if isinstance(exc, KeyError) else exc
         raise ValueError(f"{path}: {detail}") from exc

@@ -82,6 +82,8 @@ _NODE_CHARS = "".join(map(str, range(N_FEATURES))) + "".join(m.display[0] for m 
 _CODE_BYTES = np.frombuffer(_NODE_CHARS.encode("ascii"), np.uint8)
 _BYTE_CODES = np.full(256, -1, dtype=np.intp)
 _BYTE_CODES[_CODE_BYTES] = np.arange(len(_NODE_CHARS))
+# the types of a JSON number; a bool's type is bool, though it is an int
+_NUMBER_TYPES = frozenset((int, float))
 
 
 def trees_to_json(trees: list[Tree]) -> dict:
@@ -111,8 +113,10 @@ def trees_from_json(stored: dict) -> list[Tree]:
     tree holds 2n + 1 nodes and n cuts for its n split nodes, each cut an
     integer index into `thresholds`."""
     thresholds, nodes, cuts = stored["thresholds"], stored["nodes"], stored["cuts"]
+    if not isinstance(thresholds, list) or not _NUMBER_TYPES.issuperset(map(type, thresholds)):
+        raise ValueError("thresholds must be a list of numbers")
     table = np.array(thresholds)
-    if not isinstance(thresholds, list) or table.ndim != 1 or table.dtype.kind not in "iuf":
+    if table.dtype.kind not in "iuf":  # an int past the int64 range
         raise ValueError("thresholds must be a list of numbers")
     if not isinstance(nodes, list) or not all(isinstance(tree, str) for tree in nodes):
         raise ValueError("nodes must be a list of node strings")
@@ -149,9 +153,9 @@ def trees_from_json(stored: dict) -> list[Tree]:
 def _integers(name: str, values: list, low: int, high: int) -> np.ndarray:
     """The values as integers; a ValueError naming the first that is not an
     integer in [low, high)."""
-    given = np.array(values)
-    if given.dtype.kind not in "iuf" or given.ndim != 1:  # a string, null or list; or all bools
-        given = np.array([v if type(v) in (int, float) else np.nan for v in values], dtype=float)
+    given = np.array(values) if _NUMBER_TYPES.issuperset(map(type, values)) else None
+    if given is None or given.dtype.kind not in "iuf":  # a bool, string, null or list; or a big int
+        given = np.array([v if type(v) in _NUMBER_TYPES else np.nan for v in values], dtype=float)
     bad = ~((given == np.floor(given)) & (low <= given) & (given < high))  # NaN is bad too
     if bad.any():
         value = values[int(np.argmax(bad))]

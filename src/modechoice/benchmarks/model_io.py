@@ -32,7 +32,18 @@ def _to_json(name: str, value):
 def _from_json(name: str, value):
     if name == "trees":
         return trees_from_json(value)
-    return np.array(value, dtype=float)
+    return _numbers(name, value)
+
+
+def _numbers(name: str, value) -> np.ndarray:
+    """A stored array of JSON numbers, nested to any depth, as float64; a
+    ValueError naming the first entry that is not one, such as a bool, a
+    string or null."""
+    entries = np.array(value, dtype=object)
+    for entry in entries.flat:
+        if type(entry) not in (int, float):
+            raise ValueError(f"{name} entry {entry!r} is not a number")
+    return entries.astype(float)
 
 
 def model_to_dict(model, scaler: FeatureScaler) -> dict:
@@ -60,8 +71,8 @@ def model_from_dict(doc: dict):
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported model format_version {version!r}")
     scaler = FeatureScaler(
-        means=np.array(doc["scaler"]["means"], dtype=float),
-        stds=np.array(doc["scaler"]["stds"], dtype=float),
+        means=_numbers("means", doc["scaler"]["means"]),
+        stds=_numbers("stds", doc["scaler"]["stds"]),
     )
     model_class = _MODEL_CLASSES.get(doc["kind"])
     if model_class is None:

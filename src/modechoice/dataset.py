@@ -3,16 +3,20 @@
 The raw file is delimiter-separated text with a header row. A ColumnMap binds
 the feature columns we use (per-mode travel time/cost, two traveler flags,
 choice code, availability flags) to their raw names; only those columns are
-read.
+read. numpy's C reader reads them from a file without quoted fields, with
+no Python object kept per row; a file with quotes, or one the C reader cannot
+read as csv would, is read with csv.reader.
 """
 
 from __future__ import annotations
 
 import csv
 import gzip
+import io
 import logging
 import math
 import random
+import re
 from dataclasses import dataclass, field
 from enum import IntEnum
 from operator import itemgetter
@@ -203,44 +207,91 @@ def load_raw(
     columns are never parsed. Blank lines are skipped and take no row index,
     and a short row reads its missing fields as "". Raises MissingColumn,
     UnparseableValue (the first bad value by row, then column), or EmptyFile.
+
+    The file is read once; a `.gz` file is decompressed, and the text is
+    UTF-8. numpy's C reader reads the values of a file that holds no `"`,
+    where every mapped value is a finite number it can read. Any other file is
+    read with csv.reader and float(): csv's quoting may put a delimiter inside
+    a field, float() also reads values such as "1_000", and the bad value an
+    error names is found there.
     """
     path = Path(path)
+    data = path.read_bytes()
+    if path.suffix == ".gz":
+        data = gzip.decompress(data)
     names = cmap.mapped_columns()
-    opener = gzip.open if path.suffix == ".gz" else open
-    with opener(path, "rt", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle, delimiter=delimiter)
-        header = next(reader, None)
-        if not header:
-            raise EmptyFile(f"{path}: no header row")
-        position = {name: i for i, name in enumerate(header)}  # last duplicate wins
-        for name in names:
-            if name not in position:
-                raise MissingColumn(name)
-        in_file_order = sorted(names, key=position.__getitem__)
-        pick = itemgetter(*map(position.__getitem__, in_file_order))
-        width = position[in_file_order[-1]] + 1
-        rows = [  # the mapped fields of each row, in file order
-            pick(row) if len(row) >= width else pick(row + [""] * width) for row in reader if row
-        ]
-    if not rows:
+    rows = csv.reader(_text(data, newline=""), delimiter=delimiter)
+    header = next(rows, None)
+    if not header:
+        raise EmptyFile(f"{path}: no header row")
+    position = {name: i for i, name in enumerate(header)}  # last duplicate wins
+    for name in names:
+        if name not in position:
+            raise MissingColumn(name)
+    in_file_order = sorted(names, key=position.__getitem__)
+    usecols = [position[name] for name in in_file_order]
+    values = _read_with_numpy(data, delimiter, usecols)
+    if values is None:
+        values = _read_with_csv(rows, in_file_order, usecols)  # the rows after the header
+    if not len(values):
         raise EmptyFile(f"{path}: header but no data rows")
-    try:  # column by column; a bad value falls through to the scan
-        texts = zip(in_file_order, zip(*rows))
-        parsed = {name: np.fromiter(map(float, column), float) for name, column in texts}
-        # float() also reads "nan" and "inf"
-        if all(np.isfinite(values).all() for values in parsed.values()):
-            return {name: parsed[name] for name in names}
+    columns = dict(zip(in_file_order, values.T))
+    return {name: columns[name] for name in names}
+
+
+# a line after the first that holds a character: without one, np.loadtxt warns
+_DATA_LINE = re.compile(rb"[\r\n][^\r\n]")
+
+
+def _text(data: bytes, newline: str | None) -> io.TextIOWrapper:
+    """The bytes as UTF-8 text, read line by line; newline as for open()."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=newline)
+
+
+def _read_with_numpy(data: bytes, delimiter: str, usecols: list[int]) -> np.ndarray | None:
+    """The usecols values of each data row by np.loadtxt, or None where they
+    may differ from what csv.reader and float() read: a file that holds a
+    `"`, one without a data line, and one that loadtxt rejects (a value such
+    as "1_000", or a short row) or reads a value of that is not finite."""
+    if b'"' in data or not _DATA_LINE.search(data):
+        return None
+    try:
+        values = np.loadtxt(
+            _text(data, newline=None),  # \r and \r\n end a line, as they do for csv
+            delimiter=delimiter,
+            comments=None,
+            skiprows=1,
+            usecols=usecols,
+            dtype=float,
+            ndmin=2,
+        )
     except ValueError:
-        pass
-    for index, row in enumerate(rows):
-        for name, text in zip(in_file_order, row):
-            try:
-                value = float(text)
-            except ValueError:
-                value = math.nan
-            if not math.isfinite(value):
-                raise UnparseableValue(index, name, text.strip())
-    raise AssertionError("the column pass failed, but no value is bad")
+        return None
+    return values if np.isfinite(values).all() else None
+
+
+def _read_with_csv(rows, names: list[str], usecols: list[int]) -> np.ndarray:
+    """The usecols values of each nonblank csv row, which are the columns
+    `names`; a short row reads its missing fields as "". A value that float()
+    does not read as a finite number is an UnparseableValue."""
+    pick = itemgetter(*usecols)
+    width = max(usecols) + 1
+    texts = [pick(row) if len(row) >= width else pick(row + [""] * width) for row in rows if row]
+    values = np.array([[_number(text) for text in row] for row in texts]).reshape(-1, len(names))
+    bad = ~np.isfinite(values)
+    if bad.any():
+        index, column = np.argwhere(bad)[0].tolist()  # the first by row, then column
+        raise UnparseableValue(index, names[column], texts[index][column].strip())
+    return values
+
+
+def _number(text: str) -> float:
+    """float(text), which also reads "nan", "inf" and "1_000"; nan where it
+    reads no number."""
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
 
 
 def to_choice_situations(columns: dict[str, np.ndarray], cmap: ColumnMap) -> SituationTable:

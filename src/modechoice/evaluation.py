@@ -279,9 +279,8 @@ def write_report(
     out = Path(out_dir)
     try:
         summary_json = json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
-        cases = "".join(
-            json.dumps(r.to_json_dict(), sort_keys=True) + "\n" for r in records
-        )
+        encode = json.JSONEncoder(sort_keys=True).encode  # one encoder for every case
+        cases = "".join(encode(r.to_json_dict()) + "\n" for r in records)
         texts = (summary_json, render_summary_text(report) + "\n", cases)
         for name, text in zip(REPORT_FILES, texts):
             write_atomic(out / name, text.encode("utf-8"))

@@ -318,25 +318,35 @@ def complete(
     cfg: BackendConfig,
     cache: CompletionCache | None,
     backend=None,
-    request: str | None = None,
 ) -> ModelCompletion:
     """Complete one prompt, consulting the cache first and storing on success.
-    A caller that has already computed request_digest(cfg) passes it as request.
 
     A new completion is kept in the cache's memory until `cache.flush()`."""
-    key = digest_of(request or request_digest(cfg), prompt.full_text)
-    if cache is not None:
-        cached = cache.get(key)
-        if cached is not None:
-            return ModelCompletion(
-                text=cached,
-                situation_id=prompt.situation_id,
-                cache_hit=True,
-                latency_ms=0.0,
-                attempt_count=0,
-            )
-    if backend is None:
-        backend = make_backend(cfg)
+    key = digest_of(request_digest(cfg), prompt.full_text)
+    hit = _cached(prompt, key, cache)
+    if hit is not None:
+        return hit
+    return _generate(prompt, key, cfg, cache, make_backend(cfg) if backend is None else backend)
+
+
+def _cached(prompt: Prompt, key: str, cache: CompletionCache | None) -> ModelCompletion | None:
+    """The prompt's completion stored under key, or None when there is none."""
+    text = None if cache is None else cache.get(key)
+    if text is None:
+        return None
+    return ModelCompletion(
+        text=text,
+        situation_id=prompt.situation_id,
+        cache_hit=True,
+        latency_ms=0.0,
+        attempt_count=0,
+    )
+
+
+def _generate(
+    prompt: Prompt, key: str, cfg: BackendConfig, cache: CompletionCache | None, backend
+) -> ModelCompletion:
+    """Ask the backend for the prompt's completion and put it in the cache under key."""
     started = time.perf_counter()
     text, attempts = _generate_with_retries(backend, prompt.full_text, cfg)
     latency_ms = (time.perf_counter() - started) * 1000.0
@@ -359,9 +369,11 @@ def batch_complete(
     cache: CompletionCache | None,
     backend=None,
 ) -> list[ModelCompletion | CompletionFailure]:
-    """Complete prompts in input order, at most cfg.max_parallel_requests at
-    a time for a backend that waits on the network; the in-process mock runs
-    on the calling thread.
+    """Complete prompts in input order. Cached prompts are answered on the
+    calling thread; the rest go to the backend in input order, at most
+    cfg.max_parallel_requests at a time for a backend that waits on the
+    network, while the in-process mock runs on the calling thread. With no
+    prompt left to send, no pool is started.
 
     One item's failure never aborts the batch; failed positions hold a
     CompletionFailure record instead of a completion. The batch's new
@@ -372,10 +384,17 @@ def batch_complete(
     if backend is None:
         backend = make_backend(cfg)  # credential problems surface before any work
     request = request_digest(cfg)
+    results = []  # a hit's completion; for a miss, until it is sent, its key
+    for prompt in prompts:
+        key = digest_of(request, prompt.full_text)
+        hit = _cached(prompt, key, cache)
+        results.append(key if hit is None else hit)
+    misses = [i for i, result in enumerate(results) if isinstance(result, str)]
 
-    def one(prompt: Prompt) -> ModelCompletion | CompletionFailure:
+    def one(i: int) -> ModelCompletion | CompletionFailure:
+        prompt = prompts[i]
         try:
-            return complete(prompt, cfg, cache, backend, request)
+            return _generate(prompt, results[i], cfg, cache, backend)
         except GatewayError as exc:
             logger.warning("completion failed for %s: %s", prompt.situation_id, exc)
             return CompletionFailure(
@@ -385,12 +404,16 @@ def batch_complete(
             )
 
     try:
-        if isinstance(backend, MockBackend):
-            # pure Python with no waits: pool threads would only contend for
-            # the interpreter lock
-            return [one(prompt) for prompt in prompts]
-        with ThreadPoolExecutor(max_workers=cfg.max_parallel_requests) as pool:
-            return list(pool.map(one, prompts))
+        if misses and not isinstance(backend, MockBackend):
+            with ThreadPoolExecutor(max_workers=cfg.max_parallel_requests) as pool:
+                for i, result in zip(misses, pool.map(one, misses)):
+                    results[i] = result
+        else:
+            # the mock is pure Python with no waits: pool threads would only
+            # contend for the interpreter lock
+            for i in misses:
+                results[i] = one(i)
+        return results
     finally:
         # also on an exception or Ctrl-C, so the completions made are kept
         if cache is not None:

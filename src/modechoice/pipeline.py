@@ -298,8 +298,8 @@ def ingest_key(cfg: PipelineConfig) -> str:
 @stage("ingest")
 def stage_ingest(cfg: PipelineConfig) -> SituationTable:
     """Read and validate the survey file into columns. It is not stored, since
-    that takes a few tens of ms for the paper's 10,728 rows, mostly csv parsing;
-    a run whose stored report is reusable does not call it."""
+    that takes about 10 ms for the paper's 10,728 rows, most of it numpy's C
+    reader; a run whose stored report is reusable does not call it."""
     columns = load_raw(cfg.dataset_path, cfg.column_map, delimiter=cfg.delimiter)
     return to_choice_situations(columns, cfg.column_map)
 

@@ -13,6 +13,15 @@ import pytest
 
 from modechoice.dataset import ModeLabel, SituationTable
 
+try:
+    from hypothesis import settings
+except ImportError:  # hypothesis comes with the test extras; its tests skip without it
+    pass
+else:
+    # the same examples on every run, and no example database left behind
+    settings.register_profile("modechoice", derandomize=True, database=None)
+    settings.load_profile("modechoice")
+
 RAW_COLUMNS = [
     "ID",
     "PURPOSE",

@@ -1,5 +1,7 @@
+import csv
 import logging
 import random
+import warnings
 from collections import Counter
 
 import pytest
@@ -54,6 +56,12 @@ def test_load_raw_empty_file(tmp_path):
     header_only.write_text("\t".join(RAW_COLUMNS) + "\n")
     with pytest.raises(EmptyFile):
         load_raw(header_only, CMAP)
+    blank_lines = tmp_path / "blank-lines.dat"
+    blank_lines.write_text("\t".join(RAW_COLUMNS) + "\r\n\n\r\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # np.loadtxt warns when it reads no data
+        with pytest.raises(EmptyFile, match="header but no data rows"):
+            load_raw(blank_lines, CMAP)
 
 
 def test_load_raw_unparseable_value(tmp_path):
@@ -117,6 +125,26 @@ def test_load_raw_short_row_is_unparseable(tmp_path):
         load_raw(path, CMAP)
     assert err.value.row_index == 1
     assert err.value.column == "SM_AV"
+
+
+def test_a_quoted_field_holding_the_delimiter_is_one_field(tmp_path):
+    """A comma inside a quoted field does not split it, so the columns after
+    it keep their places, as csv.reader reads them."""
+    columns = ["ID", "STATION", *RAW_COLUMNS[1:]]
+    path = tmp_path / "stations.csv"
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(columns)
+        for row in synthetic_raw_rows(4, seed=5):
+            writer.writerow({**row, "STATION": "Zurich, HB"}[name] for name in columns)
+    assert '"Zurich, HB"' in path.read_text()
+    with open(path, newline="", encoding="utf-8") as handle:
+        header, *rows = csv.reader(handle)
+    expected = {
+        name: [float(row[header.index(name)]) for row in rows] for name in CMAP.mapped_columns()
+    }
+    columns = load_raw(path, CMAP, delimiter=",")
+    assert {name: values.tolist() for name, values in columns.items()} == expected
 
 
 def test_blank_line_does_not_shift_situation_ids(tmp_path):

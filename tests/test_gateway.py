@@ -496,6 +496,35 @@ def test_http_backend_malformed_body(chat_endpoint, monkeypatch):
         assert len(chat_endpoint.requests) == 1
 
 
+def test_http_batch_sends_only_the_uncached_prompts_in_input_order(
+    chat_endpoint, monkeypatch, tmp_path
+):
+    monkeypatch.setenv("LLM_API_KEY", "sk-test")
+    prompts = random_prompts(random.Random(14), 8)
+    cfg = http_cfg(chat_endpoint.url, max_parallel_requests=1)
+    batch_complete(prompts[::2], cfg, CompletionCache(tmp_path))
+    chat_endpoint.requests.clear()
+    results = batch_complete(prompts, cfg, CompletionCache(tmp_path))
+    sent = [r["body"]["messages"][-1]["content"] for r in chat_endpoint.requests]
+    assert sent == [p.full_text for p in prompts[1::2]]
+    assert [r.situation_id for r in results] == [p.situation_id for p in prompts]
+    assert [r.cache_hit for r in results] == [True, False] * 4
+    hits = results[::2]
+    assert all(r.attempt_count == 0 and r.latency_ms == 0.0 for r in hits)
+    assert all(r.attempt_count == 1 and r.latency_ms > 0.0 for r in results[1::2])
+
+    # a batch that is all hits starts no pool
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started for cached prompts")
+
+    monkeypatch.setattr(gateway, "ThreadPoolExecutor", no_pool)
+    chat_endpoint.requests.clear()
+    again = batch_complete(prompts, cfg, CompletionCache(tmp_path))
+    assert chat_endpoint.requests == []
+    assert all(r.cache_hit for r in again)
+    assert [r.text for r in again] == [r.text for r in results]
+
+
 @pytest.mark.parametrize("content", ["", None, 123, ["Prediction: Train"]])
 def test_http_backend_content_without_text_is_not_cached(
     chat_endpoint, monkeypatch, tmp_path, content

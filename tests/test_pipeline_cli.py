@@ -493,20 +493,39 @@ def test_changed_train_setting_or_cap_recomputes_labels(workspace, old, new, n_c
     assert report_files(fresh) == report_files(cfg)
 
 
+def set_first(array_of, value):
+    """A damage that sets the first entry of the array `array_of` picks from
+    a stored model."""
+
+    def cut(text):
+        doc = json.loads(text)
+        array_of(doc)[0] = value
+        return json.dumps(doc)
+
+    return cut
+
+
+def intercepts(doc):
+    return doc["parameters"]["intercepts"]
+
+
 @pytest.mark.parametrize(
-    "cut, message",
+    "kind, cut, message",
     [
-        (lambda text: text[: len(text) // 2], "Expecting"),
+        ("rf", lambda text: text[: len(text) // 2], "Expecting"),
         (
+            "rf",
             lambda text: json.dumps(dict(json.loads(text), format_version=1)),
             "unsupported model format_version 1",
         ),
         (
+            "rf",
             lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "parameters"}),
             "no field 'parameters'",
         ),
-        (lambda text: "[]", "a model is a JSON object, not list"),
+        ("rf", lambda text: "[]", "a model is a JSON object, not list"),
         (
+            "rf",
             lambda text: json.dumps(
                 dict(
                     json.loads(text),
@@ -515,10 +534,22 @@ def test_changed_train_setting_or_cap_recomputes_labels(workspace, old, new, n_c
             ),
             "thresholds must be a list of numbers",
         ),
+        # a stored number of the wrong JSON type does not load as a number
+        ("mnl", set_first(intercepts, "0.5"), "intercepts entry '0.5' is not a number"),
+        ("mnl", set_first(intercepts, True), "intercepts entry True is not a number"),
+        ("mnl", set_first(intercepts, 10**400), "int too large to convert to float"),
+        (
+            "rf",
+            set_first(lambda doc: doc["scaler"]["means"], "3"),
+            "means entry '3' is not a number",
+        ),
     ],
-    ids=["bytes", "format-version-1", "no-parameters", "not-an-object", "forest-of-nulls"],
+    ids=[
+        "bytes", "format-version-1", "no-parameters", "not-an-object", "forest-of-nulls",
+        "text-intercept", "bool-intercept", "huge-intercept", "text-scaler-mean",
+    ],
 )
-def test_cli_rebuild_rejects_a_damaged_model_file(workspace, capsys, cut, message):
+def test_cli_rebuild_rejects_a_damaged_model_file(workspace, capsys, kind, cut, message):
     config = str(workspace / "config.yaml")
     assert run_cli("run", "--config", config) == 0
     cfg = load_pipeline_config(workspace / "config.yaml")
@@ -526,7 +557,7 @@ def test_cli_rebuild_rejects_a_damaged_model_file(workspace, capsys, cut, messag
     stages = workspace / "out" / "stages"
     (manifest,) = stages.glob("report-*.json")
     manifest.unlink()  # the next run rebuilds the report over the stored stages
-    (model,) = stages.glob("model-rf-*.json")
+    (model,) = stages.glob(f"model-{kind}-*.json")
     model.write_text(cut(model.read_text()))
     capsys.readouterr()
     assert run_cli("run", "--config", config) == 1
@@ -625,6 +656,11 @@ def set_first_cut(value):
             lambda m: "threshold nan is not finite",
         ),
         (set_first_cut(lambda m: "0"), lambda m: f"cut '0' is not an integer in [0, {m})"),
+        (set_first_cut(lambda m: True), lambda m: f"cut True is not an integer in [0, {m})"),
+        (
+            lambda trees: trees["thresholds"].__setitem__(0, True),
+            lambda m: "thresholds must be a list of numbers",
+        ),
         (
             lambda trees: trees.update(nodes="T", cuts=[[]]),
             lambda m: "nodes must be a list of node strings",
@@ -636,7 +672,8 @@ def set_first_cut(value):
     ],
     ids=[
         "feature-out-of-range", "unknown-vote", "fractional-cut", "cut-out-of-range",
-        "nan-threshold", "text-cut", "nodes-a-string", "cuts-a-string",
+        "nan-threshold", "text-cut", "bool-cut", "bool-threshold", "nodes-a-string",
+        "cuts-a-string",
     ],
 )
 def test_a_stored_tree_with_a_value_out_of_range_is_rejected(workspace, damage, message):
