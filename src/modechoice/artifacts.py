@@ -14,6 +14,8 @@ from pathlib import Path
 
 logger = logging.getLogger(__name__)
 
+_decode = json.JSONDecoder().raw_decode
+
 
 def digest_of(*parts: str | bytes) -> str:
     h = hashlib.sha256()
@@ -52,20 +54,23 @@ def dump_json_lines(values, **options) -> bytes:
 
 
 def load_json_lines(data: bytes) -> list:
-    """The values of gzip'd JSON lines, with one decompress and one parse.
-    Bytes that are not gzip, or are truncated or corrupt, and a line that is
-    not one JSON array or object, are a ValueError."""
+    """The values of gzip'd JSON lines, with one decompress and one scan.
+    Bytes that are not gzip'd UTF-8, or are truncated or corrupt, and a line
+    that is not exactly one JSON array or object, are a ValueError."""
     try:
-        lines = gzip.decompress(data).splitlines()
+        text = gzip.decompress(data).decode("utf-8")
     except (OSError, EOFError, zlib.error) as exc:
         raise ValueError(exc) from exc
-    # the joined parse alone would accept a line of two values, which the count
-    # rejects, and a value split across lines, which the brackets around each
-    # line reject
-    values = json.loads(b"[" + b",".join(lines) + b"]")
-    closed = all(line[:1] + line[-1:] in (b"[]", b"{}") for line in lines)
-    if len(values) != len(lines) or not closed:
-        raise ValueError(f"{len(lines)} lines do not hold one JSON value each")
+    values, start = [], 0
+    while start < len(text):
+        end = text.find("\n", start)
+        end = len(text) if end < 0 else end
+        # decoded from where its line starts, a value must end where the line does
+        value, stop = _decode(text, start)
+        if stop != end or not isinstance(value, (list, dict)):
+            raise ValueError(f"line {len(values) + 1} is not one JSON array or object")
+        values.append(value)
+        start = end + 1
     return values
 
 

@@ -5,24 +5,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..dataset import MODE_ORDER, ModeLabel, SituationTable
+from ..config import BENCHMARK_KINDS, MODE_ORDER, ModeLabel, TrainConfig, default_train_config
+from ..dataset import SituationTable
 from . import forest, mnl, neural
-from .config import (
-    BenchmarkError,
-    ClassMissing,
-    EmptyTrainingSet,
-    NonFiniteLoss,
-    TrainConfig,
-    default_train_config,
-)
+from .config import BenchmarkError, ClassMissing, EmptyTrainingSet, NonFiniteLoss
 from .features import FeatureScaler, encode_matrix, fit_scaler
 from .forest import ForestModel
 from .mnl import MnlModel
 from .model_io import model_from_dict, model_to_dict
 from .neural import NeuralModel
 
-_FITS = {"mnl": mnl.fit, "rf": forest.fit, "nn": neural.fit}
-BENCHMARK_KINDS = tuple(_FITS)
+_FITS = {"mnl": mnl.fit, "rf": forest.fit, "nn": neural.fit}  # in BENCHMARK_KINDS order
 
 __all__ = [
     "BENCHMARK_KINDS",

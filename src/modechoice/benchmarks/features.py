@@ -11,8 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..config import N_FEATURES
 from ..dataset import SituationTable
-from .config import N_FEATURES, EmptyTrainingSet
+from .config import EmptyTrainingSet
 
 N_NUMERIC = 6
 N_CLASSES = 3

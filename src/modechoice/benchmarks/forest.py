@@ -39,8 +39,7 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from ..dataset import MODE_ORDER
-from .config import N_FEATURES, TrainConfig
+from ..config import MODE_ORDER, N_FEATURES, TrainConfig
 from .features import N_CLASSES
 
 

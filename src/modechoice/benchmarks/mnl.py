@@ -9,7 +9,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .config import TrainConfig
+from ..config import TrainConfig
 from .features import N_CLASSES
 from .optim import minimize_gd_halving
 

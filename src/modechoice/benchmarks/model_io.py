@@ -6,14 +6,11 @@ import dataclasses
 
 import numpy as np
 
+from ..keys import MODEL_FORMAT_VERSION as FORMAT_VERSION
 from .features import FeatureScaler
 from .forest import ForestModel, trees_from_json, trees_to_json
 from .mnl import MnlModel
 from .neural import NeuralModel
-
-# 2: flat trees; 3: level-wise forest; 4: NN batch losses; 5: no children;
-# 6: one node string per tree, with cuts into a shared threshold table
-FORMAT_VERSION = 6
 
 _MODEL_CLASSES = {model.kind: model for model in (MnlModel, ForestModel, NeuralModel)}
 

@@ -8,7 +8,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .config import TrainConfig
+from ..config import TrainConfig
 from .features import N_CLASSES
 from .mnl import _log_softmax, softmax
 from .optim import minimize_adam

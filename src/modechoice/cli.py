@@ -5,6 +5,10 @@ Partial runs matter because live completions cost money: `ingest`, `sample`,
 pipeline against content-addressed stage artifacts, `evaluate` builds the
 report from the stored predictions and models alone, and `run` drives
 everything end to end.
+
+`run` and `evaluate` look for a stored report through `keys.run_pipeline`,
+which needs no numpy; the stage modules load only on a miss, or to run a
+stage.
 """
 
 from __future__ import annotations
@@ -14,12 +18,10 @@ import logging
 import sys
 from collections import Counter
 
-from . import benchmarks, pipeline
+from . import keys
 from .artifacts import write_atomic
-from .dataset import MODE_ORDER
-from .evaluation import render_summary_text
-from .gateway import BACKEND_KINDS
-from .prompting import build_prompts
+from .config import BACKEND_KINDS, MODE_ORDER, PipelineConfig, load_pipeline_config
+from .report import render_summary_text
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -61,14 +63,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args: argparse.Namespace) -> pipeline.PipelineConfig:
+def _load_config(args: argparse.Namespace) -> PipelineConfig:
     overrides = {
         "seed": args.seed,
         "backend": args.backend,
         "max_samples": args.max_samples,
         "out": args.out,
     }
-    return pipeline.load_pipeline_config(args.config, overrides)
+    return load_pipeline_config(args.config, overrides)
 
 
 def _class_counts(situations) -> str:
@@ -77,6 +79,7 @@ def _class_counts(situations) -> str:
 
 
 def _cmd_ingest(cfg, args) -> int:
+    from . import pipeline
     situations = pipeline.stage_ingest(cfg)
     print(f"ingested {len(situations)} situations from {cfg.dataset_path}")
     print(f"class counts: {_class_counts(situations)}")
@@ -84,6 +87,7 @@ def _cmd_ingest(cfg, args) -> int:
 
 
 def _cmd_sample(cfg, args) -> int:
+    from . import pipeline
     train, test = pipeline.stage_sample(cfg, pipeline.stage_ingest(cfg))
     print(f"train: {len(train)} ({_class_counts(train)})")
     print(f"test:  {len(test)} ({_class_counts(test)})")
@@ -91,6 +95,7 @@ def _cmd_sample(cfg, args) -> int:
 
 
 def _cmd_dump_prompt(cfg, args) -> int:
+    from . import pipeline
     situations = pipeline.stage_ingest(cfg)
     if args.situation_id is not None:
         try:
@@ -104,12 +109,13 @@ def _cmd_dump_prompt(cfg, args) -> int:
         if not 0 <= position < len(situations):
             print(f"error: --index must be in [0, {len(situations)})", file=sys.stderr)
             return 2
-    [prompt] = build_prompts(situations[position : position + 1], cfg.prompt)
+    [prompt] = pipeline.build_prompts(situations[position : position + 1], cfg.prompt)
     print(prompt.full_text)
     return 0
 
 
 def _cmd_predict_llm(cfg, args) -> int:
+    from . import pipeline
     split_key, _, test = pipeline.prepare_split(cfg)
     answers = pipeline.stage_llm(cfg, test, split_key)
     backend = sum(a.backend_failure for a in answers)
@@ -121,6 +127,7 @@ def _cmd_predict_llm(cfg, args) -> int:
 
 
 def _cmd_fit_bench(cfg, args) -> int:
+    from . import benchmarks, pipeline
     split_key, train, _ = pipeline.prepare_split(cfg)
     fitted = pipeline.stage_benchmarks(cfg, train, split_key)
     for kind, (model, scaler) in fitted.items():
@@ -133,11 +140,11 @@ def _cmd_fit_bench(cfg, args) -> int:
 
 
 def _cmd_evaluate(cfg, args) -> int:
-    split_key = pipeline.sample_key(cfg)
+    split_key = keys.sample_key(cfg)
     stored = {
-        ("predictions", "predict-llm"): [pipeline.llm_path(cfg, split_key)],
+        ("predictions", "predict-llm"): [keys.llm_path(cfg, split_key)],
         ("models", "fit-bench"): [
-            pipeline.model_path(cfg, kind, split_key) for kind in cfg.benchmark_kinds
+            keys.model_path(cfg, kind, split_key) for kind in cfg.benchmark_kinds
         ],
     }
     missing = False
@@ -152,14 +159,13 @@ def _cmd_evaluate(cfg, args) -> int:
             )
     if missing:
         return 2
-    report = pipeline.run_pipeline(cfg, split_key)
-    print(render_summary_text(report))
+    print(render_summary_text(keys.run_pipeline(cfg, split_key)))
     return 0
 
 
 def _cmd_run(cfg, args) -> int:
-    print(render_summary_text(pipeline.run_pipeline(cfg)))
-    print(f"report artifacts: {pipeline.report_dir(cfg)}")
+    print(render_summary_text(keys.run_pipeline(cfg)))
+    print(f"report artifacts: {keys.report_dir(cfg)}")
     return 0
 
 
@@ -180,7 +186,7 @@ def main(argv=None) -> int:
     try:
         command, _ = COMMANDS[args.command]
         return command(_load_config(args), args)
-    except pipeline.PipelineError as exc:
+    except keys.PipelineError as exc:
         print(f"error in stage {exc.stage!r}: {exc.cause}", file=sys.stderr)
         return 1
     except (OSError, ValueError) as exc:

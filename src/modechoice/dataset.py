@@ -1,9 +1,9 @@
 """Survey ingestion: raw Swissmetro-format files to validated choice situations.
 
-The raw file is delimiter-separated text with a header row. A ColumnMap binds
-the feature columns we use (per-mode travel time/cost, two traveler flags,
-choice code, availability flags) to their raw names; only those columns are
-read. numpy's C reader reads them from a file without quoted fields, with
+The raw file is delimiter-separated text with a header row. A ColumnMap
+(`config`) binds the feature columns we use (per-mode travel time/cost, two
+traveler flags, choice code, availability flags) to their raw names; only
+those columns are read. numpy's C reader reads them from a file without quoted fields, with
 no Python object kept per row; a file with quotes, or one the C reader cannot
 read as csv would, is read with csv.reader.
 """
@@ -17,12 +17,13 @@ import logging
 import math
 import random
 import re
-from dataclasses import dataclass, field
-from enum import IntEnum
+from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
+
+from .config import MODE_ORDER, ColumnMap, ModeLabel
 
 logger = logging.getLogger(__name__)
 
@@ -62,112 +63,6 @@ class InsufficientClassMembers(DatasetError):
         super().__init__(
             f"class {mode.display}: need {needed} situations, only {available} available"
         )
-
-
-_DISPLAY_NAMES = ("Train", "Car", "Swissmetro")  # by value; cheaper than the enum's name
-
-
-class ModeLabel(IntEnum):
-    """The three travel modes, with a fixed total order used for tie-breaking."""
-
-    TRAIN = 0
-    CAR = 1
-    SWISSMETRO = 2
-
-    @property
-    def display(self) -> str:
-        return _DISPLAY_NAMES[self]
-
-    @classmethod
-    def from_name(cls, text: str) -> "ModeLabel":
-        key = text.strip().upper()
-        try:
-            return cls[key]
-        except KeyError:
-            raise ValueError(f"unknown mode name {text!r}") from None
-
-
-MODE_ORDER: tuple[ModeLabel, ...] = tuple(ModeLabel)
-
-
-def _default_choice_code_map() -> dict[int, ModeLabel]:
-    # Public Swissmetro codebook: 1 = train, 2 = Swissmetro, 3 = car, 0 = unknown.
-    return {1: ModeLabel.TRAIN, 2: ModeLabel.SWISSMETRO, 3: ModeLabel.CAR}
-
-
-@dataclass(frozen=True)
-class ColumnMap:
-    """Binding of the eight features plus bookkeeping columns to raw column names.
-
-    The regular-user and annual-pass defaults (SURVEY, GA) follow the public
-    Swissmetro codebook but are a documented guess; override them if your file
-    encodes those attributes differently.
-    """
-
-    # per-mode values are tuples in MODE_ORDER: (Train, Car, Swissmetro)
-    time_columns: tuple[str, str, str] = ("TRAIN_TT", "CAR_TT", "SM_TT")
-    cost_columns: tuple[str, str, str] = ("TRAIN_CO", "CAR_CO", "SM_CO")
-    availability_columns: tuple[str, str, str] = ("TRAIN_AV", "CAR_AV", "SM_AV")
-    regular_user_column: str = "SURVEY"
-    annual_pass_column: str = "GA"
-    choice_column: str = "CHOICE"
-    choice_code_map: dict[int, ModeLabel] = field(default_factory=_default_choice_code_map)
-
-    def __post_init__(self):
-        for columns in (self.time_columns, self.cost_columns, self.availability_columns):
-            if len(columns) != len(MODE_ORDER):
-                raise ValueError("per-mode columns need one name per mode")
-        names = self.mapped_columns()
-        if not all(isinstance(name, str) for name in names):
-            raise TypeError(f"column names must be strings, got {names}")
-        if len(names) != len(set(names)):
-            raise ValueError("mapped column names must be distinct")
-        if not all(type(code) is int for code in self.choice_code_map):
-            raise TypeError(f"choice_code_map keys must be integers, got {[*self.choice_code_map]}")
-        if set(self.choice_code_map.values()) != set(MODE_ORDER):
-            raise ValueError("choice_code_map must cover exactly the three modes")
-
-    def mapped_columns(self) -> list[str]:
-        pairs = zip(self.time_columns, self.cost_columns)
-        return [name for pair in pairs for name in pair] + [
-            *self.availability_columns,
-            self.regular_user_column,
-            self.annual_pass_column,
-            self.choice_column,
-        ]
-
-    def to_json_dict(self) -> dict:
-        """The config form: per-mode columns keyed by mode name."""
-        return {
-            "time_columns": {m.display: self.time_columns[m] for m in MODE_ORDER},
-            "cost_columns": {m.display: self.cost_columns[m] for m in MODE_ORDER},
-            "availability_columns": {
-                m.display: self.availability_columns[m] for m in MODE_ORDER
-            },
-            "regular_user_column": self.regular_user_column,
-            "annual_pass_column": self.annual_pass_column,
-            "choice_column": self.choice_column,
-            "choice_code_map": {
-                str(code): mode.display for code, mode in sorted(self.choice_code_map.items())
-            },
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "ColumnMap":
-        """Read the config form; an omitted key keeps its default, and a code may be text."""
-        kwargs = dict(doc)
-        for key in ("time_columns", "cost_columns", "availability_columns"):
-            if key in kwargs:
-                by_mode = {ModeLabel.from_name(k): v for k, v in kwargs[key].items()}
-                if len(by_mode) != len(MODE_ORDER):
-                    raise ValueError(f"{key} must cover exactly the three modes")
-                kwargs[key] = tuple(by_mode[m] for m in MODE_ORDER)
-        if "choice_code_map" in kwargs:
-            kwargs["choice_code_map"] = {
-                int(c) if isinstance(c, str) and c.isdecimal() else c: ModeLabel.from_name(n)
-                for c, n in kwargs["choice_code_map"].items()
-            }
-        return cls(**kwargs)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Backend-agnostic completion gateway with disk caching and retries.
 
 Two backends are shipped: an HTTP chat-completion client (the prompt as the
-user message, after an optional system message; temperature-controlled) and a
-deterministic mock that applies a simple choice rule to the travel
+user message, after an optional system message; temperature-controlled),
+which `http_backend` holds, and a deterministic mock that applies a simple choice rule to the travel
 characteristics embedded in the prompt text. Completions are cached on disk
 keyed by the whole request (see request_digest), which makes repeat runs free
 and, at temperature 0, lossless.
@@ -10,28 +10,20 @@ and, at temperature 0, lossless.
 
 from __future__ import annotations
 
-import json
 import logging
-import os
 import random
 import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from http.client import HTTPException
 from pathlib import Path
-from urllib.error import HTTPError
-from urllib.request import Request, urlopen
 
 from .artifacts import digest_of, dump_json_lines, load_json_lines, write_atomic
-from .dataset import MODE_ORDER, ModeLabel
+from .config import MODE_ORDER, BackendConfig, parse_mock_rule, request_digest
 from .prompting import Prompt
 
 logger = logging.getLogger(__name__)
-
-BACKEND_KINDS = ("http_chat", "mock")
-MOCK_RULES = ("min_time", "min_cost", "generalized_cost", "fixed", "malformed")
 
 _CHARACTERISTICS = re.compile(
     r"\{Travel time: \{Train: (\d+), Car: (\d+), Swissmetro: (\d+)\}, "
@@ -67,36 +59,6 @@ class TransientBackendError(GatewayError):
         super().__init__(message or f"transient backend failure: {status}")
 
 
-@dataclass
-class BackendConfig:
-    backend_kind: str = "mock"  # "http_chat" | "mock"
-    model_name: str = "gpt-3.5-turbo-1106"
-    temperature: float = 0.0
-    endpoint_url: str = "https://api.openai.com/v1/chat/completions"
-    timeout_seconds: float = 60.0
-    max_retries: int = 3
-    retry_backoff_base_seconds: float = 1.0
-    max_parallel_requests: int = 4
-    mock_rule: str = "generalized_cost"
-    system_message_text: str = ""  # sent as the system message when non-empty
-    credential_env_var: str = "LLM_API_KEY"
-
-    def __post_init__(self):
-        if self.backend_kind not in BACKEND_KINDS:
-            raise ValueError(
-                f"unknown backend_kind {self.backend_kind!r}; expected one of {BACKEND_KINDS}"
-            )
-        parse_mock_rule(self.mock_rule)
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-        if self.timeout_seconds <= 0 or self.retry_backoff_base_seconds < 0:
-            raise ValueError("timeout_seconds must be > 0 and retry_backoff_base_seconds >= 0")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.max_parallel_requests < 1:
-            raise ValueError("max_parallel_requests must be >= 1")
-
-
 @dataclass(frozen=True)
 class ModelCompletion:
     text: str
@@ -113,30 +75,6 @@ class CompletionFailure:
     situation_id: str
     error_type: str
     message: str
-
-
-def chat_messages(cfg: BackendConfig, prompt_text: str) -> list[dict]:
-    """The chat message list for one prompt: the system message, when its
-    text is set, then the prompt as the user message."""
-    system = cfg.system_message_text
-    messages = [{"role": "system", "content": system}] if system else []
-    return messages + [{"role": "user", "content": prompt_text}]
-
-
-def request_digest(cfg: BackendConfig) -> str:
-    """Digest of every setting that shapes a reply, short of the prompt text:
-    the rule for the mock; endpoint, model, temperature and the message list
-    around the prompt for the chat backend. Transport settings (timeouts,
-    retries, parallelism, credential) do not shape a reply and stay out."""
-    if cfg.backend_kind == "mock":
-        return digest_of(cfg.backend_kind, cfg.mock_rule)
-    return digest_of(
-        cfg.backend_kind,
-        cfg.endpoint_url,
-        cfg.model_name,
-        repr(float(cfg.temperature)),
-        json.dumps(chat_messages(cfg, ""), sort_keys=True),
-    )
 
 
 class CompletionCache:
@@ -201,15 +139,6 @@ def parse_prompt_characteristics(prompt_text: str) -> tuple[tuple[int, ...], tup
     return numbers[:3], numbers[3:]
 
 
-def parse_mock_rule(rule: str) -> tuple[str, ModeLabel | None]:
-    """A mock rule as its name and, for `fixed:<Mode>`, the mode it answers;
-    an unknown rule or mode is a ValueError."""
-    base, _, label = rule.partition(":")
-    if base not in MOCK_RULES:
-        raise ValueError(f"unknown mock rule {rule!r}; expected one of {MOCK_RULES}")
-    return base, ModeLabel.from_name(label) if base == "fixed" else None
-
-
 class MockBackend:
     """Deterministic stand-in for a hosted model; a pure function of the prompt.
 
@@ -237,51 +166,11 @@ class MockBackend:
         return f"Prediction: {best.display}\nReason: {best.display} has the {why}."
 
 
-class HttpChatBackend:
-    """Chat-completion JSON client: sends chat_messages, extracts the first choice."""
-
-    def __init__(self, cfg: BackendConfig):
-        credential = os.environ.get(cfg.credential_env_var)
-        if not credential:
-            raise MissingCredential(cfg.credential_env_var)
-        self._cfg = cfg
-        auth = f"Bearer {credential}"
-        self._headers = {"Authorization": auth, "Content-Type": "application/json"}
-
-    def generate(self, prompt_text: str) -> str:
-        cfg = self._cfg
-        body = {
-            "model": cfg.model_name,
-            "messages": chat_messages(cfg, prompt_text),
-            "temperature": cfg.temperature,
-        }
-        request = Request(cfg.endpoint_url, json.dumps(body).encode("utf-8"), self._headers)
-        try:
-            try:
-                response = urlopen(request, timeout=cfg.timeout_seconds)
-            except HTTPError as exc:
-                response = exc  # an error status still carries a body to read
-            with response:
-                status, raw = response.status, response.read()
-        except (OSError, HTTPException) as exc:  # URLError and socket timeouts are OSErrors
-            if isinstance(getattr(exc, "reason", exc), TimeoutError):  # URLError wraps its cause
-                raise TransientBackendError("timeout", "request timed out") from None
-            raise TransientBackendError("connection", f"connection failed: {exc}") from None
-        if status == 429 or status >= 500:
-            raise TransientBackendError(status)
-        if status != 200:
-            # Authentication and other client errors are not retryable.
-            text = raw.decode("utf-8", "replace")[:200]
-            raise BackendExhausted(status, f"non-retryable status {status}: {text}")
-        try:
-            return json.loads(raw)["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
-            raise GatewayError(f"malformed completion response body: {exc}") from exc
-
-
 def make_backend(cfg: BackendConfig):
     if cfg.backend_kind == "mock":
         return MockBackend(cfg.mock_rule)
+    from .http_backend import HttpChatBackend  # urllib.request, only for this backend
+
     return HttpChatBackend(cfg)
 
 

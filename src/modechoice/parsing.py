@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .dataset import MODE_ORDER, ModeLabel
+from .config import MODE_ORDER, ModeLabel
 
 _MODE_BY_WORD = {mode.name.lower(): mode for mode in MODE_ORDER}
 # "SM" is accepted only on a strict Prediction line; as a bare token it shows

@@ -3,65 +3,52 @@ completion, parsing, benchmark training, and report writing, driven by one
 declarative config file. Stage outputs after ingest are content-addressed
 under the output directory, so reruns with unchanged inputs reuse stored
 results; a report-only rerun needs no backend credential. The report is
-stored too: a manifest records the sha256 of the report files and of the
-split and answer files they were built from, and a run that finds them all
+stored too, with a manifest (`keys`), and a run that finds its files
 unchanged returns the stored report without ingesting, splitting, reading a
 single answer or loading a model. A rebuild over stored stages reloads the
 models that `fit-bench` or an earlier run stored, and predicts again. A cold
 run forks its baseline workers before the LLM stage, answers the prompts in
 this process while they fit, and takes each model's test labels from the
 process that fitted it.
+
+Importing it loads every stage module, numpy with them. The config, the
+stage keys and the stored report live in `config`, `keys` and `report`, which
+need none; the names taken from there, `run_pipeline` among them and
+`ingest_key` for perfbench's tracer, stay importable from here.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
-import hashlib
 import json
 import logging
 import multiprocessing
 import os
 import threading
-import time
-import types
-import typing
 from collections import Counter
-from contextlib import contextmanager
-from dataclasses import dataclass, field
 from operator import itemgetter
-from pathlib import Path
-
-import yaml
 
 from . import benchmarks
-from .artifacts import (
-    digest_of, dump_json_lines, load_json_lines, load_or_create, stage_path, write_atomic
-)
-from .benchmarks.config import FIELDS_READ
-from .benchmarks.model_io import FORMAT_VERSION as MODEL_FORMAT_VERSION
-from .dataset import (
-    MODE_ORDER, ColumnMap, SituationTable, balanced_split, load_raw, to_choice_situations
-)
-from .evaluation import (
-    FAILURE_MODES,
-    REPORT_FILES,
-    CaseRecord,
-    EvaluationReport,
-    LlmAnswer,
-    write_report,
-)
-from .gateway import (
-    BackendConfig,
-    CompletionCache,
-    CompletionFailure,
-    batch_complete,
-    make_backend,
-    request_digest,
+from .artifacts import dump_json_lines, load_json_lines, load_or_create
+from .config import MODE_ORDER, PipelineConfig, config_digest, load_pipeline_config
+from .dataset import SituationTable, balanced_split, load_raw, to_choice_situations
+from .evaluation import CaseRecord, EvaluationReport, LlmAnswer, write_report
+from .gateway import CompletionCache, CompletionFailure, batch_complete, make_backend
+from .keys import (
+    PipelineError,
+    ingest_key,
+    llm_path,
+    model_path,
+    report_dir,
+    report_manifest,
+    run_pipeline,
+    sample_key,
+    split_path,
+    stage,
+    store_manifest,
 )
 from .parsing import ParseFailure, parse_response
 from .prompting import (
-    PromptTemplateConfig,
     # not called here: build_prompt, like SituationTable.__iter__, stays only for perfbench,
     # whose tracer wraps pipeline.build_prompt by name and whose probe renders row by row
     build_prompt,
@@ -71,229 +58,6 @@ from .prompting import (
 
 logger = logging.getLogger(__name__)
 
-LIVE_MAX_SAMPLES_DEFAULT = 20
-# Part of the stored report's key: bump it with any change to a report byte, so
-# that an upgraded checkout rebuilds the reports it finds instead of serving them.
-REPORT_FORMAT_VERSION = 1
-
-
-class PipelineError(Exception):
-    """A stage failure, naming the stage and chaining the underlying error."""
-
-    def __init__(self, stage: str, cause: Exception):
-        self.stage = stage
-        self.cause = cause
-        super().__init__(f"stage {stage!r} failed: {cause}")
-
-
-@dataclass
-class PipelineConfig:
-    dataset_path: Path
-    output_dir: Path = Path("out")
-    delimiter: str = "\t"
-    column_map: ColumnMap = field(default_factory=ColumnMap)
-    n_train: int = 1000
-    n_test: int = 200
-    seed: int = 42
-    prompt: PromptTemplateConfig = field(default_factory=PromptTemplateConfig)
-    backend: BackendConfig = field(default_factory=BackendConfig)
-    benchmark_kinds: tuple[str, ...] = benchmarks.BENCHMARK_KINDS
-    train_configs: dict[str, benchmarks.TrainConfig] = field(default_factory=dict)
-    cache_dir: Path | None = None  # defaults to output_dir / "cache"
-    parse_failure_mode: str = "exclude"
-    max_samples: int | None = None  # None: cap live runs at LIVE_MAX_SAMPLES_DEFAULT
-
-    def __post_init__(self):
-        if not isinstance(self.delimiter, str) or len(self.delimiter) != 1:
-            raise ValueError(f"delimiter must be one character, got {self.delimiter!r}")
-        if self.n_train <= 0 or self.n_test <= 0:
-            raise ValueError("n_train and n_test must be positive")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.parse_failure_mode not in FAILURE_MODES:
-            raise ValueError(f"parse_failure_mode must be one of {FAILURE_MODES}")
-        unknown = set(self.benchmark_kinds) - set(benchmarks.BENCHMARK_KINDS)
-        if unknown:
-            raise ValueError(f"unknown benchmark kinds: {sorted(unknown)}")
-        for kind in self.benchmark_kinds:
-            if kind not in self.train_configs:
-                self.train_configs[kind] = benchmarks.default_train_config(kind, seed=self.seed)
-
-    def effective_max_samples(self) -> int | None:
-        """Cap on evaluated test situations; live runs default to a small cap
-        and an explicit non-positive value lifts it."""
-        if self.max_samples is None:
-            return LIVE_MAX_SAMPLES_DEFAULT if self.backend.backend_kind == "http_chat" else None
-        return self.max_samples if self.max_samples > 0 else None
-
-    @property
-    def resolved_cache_dir(self) -> Path:
-        return self.cache_dir if self.cache_dir is not None else self.output_dir / "cache"
-
-
-_NAMES = {int: "an integer", str: "a string", Path: "a path", tuple[str, ...]: "a list of strings"}
-_hints = functools.cache(typing.get_type_hints)  # a dataclass's field types, resolved once
-
-
-def _fits(value, hint) -> bool:
-    """Whether a value has the type `hint`: an int is a float, a bool only a bool."""
-    if isinstance(hint, types.UnionType):
-        return any(_fits(value, member) for member in hint.__args__)
-    if hint == tuple[str, ...]:
-        return isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value)
-    if isinstance(value, bool):
-        return hint is bool
-    return isinstance(value, {float: (int, float), Path: (str, Path)}.get(hint, hint))
-
-
-def _checked(value, hint, label: str):
-    """The value, a list as a tuple, if it fits `hint` (None: as is); else a TypeError."""
-    if hint is None:
-        return value
-    if not _fits(value, hint):
-        members = hint.__args__ if isinstance(hint, types.UnionType) else (hint,)
-        expected = [_NAMES.get(m, f"a {m.__name__}") for m in members if m is not type(None)]
-        raise TypeError(f"{label} must be {' or '.join(expected)}, got {type(value).__name__}")
-    return tuple(value) if isinstance(value, list) else value
-
-
-def _section(value, context: str, hints) -> dict:
-    """One mapping of the config file: absent or null reads as empty. A value
-    that is not a mapping, a key outside `hints`, or a value that does not fit
-    its key's hint is an error; a key without one (None, or `hints` is a list
-    of keys) holds a section or a value read elsewhere."""
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ValueError(f"{context} must be a mapping, got {type(value).__name__}")
-    hints = hints if isinstance(hints, dict) else dict.fromkeys(hints)
-    unknown = set(value) - set(hints)
-    if unknown:
-        raise ValueError(f"unknown {context} keys: {sorted(unknown, key=str)}")
-    prefix = "" if context == "top-level" else f"{context}."
-    return {key: _checked(v, hints[key], prefix + key) for key, v in value.items()}
-
-
-def load_pipeline_config(path: str | Path, overrides: dict | None = None) -> PipelineConfig:
-    """Build a PipelineConfig from a YAML document plus CLI overrides.
-
-    Paths in the document are read against its directory, the `out` override
-    against the working directory. Each value must have the type its
-    dataclass field declares, and is kept as written. A bad value, or a
-    wrongly typed one, is one ValueError naming the file."""
-    path = Path(path)
-    base_dir = path.parent
-    overrides = {key: value for key, value in (overrides or {}).items() if value is not None}
-    text = path.read_text(encoding="utf-8")
-    hint = _hints(PipelineConfig)
-    try:
-        doc = _section(
-            yaml.safe_load(text),
-            "top-level",
-            {k: hint[k] for k in ("output_dir", "cache_dir", "parse_failure_mode", "max_samples")}
-            | dict.fromkeys(("dataset", "sampling", "prompt", "backend", "benchmarks")),
-        )
-        fields = {"path": hint["dataset_path"], "delimiter": None, "column_map": None}
-        dataset = _section(doc.get("dataset"), "dataset", fields)
-        if "path" not in dataset:
-            raise ValueError("config must set dataset.path")
-        sampling = _section(
-            doc.get("sampling"), "sampling", {k: hint[k] for k in ("n_train", "n_test", "seed")}
-        )
-        prompt = _section(doc.get("prompt"), "prompt", _hints(PromptTemplateConfig))
-        backend = _section(doc.get("backend"), "backend", _hints(BackendConfig))
-        if "backend" in overrides:
-            backend["backend_kind"] = overrides["backend"]
-        seed = overrides.get("seed", sampling.get("seed", 42))
-        seed = _checked(seed, hint["seed"], "sampling.seed")  # an override is checked too
-
-        all_kinds = benchmarks.BENCHMARK_KINDS
-        bench = _section(doc.get("benchmarks"), "benchmarks", ("kinds", *all_kinds))
-        kinds = _checked(bench.get("kinds", all_kinds), hint["benchmark_kinds"], "benchmarks.kinds")
-        _section(bench, "benchmarks", ("kinds", *kinds))  # no section for a kind not run
-        train_hint = _hints(benchmarks.TrainConfig)
-        train = {kind: {k: train_hint[k] for k in read} for kind, read in FIELDS_READ.items()}
-        train_configs = {
-            kind: dataclasses.replace(
-                benchmarks.default_train_config(kind, seed=seed),
-                **_section(bench[kind], f"benchmarks.{kind}", train[kind]),
-            )
-            for kind in kinds
-            if kind in bench
-        }
-
-        out = overrides.get("out")
-        max_samples = overrides.get("max_samples", doc.get("max_samples"))
-        max_samples = _checked(max_samples, hint["max_samples"], "max_samples")
-        return PipelineConfig(
-            dataset_path=base_dir / dataset["path"],
-            output_dir=Path(out) if out is not None else base_dir / doc.get("output_dir", "out"),
-            delimiter=dataset.get("delimiter", "\t"),
-            column_map=ColumnMap.from_json_dict(
-                _section(dataset.get("column_map"), "column_map", _hints(ColumnMap).keys())
-            ),
-            n_train=sampling.get("n_train", 1000),
-            n_test=sampling.get("n_test", 200),
-            seed=seed,
-            prompt=PromptTemplateConfig(**prompt),
-            backend=BackendConfig(**backend),
-            benchmark_kinds=kinds,
-            train_configs=train_configs,
-            cache_dir=base_dir / doc["cache_dir"] if doc.get("cache_dir") is not None else None,
-            parse_failure_mode=doc.get("parse_failure_mode", "exclude"),
-            max_samples=max_samples,
-        )
-    except (ValueError, TypeError, AttributeError, yaml.YAMLError) as exc:
-        raise ValueError(f"{path}: {' '.join(str(exc).split())}") from exc
-
-
-def config_to_dict(cfg: PipelineConfig) -> dict:
-    return {
-        "dataset_path": str(cfg.dataset_path),
-        "delimiter": cfg.delimiter,
-        "column_map": cfg.column_map.to_json_dict(),
-        "n_train": cfg.n_train,
-        "n_test": cfg.n_test,
-        "seed": cfg.seed,
-        "prompt": dataclasses.asdict(cfg.prompt),
-        "backend": dataclasses.asdict(cfg.backend),
-        "benchmark_kinds": list(cfg.benchmark_kinds),
-        "train_configs": {k: dataclasses.asdict(v) for k, v in sorted(cfg.train_configs.items())},
-        "parse_failure_mode": cfg.parse_failure_mode,
-        "max_samples": cfg.effective_max_samples(),
-    }
-
-
-def config_digest(cfg: PipelineConfig) -> str:
-    return digest_of(json.dumps(config_to_dict(cfg), sort_keys=True))
-
-
-# ---------------------------------------------------------------------------
-# stages
-
-
-@contextmanager
-def stage(name: str):
-    """Run a block, or decorate a function, as the named stage: a failure in it
-    becomes a PipelineError. The done line gives the stage's wall time."""
-    logger.info("stage %s: start", name)
-    started = time.perf_counter()
-    try:
-        yield
-    except PipelineError:
-        raise
-    except Exception as exc:
-        raise PipelineError(name, exc) from exc
-    logger.info("stage %s: done in %.1f ms", name, (time.perf_counter() - started) * 1000)
-
-
-def ingest_key(cfg: PipelineConfig) -> str:
-    return digest_of(
-        cfg.dataset_path.read_bytes(),
-        cfg.delimiter,
-        json.dumps(cfg.column_map.to_json_dict(), sort_keys=True),
-    )
-
 
 @stage("ingest")
 def stage_ingest(cfg: PipelineConfig) -> SituationTable:
@@ -302,22 +66,6 @@ def stage_ingest(cfg: PipelineConfig) -> SituationTable:
     reader; a run whose stored report is reusable does not call it."""
     columns = load_raw(cfg.dataset_path, cfg.column_map, delimiter=cfg.delimiter)
     return to_choice_situations(columns, cfg.column_map)
-
-
-def sample_key(cfg: PipelineConfig) -> str:
-    """Key of the split, and the prefix of every later stage's key. It hashes
-    the survey file, so a run computes it once and hands it to each stage;
-    a stage called without it computes it again. An unreadable survey file
-    fails the ingest stage."""
-    try:
-        survey = ingest_key(cfg)
-    except OSError as exc:
-        raise PipelineError("ingest", exc) from exc
-    return digest_of(survey, str(cfg.n_train), str(cfg.n_test), str(cfg.seed))
-
-
-def split_path(cfg: PipelineConfig, split_key: str) -> Path:
-    return stage_path(cfg.output_dir, "split", split_key, suffix=".json")
 
 
 @stage("sample")
@@ -346,19 +94,6 @@ def stage_sample(
         deserialize=deserialize,
     )
     return situations[[position[i] for i in train_ids]], situations[[position[i] for i in test_ids]]
-
-
-def llm_key(cfg: PipelineConfig, split_key: str) -> str:
-    return digest_of(
-        split_key,
-        json.dumps(dataclasses.asdict(cfg.prompt), sort_keys=True),
-        request_digest(cfg.backend),
-        str(cfg.effective_max_samples()),
-    )
-
-
-def llm_path(cfg: PipelineConfig, split_key: str) -> Path:
-    return stage_path(cfg.output_dir, "llm", llm_key(cfg, split_key), ".jsonl.gz")
 
 
 def _answer(result) -> LlmAnswer:
@@ -424,18 +159,6 @@ def stage_llm(
         deserialize=deserialize,
         store=store,
     )
-
-
-def _model_key(cfg: PipelineConfig, kind: str, split_key: str) -> str:
-    return digest_of(
-        split_key,
-        str(MODEL_FORMAT_VERSION),
-        json.dumps(vars(cfg.train_configs[kind]), sort_keys=True),
-    )
-
-
-def model_path(cfg: PipelineConfig, kind: str, split_key: str) -> Path:
-    return stage_path(cfg.output_dir, f"model-{kind}", _model_key(cfg, kind, split_key), ".json")
 
 
 def model_text(model, scaler) -> str:
@@ -604,62 +327,13 @@ def prepare_split(
     return split_key, train, test
 
 
-def _digests(files: dict[str, Path]) -> dict[str, str]:
-    return {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in files.items()}
-
-
-def _unchanged(manifest: Path, files: dict[str, Path]) -> bool:
-    """Whether the manifest holds the sha256 of every file's current bytes."""
-    try:
-        return json.loads(manifest.read_bytes()) == _digests(files)
-    except (OSError, ValueError):  # a file missing or unreadable, or a damaged manifest
-        return False
-
-
-def report_dir(cfg: PipelineConfig, digest: str | None = None) -> Path:
-    return cfg.output_dir / f"report-{(digest or config_digest(cfg))[:12]}"
-
-
-def run_pipeline(cfg: PipelineConfig, split_key: str | None = None) -> EvaluationReport:
-    """Execute every stage and return the evaluation report. A caller that
-    has already computed sample_key(cfg) passes it as split_key. The models
-    come from stage_benchmarks, as in `fit-bench`, which runs stage_llm in
-    this process while its workers fit, and returns each kind's labels for
-    the capped test rows.
-
-    The report is stored as a stage. Its manifest maps the split and LLM
-    files and the three report files to their sha256, and is keyed by
-    REPORT_FORMAT_VERSION, the config digest, the LLM key, each configured
-    kind's model key and those files' names, so a new MODEL_FORMAT_VERSION
-    rebuilds the report over refitted models. While every digest matches, a
-    run reads report.json back and runs no stage; any mismatch or missing
-    file rebuilds the report as before, which rewrites the manifest. A
-    manifest is written only when every input file is stored, so a run with
-    backend failures leaves none and its rerun retries them.
-
-    Fully deterministic with the mock backend and a fixed seed: stage
-    artifacts, the completion cache, and the report are byte-stable across
-    reruns.
-    """
-    split_key = split_key or sample_key(cfg)
-    digest = config_digest(cfg)
-    directory = report_dir(cfg, digest)
-    answers_key = llm_key(cfg, split_key)
-    paths = [
-        split_path(cfg, split_key),
-        llm_path(cfg, split_key),
-        *(directory / name for name in REPORT_FILES),
-    ]
-    files = {path.relative_to(cfg.output_dir).as_posix(): path for path in paths}
-    model_keys = [_model_key(cfg, kind, split_key) for kind in cfg.benchmark_kinds]
-    key = digest_of(str(REPORT_FORMAT_VERSION), digest, answers_key, *model_keys, *files)
-    manifest = stage_path(cfg.output_dir, "report", key, suffix=".json")
-    if _unchanged(manifest, files):
-        with stage("report"):
-            logger.info("reusing report %s", directory)
-            stored = json.loads((directory / "report.json").read_bytes())
-            return EvaluationReport.from_json_dict(stored)
-
+def run_stages(cfg: PipelineConfig, split_key: str) -> EvaluationReport:
+    """Execute every stage, write the report and its manifest, and return the
+    report. The models come from stage_benchmarks, as in `fit-bench`, which
+    runs stage_llm in this process while its workers fit, and returns each
+    kind's labels for the capped test rows. The manifest is written only when
+    every input file is stored, so a run with backend failures leaves none
+    and its rerun retries them."""
     _, train, test = prepare_split(cfg, split_key)
     rendered, answers = [], []
 
@@ -668,6 +342,8 @@ def run_pipeline(cfg: PipelineConfig, split_key: str | None = None) -> Evaluatio
         answers.extend(stage_llm(cfg, test, split_key, rendered))
 
     bench_predictions = stage_benchmarks(cfg, train, split_key, test, llm)
+    digest = config_digest(cfg)
+    directory = report_dir(cfg, digest)
     with stage("report"):
         records = _case_records(test, answers, bench_predictions, rendered)
         report = write_report(
@@ -676,11 +352,6 @@ def run_pipeline(cfg: PipelineConfig, split_key: str | None = None) -> Evaluatio
             parse_failure_mode=cfg.parse_failure_mode,
             config_digest=digest,
         )
-        try:
-            text = json.dumps(_digests(files), indent=0, sort_keys=True) + "\n"
-        except FileNotFoundError:  # the answers had backend failures and were not stored
-            pass
-        else:
-            write_atomic(manifest, text.encode("utf-8"))
+        store_manifest(*report_manifest(cfg, split_key, digest))
     logger.info("pipeline complete; report in %s", directory)
     return report

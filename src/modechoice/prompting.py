@@ -4,7 +4,8 @@ A prompt has five components: a task description, the travel characteristics
 in dictionary form, the traveler attributes in plain sentences, a guide that
 combines domain statements with pre-computed arithmetic hints (which mode is
 cheapest/fastest and by what percent), and an output-format instruction. All
-template text is configurable; the defaults below are reconstructions.
+template text is configurable (`config.PromptTemplateConfig`); its defaults
+are reconstructions.
 
 `build_prompts` renders a whole SituationTable from its columns, both hints
 computed in numpy, with no per-row situation or hint object; `build_prompt`
@@ -18,29 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import MODE_ORDER, SituationTable
-
-COMPONENT_NAMES = ("task", "characteristics", "attributes", "guide", "output_format")
-
-DEFAULT_TASK_TEXT = (
-    "Your task is to predict which travel mode a person will choose for an "
-    "intercity trip. The three available modes are Train, Car, and Swissmetro "
-    "(a new high-speed rail service). You will be given the travel time in "
-    "minutes and the travel cost in Swiss francs for each mode, together with "
-    "some attributes of the person."
-)
-
-DEFAULT_DOMAIN_TEXTS = (
-    "When choosing a travel mode, people usually trade off travel time against travel cost.",
-    "A person who is a regular Train user is more likely to choose Train.",
-    "A person who owns the Train annual pass is more likely to choose Train.",
-)
-
-DEFAULT_OUTPUT_FORMAT_TEXT = (
-    "Answer in exactly the following format and nothing else:\n"
-    "Prediction: <Train, Car, or Swissmetro>\n"
-    "Reason: <a brief explanation of the prediction>"
-)
+from .config import COMPONENT_NAMES, MODE_ORDER, PromptTemplateConfig
+from .dataset import SituationTable
 
 
 class PromptError(Exception):
@@ -49,24 +29,6 @@ class PromptError(Exception):
 
 class InvalidComparison(PromptError):
     pass
-
-
-@dataclass(frozen=True)
-class PromptTemplateConfig:
-    task_description_text: str = DEFAULT_TASK_TEXT
-    domain_knowledge_texts: tuple[str, ...] = DEFAULT_DOMAIN_TEXTS
-    output_format_text: str = DEFAULT_OUTPUT_FORMAT_TEXT
-    component_order: tuple[str, ...] = COMPONENT_NAMES
-
-    def __post_init__(self):
-        if not self.task_description_text or not self.output_format_text:
-            raise ValueError("template texts must be non-empty")
-        if not self.domain_knowledge_texts or any(not t for t in self.domain_knowledge_texts):
-            raise ValueError("domain knowledge texts must be non-empty")
-        if sorted(self.component_order) != sorted(COMPONENT_NAMES):
-            raise ValueError(
-                f"component_order must contain each of {COMPONENT_NAMES} exactly once"
-            )
 
 
 @dataclass(frozen=True)

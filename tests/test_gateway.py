@@ -589,7 +589,10 @@ def test_http_backend_truncated_reply_is_a_dropped_connection(monkeypatch):
 
 def test_import_does_not_load_requests():
     src = Path(gateway.__file__).resolve().parents[1]
-    probe = "import sys, modechoice; print('requests' in sys.modules)"
+    probe = (
+        "import sys, modechoice.pipeline, modechoice.http_backend;"
+        " print('requests' in sys.modules)"
+    )
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True

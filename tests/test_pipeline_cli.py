@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from modechoice import pipeline, prompting
+from modechoice import config, keys, pipeline, prompting
 from modechoice.artifacts import digest_of, load_or_create, stage_path
 from modechoice.benchmarks import BenchmarkError, ClassMissing, EmptyTrainingSet, NonFiniteLoss
 from modechoice.cli import main
@@ -214,8 +214,8 @@ def test_run_pipeline_is_byte_deterministic(workspace):
 
 def test_run_pipeline_hashes_the_dataset_once(workspace, monkeypatch):
     calls = []
-    hash_dataset = pipeline.ingest_key
-    monkeypatch.setattr(pipeline, "ingest_key", lambda cfg: calls.append(cfg) or hash_dataset(cfg))
+    hash_dataset = keys.ingest_key
+    monkeypatch.setattr(keys, "ingest_key", lambda cfg: calls.append(cfg) or hash_dataset(cfg))
     cfg = load_pipeline_config(workspace / "config.yaml")
     for runs in (1, 2):  # computing every stage, then loading every stage
         run_pipeline(cfg)
@@ -412,7 +412,7 @@ def test_a_new_report_format_version_rebuilds_the_report(workspace, monkeypatch)
     run_pipeline(cfg)
     first = report_files(cfg)
     calls = stage_calls(monkeypatch)
-    monkeypatch.setattr(pipeline, "REPORT_FORMAT_VERSION", pipeline.REPORT_FORMAT_VERSION + 1)
+    monkeypatch.setattr(keys, "REPORT_FORMAT_VERSION", keys.REPORT_FORMAT_VERSION + 1)
     run_pipeline(cfg)
     assert "write_report" in calls
     assert report_files(cfg) == first
@@ -426,7 +426,7 @@ def test_a_new_model_format_version_refits_and_rebuilds_the_report(
     run_pipeline(cfg)
     stages = cfg.output_dir / "stages"
     before = {path.name for path in stages.glob("model-*.json")}
-    monkeypatch.setattr(pipeline, "MODEL_FORMAT_VERSION", pipeline.MODEL_FORMAT_VERSION + 1)
+    monkeypatch.setattr(keys, "MODEL_FORMAT_VERSION", keys.MODEL_FORMAT_VERSION + 1)
     caplog.clear()
     with caplog.at_level(logging.INFO, logger="modechoice.pipeline"):
         run_pipeline(cfg)
@@ -460,7 +460,7 @@ def test_report_bytes_are_pinned_to_the_format_version(tmp_path):
     digests = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in REPORT_FILES
     }
-    assert pipeline.REPORT_FORMAT_VERSION == 1
+    assert keys.REPORT_FORMAT_VERSION == 1
     assert digests == {
         "report.json": "1fdabbb6af0b46dca24d86225aa79b28943c6f8c115a05a6da5b26e0722a69ec",
         "report.txt": "cb583d34fb7c305c4651a83eaddbe6b3996532cbcb49f7b76e5533c73f9635f1",
@@ -883,16 +883,16 @@ def test_a_plain_llm_file_left_by_an_older_checkout_is_not_read(
     directory = pipeline.report_dir(cfg)
     paths = [pipeline.split_path(cfg, split_key), plain, *(directory / n for n in REPORT_FILES)]
     files = {path.relative_to(cfg.output_dir).as_posix(): path for path in paths}
-    model_keys = [pipeline._model_key(cfg, kind, split_key) for kind in cfg.benchmark_kinds]
+    model_keys = [keys._model_key(cfg, kind, split_key) for kind in cfg.benchmark_kinds]
     old_key = digest_of(
-        str(pipeline.REPORT_FORMAT_VERSION),
+        str(keys.REPORT_FORMAT_VERSION),
         config_digest(cfg),
-        pipeline.llm_key(cfg, split_key),
+        keys.llm_key(cfg, split_key),
         *model_keys,
         *files,
     )
     old_manifest = stage_path(cfg.output_dir, "report", old_key, suffix=".json")
-    old_manifest.write_text(json.dumps(pipeline._digests(files), indent=0, sort_keys=True) + "\n")
+    old_manifest.write_text(json.dumps(keys._digests(files), indent=0, sort_keys=True) + "\n")
     plain_bytes = plain.read_bytes()
 
     chat_endpoint.requests.clear()
@@ -1421,8 +1421,8 @@ def test_cli_evaluate_hashes_the_dataset_once(workspace, capsys, monkeypatch):
     assert run_cli("predict-llm", "--config", config) == 0
     assert run_cli("fit-bench", "--config", config) == 0
     calls = []
-    hash_dataset = pipeline.ingest_key
-    monkeypatch.setattr(pipeline, "ingest_key", lambda cfg: calls.append(cfg) or hash_dataset(cfg))
+    hash_dataset = keys.ingest_key
+    monkeypatch.setattr(keys, "ingest_key", lambda cfg: calls.append(cfg) or hash_dataset(cfg))
     assert run_cli("evaluate", "--config", config) == 0
     assert len(calls) == 1  # the stored-predictions check and the report share one hash
 
@@ -1773,7 +1773,7 @@ def test_config_keeps_each_value_as_written(workspace):
     # an int where a float is declared is kept, not converted, so the digest sees 1, not 1.0
     assert type(nn.learning_rate) is int and nn.learning_rate == 1
     assert type(cfg.backend.timeout_seconds) is int and cfg.backend.timeout_seconds == 10
-    assert '"learning_rate": 1,' in json.dumps(pipeline.config_to_dict(cfg), sort_keys=True)
+    assert '"learning_rate": 1,' in json.dumps(config.config_to_dict(cfg), sort_keys=True)
 
 
 def test_example_config_loads_with_its_commented_overrides(tmp_path):
@@ -1884,12 +1884,12 @@ def test_each_kind_keeps_the_settings_it_reads(workspace, monkeypatch):
     assert cfg.train_configs["rf"].max_depth == 4 and cfg.train_configs["nn"].batch_size == 50
     assert cfg.train_configs["mnl"].tolerance == 1.0e-6
     # pinned before unread settings were rejected, at model format version 2
-    monkeypatch.setattr(pipeline, "MODEL_FORMAT_VERSION", 2)
+    monkeypatch.setattr(keys, "MODEL_FORMAT_VERSION", 2)
     pinned = {
         "config.yaml": ("3963e246077158df", "e05cc093ddbc1f29", "6f1e22cd39e7ecae"),
         "every.yaml": ("0a090e67ff735e2f", "2d6c6e1d20aace03", "26f2372a790abc6f"),
     }
-    for name, keys in pinned.items():
+    for name, pins in pinned.items():
         cfg = load_pipeline_config(workspace / name)
         kinds = ("mnl", "rf", "nn")
-        assert tuple(pipeline._model_key(cfg, kind, "split")[:16] for kind in kinds) == keys
+        assert tuple(keys._model_key(cfg, kind, "split")[:16] for kind in kinds) == pins
