@@ -4,7 +4,9 @@ Every stage after ingest is stored under a digest of its inputs, at the
 paths named here. The report's manifest records the sha256 of the report
 files and of the split and answer files they were built from, and
 `run_pipeline` returns the stored report while every digest matches, with no
-numpy and no stage module loaded; otherwise it runs the stages.
+numpy and no stage module loaded; otherwise it runs the stages. How the
+report files are written and read back is `report`'s alone: the manifest
+lists them by `REPORT_FILES`, and `read_report` reads the stored one.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from pathlib import Path
 
 from .artifacts import digest_of, stage_path, write_atomic
 from .config import PipelineConfig, config_digest, request_digest
-from .report import REPORT_FILES, EvaluationReport
+from .report import REPORT_FILES, EvaluationReport, read_report
 
 # stage lines keep the logger name that log settings and filters select them by
 logger = logging.getLogger(f"{__package__}.pipeline")
@@ -154,8 +156,7 @@ def stored_report(cfg: PipelineConfig, split_key: str) -> EvaluationReport | Non
     with stage("report"):
         directory = report_dir(cfg, digest)
         logger.info("reusing report %s", directory)
-        stored = json.loads((directory / "report.json").read_bytes())
-        return EvaluationReport.from_json_dict(stored)
+        return read_report(directory)
 
 
 def run_pipeline(cfg: PipelineConfig, split_key: str | None = None) -> EvaluationReport:

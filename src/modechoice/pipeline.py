@@ -12,9 +12,10 @@ this process while they fit, and takes each model's test labels from the
 process that fitted it.
 
 Importing it loads every stage module, numpy with them. The config, the
-stage keys and the stored report live in `config`, `keys` and `report`, which
-need none; the names taken from there, `run_pipeline` among them and
-`ingest_key` for perfbench's tracer, stay importable from here.
+stage keys and the report live in `config`, `keys` and `report`, which need
+none; the names taken from there stay importable from here: `run_pipeline`
+among them, and `ingest_key` and `write_report` for perfbench's tracer,
+which wraps each by its name in this module.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from . import benchmarks
 from .artifacts import dump_json_lines, load_json_lines, load_or_create
 from .config import MODE_ORDER, PipelineConfig, config_digest, load_pipeline_config
 from .dataset import SituationTable, balanced_split, load_raw, to_choice_situations
-from .evaluation import CaseRecord, EvaluationReport, LlmAnswer, write_report
 from .gateway import CompletionCache, CompletionFailure, batch_complete, make_backend
 from .keys import (
     PipelineError,
@@ -55,6 +55,7 @@ from .prompting import (
     build_prompts,
     render_rows,
 )
+from .report import CaseRecord, EvaluationReport, LlmAnswer, write_report
 
 logger = logging.getLogger(__name__)
 

@@ -1,34 +1,72 @@
-"""What a report holds: each test situation's case record, each predictor's
-scores, and the report that reads back from report.json and renders as
-report.txt. It imports no numpy; PredictorMetrics.of scores a counts
-array through the array's own methods.
+"""The report: each test situation's case record, each predictor's scores,
+and the three files written from them. report.json is the machine-readable
+summary, report.txt the text table, and cases.jsonl holds one record per
+test situation (inputs, the model's prediction and reason, every benchmark
+prediction, and the observed choice). All three are pure functions of the
+records, so writing them again is byte-identical; read_report reads the
+report back from report.json. Scoring counts plain lists, so the module
+imports no numpy.
 """
 
 from __future__ import annotations
 
+import json
+import logging
 from dataclasses import dataclass
+from pathlib import Path
 
-from .config import FAILURE_MODES, MODE_ORDER, ModeLabel
+from .artifacts import write_atomic
+from .config import BENCHMARK_KINDS, FAILURE_MODES, MODE_ORDER, ModeLabel
+
+logger = logging.getLogger(__name__)
 
 PARSE_FAILURE_MARKER = "PARSE_FAILURE"
 REPORT_FILES = ("report.json", "report.txt", "cases.jsonl")
+# the report's predictors, in table order; any other name follows, sorted
+PREDICTORS = ("llm", *BENCHMARK_KINDS)
+# the stored answer row's fields that hold text
+_TEXT_FIELDS = ("prediction", "reason", "raw_text", "error", "parse_path")
+
+
+class EvaluationError(Exception):
+    pass
+
+
+class EmptyInput(EvaluationError):
+    pass
+
+
+class IoFailure(EvaluationError):
+    pass
+
+
+def _counts(pred, actual, n_columns: int = len(MODE_ORDER)) -> list[list[int]]:
+    """Counts with rows = actual, columns = predicted; a None prediction goes
+    to a fourth column, which only a 3x4 matrix has."""
+    n_modes = len(MODE_ORDER)
+    if n_columns == n_modes and None in pred:
+        raise ValueError("a None prediction needs the fourth column")
+    matrix = [[0] * n_columns for _ in MODE_ORDER]
+    for p, a in zip(pred, actual):
+        matrix[a][n_modes if p is None else p] += 1
+    return matrix
 
 
 def _weighted_f1_of(matrix) -> float:
     """Support-weighted mean of per-class F1 over a counts matrix whose first
     three columns are the modes; zero-support classes carry no weight."""
-    supports = matrix.sum(axis=1)
-    predicted = matrix.sum(axis=0)
+    supports = [sum(row) for row in matrix]
+    predicted = [sum(column) for column in zip(*matrix)]
     total = 0.0
     for c in range(len(MODE_ORDER)):
         if supports[c] == 0:
             continue
-        tp = matrix[c, c]
+        tp = matrix[c][c]
         precision = tp / predicted[c] if predicted[c] else 0.0
         recall = tp / supports[c]
         f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
         total += f1 * supports[c]
-    return total / supports.sum()
+    return total / sum(supports)
 
 
 @dataclass(frozen=True)
@@ -62,9 +100,12 @@ class LlmAnswer:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "LlmAnswer":
+        for key in _TEXT_FIELDS:
+            if not isinstance(doc.get(key, ""), str):
+                raise ValueError(f"{key} {doc[key]!r} is not a string")
+        if not isinstance(doc.get("backend_failure", False), bool):
+            raise ValueError(f"backend_failure {doc['backend_failure']!r} is not a bool")
         name = doc["prediction"]
-        if not isinstance(name, str):
-            raise ValueError(f"prediction {name!r} is not a string")
         prediction = None if name == PARSE_FAILURE_MARKER else ModeLabel.from_name(name)
         return cls(**dict(doc, prediction=prediction))
 
@@ -106,9 +147,11 @@ class PredictorMetrics:
 
     @classmethod
     def of(cls, matrix) -> "PredictorMetrics":
-        """Scores from counts by mode, plus a column of failed answers if any."""
-        total = matrix.sum()
-        return cls(matrix.trace() / total, _weighted_f1_of(matrix), int(total))
+        """Scores from _counts's rows by actual mode, whose columns are the
+        predicted modes, plus a column of failed answers if any."""
+        total = sum(map(sum, matrix))
+        correct = sum(row[c] for c, row in enumerate(matrix))
+        return cls(correct / total, _weighted_f1_of(matrix), total)
 
 
 @dataclass
@@ -146,11 +189,8 @@ class EvaluationReport:
 
 
 def _predictor_order(names) -> list[str]:
-    preferred = ["llm", "mnl", "rf", "nn"]
-    ordered = [n for n in preferred if n in names]
-    return ordered + sorted(n for n in names if n not in preferred)
-
-
+    ordered = [n for n in PREDICTORS if n in names]
+    return ordered + sorted(n for n in names if n not in PREDICTORS)
 
 
 def render_summary_text(report: EvaluationReport) -> str:
@@ -158,7 +198,7 @@ def render_summary_text(report: EvaluationReport) -> str:
     lines.append(f"{'Models':<12}{'Accuracy':>10}{'F1-score':>10}{'N':>8}")
     for name in _predictor_order(report.metrics):
         m = report.metrics[name]
-        label = name.upper() if name in ("llm", "mnl", "rf", "nn") else name
+        label = name.upper() if name in PREDICTORS else name
         lines.append(f"{label:<12}{m.accuracy:>10.3f}{m.weighted_f1:>10.3f}{m.n_scored:>8d}")
     lines.append("")
     lines.append(
@@ -188,3 +228,76 @@ def render_summary_text(report: EvaluationReport) -> str:
             lines.append(f"{mode.display:<12}" + "".join(f"{v:>12d}" for v in row))
         lines.append("")
     return "\n".join(lines)
+
+
+def build_report(
+    records: list[CaseRecord],
+    parse_failure_mode: str = "exclude",
+    config_digest: str = "",
+) -> EvaluationReport:
+    if not records:
+        raise EmptyInput("no case records to evaluate")
+    if parse_failure_mode not in FAILURE_MODES:
+        raise ValueError(f"parse_failure_mode must be one of {FAILURE_MODES}")
+
+    actual = [r.actual for r in records]
+    metrics: dict[str, PredictorMetrics] = {}
+    confusions: dict[str, list[list[int]]] = {}
+
+    # the LLM's counts, with a fourth column for answers that are None
+    llm = _counts([r.llm.prediction for r in records], actual, n_columns=len(MODE_ORDER) + 1)
+    parsed = [row[:-1] for row in llm]
+    backend_failures = sum(r.llm.backend_failure for r in records)
+    parse_failures = sum(row[-1] for row in llm) - backend_failures
+    scored = {"exclude": parsed, "count_as_incorrect": llm} if any(map(any, parsed)) else {}
+    llm_by_mode = {mode: PredictorMetrics.of(matrix) for mode, matrix in scored.items()}
+    if scored:
+        metrics["llm"] = llm_by_mode[parse_failure_mode]
+        confusions["llm"] = parsed
+
+    for kind in sorted({k for r in records for k in r.benchmark_predictions}):
+        matrix = _counts([r.benchmark_predictions[kind] for r in records], actual)
+        metrics[kind] = PredictorMetrics.of(matrix)
+        confusions[kind] = matrix
+
+    return EvaluationReport(
+        metrics=metrics,
+        llm_metrics_by_mode=llm_by_mode,
+        confusions=confusions,
+        parse_failure_count=parse_failures,
+        backend_failure_count=backend_failures,
+        sample_size=len(records),
+        parse_failure_mode=parse_failure_mode,
+        config_digest=config_digest,
+    )
+
+
+def write_report(
+    records: list[CaseRecord],
+    out_dir: str | Path,
+    parse_failure_mode: str = "exclude",
+    config_digest: str = "",
+) -> EvaluationReport:
+    """Write report.json, report.txt, and cases.jsonl under out_dir.
+
+    The artifacts depend only on the records and arguments, so a repeat call
+    with the same inputs leaves identical bytes in place.
+    """
+    report = build_report(records, parse_failure_mode, config_digest)
+    out = Path(out_dir)
+    try:
+        summary_json = json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        encode = json.JSONEncoder(sort_keys=True).encode  # one encoder for every case
+        cases = "".join(encode(r.to_json_dict()) + "\n" for r in records)
+        texts = (summary_json, render_summary_text(report) + "\n", cases)
+        for name, text in zip(REPORT_FILES, texts):
+            write_atomic(out / name, text.encode("utf-8"))
+    except OSError as exc:
+        raise IoFailure(f"cannot write report under {out}: {exc}") from exc
+    logger.info("report written to %s", out)
+    return report
+
+
+def read_report(directory: Path) -> EvaluationReport:
+    """The report that write_report left under directory, from its report.json."""
+    return EvaluationReport.from_json_dict(json.loads((directory / REPORT_FILES[0]).read_bytes()))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from modechoice.dataset import ModeLabel
-from modechoice.evaluation import (
+from modechoice.report import (
     CaseRecord,
     EmptyInput,
     IoFailure,
@@ -58,7 +58,7 @@ def scored(pred, actual):
     """Accuracy, weighted F1 and the 3x3 counts, as the report scores a baseline."""
     matrix = _counts(pred, actual)
     metrics = PredictorMetrics.of(matrix)
-    return metrics.accuracy, metrics.weighted_f1, matrix
+    return metrics.accuracy, metrics.weighted_f1, np.array(matrix)
 
 
 def test_accuracy_basic():
@@ -71,7 +71,7 @@ def test_metric_input_guards():
     # only the LLM's counts have a column for a failed answer
     with pytest.raises(ValueError, match="fourth column"):
         _counts([TRAIN, None], [TRAIN, CAR])
-    assert _counts([TRAIN, None], [TRAIN, CAR], n_columns=4).tolist() == [
+    assert _counts([TRAIN, None], [TRAIN, CAR], n_columns=4) == [
         [1, 0, 0, 0],
         [0, 0, 0, 1],
         [0, 0, 0, 0],

@@ -27,7 +27,6 @@ from modechoice.dataset import (
     load_raw,
     to_choice_situations,
 )
-from modechoice.evaluation import LlmAnswer, write_report
 from modechoice.gateway import MissingCredential
 from modechoice.pipeline import (
     PipelineError,
@@ -37,6 +36,7 @@ from modechoice.pipeline import (
     sample_key,
 )
 from modechoice.prompting import build_prompts
+from modechoice.report import LlmAnswer, write_report
 
 from conftest import make_situation, records, synthetic_raw_rows, table_of, write_survey_file
 
@@ -751,6 +751,18 @@ def test_a_stored_tree_with_a_value_out_of_range_is_rejected(workspace, damage, 
             lambda text: re.sub('"prediction": "[^"]*"', '"prediction": 5', text, count=1),
             "prediction 5 is not a string",
         ),
+        (
+            "llm-*.jsonl.gz",
+            "llm",
+            lambda text: re.sub('"reason": "[^"]*"', '"reason": 5', text, count=1),
+            "reason 5 is not a string",
+        ),
+        (
+            "llm-*.jsonl.gz",
+            "llm",
+            lambda text: text.replace("{", '{"backend_failure": "x", ', 1),
+            "backend_failure 'x' is not a bool",
+        ),
     ],
     ids=[
         "split-unknown-id",
@@ -761,6 +773,8 @@ def test_a_stored_tree_with_a_value_out_of_range_is_rejected(workspace, damage, 
         "llm-row-missing",
         "llm-key-renamed",
         "llm-prediction-not-a-string",
+        "llm-reason-not-a-string",
+        "llm-backend-failure-not-a-bool",
     ],
 )
 def test_cli_run_rejects_a_damaged_split_or_llm_file(

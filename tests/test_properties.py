@@ -1,6 +1,6 @@
-"""Properties of the stored-file line reader, the reply parser and the
-balanced split, each checked on generated inputs against a plain statement
-of what it must do."""
+"""Properties of the stored-file line reader, the reply parser, the balanced
+split and the forest's stored form, each checked on generated inputs against
+a plain statement of what it must do."""
 
 import gzip
 import json
@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from modechoice.artifacts import load_json_lines
+from modechoice.benchmarks.forest import Tree, trees_from_json, trees_to_json
+from modechoice.config import N_FEATURES
 from modechoice.dataset import InsufficientClassMembers, ModeLabel, SituationTable, balanced_split
 from modechoice.parsing import ParseFailure, parse_response
 
@@ -159,3 +161,45 @@ def test_balanced_split_draws_disjoint_balanced_sets_fixed_by_the_seed(case, see
     rng.shuffle(order)
     again = balanced_split(table[order], n_train, n_test, seed)
     assert (again[0].ids, again[1].ids) == (train.ids, test.ids)
+
+
+# ---------------------------------------------------------------------------
+# trees_to_json and trees_from_json
+
+# finite thresholds, some shared between nodes; -0.0 + 0.0 is 0.0, since the
+# threshold table holds -0.0 and 0.0 as one value
+THRESHOLDS = (st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.5, 1.5])).map(
+    lambda x: x + 0.0
+)
+
+
+@st.composite
+def level_order_trees(draw):
+    """A full binary tree as _assemble writes it: node arrays in level order,
+    the k-th split node's children at 2k + 1 and 2k + 2, threshold 0 on every
+    leaf and vote 0 on every split node."""
+    flags = iter(draw(st.lists(st.booleans(), max_size=15)))
+    split, open_nodes = [], 1
+    while open_nodes:  # each split node opens two more; nodes past the flags are leaves
+        split.append(next(flags, False))
+        open_nodes += 1 if split[-1] else -1
+    n = len(split)
+    features = draw(st.lists(st.integers(0, N_FEATURES - 1), min_size=n, max_size=n))
+    thresholds = draw(st.lists(THRESHOLDS, min_size=n, max_size=n))
+    votes = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    return Tree(
+        np.where(split, features, -1).astype(np.intp),
+        np.where(split, thresholds, 0.0),
+        np.where(split, 0, votes).astype(np.intp),
+    )
+
+
+@hypothesis.given(st.lists(level_order_trees(), min_size=1, max_size=4))
+def test_a_forest_reads_back_from_its_stored_form_bit_for_bit(trees):
+    stored = json.dumps(trees_to_json(trees))
+    again = trees_from_json(json.loads(stored))
+    assert len(again) == len(trees)
+    for tree, back in zip(trees, again):
+        for array, array_back in zip(tree, back):
+            assert (array_back.dtype, array_back.tobytes()) == (array.dtype, array.tobytes())
+    assert json.dumps(trees_to_json(again)) == stored

@@ -64,3 +64,48 @@ def test_fetch_leaves_an_existing_file_alone(file_server, tmp_path):
     assert done.returncode == 0, done.stderr
     assert "already present" in done.stdout
     assert dest.read_text() == "kept\n"
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+# the program names perfbench's tracer replaces, by module
+TRACED = {
+    ("pipeline", name)
+    for name in (
+        "ingest_key", "stage_ingest", "stage_sample", "stage_llm", "stage_benchmarks",
+        "load_or_create", "load_raw", "to_choice_situations", "balanced_split", "build_prompt",
+        "make_backend", "batch_complete", "parse_response", "write_report",
+    )
+} | {
+    ("benchmarks", name)
+    for name in (
+        "fit_scaler", "fit_classifier", "encode_matrix", "predict_labels", "model_to_dict",
+        "model_from_dict",
+    )
+}
+
+
+def test_perfbench_tracer_replaces_each_target_and_puts_it_back(monkeypatch):
+    """The tracer wraps program functions by their names in `pipeline` and
+    `benchmarks`, so each must still be there under that name."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    from modechoice import benchmarks, pipeline
+
+    modules = {"pipeline": pipeline, "benchmarks": benchmarks}
+    before = {name: dict(vars(module)) for name, module in modules.items()}
+    with tracing.Tracer("t").installed():
+        inside = {name: dict(vars(module)) for name, module in modules.items()}
+    replaced = {
+        (name, attr)
+        for name, values in inside.items()
+        for attr, value in values.items()
+        if value is not before[name].get(attr)
+    }
+    assert TRACED <= replaced
+    for name, attr in replaced:
+        assert inside[name][attr].__wrapped__ is before[name][attr], (name, attr)
+    for name, module in modules.items():
+        after = vars(module)
+        assert after.keys() == before[name].keys()
+        assert all(after[attr] is value for attr, value in before[name].items()), name
