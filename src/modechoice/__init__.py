@@ -33,7 +33,6 @@ _HOMES = {
     "batch_complete": "gateway",
     "build_prompt": "prompting",
     "build_prompts": "prompting",
-    "complete": "gateway",
     "load_pipeline_config": "config",
     "load_raw": "dataset",
     "parse_response": "parsing",

@@ -109,8 +109,8 @@ def trees_from_json(stored: dict) -> list[Tree]:
     """The trees of a trees_to_json form; a ValueError unless `thresholds` is
     a list of finite numbers, `nodes` a list of strings and `cuts` a list of
     lists, every node is a _NODE_CHARS character, and each of at least one
-    tree holds 2n + 1 nodes and n cuts for its n split nodes, each cut an
-    integer index into `thresholds`."""
+    tree holds 2n + 1 nodes and n cuts for its n split nodes, in level order,
+    each cut an integer index into `thresholds`."""
     thresholds, nodes, cuts = stored["thresholds"], stored["nodes"], stored["cuts"]
     if not isinstance(thresholds, list) or not _NUMBER_TYPES.issuperset(map(type, thresholds)):
         raise ValueError("thresholds must be a list of numbers")
@@ -134,7 +134,8 @@ def trees_from_json(stored: dict) -> list[Tree]:
     split = code < N_FEATURES
     bounds = np.r_[0, np.cumsum([len(tree) for tree in nodes])]
     n_nodes = np.diff(bounds)
-    n_split = np.diff(np.r_[0, np.cumsum(split)][bounds])
+    before = np.r_[0, np.cumsum(split)]  # split nodes before each node of the forest
+    n_split = np.diff(before[bounds])
     n_cuts = np.array([len(tree) for tree in cuts], dtype=np.intp)
     bad = (n_nodes != 2 * n_split + 1) | (n_cuts != n_split)
     if bad.any():
@@ -143,6 +144,15 @@ def trees_from_json(stored: dict) -> list[Tree]:
             f"tree {t}: {n_nodes[t]} nodes and {n_cuts[t]} cuts"
             f" are not a full level-order tree of {n_split[t]} split nodes"
         )
+    # the k-th split node's children are nodes 2k + 1 and 2k + 2, so node i >= 1
+    # has a parent only if its tree's first i nodes hold ceil(i / 2) split nodes
+    start = np.repeat(bounds[:-1], n_nodes)
+    i = np.arange(len(code)) - start
+    orphan = before[:-1] - before[start] < (i + 1) // 2
+    if orphan.any():
+        g = int(np.argmax(orphan))
+        t = int(np.searchsorted(bounds, g, side="right")) - 1
+        raise ValueError(f"tree {t}: node {i[g]} is the child of no split node before it")
     threshold = np.zeros(len(code))
     threshold[split] = table[_integers("cut", [c for tree in cuts for c in tree], 0, len(table))]
     arrays = np.where(split, code, -1), threshold, np.where(split, 0, code - N_FEATURES)

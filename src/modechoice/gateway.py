@@ -2,10 +2,12 @@
 
 Two backends are shipped: an HTTP chat-completion client (the prompt as the
 user message, after an optional system message; temperature-controlled),
-which `http_backend` holds, and a deterministic mock that applies a simple choice rule to the travel
-characteristics embedded in the prompt text. Completions are cached on disk
+which `http_backend` holds, and a deterministic mock that applies a simple
+choice rule to the travel characteristics embedded in the prompt text.
+`batch_complete` is the one path to a backend. Completions are cached on disk
 keyed by the whole request (see request_digest), which makes repeat runs free
-and, at temperature 0, lossless.
+and, at temperature 0, lossless; each batch writes its new completions to the
+cache once, as one segment, when it ends.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 import logging
 import random
 import re
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -42,9 +43,7 @@ class MissingCredential(GatewayError):
 
 
 class BackendExhausted(GatewayError):
-    def __init__(self, last_status, message: str = ""):
-        self.last_status = last_status
-        super().__init__(message or f"backend gave up with status {last_status}")
+    pass
 
 
 class RequestTimedOut(GatewayError):
@@ -82,12 +81,11 @@ class CompletionCache:
 
     Opening the cache reads every `*.jsonl.gz` segment in its directory, in sorted
     name order; the first entry for a key wins, and a damaged segment is a
-    ValueError naming its file. `put` records an entry in memory, and `flush`
-    writes the entries put since the last flush as one new segment: gzip'd JSON
-    lines of [key, text], sorted by key and named by the digest of their bytes, so
-    the same entries always make the same file whatever order they arrived in.
-    Until `flush`, new entries live only in this object: `batch_complete` flushes
-    when it ends, and a caller of `complete` alone flushes itself.
+    ValueError naming its file. `store` writes new entries as one new segment:
+    gzip'd JSON lines of [key, text], sorted by key and named by the digest of
+    their bytes, so the same entries always make the same file whatever order
+    they arrived in. `batch_complete` stores once per batch, from the calling
+    thread, when the batch ends.
     """
 
     SUFFIX = ".jsonl.gz"
@@ -96,8 +94,6 @@ class CompletionCache:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self._entries: dict[str, str] = {}
-        self._pending: dict[str, str] = {}
-        self._lock = threading.Lock()  # pool threads put concurrently
         for path in sorted(self.directory.glob(f"*{self.SUFFIX}")):
             try:
                 for entry in load_json_lines(path.read_bytes()):
@@ -112,19 +108,13 @@ class CompletionCache:
     def get(self, key: str) -> str | None:
         return self._entries.get(key)
 
-    def put(self, key: str, text: str) -> None:
-        with self._lock:
-            self._entries[key] = text
-            self._pending[key] = text
-
-    def flush(self) -> Path | None:
-        """Write the pending entries as one segment and return its path;
-        with nothing pending, write nothing and return None."""
-        with self._lock:
-            pending, self._pending = self._pending, {}
-        if not pending:
+    def store(self, entries: dict[str, str]) -> Path | None:
+        """Write entries as one segment and return its path; with no
+        entries, write nothing and return None."""
+        if not entries:
             return None
-        data = dump_json_lines([key, pending[key]] for key in sorted(pending))
+        self._entries.update(entries)
+        data = dump_json_lines([key, entries[key]] for key in sorted(entries))
         path = self.directory / f"{digest_of(data)}{self.SUFFIX}"
         write_atomic(path, data)
         return path
@@ -175,20 +165,18 @@ def make_backend(cfg: BackendConfig):
 
 
 def _generate_with_retries(backend, prompt_text: str, cfg: BackendConfig) -> tuple[str, int]:
+    """The backend's completion text for prompt_text and the attempts it took.
+    Transient failures are retried; a reply without text is a GatewayError, sent once."""
     attempts = 0
     while True:
         attempts += 1
         try:
-            return backend.generate(prompt_text), attempts
+            text = backend.generate(prompt_text)
         except TransientBackendError as exc:
             if attempts > cfg.max_retries:
                 if exc.status == "timeout":
-                    raise RequestTimedOut(
-                        f"timed out after {attempts} attempts"
-                    ) from exc
-                raise BackendExhausted(
-                    exc.status, f"gave up after {attempts} attempts: {exc}"
-                ) from exc
+                    raise RequestTimedOut(f"timed out after {attempts} attempts") from exc
+                raise BackendExhausted(f"gave up after {attempts} attempts: {exc}") from exc
             delay = cfg.retry_backoff_base_seconds * (2 ** (attempts - 1))
             delay *= 1 + 0.25 * random.random()  # jitter to avoid retry bursts
             logger.warning(
@@ -200,56 +188,10 @@ def _generate_with_retries(backend, prompt_text: str, cfg: BackendConfig) -> tup
             )
             if delay > 0:
                 time.sleep(delay)
-
-
-def complete(
-    prompt: Prompt,
-    cfg: BackendConfig,
-    cache: CompletionCache | None,
-    backend=None,
-) -> ModelCompletion:
-    """Complete one prompt, consulting the cache first and storing on success.
-
-    A new completion is kept in the cache's memory until `cache.flush()`."""
-    key = digest_of(request_digest(cfg), prompt.full_text)
-    hit = _cached(prompt, key, cache)
-    if hit is not None:
-        return hit
-    return _generate(prompt, key, cfg, cache, make_backend(cfg) if backend is None else backend)
-
-
-def _cached(prompt: Prompt, key: str, cache: CompletionCache | None) -> ModelCompletion | None:
-    """The prompt's completion stored under key, or None when there is none."""
-    text = None if cache is None else cache.get(key)
-    if text is None:
-        return None
-    return ModelCompletion(
-        text=text,
-        situation_id=prompt.situation_id,
-        cache_hit=True,
-        latency_ms=0.0,
-        attempt_count=0,
-    )
-
-
-def _generate(
-    prompt: Prompt, key: str, cfg: BackendConfig, cache: CompletionCache | None, backend
-) -> ModelCompletion:
-    """Ask the backend for the prompt's completion and put it in the cache under key."""
-    started = time.perf_counter()
-    text, attempts = _generate_with_retries(backend, prompt.full_text, cfg)
-    latency_ms = (time.perf_counter() - started) * 1000.0
-    if not isinstance(text, str) or not text:
-        raise GatewayError(f"backend returned no completion text: {text!r:.80}")
-    if cache is not None:
-        cache.put(key, text)
-    return ModelCompletion(
-        text=text,
-        situation_id=prompt.situation_id,
-        cache_hit=False,
-        latency_ms=latency_ms,
-        attempt_count=attempts,
-    )
+            continue
+        if not isinstance(text, str) or not text:
+            raise GatewayError(f"backend returned no completion text: {text!r:.80}")
+        return text, attempts
 
 
 def batch_complete(
@@ -266,44 +208,52 @@ def batch_complete(
 
     One item's failure never aborts the batch; failed positions hold a
     CompletionFailure record instead of a completion. The batch's new
-    completions are written to the cache as one segment when it ends.
+    completions are stored in the cache as one segment when it ends, from
+    the calling thread.
     """
     if not prompts:
         raise ValueError("prompts must be non-empty")
     if backend is None:
         backend = make_backend(cfg)  # credential problems surface before any work
     request = request_digest(cfg)
-    results = []  # a hit's completion; for a miss, until it is sent, its key
-    for prompt in prompts:
-        key = digest_of(request, prompt.full_text)
-        hit = _cached(prompt, key, cache)
-        results.append(key if hit is None else hit)
-    misses = [i for i, result in enumerate(results) if isinstance(result, str)]
+    keys = [digest_of(request, prompt.full_text) for prompt in prompts]
+    results: list[ModelCompletion | CompletionFailure | None] = [None] * len(prompts)
+    misses = []
+    for i, (prompt, key) in enumerate(zip(prompts, keys)):
+        text = None if cache is None else cache.get(key)
+        if text is None:
+            misses.append(i)
+        else:
+            results[i] = ModelCompletion(
+                text, prompt.situation_id, cache_hit=True, latency_ms=0.0, attempt_count=0
+            )
 
-    def one(i: int) -> ModelCompletion | CompletionFailure:
+    def one(i: int) -> None:
+        # writes results[i] alone, so pool threads share no other state
         prompt = prompts[i]
+        started = time.perf_counter()
         try:
-            return _generate(prompt, results[i], cfg, cache, backend)
+            text, attempts = _generate_with_retries(backend, prompt.full_text, cfg)
+            ms = (time.perf_counter() - started) * 1000.0
+            results[i] = ModelCompletion(
+                text, prompt.situation_id, cache_hit=False, latency_ms=ms, attempt_count=attempts
+            )
         except GatewayError as exc:
             logger.warning("completion failed for %s: %s", prompt.situation_id, exc)
-            return CompletionFailure(
-                situation_id=prompt.situation_id,
-                error_type=type(exc).__name__,
-                message=str(exc),
-            )
+            results[i] = CompletionFailure(prompt.situation_id, type(exc).__name__, str(exc))
 
     try:
         if misses and not isinstance(backend, MockBackend):
             with ThreadPoolExecutor(max_workers=cfg.max_parallel_requests) as pool:
-                for i, result in zip(misses, pool.map(one, misses)):
-                    results[i] = result
+                list(pool.map(one, misses))  # re-raises an error that is not a GatewayError
         else:
             # the mock is pure Python with no waits: pool threads would only
             # contend for the interpreter lock
             for i in misses:
-                results[i] = one(i)
+                one(i)
         return results
     finally:
         # also on an exception or Ctrl-C, so the completions made are kept
         if cache is not None:
-            cache.flush()
+            made = [i for i in misses if isinstance(results[i], ModelCompletion)]
+            cache.store({keys[i]: results[i].text for i in made})

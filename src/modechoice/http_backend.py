@@ -50,7 +50,7 @@ class HttpChatBackend:
         if status != 200:
             # Authentication and other client errors are not retryable.
             text = raw.decode("utf-8", "replace")[:200]
-            raise BackendExhausted(status, f"non-retryable status {status}: {text}")
+            raise BackendExhausted(f"non-retryable status {status}: {text}")
         try:
             return json.loads(raw)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:

@@ -17,16 +17,12 @@ import modechoice.gateway as gateway
 from modechoice.artifacts import digest_of
 from modechoice.gateway import (
     BackendConfig,
-    BackendExhausted,
     CompletionCache,
     CompletionFailure,
-    GatewayError,
     MissingCredential,
     MockBackend,
-    RequestTimedOut,
     TransientBackendError,
     batch_complete,
-    complete,
     make_backend,
     parse_prompt_characteristics,
     request_digest,
@@ -42,6 +38,12 @@ FAST_SM = build_prompt(table_of([make_situation(sid="fast-sm")]), PROMPT_CFG)
 def random_prompts(rng, n):
     """The prompts of n random situations, one per row of a table."""
     return build_prompts(table_of(random_situation(rng, f"s{i:03d}") for i in range(n)), PROMPT_CFG)
+
+
+def complete(prompt, cfg, cache, backend=None):
+    """The one result of a batch of one prompt."""
+    (result,) = batch_complete([prompt], cfg, cache, backend)
+    return result
 
 
 def mock_cfg(**kwargs):
@@ -134,16 +136,18 @@ def test_complete_retries_transient_failures(tmp_path):
 
 def test_complete_exhausts_retries(tmp_path):
     backend = FlakyBackend(failures=10, status=503)
-    with pytest.raises(BackendExhausted) as err:
-        complete(FAST_SM, mock_cfg(max_retries=2), None, backend=backend)
-    assert err.value.last_status == 503
+    result = complete(FAST_SM, mock_cfg(max_retries=2), None, backend=backend)
+    assert result.error_type == "BackendExhausted"
+    assert result.message == "gave up after 3 attempts: transient backend failure: 503"
     assert backend.calls == 3  # initial + 2 retries
 
 
 def test_complete_timeout_surfaces_as_timeout():
     backend = FlakyBackend(failures=10, status="timeout")
-    with pytest.raises(RequestTimedOut):
-        complete(FAST_SM, mock_cfg(max_retries=1), None, backend=backend)
+    result = complete(FAST_SM, mock_cfg(max_retries=1), None, backend=backend)
+    assert result.error_type == "RequestTimedOut"
+    assert result.message == "timed out after 2 attempts"
+    assert backend.calls == 2
 
 
 HTTP = dict(backend_kind="http_chat", endpoint_url="http://127.0.0.1:9/v1/chat/completions")
@@ -168,10 +172,7 @@ def test_cache_key_sensitivity(tmp_path):
     # each distinct prompt text gets its own entry
     rng = random.Random(23)
     prompts = [FAST_SM] + random_prompts(rng, 50)
-    cache = CompletionCache(tmp_path)
-    for prompt in prompts:
-        complete(prompt, mock_cfg(), cache)
-    cache.flush()
+    batch_complete(prompts, mock_cfg(), CompletionCache(tmp_path))
     assert len(list(tmp_path.iterdir())) == 1
     assert len(list(tmp_path.glob("*.jsonl.gz"))) == 1
     reopened = CompletionCache(tmp_path)
@@ -197,22 +198,20 @@ def test_cache_key_ignores_transport_settings(backend_kind):
 
 def test_cache_round_trip(tmp_path):
     cache = CompletionCache(tmp_path)
-    assert cache.flush() is None  # nothing pending, no file
-    cache.put("k" * 64, "some completion")
+    assert cache.store({}) is None  # no entries, no file
+    assert list(tmp_path.iterdir()) == []
+    segment = cache.store({"k" * 64: "some completion"})
     assert cache.get("k" * 64) == "some completion"
     assert cache.get("absent" + "0" * 58) is None
-    segment = cache.flush()
     assert segment.name.endswith(".jsonl.gz")
-    assert cache.flush() is None
+    assert cache.store({}) is None
     assert list(tmp_path.iterdir()) == [segment]
     assert CompletionCache(tmp_path).get("k" * 64) == "some completion"
 
 
 def test_cache_first_segment_in_name_order_wins(tmp_path):
     for text in ("one", "two"):
-        cache = CompletionCache(tmp_path)
-        cache.put("k" * 64, text)
-        cache.flush()
+        CompletionCache(tmp_path).store({"k" * 64: text})
     segments = sorted(tmp_path.glob("*.jsonl.gz"))
     assert len(segments) == 2
     (line,) = gzip.decompress(segments[0].read_bytes()).splitlines()
@@ -229,7 +228,6 @@ def _check_leftover_is_not_served(directory, name, data):
     result = complete(FAST_SM, cfg, cache, backend=backend)
     assert result.cache_hit is False and backend.calls == 1
     assert result.text.startswith("Prediction: Swissmetro")
-    cache.flush()
     assert CompletionCache(directory).get(key) == result.text
 
 
@@ -319,6 +317,7 @@ def test_batch_runs_mock_on_calling_thread():
 
 
 def test_batch_matches_sequential_complete(tmp_path):
+    # a batch answers each prompt as a batch of that prompt alone does
     rng = random.Random(9)
     prompts = random_prompts(rng, 12)
     cfg = mock_cfg(mock_rule="generalized_cost")
@@ -355,7 +354,7 @@ def test_batch_computes_the_request_digest_once(tmp_path, monkeypatch):
     )
     batch_complete(prompts, mock_cfg(), CompletionCache(tmp_path), MockBackend("min_time"))
     assert len(calls) == 1
-    reopened = CompletionCache(tmp_path)  # under the keys `complete` alone uses
+    reopened = CompletionCache(tmp_path)  # under each prompt's own key
     assert all(reopened.get(digest_of(request_digest(mock_cfg()), p.full_text)) for p in prompts)
 
 
@@ -407,6 +406,35 @@ def test_batch_keeps_completions_made_before_an_unexpected_error(tmp_path):
     for i, prompt in enumerate(prompts):
         stored = reopened.get(digest_of(request_digest(cfg), prompt.full_text))
         assert stored == (MockBackend("min_cost").generate(prompt.full_text) if i < 4 else None)
+
+
+def test_batch_on_the_pool_keeps_completions_made_before_an_unexpected_error(tmp_path):
+    rng = random.Random(15)
+    prompts = random_prompts(rng, 8)
+    others_started = threading.Semaphore(0)
+
+    class BreaksOnThird:
+        """Prompt 2 raises once every other prompt has started; each of those
+        waits 10 ms, so the last one finishes while the pool shuts down."""
+
+        def generate(self, prompt_text):
+            if prompt_text == prompts[2].full_text:
+                for _ in range(len(prompts) - 1):
+                    assert others_started.acquire(timeout=10)
+                raise RuntimeError("backend bug")
+            others_started.release()
+            time.sleep(0.01)
+            return f"Prediction: Car\nReason: prompt of {len(prompt_text)} characters."
+
+    cfg = mock_cfg(max_parallel_requests=4)
+    with pytest.raises(RuntimeError):
+        batch_complete(prompts, cfg, CompletionCache(tmp_path), BreaksOnThird())
+    assert len(list(tmp_path.iterdir())) == 1  # one segment
+    reopened = CompletionCache(tmp_path)
+    for i, prompt in enumerate(prompts):
+        stored = reopened.get(digest_of(request_digest(cfg), prompt.full_text))
+        reply = f"Prediction: Car\nReason: prompt of {len(prompt.full_text)} characters."
+        assert stored == (None if i == 2 else reply)
 
 
 def test_batch_requires_prompts():
@@ -478,10 +506,10 @@ def test_http_backend_retries_rate_limit(chat_endpoint, monkeypatch):
 def test_http_backend_does_not_retry_auth_errors(chat_endpoint, monkeypatch):
     monkeypatch.setenv("LLM_API_KEY", "sk-bad")
     chat_endpoint.status = 401
-    with pytest.raises(BackendExhausted) as err:
-        complete(FAST_SM, http_cfg(chat_endpoint.url, max_retries=5), None)
-    assert err.value.last_status == 401
-    assert "scripted status 401" in str(err.value)  # the start of the reply body
+    result = complete(FAST_SM, http_cfg(chat_endpoint.url, max_retries=5), None)
+    assert result.error_type == "BackendExhausted"
+    # the status, then the start of the reply body
+    assert result.message.startswith('non-retryable status 401: {"error": {"message": "scripted')
     assert len(chat_endpoint.requests) == 1
 
 
@@ -490,9 +518,10 @@ def test_http_backend_malformed_body(chat_endpoint, monkeypatch):
     for body in [b'{"unexpected": true}', b'{"choices": []}', b"not json"]:
         chat_endpoint.body = body
         chat_endpoint.requests.clear()
-        with pytest.raises(GatewayError, match="malformed") as err:
-            complete(FAST_SM, http_cfg(chat_endpoint.url, max_retries=3), None)
-        assert type(err.value) is GatewayError  # neither retried nor counted as a status
+        result = complete(FAST_SM, http_cfg(chat_endpoint.url, max_retries=3), None)
+        # neither retried nor counted as a status
+        assert result.error_type == "GatewayError"
+        assert result.message.startswith("malformed completion response body: ")
         assert len(chat_endpoint.requests) == 1
 
 
@@ -533,10 +562,12 @@ def test_http_backend_content_without_text_is_not_cached(
     chat_endpoint.body = chat_reply(content)
     cfg = http_cfg(chat_endpoint.url)
     cache = CompletionCache(tmp_path / "cache")
-    with pytest.raises(GatewayError, match="no completion text"):
-        complete(FAST_SM, cfg, cache)
+    result = complete(FAST_SM, cfg, cache)
+    assert result.error_type == "GatewayError"
+    assert result.message.startswith("backend returned no completion text: ")
+    assert len(chat_endpoint.requests) == 1  # not retried
     assert cache.get(digest_of(request_digest(cfg), FAST_SM.full_text)) is None
-    assert cache.flush() is None
+    assert list((tmp_path / "cache").iterdir()) == []  # nor written
 
 
 def test_http_backend_timeout_reaches_the_socket(chat_endpoint, monkeypatch):
@@ -544,8 +575,8 @@ def test_http_backend_timeout_reaches_the_socket(chat_endpoint, monkeypatch):
     chat_endpoint.delay = 5.0
     cfg = http_cfg(chat_endpoint.url, timeout_seconds=0.2, max_retries=1)
     started = time.perf_counter()
-    with pytest.raises(RequestTimedOut):
-        complete(FAST_SM, cfg, None)
+    result = complete(FAST_SM, cfg, None)
+    assert (result.error_type, result.message) == ("RequestTimedOut", "timed out after 2 attempts")
     assert len(chat_endpoint.requests) == 2
     assert time.perf_counter() - started < 2.5  # two 0.2 s waits, not a 5 s reply
 
@@ -556,9 +587,9 @@ def test_http_backend_refused_connection(monkeypatch):
         probe.bind(("127.0.0.1", 0))
         port = probe.getsockname()[1]
     cfg = http_cfg(f"http://127.0.0.1:{port}/v1/chat/completions", max_retries=2)
-    with pytest.raises(BackendExhausted, match="after 3 attempts") as err:
-        complete(FAST_SM, cfg, None)
-    assert err.value.last_status == "connection"
+    result = complete(FAST_SM, cfg, None)
+    assert result.error_type == "BackendExhausted"
+    assert result.message.startswith("gave up after 3 attempts: connection failed: ")
 
 
 class _TruncatedReply(BaseHTTPRequestHandler):
@@ -581,9 +612,9 @@ def test_http_backend_truncated_reply_is_a_dropped_connection(monkeypatch):
     with serving(HTTPServer(("127.0.0.1", 0), _TruncatedReply)) as server:
         server.served = 0
         url = f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
-        with pytest.raises(BackendExhausted) as err:
-            complete(FAST_SM, http_cfg(url, max_retries=1), None)
-    assert err.value.last_status == "connection"
+        result = complete(FAST_SM, http_cfg(url, max_retries=1), None)
+    assert result.error_type == "BackendExhausted"
+    assert result.message.startswith("gave up after 2 attempts: connection failed: ")
     assert server.served == 2
 
 

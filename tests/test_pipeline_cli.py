@@ -599,6 +599,11 @@ def not_full(tree, nodes, cuts, n):
         (last_nodes(lambda nodes: nodes[:-1]), lambda n, t: not_full(t, 2 * n, n, n)),
         (lambda trees: trees["cuts"][-1].pop(), lambda n, t: not_full(t, 2 * n + 1, n - 1, n)),
         (last_nodes(lambda nodes: first_leaf(nodes, "")), lambda n, t: not_full(t, 2 * n, n, n)),
+        # the right counts out of level order: a leaf root, its split child never read
+        (
+            last_nodes(lambda nodes: nodes[-1] + nodes[:-1]),
+            lambda n, t: f"tree {t}: node 1 is the child of no split node before it",
+        ),
         (
             lambda trees: trees["nodes"].pop(),
             lambda n, t: f"{t} node strings and {t + 1} cut lists",
@@ -608,7 +613,7 @@ def not_full(tree, nodes, cuts, n):
             lambda n, t: "0 node strings and 0 cut lists",
         ),
     ],
-    ids=["nodes", "thresholds", "votes", "trees", "no-trees"],
+    ids=["nodes", "thresholds", "votes", "order", "trees", "no-trees"],
 )
 def test_a_stored_tree_that_is_not_full_is_rejected(workspace, damage, message):
     """A tree's children are implicit, so a stored tree must hold 2n + 1 nodes

@@ -1,10 +1,11 @@
-"""Properties of the stored-file line reader, the reply parser, the balanced
-split and the forest's stored form, each checked on generated inputs against
-a plain statement of what it must do."""
+"""Properties of the stored-file line reader, the completion cache's
+segments, the reply parser, the balanced split and the forest's stored form,
+each checked on generated inputs against a plain statement of what it must do."""
 
 import gzip
 import json
 import math
+import tempfile
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from modechoice.artifacts import load_json_lines
 from modechoice.benchmarks.forest import Tree, trees_from_json, trees_to_json
 from modechoice.config import N_FEATURES
 from modechoice.dataset import InsufficientClassMembers, ModeLabel, SituationTable, balanced_split
+from modechoice.gateway import CompletionCache
 from modechoice.parsing import ParseFailure, parse_response
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -71,6 +73,38 @@ def test_load_json_lines_accepts_exactly_the_files_of_one_value_a_line(chunks, n
     except ValueError:
         values = None
     assert repr(values) == repr(expected)
+
+
+# ---------------------------------------------------------------------------
+# CompletionCache segments
+
+# any text, with the characters a line-based reader could trip on made likely
+CACHE_TEXT = st.text(
+    st.characters() | st.sampled_from(["\n", "\r", "\u2028", '"', "\\"]), max_size=12
+)
+
+
+@hypothesis.example({"": "", "k\u2028\n": 'Prediction: "Car"\r\nReason: \\'})
+@hypothesis.given(st.dictionaries(CACHE_TEXT, CACHE_TEXT, min_size=1, max_size=4))
+def test_a_cache_segment_reads_back_and_a_cut_one_is_a_value_error_naming_it(entries):
+    with tempfile.TemporaryDirectory() as a, tempfile.TemporaryDirectory() as b:
+        segment = CompletionCache(a).store(entries)
+        reopened = CompletionCache(a)
+        assert all(reopened.get(key) == text for key, text in entries.items())
+
+        # the same entries, stored in another order, make the same file
+        again = CompletionCache(b).store(dict(reversed(entries.items())))
+        data = segment.read_bytes()
+        assert (again.name, again.read_bytes()) == (segment.name, data)
+
+        for cut in range(len(data)):
+            segment.write_bytes(data[:cut])
+            try:
+                cache = CompletionCache(a)
+            except ValueError as exc:
+                assert cut > 0 and str(exc).startswith(f"{segment}: ")
+            else:  # only an empty file loads, as a segment of no entries
+                assert cut == 0 and cache.get(next(iter(entries))) is None
 
 
 # ---------------------------------------------------------------------------
